@@ -10,33 +10,26 @@ maximizing the two-party cost.
 
 from .buzzers import (
     BuzzersProtocol,
-    ICReport,
-    SegmentedDensity,
-    StartTimes,
     closed_form_uniform,
     cost_under,
     information_cost,
     phi,
     start_times,
-    transcript_density,
 )
 from .concavity import (
     CanonicalMeasure,
-    ConcavityReport,
-    Perturbation,
     concavity_report,
     deficit_external,
     deficit_internal,
     merge_tail_players,
     outside_window_checks,
     perturb,
-    perturbed_densities,
     taylor_coefficient,
     verify_grid,
     weakness_budget,
     window_deficits,
 )
-from .discretize import DiscreteProtocol, ProtocolNode, build, exact_ic
+from .discretize import build, exact_ic
 from .errors import IcandError
 from .measures import (
     InputDistribution,
@@ -47,11 +40,9 @@ from .measures import (
     entropy,
     mutual_information,
 )
-from .optimize import OptResult, SupportPattern, maximize_external, maximize_internal
+from .optimize import SupportPattern, maximize_external, maximize_internal
 from .signals import (
     Signal,
-    SimulationTrace,
-    TerminalSample,
     WeakSignal,
     classify,
     posterior,
@@ -68,21 +59,11 @@ __all__ = [
     "__version__",
     "BuzzersProtocol",
     "CanonicalMeasure",
-    "ConcavityReport",
-    "DiscreteProtocol",
-    "ICReport",
     "IcandError",
     "InputDistribution",
     "InputLabel",
-    "OptResult",
-    "Perturbation",
-    "ProtocolNode",
-    "SegmentedDensity",
     "Signal",
-    "SimulationTrace",
-    "StartTimes",
     "SupportPattern",
-    "TerminalSample",
     "WeakSignal",
     "binary_entropy",
     "build",
@@ -103,7 +84,6 @@ __all__ = [
     "mutual_information",
     "outside_window_checks",
     "perturb",
-    "perturbed_densities",
     "phi",
     "posterior",
     "sample_terminal_posteriors",
@@ -113,7 +93,6 @@ __all__ = [
     "split",
     "start_times",
     "taylor_coefficient",
-    "transcript_density",
     "verify_grid",
     "weakness_budget",
     "window_deficits",

@@ -33,17 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
-from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel, _xlogx
+from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel, _prior_entropies
 from .quadrature import integrate
 
 __all__ = [
     "StartTimes",
     "BuzzersProtocol",
-    "SegmentedDensity",
     "ICReport",
     "start_times",
     "phi",
-    "transcript_density",
+    "buzz_densities",
+    "player_classes",
+    "conditional_entropies",
     "cost_under",
     "information_cost",
     "closed_form_uniform",
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Start times closer than this (relative) collapse into one breakpoint.
 _TIME_DEDUPE = 1e-14
+
+#: Smallest normal double; transcript densities below it count as zero.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,9 @@ def phi(label: InputLabel, t: float, times: StartTimes | BuzzersProtocol) -> flo
 
 
 # ---------------------------------------------------------------------------
-# density machinery (arrays; labels as bit matrices so reduced instances with
-# a single player never need a public InputDistribution)
+# transcript densities and their entropies (arrays; labels as bit matrices so
+# reduced instances with a single player never need a public InputDistribution)
 # ---------------------------------------------------------------------------
-
-
-def _phi_matrix(times: np.ndarray, zeros_mask: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Phi_x(t) for every (t, x); ``zeros_mask[x, i]`` marks x_i == 0."""
-    active = np.maximum(t[:, None] - times[None, :], 0.0)
-    return active @ zeros_mask.T
 
 
 def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
@@ -142,132 +140,50 @@ def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-@dataclass(frozen=True)
-class SegmentedDensity:
-    """Piecewise-exponential transcript densities ``f_x(t, m) = a e^{-ct}``.
+def buzz_densities(
+    times: np.ndarray, zeros: np.ndarray, log_w: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """V[t, m, x] = w_x e^{-Phi_x(t)} [x_m = 0] [t >= t_m].
 
-    Segment ``j`` spans ``[breakpoints[j], breakpoints[j+1])``; the last
-    segment extends to infinity.  Within a segment the density value does not
-    depend on which player ``m`` buzzes; ``m`` only gates validity
-    (``x_m = 0`` and ``t >= t_m``).  Coefficients are stored as logs so that
-    extreme start-time spreads cannot overflow.
+    ``times[m]`` is player m's start time, ``zeros[x, i]`` marks x_i == 0
+    and ``log_w`` holds the log input masses (-inf for a zero mass), or one
+    row of them per abscissa.  Within a stretch of constant active set the
+    density of a buzz does not depend on which player ``m`` buzzes; ``m``
+    only gates it.
     """
-
-    labels: tuple[InputLabel, ...]
-    masses: tuple[float, ...]
-    protocol: BuzzersProtocol
-    breakpoints: tuple[float, ...]
-    log_coeff: np.ndarray  # (n_seg, n_x); log a
-    rates: np.ndarray  # (n_seg, n_x); c = number of active zero-players
-    valid_m: np.ndarray  # (n_seg, k) bool; start time reached
-    atom: np.ndarray  # (n_x,); silent-outcome probability
-
-    def _segment_of(self, t: np.ndarray) -> np.ndarray:
-        return np.clip(
-            np.searchsorted(self.breakpoints, t, side="right") - 1,
-            0,
-            len(self.breakpoints) - 1,
-        )
-
-    def coefficient(self, segment: int, label: InputLabel) -> tuple[float, float]:
-        """(a, c) of ``f_x`` on a segment; ``a`` may overflow to inf for
-        extreme instances, in which case use ``log_coeff`` directly."""
-        x = self.labels.index(label)
-        return float(np.exp(self.log_coeff[segment, x])), float(self.rates[segment, x])
-
-    def evaluate(self, label: InputLabel, m: int, t) -> np.ndarray:
-        """Density ``f_x(t, m)`` for player ``m`` (1-based) buzzing first."""
-        x = self.labels.index(label)
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        if label.bits[m - 1] == 1:
-            return np.zeros_like(tt)
-        seg = self._segment_of(tt)
-        vals = np.exp(self.log_coeff[seg, x] - self.rates[seg, x] * tt)
-        vals[tt < self.protocol.player_times[m - 1]] = 0.0
-        return vals
-
-    def mixture(self, m: int, t) -> np.ndarray:
-        """f(t, m) = sum_x mass_x f_x(t, m)."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(tt)
-        for lab, w in zip(self.labels, self.masses):
-            if w > 0:
-                out += w * self.evaluate(lab, m, tt)
-        return out
-
-    def total_mass(self, label: InputLabel) -> float:
-        """``sum_m int f_x dt + atom`` from the stored segment coefficients.
-
-        Within a segment the number of players able to buzz on input ``x``
-        equals the decay rate ``c``, so each segment contributes
-        ``a (e^{-c lo} - e^{-c hi})`` and the final segment ``a e^{-c lo}``.
-        A correct representation sums to 1 for every input.
-        """
-        x = self.labels.index(label)
-        total = float(self.atom[x])
-        bp = self.breakpoints
-        for j in range(len(bp)):
-            c = self.rates[j, x]
-            n_senders = sum(
-                1
-                for m in range(self.protocol.k)
-                if self.valid_m[j, m] and label.bits[m] == 0
-            )
-            if n_senders == 0:
-                continue
-            assert n_senders == int(round(c))
-            la = self.log_coeff[j, x]
-            lo = bp[j]
-            if j + 1 < len(bp):
-                total += float(np.exp(la - c * lo) - np.exp(la - c * bp[j + 1]))
-            else:
-                total += float(np.exp(la - c * lo))
-        return total
+    active = np.maximum(t[:, None] - times[None, :], 0.0)
+    v = np.exp(log_w - active @ zeros.T)
+    started = t[:, None] >= times[None, :]
+    return v[:, None, :] * (started[:, :, None] * zeros.T[None, :, :])
 
 
-def transcript_density(
-    mu: InputDistribution,
-    protocol: BuzzersProtocol | None = None,
-    extra_breakpoints: tuple[float, ...] = (),
-) -> SegmentedDensity:
-    """Exact symbolic transcript density of running ``protocol`` on ``mu``.
+def player_classes(bits: np.ndarray) -> np.ndarray:
+    """(n_x, 2k) indicator; column ``2 i + b`` marks the inputs with x_i == b."""
+    return np.stack([bits == 0, bits == 1], axis=2).reshape(len(bits), -1).astype(float)
 
-    When ``protocol`` is omitted it is derived from ``mu`` (which then needs
-    positive basis masses).
+
+def _xlogx(v: np.ndarray) -> np.ndarray:
+    """x ln x counting every positive value; 0 ln 0 = 0."""
+    return v * np.log(np.maximum(v, _TINY))
+
+
+def conditional_entropies(V: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Densities [H(X|T), H(X|T, X_1), ..., H(X|T, X_k)] in nats per abscissa.
+
+    ``V[t, m, x]`` is the joint density of input ``x`` and transcript
+    ``(t, m)``; each entropy is ``sum xlogx(class sums) - sum xlogx(V)``,
+    summed over ``m``.  The difference is taken class by class, so a class
+    holding one input contributes exactly zero.  Every positive density
+    counts, however small, except subnormals: they carry no countable mass
+    and would slow the matrix products a hundredfold, so they become zero.
     """
-    proto = protocol if protocol is not None else BuzzersProtocol.from_measure(mu)
-    if proto.k != mu.k:
-        raise MalformedInputError("protocol and measure disagree on k")
-    labels = mu.labels
-    bits = np.array([lab.bits for lab in labels])
-    zeros_mask = (bits == 0).astype(float)
-    times = np.asarray(proto.player_times)
-
-    points = np.concatenate([times, np.asarray(extra_breakpoints, dtype=float)])
-    bp = _dedupe_sorted(np.sort(points))
-    seg_lo = bp
-    n_seg, n_x = len(bp), len(labels)
-    rates = np.zeros((n_seg, n_x))
-    log_coeff = np.full((n_seg, n_x), -np.inf)
-    valid = np.zeros((n_seg, proto.k), dtype=bool)
-    for j, lo in enumerate(seg_lo):
-        started = times <= lo + _TIME_DEDUPE * max(1.0, abs(lo))
-        valid[j] = started
-        c = zeros_mask @ started.astype(float)
-        phi_lo = np.maximum(lo - times, 0.0) @ zeros_mask.T
-        rates[j] = c
-        log_coeff[j] = -phi_lo + c * lo
-    atom = np.array([1.0 if lab.weight == lab.k else 0.0 for lab in labels])
-    return SegmentedDensity(
-        labels=labels,
-        masses=tuple(float(m) for m in mu.vector),
-        protocol=proto,
-        breakpoints=tuple(float(b) for b in bp),
-        log_coeff=log_coeff,
-        rates=rates,
-        valid_m=valid,
-        atom=atom,
-    )
+    V = np.where(V < _TINY, 0.0, V)
+    own = _xlogx(V)
+    ext = (_xlogx(V.sum(axis=2)) - own.sum(axis=2)).sum(axis=1)
+    rows = (-1, V.shape[2])  # one matrix product over every (t, m)
+    per_class = _xlogx(V.reshape(rows) @ classes) - own.reshape(rows) @ classes
+    per = per_class.reshape(*V.shape[:2], -1, 2).sum(axis=(1, 3))
+    return np.concatenate([ext[:, None], per], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +202,22 @@ class ICReport:
     concealed_external_bits: float
     quadrature_error_estimate: float
 
+    @classmethod
+    def of(
+        cls, mu: InputDistribution, external: float, per_player, error: float
+    ) -> "ICReport":
+        """Report costs in bits, with concealed information against ``mu``."""
+        internal = float(np.sum(per_player))
+        hxi = sum(mu.entropy_given_player(i) for i in range(1, mu.k + 1))
+        return cls(
+            external_bits=float(external),
+            internal_bits=internal,
+            per_player_bits=tuple(float(v) for v in per_player),
+            concealed_internal_bits=float(hxi - internal),
+            concealed_external_bits=float(mu.entropy() - external),
+            quadrature_error_estimate=float(error),
+        )
+
     def to_json_obj(self) -> dict:
         return {
             "external_bits": self.external_bits,
@@ -297,15 +229,10 @@ class ICReport:
         }
 
 
-def _entropy_arr(w: np.ndarray) -> float:
-    """Shannon entropy of a nonnegative vector summing to ~1, in nats."""
-    return float(-_xlogx(w).sum())
-
-
 def _cond_entropy_profile(
     times: np.ndarray,
     bits: np.ndarray,
-    masses: np.ndarray,
+    w: np.ndarray,
     *,
     rtol: float,
     atol: float,
@@ -315,82 +242,28 @@ def _cond_entropy_profile(
     Only the buzz part of the transcript integrates; the silent atom is a
     point posterior (all-ones) and contributes nothing.
     """
-    k = times.size
-    keep = masses > ZERO_MASS
-    bits = bits[keep]
-    w = masses[keep]
-    n_x = w.size
-    zeros_mask = (bits == 0).astype(float)
-    # class_onehot[i, b, x] = 1 if bits[x, i] == b
-    class_onehot = np.stack([(bits.T == 0), (bits.T == 1)], axis=1).astype(float)
-
+    zeros = (bits == 0).astype(float)
+    classes = player_classes(bits)
+    log_w = np.log(w)
     bp = _dedupe_sorted(np.sort(times))
-
-    def make_integrand(valid: np.ndarray, tail_from: float | None):
-        m_mask = zeros_mask[:, valid].T  # (n_m, n_x)
-
-        def f(ts: np.ndarray) -> np.ndarray:
-            if tail_from is None:
-                t = ts
-            else:
-                # u-substitution for the tail: t = t_last - ln u, dt = du/u;
-                # the 1/u factor is folded into the log-densities
-                t = tail_from - np.log(ts)
-            phi_vals = _phi_matrix(times, zeros_mask, t)
-            logv = np.log(w)[None, :] - phi_vals
-            if tail_from is not None:
-                logv -= np.log(ts)[:, None]
-            V = np.exp(logv)[:, None, :] * m_mask[None, :, :]  # (n_t, n_m, n_x)
-            f_m = V.sum(axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logV = np.where(V > 0, np.log(np.where(V > 0, V, 1.0)), 0.0)
-                ext = np.where(
-                    V > 0, V * (np.log(np.where(f_m > 0, f_m, 1.0))[:, :, None] - logV), 0.0
-                ).sum(axis=(1, 2))
-                g = np.einsum("tmx,ibx->timb", V, class_onehot)
-                gx = np.einsum("timb,ibx->timx", g, class_onehot)
-                per = np.where(
-                    V[:, None, :, :] > 0,
-                    V[:, None, :, :]
-                    * (np.log(np.where(gx > 0, gx, 1.0)) - logV[:, None, :, :]),
-                    0.0,
-                ).sum(axis=(2, 3))
-            return np.concatenate([ext[:, None], per], axis=1)
-
-        return f
-
-    total = np.zeros(1 + k)
-    err = 0.0
-    for lo, hi in zip(bp[:-1], bp[1:]):
-        if hi - lo <= _TIME_DEDUPE * max(1.0, abs(hi)):
-            continue
-        valid = times <= lo + _TIME_DEDUPE * max(1.0, abs(lo))
-        vals, e = integrate(
-            make_integrand(valid, None), float(lo), float(hi), rtol=rtol, atol=atol
-        )
-        total += vals
-        err += e
     t_last = float(bp[-1])
-    vals, e = integrate(
-        make_integrand(np.ones(k, dtype=bool), t_last), 0.0, 1.0, rtol=rtol, atol=atol
-    )
-    total += vals
-    err += e
-    if n_x == 0:
-        total[:] = 0.0
+
+    def segment(ts: np.ndarray) -> np.ndarray:
+        return conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
+
+    def tail(us: np.ndarray) -> np.ndarray:
+        # u-substitution: t = t_last - ln u, dt = du/u, the 1/u folded into w
+        log_wu = log_w - np.log(us)[:, None]
+        V = buzz_densities(times, zeros, log_wu, t_last - np.log(us))
+        return conditional_entropies(V, classes)
+
+    pieces = [(segment, lo, hi) for lo, hi in zip(bp[:-1], bp[1:])] + [(tail, 0.0, 1.0)]
+    total, err = 0.0, 0.0
+    for f, lo, hi in pieces:
+        vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol)
+        total = total + vals
+        err += e
     return total, err
-
-
-def _entropy_given_player_arr(bits: np.ndarray, w: np.ndarray, i0: int) -> float:
-    """H(X | X_i) in nats from arrays."""
-    total = 0.0
-    for b in (0, 1):
-        sel = bits[:, i0] == b
-        pb = float(w[sel].sum())
-        if pb <= ZERO_MASS:
-            continue
-        total += pb * _entropy_arr(w[sel] / pb)
-    return total
 
 
 def _cost_arrays(
@@ -402,17 +275,12 @@ def _cost_arrays(
     atol: float,
 ) -> tuple[float, np.ndarray, float]:
     """(external, per-player internal terms, error estimate), all in bits."""
-    k = times.size
-    cond, err = _cond_entropy_profile(times, bits, masses, rtol=rtol, atol=atol)
-    hx = _entropy_arr(masses)
-    ext = (hx - cond[0]) / LN2
-    per = np.array(
-        [
-            (_entropy_given_player_arr(bits, masses, i) - cond[1 + i]) / LN2
-            for i in range(k)
-        ]
+    keep = masses > ZERO_MASS
+    cond, err = _cond_entropy_profile(
+        times, bits[keep], masses[keep], rtol=rtol, atol=atol
     )
-    return ext, per, err / LN2
+    cost = (_prior_entropies(bits, masses) - cond) / LN2
+    return float(cost[0]), cost[1:], err / LN2
 
 
 def cost_under(
@@ -432,18 +300,7 @@ def cost_under(
         raise MalformedInputError("protocol and measure disagree on k")
     bits = np.array([lab.bits for lab in mu.labels])
     times = np.asarray(protocol.player_times, dtype=float)
-    ext, per, err = _cost_arrays(times, bits, mu.vector, rtol=rtol, atol=atol)
-    internal = float(per.sum())
-    hx = mu.entropy()
-    hxi = sum(mu.entropy_given_player(i) for i in range(1, mu.k + 1))
-    return ICReport(
-        external_bits=float(ext),
-        internal_bits=internal,
-        per_player_bits=tuple(float(v) for v in per),
-        concealed_internal_bits=float(hxi - internal),
-        concealed_external_bits=float(hx - ext),
-        quadrature_error_estimate=float(err),
-    )
+    return ICReport.of(mu, *_cost_arrays(times, bits, mu.vector, rtol=rtol, atol=atol))
 
 
 def _reduced_cost(
@@ -490,19 +347,7 @@ def information_cost(
     mu_r, c_ones = mu.without_all_ones()
     scale = 1.0 - c_ones
     ext, per, err = _reduced_cost(mu_r, rtol=rtol, atol=atol)
-    ext *= scale
-    per = per * scale
-    internal = float(per.sum())
-    hx = mu.entropy()
-    hxi = sum(mu.entropy_given_player(i) for i in range(1, mu.k + 1))
-    return ICReport(
-        external_bits=float(ext),
-        internal_bits=internal,
-        per_player_bits=tuple(float(v) for v in per),
-        concealed_internal_bits=float(hxi - internal),
-        concealed_external_bits=float(hx - ext),
-        quadrature_error_estimate=float(err * scale),
-    )
+    return ICReport.of(mu, ext * scale, per * scale, err * scale)
 
 
 def closed_form_uniform(k: int) -> tuple[float, float]:

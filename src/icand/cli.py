@@ -2,18 +2,14 @@
 
 Outputs are JSON objects or CSV tables; errors are machine-readable JSON on
 stderr with distinct exit codes (see errors module).  Runs are deterministic
-for a fixed seed: identical invocations produce byte-identical output.  Set
-ICAND_WORKERS to parallelize the concavity grid (row order is independent of
-the worker count).
+for a fixed seed: identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,9 +20,9 @@ from .buzzers import (
     cost_under,
     information_cost,
 )
-from .concavity import CanonicalMeasure, concavity_report
+from .concavity import GridRow, verify_grid
 from .discretize import build, exact_ic
-from .errors import IcandError, InvalidDistributionError, MalformedInputError
+from .errors import IcandError, MalformedInputError
 from .measures import InputDistribution, binary_entropy
 from .optimize import SupportPattern, maximize_external, maximize_internal
 from .signals import Signal, sample_terminal_posteriors, simulate_signal
@@ -106,16 +102,12 @@ def _cmd_uniform(args) -> int:
     return 0
 
 
-def _grid_cell(task) -> dict:
-    k, s, beta, eps, with_outside = task
-    try:
-        report = concavity_report(CanonicalMeasure(k=k, s=s, beta=beta), eps,
-                                  with_outside=with_outside)
-    except InvalidDistributionError as exc:
-        return {"k": k, "s": s, "beta": beta, "eps": eps, "feasible": 0,
-                "skip_reason": str(exc)}
-    out = {"k": k, "s": s, "beta": beta, "eps": eps, "feasible": 1,
-           "skip_reason": ""}
+def _grid_row(row: GridRow) -> dict:
+    out = {"k": row.k, "s": row.s, "beta": row.beta, "eps": row.eps,
+           "feasible": int(row.feasible), "skip_reason": row.skip_reason or ""}
+    report = row.report
+    if report is None:
+        return out
     out.update(
         ext_deficit=report.ext_deficit,
         int_deficit=report.int_deficit,
@@ -141,22 +133,14 @@ _GRID_COLUMNS = [
 
 
 def _cmd_verify_concavity(args) -> int:
-    senders = _ints(args.s) if args.s else None
-    tasks = []
-    for k in _ints(args.k):
-        for s in senders if senders is not None else range(1, k + 1):
-            if s > k:
-                continue
-            for beta in _floats(args.beta):
-                for eps in _floats(args.eps):
-                    tasks.append((k, s, beta, eps, args.outside))
-    workers = int(os.environ.get("ICAND_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_cell, tasks))
-    else:
-        rows = [_grid_cell(t) for t in tasks]
-
+    grid = verify_grid(
+        _ints(args.k),
+        _floats(args.beta),
+        _floats(args.eps),
+        senders=_ints(args.s) if args.s else None,
+        with_outside=args.outside,
+    )
+    rows = [_grid_row(row) for row in grid]
     if args.format == "json":
         _emit(_dump(rows), args.output)
     else:

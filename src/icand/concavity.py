@@ -28,14 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buzzers import BuzzersProtocol, SegmentedDensity, transcript_density
+from .buzzers import (
+    BuzzersProtocol,
+    buzz_densities,
+    conditional_entropies,
+    player_classes,
+)
 from .errors import (
     AssumptionViolationError,
     InvalidDistributionError,
     MalformedInputError,
     ToleranceError,
 )
-from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel, _xlogx
+from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel
 from .quadrature import integrate_segments
 
 __all__ = [
@@ -47,8 +52,6 @@ __all__ = [
     "gamma0_of",
     "gamma1_of",
     "perturb",
-    "perturbed_densities",
-    "canonical_window_forms",
     "window_deficits",
     "deficit_external",
     "deficit_internal",
@@ -227,68 +230,38 @@ def perturb(
     )
 
 
-def perturbed_densities(
-    pert: Perturbation,
-) -> tuple[SegmentedDensity, SegmentedDensity]:
-    """Exact transcript densities of the two tilted protocols, with the
-    perturbation window edges inserted as breakpoints."""
-    base_t_s = pert.base_protocol.player_times[pert.sender - 1]
-    edges = (base_t_s - pert.gamma0, base_t_s, base_t_s + pert.gamma1)
-    return (
-        transcript_density(pert.mu0, pert.protocol0, extra_breakpoints=edges),
-        transcript_density(pert.mu1, pert.protocol1, extra_breakpoints=edges),
-    )
-
-
 # ---------------------------------------------------------------------------
 # window integrands
 # ---------------------------------------------------------------------------
 
 
-def _density_tensor(
-    times: np.ndarray, bits: np.ndarray, masses: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """V[t, m, x] = mass_x e^{-Phi_x(t)} [x_m = 0] [t >= t_m]."""
-    active = np.maximum(t[:, None] - times[None, :], 0.0)
-    zeros_mask = (bits == 0).astype(float)
-    phi = active @ zeros_mask.T
-    v = masses[None, :] * np.exp(-phi)
-    started = t[:, None] >= times[None, :]
-    return v[:, None, :] * zeros_mask.T[None, :, :] * started[:, :, None]
-
-
 def _concavity_integrand(pert: Perturbation):
-    """Vector integrand [external defect, per-player internal defects].
+    """Vector integrand [external defect, per-player internal defects]:
+    the conditional-entropy densities of the base protocol minus the average
+    over the two tilted ones.
 
     Values are in nats; integrals are divided by ln 2 at the reporting
     boundary.
     """
     bits = np.array([lab.bits for lab in pert.mu.labels])
-    k = pert.mu.k
-    triples = [
-        (np.asarray(p.player_times), bits, m.vector)
-        for p, m in (
-            (pert.base_protocol, pert.mu),
-            (pert.protocol0, pert.mu0),
-            (pert.protocol1, pert.mu1),
-        )
-    ]
-    class_onehot = np.stack([(bits.T == 0), (bits.T == 1)], axis=1).astype(float)
+    zeros = (bits == 0).astype(float)
+    classes = player_classes(bits)
+    with np.errstate(divide="ignore"):
+        runs = [
+            (np.asarray(p.player_times), np.log(m.vector))
+            for p, m in (
+                (pert.base_protocol, pert.mu),
+                (pert.protocol0, pert.mu0),
+                (pert.protocol1, pert.mu1),
+            )
+        ]
 
     def f(ts: np.ndarray) -> np.ndarray:
-        V = [_density_tensor(times, b, m, ts) for times, b, m in triples]
-        mix = [v.sum(axis=2) for v in V]
-        per_x = (
-            _xlogx(V[0]) - 0.5 * (_xlogx(V[1]) + _xlogx(V[2]))
-        ).sum(axis=(1, 2))
-        ext = (
-            _xlogx(mix[0]) - 0.5 * (_xlogx(mix[1]) + _xlogx(mix[2]))
-        ).sum(axis=1) - per_x
-        g = [np.einsum("tmx,ibx->timb", v, class_onehot) for v in V]
-        per_j = (
-            _xlogx(g[0]) - 0.5 * (_xlogx(g[1]) + _xlogx(g[2]))
-        ).sum(axis=(2, 3)) - per_x[:, None]
-        return np.concatenate([ext[:, None], per_j], axis=1)
+        base, h0, h1 = (
+            conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
+            for times, log_w in runs
+        )
+        return base - 0.5 * (h0 + h1)
 
     return f
 
@@ -542,102 +515,6 @@ def merge_tail_players(mu: InputDistribution, keep: int) -> InputDistribution:
     for i in range(1, keep + 1):
         mass[InputLabel.basis(keep, i)] = mu.e_mass(i)
     return InputDistribution(keep, mass)
-
-
-# ---------------------------------------------------------------------------
-# closed-form window densities for the canonical family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WindowDensityForms:
-    """Literal piecewise-exponential mixture densities on the window.
-
-    These are the explicit case tables for the canonical family (base and
-    both tilted protocols); they exist to cross-validate the generic
-    density machinery, which must agree pointwise to 1e-12.
-    """
-
-    k: int
-    s: int
-    beta: float
-    eps: float
-    gamma0: float
-    gamma1: float
-
-    def _common(self):
-        ebeta = math.exp(self.gamma0) * self.beta
-        zeta = 1.0 - ebeta
-        return ebeta, zeta
-
-    def base(self, m: int, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k, s, beta = self.k, self.s, self.beta
-        ebeta, _ = self._common()
-        out = np.zeros_like(t)
-        neg = (t >= -self.gamma0) & (t < 0.0)
-        pos = (t >= 0.0) & (t <= self.gamma1)
-        if m <= s - 1:
-            a = (s - 1) * (t[neg] + self.gamma0)
-            out[neg] = (1 - (s - 1) * beta + (s - 2) * ebeta * np.exp(t[neg])) * np.exp(-a)
-        b = k * t[pos] + (s - 1) * self.gamma0
-        out[pos] = (
-            1 - (s - 1) * beta - (k - s + 1) * ebeta + (k - 1) * ebeta * np.exp(t[pos])
-        ) * np.exp(-b)
-        return out
-
-    def tilted0(self, m: int, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k, s, beta = self.k, self.s, self.beta
-        ebeta, zeta = self._common()
-        out = np.zeros_like(t)
-        neg = (t >= -self.gamma0) & (t < 0.0)
-        pos = (t >= 0.0) & (t <= self.gamma1)
-        if m <= s:
-            a = (s - 1) * (t[neg] + self.gamma0)
-            out[neg] = (
-                (1 - self.eps * zeta)
-                * ((1 - ebeta - (s - 1) * beta) * np.exp(-t[neg]) + (s - 1) * ebeta)
-                * np.exp(-a)
-            )
-        out[pos] = (1 - self.eps * zeta) * self.base(m, t[pos])
-        return out
-
-    def tilted1(self, m: int, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k, s, beta = self.k, self.s, self.beta
-        ebeta, zeta = self._common()
-        out = np.zeros_like(t)
-        if m == self.s:
-            return out
-        neg = (t >= -self.gamma0) & (t < 0.0)
-        pos = (t >= 0.0) & (t <= self.gamma1)
-        damp = 1 - self.eps * ebeta
-        if m <= s - 1:
-            a = (s - 1) * (t[neg] + self.gamma0)
-            out[neg] = (
-                1
-                + ebeta * damp * ((s - 2) * np.exp(t[neg]) - (s - 1) * math.exp(-self.gamma0))
-            ) * np.exp(-a)
-        b = k * t[pos] + (s - 1) * self.gamma0
-        out[pos] = (
-            1
-            + ebeta
-            * damp
-            * ((k - 2) * np.exp(t[pos]) - (s - 1) * math.exp(-self.gamma0) - k + s)
-        ) * np.exp(t[pos]) * np.exp(-b)
-        return out
-
-
-def canonical_window_forms(canonical: CanonicalMeasure, eps: float) -> WindowDensityForms:
-    return WindowDensityForms(
-        k=canonical.k,
-        s=canonical.s,
-        beta=canonical.beta,
-        eps=eps,
-        gamma0=canonical.gamma0(eps),
-        gamma1=canonical.gamma1(eps),
-    )
 
 
 # ---------------------------------------------------------------------------

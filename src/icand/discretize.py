@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buzzers import ICReport, start_times
+from .buzzers import ICReport, conditional_entropies, player_classes, start_times
 from .errors import MalformedInputError, ResolutionError
-from .measures import LN2, ZERO_MASS, InputDistribution, _xlogx
+from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 
 __all__ = ["DiscreteProtocol", "ProtocolNode", "build", "exact_ic"]
 
@@ -166,16 +166,17 @@ def build(
 
     # slot r admits players whose start time is at most r * delta
     join_slot = np.ceil(np.maximum(times, 0.0) / delta - 1e-12).astype(int)
-    slots = tuple(
-        tuple(int(i) + 1 for i in np.flatnonzero(join_slot <= r))
-        for r in range(n_slots)
-    )
-    n_leaves = sum(len(a) for a in slots)
+    # one leaf per (slot, active player); counted before anything is built
+    n_leaves = sum(max(0, n_slots - int(j)) for j in join_slot)
     if n_leaves > max_leaves:
         raise ResolutionError(
             f"{n_leaves} transcript classes exceed the cap {max_leaves}; "
             "increase delta or lower the horizon"
         )
+    slots = tuple(
+        tuple(int(i) + 1 for i in np.flatnonzero(join_slot <= r))
+        for r in range(n_slots)
+    )
 
     q = math.exp(-delta)
     log_q = -delta
@@ -234,46 +235,8 @@ def exact_ic(proto: DiscreteProtocol) -> ICReport:
     conditional entropies; buzz leaves are summed exactly.  No quadrature
     and no sampling anywhere, so the error estimate is zero.
     """
-    mu = proto.mu
     bits = np.array([lab.bits for lab in proto.support])
-    w = np.array([mu.mass(lab) for lab in proto.support])
-
-    V = proto.leaf_prob * w[None, :]
-    f = V.sum(axis=1)
-    live = V > 0
-    logV = np.where(live, np.log(np.where(live, V, 1.0)), 0.0)
-    h_x_pi = float(
-        np.where(live, V * (np.log(np.where(f > 0, f, 1.0))[:, None] - logV), 0.0).sum()
-    )
-
-    def h_of(vec) -> float:
-        return float(-_xlogx(np.asarray(vec)).sum())
-
-    h_x = h_of(w)
-    external = (h_x - h_x_pi) / LN2
-
-    per = []
-    for i in range(mu.k):
-        cls = bits[:, i]
-        h_x_xi = 0.0
-        for b in (0, 1):
-            pb = float(w[cls == b].sum())
-            if pb > ZERO_MASS:
-                h_x_xi += pb * h_of(w[cls == b] / pb)
-        g = np.stack([V[:, cls == b].sum(axis=1) for b in (0, 1)], axis=1)
-        gx = g[:, cls]
-        h_x_pi_xi = float(
-            np.where(live, V * (np.log(np.where(gx > 0, gx, 1.0)) - logV), 0.0).sum()
-        )
-        per.append((h_x_xi - h_x_pi_xi) / LN2)
-
-    internal = float(sum(per))
-    hxi_total = sum(mu.entropy_given_player(i) for i in range(1, mu.k + 1))
-    return ICReport(
-        external_bits=float(external),
-        internal_bits=internal,
-        per_player_bits=tuple(float(v) for v in per),
-        concealed_internal_bits=float(hxi_total - internal),
-        concealed_external_bits=float(mu.entropy() - external),
-        quadrature_error_estimate=0.0,
-    )
+    w = np.array([proto.mu.mass(lab) for lab in proto.support])
+    leaves = conditional_entropies((proto.leaf_prob * w)[:, None, :], player_classes(bits))
+    cost = (_prior_entropies(bits, w) - leaves.sum(axis=0)) / LN2
+    return ICReport.of(proto.mu, cost[0], cost[1:], 0.0)

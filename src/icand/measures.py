@@ -106,7 +106,7 @@ def _as_prob_vector(p: Iterable[float], what: str = "distribution") -> np.ndarra
         raise InvalidDistributionError(f"{what} has negative mass: {v.min()}")
     v = np.maximum(v, 0.0)
     s = v.sum()
-    if abs(s - 1.0) > SUM_TOL:
+    if not abs(s - 1.0) <= SUM_TOL:  # a NaN or infinite mass fails here too
         raise InvalidDistributionError(f"{what} sums to {s!r}, not 1")
     return v
 
@@ -118,6 +118,20 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     big = v > ZERO_MASS
     out[big] = v[big] * np.log(v[big])
     return out
+
+
+def _prior_entropies(bits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[H(X), H(X | X_1), ..., H(X | X_k)] in nats for masses ``w`` on the
+    inputs whose bits are the rows of ``bits``."""
+    out = [float(-_xlogx(w).sum())]
+    for col in bits.T:
+        h = 0.0
+        for b in (0, 1):
+            pb = float(w[col == b].sum())
+            if pb > ZERO_MASS:
+                h += pb * float(-_xlogx(w[col == b] / pb).sum())
+        out.append(h)
+    return np.array(out)
 
 
 def entropy(p: Iterable[float]) -> float:
@@ -230,11 +244,17 @@ class InputDistribution:
             raise MalformedInputError('measure JSON needs fields "k" and "mass"')
         if not isinstance(obj["mass"], dict):
             raise MalformedInputError('"mass" must map bit strings to numbers')
+        k = obj["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise MalformedInputError(f'"k" must be an integer, got {k!r}')
         try:
-            k = int(obj["k"])
             mass = {str(key): float(val) for key, val in obj["mass"].items()}
         except (TypeError, ValueError) as exc:
             raise MalformedInputError(f"bad measure JSON: {exc}") from exc
+        # the canonical labels are k-tuples: reject a mismatched k before
+        # they are built
+        if not mass or any(len(key) != k for key in mass):
+            raise MalformedInputError(f"measure labels must be {k} bits long")
         return cls(k, mass)
 
     # -- accessors -----------------------------------------------------------

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from icand.buzzers import (
     BuzzersProtocol,
+    buzz_densities,
     closed_form_uniform,
+    conditional_entropies,
     cost_under,
     information_cost,
     phi,
+    player_classes,
     start_times,
-    transcript_density,
 )
 from icand.errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
 from icand.measures import (
@@ -22,7 +24,7 @@ from icand.measures import (
     binary_entropy,
     canonical_labels,
 )
-from icand.quadrature import integrate
+from icand.quadrature import integrate_segments
 
 
 @st.composite
@@ -83,50 +85,106 @@ class TestPhi:
         assert phi(InputLabel.zeros(3), 1.0, proto) == pytest.approx(2.0, abs=1e-15)
 
 
+def per_input_densities(mu, ts, protocol=None):
+    """f_x(t, m) from the package's density builder (unit masses)."""
+    proto = protocol or BuzzersProtocol.from_measure(mu)
+    bits = np.array([lab.bits for lab in mu.labels])
+    times = np.asarray(proto.player_times)
+    return buzz_densities(times, (bits == 0).astype(float), np.zeros(len(bits)), ts)
+
+
+def buzz_mass_per_input(mu):
+    """sum_m int f_x(t, m) dt for every input, by quadrature up to 60 time
+    units past the last start (the remaining tail is below e^-60)."""
+    times = BuzzersProtocol.from_measure(mu).player_times
+    vals, _ = integrate_segments(
+        lambda ts: per_input_densities(mu, ts).sum(axis=1),
+        [*times, max(times) + 60.0],
+        rtol=1e-12,
+        atol=1e-13,
+    )
+    return vals
+
+
 class TestDensity:
     def test_all_ones_atom(self):
+        # all-ones never buzzes: its whole mass sits on the silent outcome
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
-        dens = transcript_density(mu)
-        ones = InputLabel.ones(2)
-        assert dens.atom[dens.labels.index(ones)] == 1.0
-        assert np.all(dens.evaluate(ones, 1, np.linspace(0, 5, 7)) == 0.0)
-        assert dens.total_mass(ones) == pytest.approx(1.0, abs=1e-12)
+        ones = mu.labels.index(InputLabel.ones(2))
+        dens = per_input_densities(mu, np.linspace(0, 5, 7))
+        assert np.all(dens[:, :, ones] == 0.0)
+        assert buzz_mass_per_input(mu)[ones] == 0.0
 
     def test_uniform_basis_pair(self):
         mu = InputDistribution.uniform_basis(2)
-        dens = transcript_density(mu)
         ts = np.linspace(0.0, 10.0, 50)
-        np.testing.assert_allclose(
-            dens.evaluate(InputLabel.from_string("10"), 2, ts), np.exp(-ts), atol=1e-14
-        )
+        dens = per_input_densities(mu, ts)
+        e1, e2 = (mu.labels.index(InputLabel.from_string(s)) for s in ("10", "01"))
+        np.testing.assert_allclose(dens[:, 1, e1], np.exp(-ts), atol=1e-14)
         # player 2 never buzzes on e_2 (its own bit is 1)
-        assert np.all(dens.evaluate(InputLabel.from_string("01"), 2, ts) == 0.0)
+        assert np.all(dens[:, 1, e2] == 0.0)
+        # the log masses enter as weights
+        weighted = buzz_densities(
+            np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.log([0.5, 0.5]), ts
+        )
+        np.testing.assert_allclose(weighted[:, 1, 0], 0.5 * np.exp(-ts), atol=1e-14)
+
+    def test_gated_before_start(self):
+        proto = BuzzersProtocol((0.0, 1.0))
+        mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
+        dens = per_input_densities(mu, np.array([0.5, 1.5]), proto)
+        assert np.all(dens[0, 1] == 0.0)
+        zeros = mu.labels.index(InputLabel.zeros(2))
+        assert dens[1, 1, zeros] == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     @given(basis_measures(with_ones=True))
     @settings(max_examples=30, deadline=None)
     def test_normalization_per_input(self, mu):
-        dens = transcript_density(mu)
-        for lab in mu.labels:
-            assert dens.total_mass(lab) == pytest.approx(1.0, abs=1e-10)
+        expected = [0.0 if lab.weight == lab.k else 1.0 for lab in mu.labels]
+        np.testing.assert_allclose(buzz_mass_per_input(mu), expected, atol=1e-10)
 
     def test_normalization_by_quadrature(self):
         mu = InputDistribution(3, {"000": 0.5, "100": 0.1, "010": 0.15, "001": 0.25})
-        dens = transcript_density(mu)
-        top = max(dens.protocol.player_times) + 60.0
-        for lab in mu.labels:
-            if lab.weight == lab.k:
-                continue
-            total = 0.0
-            for m in range(1, 4):
-                vals, _ = integrate(
-                    lambda t, m=m, lab=lab: dens.evaluate(lab, m, t)[:, None],
-                    0.0,
-                    top,
-                    rtol=1e-12,
-                    atol=1e-13,
-                )
-                total += float(vals[0])
-            assert total == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(buzz_mass_per_input(mu)[:-1], 1.0, atol=1e-9)
+
+
+class TestEntropyKernel:
+    def test_matches_direct_sums(self):
+        # -sum V ln(V / class sum), one transcript and one class at a time
+        rng = np.random.default_rng(3)
+        bits = np.array([lab.bits for lab in canonical_labels(3)])
+        V = rng.uniform(0.0, 1.0, size=(2, 3, len(bits)))
+        V[0, 1, 2] = 0.0
+        h = conditional_entropies(V, player_classes(bits))
+        for t in range(2):
+            want = np.zeros(4)
+            for m in range(3):
+                v = V[t, m]
+                live = v > 0
+                want[0] -= np.sum(v[live] * np.log(v[live] / v.sum()))
+                for i in range(3):
+                    for b in (0, 1):
+                        sel = live & (bits[:, i] == b)
+                        g = v[bits[:, i] == b].sum()
+                        want[1 + i] -= np.sum(v[sel] * np.log(v[sel] / g))
+            np.testing.assert_allclose(h[t], want, rtol=1e-13)
+
+    def test_singleton_classes_contribute_exactly_zero(self):
+        # a point posterior has no entropy, at any scale
+        bits = np.array([[0, 1, 0], [1, 0, 0]])
+        V = np.zeros((1, 2, 2))
+        V[0, 0, 0] = 1e-200
+        V[0, 1, 1] = 0.7
+        h = conditional_entropies(V, player_classes(bits))
+        assert np.all(h == 0.0)
+
+    def test_tiny_densities_counted(self):
+        # no 1e-15 cut: two equal tiny densities still carry ln 2 per unit mass
+        bits = np.array([[0, 1], [1, 0]])
+        V = np.full((1, 1, 2), 1e-17)
+        h = conditional_entropies(V, player_classes(bits))[0]
+        assert h[0] == pytest.approx(2e-17 * math.log(2), rel=1e-12)
+        assert h[1] == 0.0 and h[2] == 0.0
 
 
 class TestClosedFormUniform:
@@ -152,6 +210,12 @@ class TestInformationCost:
         assert report.external_bits == pytest.approx(ext, abs=1e-6)
         assert report.internal_bits == pytest.approx(internal, abs=1e-6)
         assert report.quadrature_error_estimate < 1e-8
+
+    def test_uniform_closed_form_at_k200(self):
+        report = information_cost(InputDistribution.uniform_basis(200))
+        ext, internal = closed_form_uniform(200)
+        assert report.external_bits == pytest.approx(ext, abs=1e-11)
+        assert report.internal_bits == pytest.approx(internal, abs=1e-11)
 
     def test_no11_regression(self):
         # frozen from this implementation; cross-checked against the

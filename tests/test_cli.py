@@ -55,6 +55,22 @@ class TestIC:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "MalformedInputError"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"k": 2, "mass": {"00": NaN, "01": 0.5, "10": 0.5}}', "InvalidDistributionError"),
+            ('{"k": true, "mass": {"0": 0.5, "1": 0.5}}', "MalformedInputError"),
+            ('{"k": 2.9, "mass": {"01": 0.5, "10": 0.5}}', "MalformedInputError"),
+        ],
+    )
+    def test_invalid_measure_exit_2(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "ic", "--measure", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == error
+
     def test_assumption_violation_exit_3(self, capsys, tmp_path):
         path = tmp_path / "viol.json"
         path.write_text('{"k": 3, "mass": {"110": 0.5, "001": 0.5}}')

@@ -1,14 +1,14 @@
 """Window deficits, cubic laws, and the outside-window structure."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from icand.buzzers import BuzzersProtocol, transcript_density
+from icand.buzzers import BuzzersProtocol, buzz_densities
 from icand.concavity import (
     CanonicalMeasure,
-    canonical_window_forms,
     check_same_average,
     concavity_report,
     deficit_external,
@@ -18,7 +18,6 @@ from icand.concavity import (
     merge_tail_players,
     outside_window_checks,
     perturb,
-    perturbed_densities,
     taylor_coefficient,
     verify_grid,
     weakness_budget,
@@ -44,6 +43,97 @@ def canonical_gamma_pair(k, s, beta, eps):
     bs = math.exp(g) * beta
     g1 = math.log((1 + eps * (1 - bs)) / (1 - eps * bs))
     return g, g1
+
+
+@dataclass(frozen=True)
+class WindowDensityForms:
+    """Literal piecewise-exponential mixture densities on the window.
+
+    These are the explicit case tables for the canonical family (base and
+    both tilted protocols), an in-test oracle for the package's density
+    builder, which must agree pointwise to 1e-12.
+    """
+
+    k: int
+    s: int
+    beta: float
+    eps: float
+    gamma0: float
+    gamma1: float
+
+    def _common(self):
+        ebeta = math.exp(self.gamma0) * self.beta
+        zeta = 1.0 - ebeta
+        return ebeta, zeta
+
+    def base(self, m: int, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        k, s, beta = self.k, self.s, self.beta
+        ebeta, _ = self._common()
+        out = np.zeros_like(t)
+        neg = (t >= -self.gamma0) & (t < 0.0)
+        pos = (t >= 0.0) & (t <= self.gamma1)
+        if m <= s - 1:
+            a = (s - 1) * (t[neg] + self.gamma0)
+            out[neg] = (1 - (s - 1) * beta + (s - 2) * ebeta * np.exp(t[neg])) * np.exp(-a)
+        b = k * t[pos] + (s - 1) * self.gamma0
+        out[pos] = (
+            1 - (s - 1) * beta - (k - s + 1) * ebeta + (k - 1) * ebeta * np.exp(t[pos])
+        ) * np.exp(-b)
+        return out
+
+    def tilted0(self, m: int, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        k, s, beta = self.k, self.s, self.beta
+        ebeta, zeta = self._common()
+        out = np.zeros_like(t)
+        neg = (t >= -self.gamma0) & (t < 0.0)
+        pos = (t >= 0.0) & (t <= self.gamma1)
+        if m <= s:
+            a = (s - 1) * (t[neg] + self.gamma0)
+            out[neg] = (
+                (1 - self.eps * zeta)
+                * ((1 - ebeta - (s - 1) * beta) * np.exp(-t[neg]) + (s - 1) * ebeta)
+                * np.exp(-a)
+            )
+        out[pos] = (1 - self.eps * zeta) * self.base(m, t[pos])
+        return out
+
+    def tilted1(self, m: int, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        k, s, beta = self.k, self.s, self.beta
+        ebeta, zeta = self._common()
+        out = np.zeros_like(t)
+        if m == self.s:
+            return out
+        neg = (t >= -self.gamma0) & (t < 0.0)
+        pos = (t >= 0.0) & (t <= self.gamma1)
+        damp = 1 - self.eps * ebeta
+        if m <= s - 1:
+            a = (s - 1) * (t[neg] + self.gamma0)
+            out[neg] = (
+                1
+                + ebeta * damp * ((s - 2) * np.exp(t[neg]) - (s - 1) * math.exp(-self.gamma0))
+            ) * np.exp(-a)
+        b = k * t[pos] + (s - 1) * self.gamma0
+        out[pos] = (
+            1
+            + ebeta
+            * damp
+            * ((k - 2) * np.exp(t[pos]) - (s - 1) * math.exp(-self.gamma0) - k + s)
+        ) * np.exp(t[pos]) * np.exp(-b)
+        return out
+
+
+def canonical_window_forms(canonical: CanonicalMeasure, eps: float) -> WindowDensityForms:
+    return WindowDensityForms(
+        k=canonical.k,
+        s=canonical.s,
+        beta=canonical.beta,
+        eps=eps,
+        gamma0=canonical.gamma0(eps),
+        gamma1=canonical.gamma1(eps),
+    )
 
 
 class TestGammas:
@@ -151,6 +241,15 @@ class TestPerturbation:
             perturb(mu, 1, 1.2)
 
 
+def mixtures(protocol, mu, ts):
+    """f(t, m) = sum_x V[t, m, x] from the package's density builder."""
+    bits = np.array([lab.bits for lab in mu.labels])
+    times = np.asarray(protocol.player_times)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(mu.vector)
+    return buzz_densities(times, (bits == 0).astype(float), log_w, ts).sum(axis=2)
+
+
 class TestPerturbedDensities:
     @pytest.mark.parametrize("k,s,beta", [(3, 2, 0.1), (4, 2, 0.08), (5, 5, 0.05)])
     def test_case_tables_match_generic(self, k, s, beta):
@@ -159,22 +258,15 @@ class TestPerturbedDensities:
         mu = c.measure(eps)
         proto = BuzzersProtocol(c.sender_times(eps))
         pert = perturb(mu, s, eps, protocol=proto)
-        d0, d1 = perturbed_densities(pert)
         forms = canonical_window_forms(c, eps)
         ts = np.linspace(-pert.gamma0 + 1e-9, pert.gamma1 - 1e-9, 1000)
-        base = transcript_density(
-            mu, proto, extra_breakpoints=(-pert.gamma0, pert.gamma1)
-        )
+        base = mixtures(proto, mu, ts)
+        f0 = mixtures(pert.protocol0, pert.mu0, ts)
+        f1 = mixtures(pert.protocol1, pert.mu1, ts)
         for m in range(1, k + 1):
-            np.testing.assert_allclose(
-                d0.mixture(m, ts), forms.tilted0(m, ts), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                d1.mixture(m, ts), forms.tilted1(m, ts), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                base.mixture(m, ts), forms.base(m, ts), atol=1e-12
-            )
+            np.testing.assert_allclose(f0[:, m - 1], forms.tilted0(m, ts), atol=1e-12)
+            np.testing.assert_allclose(f1[:, m - 1], forms.tilted1(m, ts), atol=1e-12)
+            np.testing.assert_allclose(base[:, m - 1], forms.base(m, ts), atol=1e-12)
 
     def test_sender_silent_under_opposite_tilt(self):
         # the tilted-up sender never buzzes inside the window
@@ -183,17 +275,17 @@ class TestPerturbedDensities:
         forms = canonical_window_forms(c, eps)
         ts = np.linspace(-forms.gamma0 + 1e-9, forms.gamma1 - 1e-9, 100)
         assert np.all(forms.tilted1(2, ts) == 0.0)
+        pert = perturb(c.measure(eps), 2, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        assert np.all(mixtures(pert.protocol1, pert.mu1, ts)[:, 1] == 0.0)
 
     def test_zero_eps_all_equal(self):
         c = CanonicalMeasure(k=3, s=1, beta=0.12)
         mu = c.measure(0.0)
         pert = perturb(mu, 1, 0.0, protocol=BuzzersProtocol(c.sender_times(0.0)))
-        d0, d1 = perturbed_densities(pert)
-        base = transcript_density(mu, pert.base_protocol)
         ts = np.linspace(0.0, 3.0, 50)
-        for m in range(1, 4):
-            np.testing.assert_allclose(d0.mixture(m, ts), base.mixture(m, ts), atol=1e-14)
-            np.testing.assert_allclose(d1.mixture(m, ts), base.mixture(m, ts), atol=1e-14)
+        base = mixtures(pert.base_protocol, mu, ts)
+        np.testing.assert_allclose(mixtures(pert.protocol0, pert.mu0, ts), base, atol=1e-14)
+        np.testing.assert_allclose(mixtures(pert.protocol1, pert.mu1, ts), base, atol=1e-14)
 
 
 class TestDeficits:

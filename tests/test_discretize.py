@@ -41,6 +41,22 @@ class TestBuild:
         with pytest.raises(ResolutionError):
             build(MU_E2, 1e-4, 25.0, max_leaves=1000)
 
+    def test_leaf_count(self):
+        # 200 slots; players 1 and 2 join at slot 0, player 3 at slot 12
+        mu = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
+        assert len(build(mu, 0.125, 25.0).leaf_slot) == 200 + 200 + 188
+        with pytest.raises(ResolutionError, match="588 transcript classes"):
+            build(mu, 0.125, 25.0, max_leaves=587)
+
+    def test_leaf_cap_checked_before_slots_are_built(self, monkeypatch):
+        # 2.5e10 slots for two players: the cap must trip on the count alone
+        def enumerate_slots(*_):
+            raise AssertionError("slots enumerated before the leaf cap was checked")
+
+        monkeypatch.setattr(np, "flatnonzero", enumerate_slots)
+        with pytest.raises(ResolutionError, match="50000000000 transcript classes"):
+            build(MU_NO11, 1e-9, 25.0)
+
     def test_transcript_probabilities_normalize(self):
         proto = build(MU_NO11, 0.05, 25.0)
         for j in range(len(proto.support)):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icand import measures
 from icand.errors import (
     AbsoluteContinuityError,
     AssumptionViolationError,
@@ -206,6 +207,25 @@ class TestInputDistribution:
             InputDistribution.from_json("{not json")
         with pytest.raises(MalformedInputError):
             InputDistribution.from_json('{"k": 2}')
+
+    @pytest.mark.parametrize("k", ["true", "2.9", '"2"', "null"])
+    def test_json_k_must_be_an_integer(self, k):
+        with pytest.raises(MalformedInputError):
+            InputDistribution.from_json(f'{{"k": {k}, "mass": {{"01": 0.5, "10": 0.5}}}}')
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(InvalidDistributionError):
+            InputDistribution(2, {"00": bad, "01": 0.5, "10": 0.5})
+
+    @pytest.mark.parametrize("mass", ['{"01": 0.5, "10": 0.5}', "{}"])
+    def test_label_lengths_checked_before_labels_allocated(self, monkeypatch, mass):
+        def allocate(k):
+            raise AssertionError(f"canonical_labels({k}) called before validation")
+
+        monkeypatch.setattr(measures, "canonical_labels", allocate)
+        with pytest.raises(MalformedInputError):
+            InputDistribution.from_json(f'{{"k": 100000, "mass": {mass}}}')
 
     def test_entropy_given_player(self):
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
