@@ -18,12 +18,10 @@ Measures with mass on the all-ones input are costed by conditioning that
 point away and scaling by its complement, matching the protocol-equivalence
 convention used throughout this package (the start times only depend on
 ratios of basis masses, so the conditioned measure runs the same protocol).
-Zero basis masses force the corresponding bit to zero almost surely; such
-players are deleted and the reduced instance is costed in their place, with
-the deleted players contributing nothing.  Such measures are degenerate for
-the protocol family (their start times are undefined), and no optimality is
-claimed for the reduced values; the interior cost is continuous up to the
-boundary but does not extend to these conventions.
+A zero basis mass forces that player's bit to zero almost surely.  Start
+times are undefined there, so such a measure is costed as the limit of
+vanishing mass: the player starts first, holds 0 and buzzes at once, and
+the transcript reveals nothing, so both costs are zero.
 """
 
 from __future__ import annotations
@@ -127,8 +125,8 @@ def phi(label: InputLabel, t: float, times: StartTimes | BuzzersProtocol) -> flo
 
 
 # ---------------------------------------------------------------------------
-# transcript densities and their entropies (arrays; labels as bit matrices so
-# reduced instances with a single player never need a public InputDistribution)
+# transcript densities and their entropies (arrays; inputs as rows of a bit
+# matrix)
 # ---------------------------------------------------------------------------
 
 
@@ -303,37 +301,6 @@ def cost_under(
     return ICReport.of(mu, *_cost_arrays(times, bits, mu.vector, rtol=rtol, atol=atol))
 
 
-def _reduced_cost(
-    mu: InputDistribution, *, rtol: float, atol: float
-) -> tuple[float, np.ndarray, float]:
-    """Cost pieces for a measure with no all-ones mass, removing zero-mass
-    players first.  Returns (external, per-player internal, error) in bits."""
-    k = mu.k
-    e = np.array([mu.e_mass(i) for i in range(1, k + 1)])
-    zero_players = np.flatnonzero(e <= ZERO_MASS)
-    if zero_players.size == k:
-        return 0.0, np.zeros(k), 0.0
-
-    keep = np.flatnonzero(e > ZERO_MASS)
-    bits_full = np.array([lab.bits for lab in mu.labels])
-    masses = mu.vector
-    live = masses > ZERO_MASS
-    # every live label has zeros on the removed players (their basis mass is
-    # zero and all-ones is gone), so projection cannot merge labels
-    bits = bits_full[live][:, keep]
-    w = masses[live]
-    w = w / w.sum()
-    e_kept = e[keep]
-    times = np.log(e_kept / e_kept.min())
-    ext, per_kept, err = _cost_arrays(times, bits, w, rtol=rtol, atol=atol)
-
-    # deleted players contribute nothing: the reported quantity is the
-    # reduced instance's own cost (their bits are almost surely zero)
-    per = np.zeros(k)
-    per[keep] = per_kept
-    return ext, per, err
-
-
 def information_cost(
     mu: InputDistribution, *, rtol: float = 1e-10, atol: float = 1e-12
 ) -> ICReport:
@@ -341,12 +308,21 @@ def information_cost(
 
     Mass on the all-ones input is conditioned away first and the cost scaled
     by the remaining probability (the conditioned measure induces the same
-    protocol).  Concealed information is reported against the original
-    measure's entropies.
+    protocol).  A vanishing basis mass gives the continuous limit, zero cost.
+    Concealed information is reported against the original measure's
+    entropies.
     """
     mu_r, c_ones = mu.without_all_ones()
+    e = np.array([mu_r.e_mass(i) for i in range(1, mu.k + 1)])
+    if np.any(e <= ZERO_MASS):
+        return ICReport.of(mu, 0.0, np.zeros(mu.k), 0.0)
+    live = mu_r.vector > ZERO_MASS
+    bits = np.array([lab.bits for lab in mu_r.labels])[live]
+    w = mu_r.vector[live]
+    ext, per, err = _cost_arrays(
+        np.log(e / e.min()), bits, w / w.sum(), rtol=rtol, atol=atol
+    )
     scale = 1.0 - c_ones
-    ext, per, err = _reduced_cost(mu_r, rtol=rtol, atol=atol)
     return ICReport.of(mu, ext * scale, per * scale, err * scale)
 
 

@@ -51,6 +51,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _csv(rows: list[dict], columns: list[str]) -> list[str]:
+    """CSV lines: a header, then one line per row with floats through repr,
+    everything else through str and a missing column as ""."""
+
+    def cell(row: dict, col: str) -> str:
+        if col not in row:
+            return ""
+        value = row[col]
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return [",".join(columns)] + [",".join(cell(r, c) for c in columns) for r in rows]
+
+
 def _floats(spec: str) -> list[float]:
     try:
         return [float(s) for s in spec.split(",") if s.strip()]
@@ -94,9 +107,7 @@ def _cmd_uniform(args) -> int:
             }
         )
     if args.format == "csv":
-        header = ",".join(rows[0])
-        lines = [header] + [",".join(repr(r[c]) for c in rows[0]) for r in rows]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(_csv(rows, list(rows[0]))) + "\n", args.output)
     else:
         _emit(_dump(rows), args.output)
     return 0
@@ -144,16 +155,7 @@ def _cmd_verify_concavity(args) -> int:
     if args.format == "json":
         _emit(_dump(rows), args.output)
     else:
-        lines = [",".join(_GRID_COLUMNS)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    "" if c not in r else
-                    (repr(r[c]) if isinstance(r[c], float) else str(r[c]))
-                    for c in _GRID_COLUMNS
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(_csv(rows, _GRID_COLUMNS)) + "\n", args.output)
     return 0
 
 
@@ -223,10 +225,7 @@ def _cmd_discretize(args) -> int:
     if args.format == "json":
         _emit(_dump({"reference": reference.to_json_obj(), "rows": rows}), args.output)
     else:
-        cols = list(rows[0])
-        lines = [",".join(cols)]
-        lines += [",".join(repr(r[c]) for c in cols) for r in rows]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(_csv(rows, list(rows[0]))) + "\n", args.output)
     return 0
 
 
@@ -331,14 +330,9 @@ def _cmd_continuity_check(args) -> int:
             args.output,
         )
     else:
-        cols = list(rows[0])
-        lines = [",".join(cols)]
-        lines += [",".join(repr(r[c]) for c in cols) for r in rows]
-        lines.append("")
-        mcols = list(mixture_rows[0]) if mixture_rows else []
-        if mcols:
-            lines.append(",".join(mcols))
-            lines += [",".join(repr(r[c]) for c in mcols) for r in mixture_rows]
+        lines = _csv(rows, list(rows[0])) + [""]
+        if mixture_rows:
+            lines += _csv(mixture_rows, list(mixture_rows[0]))
         lines.append(f"# violations={violations} mixture_violations={mixture_violations}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0 if violations == 0 and mixture_violations == 0 else 4

@@ -1,11 +1,10 @@
 """Conventional finite-round protocol approximating the buzzers protocol.
 
 Time is cut into slots of length ``delta`` starting at the earliest start
-time; in slot ``r`` every player whose start time has been reached and whose
-bit is 0 sends, in player order, a bit that is 1 with probability
-``1 - exp(-overlap)``, where ``overlap`` is that player's active time inside
-the slot (a player joins at the first slot boundary past their start time,
-an O(delta) rounding of the continuous schedule).  The first 1 ends the
+time; in slot ``r`` every player who has joined and whose bit is 0 sends,
+in player order, a bit that is 1 with probability ``1 - exp(-delta)`` (a
+player joins at the first slot boundary at or past their start time, an
+O(delta) rounding of the continuous schedule).  The first 1 ends the
 protocol with output 0.  If nothing fired by the horizon ``T``, all players
 reveal their inputs and output the AND exactly, so the protocol is zero
 error for every slot size.
@@ -27,25 +26,14 @@ import numpy as np
 
 from .buzzers import ICReport, conditional_entropies, player_classes, start_times
 from .errors import MalformedInputError, ResolutionError
-from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
+from .measures import LN2, InputDistribution, _prior_entropies
 
-__all__ = ["DiscreteProtocol", "ProtocolNode", "build", "exact_ic"]
-
-
-@dataclass(frozen=True)
-class ProtocolNode:
-    """One node of the protocol tree over transcript classes."""
-
-    posterior: InputDistribution
-    depth: int
-    terminal: bool
-    output: int | None
-    children: tuple[tuple[float, "ProtocolNode"], ...]
+__all__ = ["DiscreteProtocol", "build", "exact_ic"]
 
 
 @dataclass(frozen=True)
 class DiscreteProtocol:
-    """Slot schedule plus the exact finite transcript distribution.
+    """The exact finite transcript distribution of the slotted protocol.
 
     ``leaf_slot[l]``, ``leaf_player[l]`` identify buzz leaf ``l`` and
     ``leaf_prob[l, x]`` is its probability on input ``x`` (canonical label
@@ -56,86 +44,11 @@ class DiscreteProtocol:
     mu: InputDistribution
     delta: float
     horizon: float
-    n_slots: int
-    slots: tuple[tuple[int, ...], ...]  # active players (1-based) per slot
     support: tuple
     leaf_slot: np.ndarray
     leaf_player: np.ndarray
     leaf_prob: np.ndarray
     silent_prob: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.mu.k
-
-    def root(self, max_nodes: int = 250_000) -> ProtocolNode:
-        """Materialize the protocol tree (small instances only)."""
-        est = sum(len(a) + 2 for a in self.slots) + 2 * len(self.support)
-        if est > max_nodes:
-            raise ResolutionError(
-                f"tree of ~{est} nodes exceeds cap {max_nodes}; increase delta"
-            )
-        bits = np.array([lab.bits for lab in self.support])
-        w = np.array([self.mu.mass(lab) for lab in self.support])
-        q = math.exp(-self.delta)
-        p = 1.0 - q
-
-        def posterior_of(vec: np.ndarray) -> InputDistribution:
-            vec = np.maximum(vec, 0.0)
-            return InputDistribution(
-                self.mu.k, dict(zip(self.support, vec / vec.sum()))
-            )
-
-        def build_node(r: int, reach: np.ndarray, depth: int) -> ProtocolNode:
-            if r == self.n_slots:
-                total = reach.sum()
-                children = []
-                for j, lab in enumerate(self.support):
-                    if reach[j] <= ZERO_MASS:
-                        continue
-                    leaf = ProtocolNode(
-                        posterior=posterior_of(np.eye(len(self.support))[j]),
-                        depth=depth + 1,
-                        terminal=True,
-                        output=int(lab.weight == lab.k),
-                        children=(),
-                    )
-                    children.append((float(reach[j] / total), leaf))
-                return ProtocolNode(
-                    posterior=posterior_of(reach),
-                    depth=depth,
-                    terminal=False,
-                    output=None,
-                    children=tuple(children),
-                )
-            children = []
-            total = reach.sum()
-            stay = reach.copy()
-            for m in self.slots[r]:
-                can_fire = (bits[:, m - 1] == 0).astype(float)
-                fire = stay * can_fire * p
-                mass = fire.sum()
-                if mass > ZERO_MASS:
-                    leaf = ProtocolNode(
-                        posterior=posterior_of(fire),
-                        depth=depth + 1,
-                        terminal=True,
-                        output=0,
-                        children=(),
-                    )
-                    children.append((float(mass / total), leaf))
-                stay = stay * np.where(can_fire > 0, q, 1.0)
-            child = build_node(r + 1, stay, depth + 1)
-            children.append((float(stay.sum() / total), child))
-            return ProtocolNode(
-                posterior=posterior_of(reach),
-                depth=depth,
-                terminal=False,
-                output=None,
-                children=tuple(children),
-            )
-
-        return build_node(0, w.copy(), 0)
 
 
 def build(
@@ -161,7 +74,6 @@ def build(
 
     support = mu.support()
     bits = np.array([lab.bits for lab in support])
-    w = np.array([mu.mass(lab) for lab in support])
     zeros = (bits == 0).astype(float)  # (n_x, k)
 
     # slot r admits players whose start time is at most r * delta
@@ -173,10 +85,6 @@ def build(
             f"{n_leaves} transcript classes exceed the cap {max_leaves}; "
             "increase delta or lower the horizon"
         )
-    slots = tuple(
-        tuple(int(i) + 1 for i in np.flatnonzero(join_slot <= r))
-        for r in range(n_slots)
-    )
 
     q = math.exp(-delta)
     log_q = -delta
@@ -190,9 +98,8 @@ def build(
     log_surv = np.zeros(len(support))  # log Pr[silent through slots < r | x]
     pos = 0
     for b0, b1 in zip(boundaries[:-1], boundaries[1:]):
+        # the earliest player starts at 0 and joins slot 0: no phase is empty
         active = [i for i in range(mu.k) if join_slot[i] <= b0]
-        if not active:
-            continue  # nobody can fire; survival unchanged
         n_active = zeros[:, active].sum(axis=1)  # zero-players active, per x
         length = b1 - b0
         r_off = np.arange(length)
@@ -209,17 +116,12 @@ def build(
             pos += length
             prefix += fires
         log_surv += length * log_q * n_active
-    leaf_slot = leaf_slot[:pos]
-    leaf_player = leaf_player[:pos]
-    leaf_prob = leaf_prob[:pos]
     silent = np.exp(log_surv)
 
     return DiscreteProtocol(
         mu=mu,
         delta=float(delta),
         horizon=float(horizon),
-        n_slots=n_slots,
-        slots=slots,
         support=support,
         leaf_slot=leaf_slot,
         leaf_player=leaf_player,

@@ -84,7 +84,8 @@ class QuadratureError(IcandError):
 
 
 class ResolutionError(IcandError):
-    """Discrete protocol tree exceeds the size cap; increase the time step."""
+    """Discrete protocol has more transcript classes than the cap; increase
+    the time step."""
 
     exit_code = 4
 

@@ -8,10 +8,10 @@ a coarse lattice scan over the face followed by a reflect/contract simplex
 refinement seeded at the best lattice point.  Everything is deterministic
 for a fixed budget.
 
-Coordinates are clipped away from zero during refinement (the cost is
-continuous there, but the protocol's start times degenerate), and the final
-point is re-evaluated with true zeros snapped in via the zero-mass
-reduction before reporting.
+Coordinates are clipped away from zero during refinement; the cost is
+continuous there (a vanishing basis mass costs its limit, zero), but the
+protocol's start times degenerate.  The best point is re-evaluated at
+tighter quadrature tolerances before reporting.
 """
 
 from __future__ import annotations
@@ -179,17 +179,6 @@ def _maximize(
         },
     )
     status = "converged" if res.success else "budget_exhausted"
-
-    # snap clipped coordinates to exact zero and let the reduction cost it
-    q = np.asarray(best_q, dtype=float)
-    snapped = np.where(q <= 2.0 * _CLIP, 0.0, q)
-    if snapped.sum() > 0 and not np.array_equal(snapped, q):
-        snapped = snapped / snapped.sum()
-        val = cost_of(snapped)
-        if val >= best_val:
-            best_val = val
-            best_q = snapped
-            best_trace.append((evals, val))
 
     value = cost_of(np.asarray(best_q), tight=True)
     argmax = InputDistribution(pattern.k, dict(zip(free, np.asarray(best_q))))

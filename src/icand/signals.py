@@ -57,6 +57,9 @@ __all__ = [
 #: Relative tolerance for segment-membership and tie tests in the walk.
 SEGMENT_TOL = 1e-9
 
+#: Steps a pure-region trace of the bulk sampler advances per round.
+_BLOCK = 64
+
 _UNBIASED_TOL = 1e-12
 
 
@@ -600,12 +603,11 @@ def sample_terminal_posteriors(
     *,
     max_steps: int = 10**6,
     snap_tol: float = 1e-6,
-    block: int = 64,
 ) -> TerminalSample:
     """Terminal-posterior law of ``n_traces`` independent simulation walks.
 
     Dynamics are identical to :func:`simulate_signal`; traces sitting in a
-    region where the step size is exactly ``eps`` advance ``block`` steps at
+    region where the step size is exactly ``eps`` advance ``_BLOCK`` steps at
     a time through a cumulative-sum random walk in log coordinates, with the
     first barrier crossing recovered exactly.  Every generally-stepped move
     asserts its weakness bound; pure-region moves satisfy it by construction.
@@ -624,8 +626,8 @@ def sample_terminal_posteriors(
 
     c_tow = float(np.log1p(-eps))  # toward-target log step (negative)
     c_away = float(np.log1p(eps))
-    snap0 = walk.snap_tol / walk.tv01
-    snap1 = walk.snap_tol / walk.tv01
+    snap_d = walk.snap_tol / walk.tv01  # snap distance, the same on both sides
+    log_snap = np.log(snap_d)
 
     alpha = np.full(n_traces, walk.alpha_mu)
     label = np.full(n_traces, -1, dtype=np.int8)
@@ -649,25 +651,23 @@ def sample_terminal_posteriors(
         side1 = a > walk.alpha_mu
         dist = np.where(side1, 1.0 - a, a)
         pure_hi = np.where(side1, walk.pure1, walk.pure0)
-        snap_d = np.where(side1, snap1, snap0)
         pure = (dist < pure_hi) & (dist > snap_d) & (pure_hi > 0)
 
         if pure.any():
             idx = active[pure]
             L = np.log(dist[pure])
-            lo = np.log(snap_d[pure])
             hi = np.log(pure_hi[pure])
-            draws = rng.integers(0, 2, size=(idx.size, block), dtype=np.uint8)
+            draws = rng.integers(0, 2, size=(idx.size, _BLOCK), dtype=np.uint8)
             moves = np.where(draws == 0, c_tow, c_away)
             W = L[:, None] + np.cumsum(moves, axis=1)
-            crossed = (W <= lo[:, None]) | (W >= hi[:, None])
+            crossed = (W <= log_snap) | (W >= hi[:, None])
             any_cross = crossed.any(axis=1)
-            first = np.where(any_cross, crossed.argmax(axis=1), block - 1)
+            first = np.where(any_cross, crossed.argmax(axis=1), _BLOCK - 1)
             newL = W[np.arange(idx.size), first]
             consumed = first + 1
             steps[idx] += consumed
             new_dist = np.exp(newL)
-            snapped = newL <= lo
+            snapped = newL <= log_snap
             s1 = side1[pure]
             new_a = np.where(s1, 1.0 - new_dist, new_dist)
             alpha[idx] = new_a

@@ -260,17 +260,22 @@ class TestInformationCost:
             hxi - report.internal_bits, abs=1e-12
         )
 
-    def test_zero_mass_player_reduction(self):
-        # player 1's basis mass vanishes: the reduced two-party instance is
-        # reported, the deleted player contributing nothing
-        mu3 = InputDistribution(3, {"000": 0.5, "010": 0.2, "001": 0.3})
-        mu2 = InputDistribution(2, {"00": 0.5, "10": 0.2, "01": 0.3})
-        r3 = information_cost(mu3)
-        r2 = information_cost(mu2)
-        assert r3.external_bits == pytest.approx(r2.external_bits, abs=1e-10)
-        assert r3.internal_bits == pytest.approx(r2.internal_bits, abs=1e-10)
-        assert r3.per_player_bits[0] == 0.0
-        assert r3.per_player_bits[1:] == pytest.approx(r2.per_player_bits, abs=1e-10)
+    def test_zero_mass_player_is_continuous_limit(self):
+        # player 1's basis mass vanishes: it holds 0, starts first and buzzes
+        # at once, so the cost tends to zero and zero mass reports that limit
+        def measures(e):
+            return (
+                InputDistribution(3, {"000": 0.5, "100": e, "010": 0.2, "001": 0.3 - e}),
+                InputDistribution.two_party(0.5, e, 0.5 - e, 0.0),
+            )
+
+        for mu, near in zip(measures(0.0), measures(1e-9)):
+            at, by = information_cost(mu), information_cost(near)
+            assert at.per_player_bits == (0.0,) * mu.k
+            assert at.external_bits == 0.0
+            assert at.concealed_external_bits == mu.entropy()
+            assert by.external_bits == pytest.approx(at.external_bits, abs=1e-6)
+            assert by.internal_bits == pytest.approx(at.internal_bits, abs=1e-6)
 
     def test_interior_cost_continuous_toward_degenerate_boundary(self):
         values = []

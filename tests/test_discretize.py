@@ -5,33 +5,52 @@ import math
 import numpy as np
 import pytest
 
-from icand.buzzers import information_cost
+from icand.buzzers import information_cost, start_times
 from icand.discretize import build, exact_ic
 from icand.errors import MalformedInputError, ResolutionError
 from icand.measures import InputDistribution
 
 MU_NO11 = InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0)
 MU_E2 = InputDistribution.uniform_basis(2)
+MU_WITH11 = InputDistribution.two_party(0.3, 0.3, 0.3, 0.1)
+MU_K3 = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
+MU_K4 = InputDistribution(
+    4, {"0000": 0.1, "1000": 0.3, "0100": 0.15, "0010": 0.2, "0001": 0.05, "1111": 0.2}
+)
 
 
-def walk_tree(node):
-    yield node
-    for _, child in node.children:
-        yield from walk_tree(child)
+def slot_by_slot(mu, delta, horizon):
+    """The protocol's semantics, one slot at a time.
+
+    In slot r the players with r * delta >= t_m take turns in player order.
+    On an input where player m holds 0, m fires with probability
+    reach * (1 - e^-delta) and reach shrinks by e^-delta; where m holds 1,
+    nothing changes.  Returns the buzz leaves as {(slot, player): per-input
+    probabilities} and the per-input probability of reaching the reveal stage.
+    """
+    times = start_times(mu).per_player
+    bits = np.array([lab.bits for lab in mu.support()])
+    reach = np.ones(len(bits))
+    leaves = {}
+    for r in range(math.ceil(horizon / delta)):
+        for m in range(mu.k):
+            if r * delta >= times[m] - 1e-12 * delta:
+                zero = bits[:, m] == 0
+                leaves[r, m + 1] = reach * zero * (1.0 - math.exp(-delta))
+                reach = np.where(zero, reach * math.exp(-delta), reach)
+    return leaves, reach
 
 
 class TestBuild:
     def test_slot_schedule_respects_start_times(self):
-        mu = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
-        proto = build(mu, 0.125, 25.0)
+        proto = build(MU_K3, 0.125, 25.0)
         # player 3 starts at ln 4 ~ 1.386, joining at slot ceil(1.386/0.125) = 12
-        assert proto.slots[11] == (1, 2)
-        assert proto.slots[12] == (1, 2, 3)
+        first = {m: proto.leaf_slot[proto.leaf_player == m].min() for m in (1, 2, 3)}
+        assert first == {1: 0, 2: 0, 3: 12}
 
     def test_rejects_small_horizon(self):
-        mu = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
         with pytest.raises(MalformedInputError):
-            build(mu, 0.1, 2.0)
+            build(MU_K3, 0.1, 2.0)
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(MalformedInputError):
@@ -43,17 +62,16 @@ class TestBuild:
 
     def test_leaf_count(self):
         # 200 slots; players 1 and 2 join at slot 0, player 3 at slot 12
-        mu = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
-        assert len(build(mu, 0.125, 25.0).leaf_slot) == 200 + 200 + 188
+        assert len(build(MU_K3, 0.125, 25.0).leaf_slot) == 200 + 200 + 188
         with pytest.raises(ResolutionError, match="588 transcript classes"):
-            build(mu, 0.125, 25.0, max_leaves=587)
+            build(MU_K3, 0.125, 25.0, max_leaves=587)
 
     def test_leaf_cap_checked_before_slots_are_built(self, monkeypatch):
         # 2.5e10 slots for two players: the cap must trip on the count alone
-        def enumerate_slots(*_):
-            raise AssertionError("slots enumerated before the leaf cap was checked")
+        def allocate(*_, **__):
+            raise AssertionError("leaf arrays allocated before the leaf cap was checked")
 
-        monkeypatch.setattr(np, "flatnonzero", enumerate_slots)
+        monkeypatch.setattr(np, "empty", allocate)
         with pytest.raises(ResolutionError, match="50000000000 transcript classes"):
             build(MU_NO11, 1e-9, 25.0)
 
@@ -77,44 +95,46 @@ class TestBuild:
 
 
 class TestTree:
+    """The protocol tree's leaves, checked on the arrays that exact_ic sums."""
+
+    @pytest.mark.parametrize(
+        "mu, delta",
+        [(MU_NO11, 0.05), (MU_WITH11, 0.125), (MU_K3, 0.0625), (MU_K4, 0.03125)],
+    )
+    def test_matches_slot_by_slot_reference(self, mu, delta):
+        proto = build(mu, delta, 25.0)
+        leaves, silent = slot_by_slot(mu, delta, 25.0)
+        keys = list(zip(proto.leaf_slot.tolist(), proto.leaf_player.tolist()))
+        assert sorted(keys) == sorted(leaves)
+        expected = np.array([leaves[key] for key in keys])
+        np.testing.assert_allclose(proto.leaf_prob, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(proto.silent_prob, silent, rtol=0, atol=1e-15)
+
     def test_all_ones_reaches_reveal_with_output_one(self):
-        mu = InputDistribution.two_party(0.3, 0.3, 0.3, 0.1)
-        root = build(mu, 0.25, 3.0).root()
-        ones_leaves = [
-            n for n in walk_tree(root) if n.terminal and n.output == 1
-        ]
-        assert ones_leaves
-        for leaf in ones_leaves:
-            assert leaf.posterior.mass("11") == pytest.approx(1.0)
+        proto = build(MU_WITH11, 0.25, 3.0)
+        ones = [str(lab) == "11" for lab in proto.support]
+        assert proto.silent_prob[ones] == 1.0
 
     def test_zero_error_everywhere(self):
-        mu = InputDistribution.two_party(0.3, 0.3, 0.3, 0.1)
-        proto = build(mu, 0.25, 3.0)
-        for node in walk_tree(proto.root()):
-            if not node.terminal:
-                continue
-            for lab in proto.support:
-                if node.posterior.mass(lab) > 1e-12:
-                    assert node.output == (1 if lab.weight == lab.k else 0)
+        # a buzz outputs 0, so no buzz leaf may carry the all-ones input; the
+        # reveal stage outputs the AND of the revealed input
+        for mu in (MU_WITH11, MU_K4):
+            proto = build(mu, 0.25, 5.0)
+            ones = [lab.weight == lab.k for lab in proto.support]
+            assert not proto.leaf_prob[:, ones].any()
 
     def test_martingale_at_every_node(self):
+        # both players start at 0, so the node "silent before slot r" has mass
+        # e^(-delta r z) on an input with z zeros; its subtree, the buzz leaves
+        # of slots >= r and the reveal stage, must carry exactly that mass
         proto = build(MU_NO11, 0.5, 4.0)
-        for node in walk_tree(proto.root()):
-            if not node.children:
-                continue
-            probs = [p for p, _ in node.children]
-            assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-            mix = sum(
-                p * np.array([c.posterior.mass(lab) for lab in proto.support])
-                for p, c in node.children
-            )
-            cur = np.array([node.posterior.mass(lab) for lab in proto.support])
-            np.testing.assert_allclose(mix, cur, atol=1e-12)
-
-    def test_tree_cap(self):
-        proto = build(MU_NO11, 0.01, 25.0)
-        with pytest.raises(ResolutionError):
-            proto.root(max_nodes=100)
+        n_slots = 8
+        zeros = np.array([lab.k - lab.weight for lab in proto.support])
+        per_slot = np.zeros((n_slots, len(zeros)))
+        np.add.at(per_slot, proto.leaf_slot, proto.leaf_prob)
+        subtree = np.cumsum(per_slot[::-1], axis=0)[::-1] + proto.silent_prob
+        node = np.exp(-0.5 * np.arange(n_slots)[:, None] * zeros[None, :])
+        np.testing.assert_allclose(subtree, node, rtol=0, atol=1e-15)
 
 
 class TestExactIC:
@@ -149,9 +169,8 @@ class TestExactIC:
         assert abs(a.external_bits - b.external_bits) <= 1e-8
 
     def test_three_party_agreement(self):
-        mu = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
-        report = exact_ic(build(mu, 2.0**-9, 25.0))
-        reference = information_cost(mu)
+        report = exact_ic(build(MU_K3, 2.0**-9, 25.0))
+        reference = information_cost(MU_K3)
         assert report.internal_bits == pytest.approx(
             reference.internal_bits, abs=5e-5
         )
