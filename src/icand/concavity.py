@@ -275,6 +275,15 @@ def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
     return sorted(pts)
 
 
+def _window_integral(f, pert: Perturbation, lo: float, hi: float, **tol):
+    """Integrals of ``f`` over [lo, hi] in bits, split at every start time
+    inside, with their per-component error bounds; an empty window (no
+    segment wider than the quadrature's 1e-14 cut) integrates to zeros."""
+    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), **tol)
+    zero = np.zeros(pert.mu.k + 1)
+    return zero + vals / LN2, zero + err / LN2
+
+
 def _window_probability(times, label: InputLabel, lo: float, hi: float) -> float:
     """Pr[buzz time lands in [lo, hi]] for one input: survival difference."""
     zeros = np.array([b == 0 for b in label.bits], dtype=float)
@@ -313,7 +322,11 @@ def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> fl
 
 @dataclass(frozen=True)
 class WindowDeficits:
-    """Window integrals of the concavity defect, in bits."""
+    """Window integrals of the concavity defect, in bits.
+
+    ``quadrature_error`` sums the per-component error bounds, so it bounds
+    the error of the external, the internal and every per-player deficit.
+    """
 
     external: float
     internal: float
@@ -345,19 +358,15 @@ def window_deficits(
     residual = check_same_average(pert)
     t_s = pert.base_protocol.player_times[s - 1]
     lo, hi = t_s - pert.gamma0, t_s + pert.gamma1
-    vals, err = integrate_segments(
-        _concavity_integrand(pert),
-        _breakpoints_in(pert, lo, hi),
-        rtol=rtol,
-        atol=atol,
+    vals, err = _window_integral(
+        _concavity_integrand(pert), pert, lo, hi, rtol=rtol, atol=atol
     )
-    vals = vals / LN2
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
         per_player=tuple(float(v) for v in vals[1:]),
         same_average_residual=residual,
-        quadrature_error=float(err / LN2),
+        quadrature_error=float(err.sum()),
     )
 
 
@@ -450,14 +459,12 @@ def outside_window_checks(
     t_min = min(pert.base_protocol.player_times)
     left = 0.0
     if lo_edge > t_min:
-        vals, _ = integrate_segments(
-            f, _breakpoints_in(pert, t_min, lo_edge), rtol=rtol, atol=atol
-        )
-        left = float(vals[0] / LN2)
-    right_vals, _ = integrate_segments(
-        f, _breakpoints_in(pert, hi_edge, hi_edge + right_width), rtol=rtol, atol=atol
+        vals, _ = _window_integral(f, pert, t_min, lo_edge, rtol=rtol, atol=atol)
+        left = float(vals[0])
+    right_vals, _ = _window_integral(
+        f, pert, hi_edge, hi_edge + right_width, rtol=rtol, atol=atol
     )
-    right = float(right_vals[0] / LN2)
+    right = float(right_vals[0])
 
     eps2_bound = eps2_gap = eps2_ok = None
     skip = None
@@ -480,10 +487,8 @@ def outside_window_checks(
                 / (2.0 * n_before)
                 * eps**2
             )
-            vals, _ = integrate_segments(
-                f, _breakpoints_in(pert, t_prev, lo_edge), rtol=rtol, atol=atol
-            )
-            eps2_gap = float(vals[0] / LN2)
+            vals, _ = _window_integral(f, pert, t_prev, lo_edge, rtol=rtol, atol=atol)
+            eps2_gap = float(vals[0])
             eps2_bound = bound
             eps2_ok = eps2_gap >= bound - 1e-10
 

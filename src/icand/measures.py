@@ -304,20 +304,8 @@ class InputDistribution:
 
     def entropy_given_player(self, i: int) -> float:
         """H(X | X_i) in bits."""
-        total = 0.0
-        for b in (0, 1):
-            pb = sum(
-                m for lab, m in zip(self._labels, self._vec) if lab.bits[i - 1] == b
-            )
-            if pb <= ZERO_MASS:
-                continue
-            cond = [
-                m / pb
-                for lab, m in zip(self._labels, self._vec)
-                if lab.bits[i - 1] == b
-            ]
-            total += pb * entropy(np.asarray(cond) / np.sum(cond))
-        return total
+        col = np.array([[lab.bits[i - 1]] for lab in self._labels])
+        return float(_prior_entropies(col, self._vec)[1] / LN2)
 
     def statistical_distance(self, other: "InputDistribution") -> float:
         """Half L1 distance to another measure on the same cube."""

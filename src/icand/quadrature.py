@@ -5,6 +5,8 @@ and their logarithms), so a fixed-order panel rule converges spectrally; the
 adaptive driver bisects a panel whenever one rule application disagrees with
 the sum over its halves.  All integrand evaluations are batched: ``f`` takes
 an array of abscissas and returns an array of shape ``(len(t), n_components)``.
+A panel is accepted on its worst component; the error bound is kept per
+component.
 """
 
 from __future__ import annotations
@@ -41,24 +43,25 @@ def integrate(
     atol: float = 1e-13,
     order: int = 15,
     max_panels: int = 4096,
-) -> tuple[np.ndarray, float]:
-    """Integrate ``f`` over [a, b]; returns (component integrals, error bound).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``f`` over [a, b]; returns (component integrals, error bounds).
 
     ``f(t_array) -> (n_t, n_components)`` must accept vector input.  The
-    returned error bound is the sum over accepted panels of the coarse/fine
-    disagreement, which overestimates the true error for smooth integrands.
+    error bound of a component is the sum over accepted panels of its
+    coarse/fine disagreement, which overestimates the true quadrature error
+    for smooth integrands.
     """
     if b < a:
         raise QuadratureError(f"inverted interval [{a}, {b}]")
     if b == a:
         probe = np.atleast_2d(np.asarray(f(np.array([a])), dtype=float))
-        return np.zeros(probe.shape[1]), 0.0
+        return np.zeros(probe.shape[1]), np.zeros(probe.shape[1])
 
     width = b - a
     coarse = _panel(f, a, b, order)
     stack = [(a, b, coarse)]
     total = np.zeros_like(coarse)
-    err = 0.0
+    err = np.zeros_like(coarse)
     panels = 0
     while stack:
         lo, hi, rough = stack.pop()
@@ -72,9 +75,9 @@ def integrate(
         left = _panel(f, lo, mid, order)
         right = _panel(f, mid, hi, order)
         fine = left + right
-        disagree = float(np.max(np.abs(fine - rough)))
+        disagree = np.abs(fine - rough)
         budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine))))
-        if disagree <= budget or (hi - lo) < 1e-14 * width:
+        if float(np.max(disagree)) <= budget or (hi - lo) < 1e-14 * width:
             total += fine
             err += disagree
         else:
@@ -90,18 +93,19 @@ def integrate_segments(
     rtol: float = 1e-10,
     atol: float = 1e-13,
     order: int = 15,
-) -> tuple[np.ndarray, float]:
-    """Integrate over consecutive [b_j, b_{j+1}] panels and sum the pieces."""
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """Integrate over consecutive [b_j, b_{j+1}] segments and sum the pieces.
+
+    Segments no wider than 1e-14 (relative) are skipped.  With no segment
+    left the sums are empty: both come back as the scalar 0.0, which
+    broadcasts against any component vector, and ``f`` is never called.
+    """
     pts = np.asarray(sorted(breakpoints), dtype=float)
-    total = None
-    err = 0.0
+    total, err = 0.0, 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
             continue
         vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol, order=order)
-        total = vals if total is None else total + vals
-        err += e
-    if total is None:
-        probe = np.atleast_2d(np.asarray(f(pts[:1]), dtype=float))
-        total = np.zeros(probe.shape[1])
+        total = total + vals
+        err = err + e
     return total, err

@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import icand.buzzers as buzzers
 from icand.buzzers import (
     BuzzersProtocol,
     buzz_densities,
@@ -216,6 +218,8 @@ class TestInformationCost:
         ext, internal = closed_form_uniform(200)
         assert report.external_bits == pytest.approx(ext, abs=1e-11)
         assert report.internal_bits == pytest.approx(internal, abs=1e-11)
+        gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+        assert report.quadrature_error_estimate >= gap
 
     def test_no11_regression(self):
         # frozen from this implementation; cross-checked against the
@@ -342,3 +346,137 @@ class TestCostUnder:
             )
             bound = 2 * k * delta + 2 * binary_entropy(min(2 * delta, 1.0))
             assert gap <= bound
+
+
+# ---------------------------------------------------------------------------
+# graded tail: 30-digit references computed from the transcript densities
+# ---------------------------------------------------------------------------
+
+REFERENCE_MEASURES = [
+    (2, {"00": 1 / 3, "01": 1 / 3, "10": 1 / 3}),
+    (2, {"00": 0.2, "01": 0.5, "10": 0.3}),
+    (2, {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}),
+    (3, {"000": 0.25, "100": 0.2, "010": 0.25, "001": 0.3}),
+    (4, {"0000": 0.2, "1000": 0.2, "0100": 0.2, "0010": 0.15, "0001": 0.25}),
+]
+
+
+def mp_costs(mu, times):
+    """(external, internal) bits of the buzzers protocol with start times
+    ``times`` on ``mu``, by ``mpmath.quad`` at 30 digits.
+
+    The joint density of input x and buzz (t, m) is
+    ``m_x exp(-sum_{i: x_i = 0} max(t - t_i, 0))`` for ``x_m = 0, t >= t_m``;
+    the silent outcome is a point posterior and contributes nothing.  Each
+    cost is a prior entropy minus the integral of a conditional-entropy
+    density, taken class by class.
+    """
+    with mp.workdps(30):
+        inputs = [(lab.bits, mp.mpf(m)) for lab, m in zip(mu.labels, mu.vector) if m > 0]
+        ts = [mp.mpf(t) for t in times]
+        k = len(ts)
+        external = [lambda x: 0]
+        internal = [lambda x, i=i: x[i] for i in range(k)]
+
+        def phi(x, t):
+            return sum(max(t - ti, 0) for ti, b in zip(ts, x) if b == 0)
+
+        def split(masses, keys):
+            # sum over class functions of sum_classes [xlogx(sum) - sum xlogx]
+            total = mp.mpf(0)
+            for key in keys:
+                classes = {}
+                for x, v in masses:
+                    classes.setdefault(key(x), []).append(v)
+                for vs in classes.values():
+                    total += sum(vs) * mp.log(sum(vs)) - sum(v * mp.log(v) for v in vs)
+            return total
+
+        def conditional(keys):
+            def density(t):
+                total = mp.mpf(0)
+                for m in range(k):
+                    if t < ts[m]:
+                        continue
+                    masses = [(x, w * mp.exp(-phi(x, t))) for x, w in inputs if x[m] == 0]
+                    total += split(masses, keys)
+                return total
+
+            return mp.quad(density, sorted(set(ts)) + [mp.inf])
+
+        costs = [split(inputs, keys) - conditional(keys) for keys in (external, internal)]
+        return tuple(float(c / mp.log(2)) for c in costs)
+
+
+def mp_information_cost(mu):
+    """The reference for ``information_cost``: all-ones conditioned away and
+    the cost scaled by the remaining mass."""
+    reduced, c = mu.without_all_ones()
+    times = start_times(reduced).per_player
+    return tuple((1 - c) * v for v in mp_costs(reduced, times))
+
+
+class TestGradedTail:
+    @pytest.mark.parametrize("k, mass", REFERENCE_MEASURES)
+    def test_matches_mpmath(self, k, mass):
+        mu = InputDistribution(k, mass)
+        report = information_cost(mu)
+        ext, internal = mp_information_cost(mu)
+        gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+        assert gap <= 1e-14
+        assert report.quadrature_error_estimate >= gap
+
+    def test_silent_atom_matches_mpmath(self):
+        # cost_under keeps the all-ones input, whose silence reveals it
+        mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
+        proto = BuzzersProtocol((0.0, 0.0))
+        report = cost_under(proto, mu)
+        ext, internal = mp_costs(mu, proto.player_times)
+        gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+        assert gap <= 1e-14
+        assert report.quadrature_error_estimate >= gap
+
+    @pytest.mark.parametrize(
+        "mu, g",
+        [
+            (InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0), 4),
+            (InputDistribution.two_party(0.25, 0.25, 0.25, 0.25), 4),
+            (InputDistribution(3, {"000": 0.5, "100": 0.2, "010": 0.2, "001": 0.1}), 3),
+            (InputDistribution(4, dict(REFERENCE_MEASURES[4][1])), 2),
+            (InputDistribution(8, dict.fromkeys(canonical_labels(8)[:-1], 1 / 9)), 1),
+            (InputDistribution.uniform_basis(2), 1),
+            (InputDistribution.uniform_basis(5), 1),
+        ],
+    )
+    def test_grading_from_zero_counts(self, mu, g):
+        bits = np.array([lab.bits for lab in mu.labels])[mu.vector > 0]
+        assert buzzers._tail_grading((bits == 0).astype(float)) == g
+
+    def test_abscissa_count(self, monkeypatch):
+        # the parent's ungraded tail took 1,365 abscissas on this measure
+        count = [0]
+
+        def counting(integrator):
+            def run(f, *args, **kwargs):
+                def counted(ts):
+                    count[0] += len(ts)
+                    return f(ts)
+
+                return integrator(counted, *args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(buzzers, "integrate", counting(buzzers.integrate))
+        monkeypatch.setattr(
+            buzzers, "integrate_segments", counting(buzzers.integrate_segments)
+        )
+        information_cost(InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0))
+        assert 0 < count[0] <= 90
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64, 96])
+    def test_error_estimate_bounds_uniform_gap(self, k):
+        # k = 200 is checked in test_uniform_closed_form_at_k200
+        report = information_cost(InputDistribution.uniform_basis(k))
+        ext, internal = closed_form_uniform(k)
+        gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+        assert report.quadrature_error_estimate >= gap

@@ -217,3 +217,14 @@ class TestContinuityCheck:
         assert result["summary"]["violations"] == 0
         assert result["summary"]["mixture_violations"] == 0
         assert len(result["pairs"]) == 10
+
+    def test_csv_floats_are_plain(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "continuity-check",
+            "--pairs", "20",
+            "--mixtures", "3",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert "np.float64(" not in out

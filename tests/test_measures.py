@@ -232,6 +232,13 @@ class TestInputDistribution:
         # independent fair bits: H(X | X_i) = 1
         assert mu.entropy_given_player(1) == pytest.approx(1.0, abs=1e-12)
 
+    def test_entropy_given_player_is_a_python_float(self):
+        # (00, 01, 10) = (0.2, 0.5, 0.3): X_1 = 0 leaves {00, 01}
+        mu = InputDistribution.two_party(0.2, 0.5, 0.3, 0.0)
+        h = mu.entropy_given_player(1)
+        assert type(h) is float
+        assert h == pytest.approx(0.7 * binary_entropy(0.2 / 0.7), abs=1e-15)
+
     def test_label_parsing(self):
         assert str(InputLabel.from_string("010")) == "010"
         assert InputLabel.basis(3, 1).bits == (1, 0, 0)
