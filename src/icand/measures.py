@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -84,11 +85,13 @@ class InputLabel:
         return "".join(str(b) for b in self.bits)
 
 
+@lru_cache(maxsize=32, typed=True)
 def canonical_labels(k: int) -> tuple[InputLabel, ...]:
     """Allowed support, in the fixed order (all-zeros, e_1, ..., e_k, all-ones).
 
     For ``k = 2`` this is the whole cube; for ``k = 1`` the two labels
-    coincide with (0,) and (1,).
+    coincide with (0,) and (1,).  Cached: every measure with ``k`` players
+    shares the one tuple.
     """
     labels = [InputLabel.zeros(k)]
     labels += [InputLabel.basis(k, i) for i in range(1, k + 1)]
@@ -96,6 +99,13 @@ def canonical_labels(k: int) -> tuple[InputLabel, ...]:
     if ones not in labels:
         labels.append(ones)
     return tuple(labels)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _label_index(k: int) -> dict[InputLabel, int]:
+    """Position of each canonical label; shared by every measure with ``k``
+    players, which only read it."""
+    return {lab: i for i, lab in enumerate(canonical_labels(k))}
 
 
 def _as_prob_vector(p: Iterable[float], what: str = "distribution") -> np.ndarray:
@@ -193,7 +203,7 @@ class InputDistribution:
         if k < 2:
             raise InvalidDistributionError(f"player count {k} < 2")
         labels = canonical_labels(k)
-        index = {lab: i for i, lab in enumerate(labels)}
+        index = _label_index(k)
         vec = np.zeros(len(labels))
         for key, m in mass.items():
             lab = InputLabel.from_string(key) if isinstance(key, str) else key

@@ -20,23 +20,28 @@ coordinate (the walk only contracts it geometrically), so a trace snaps to
 an endpoint once within ``snap_tol`` total-variation distance; the snap
 biases the terminal law by at most ``snap_tol``.  Away from the branch
 point, steps toward a coordinate-killing target reduce to a fixed-step
-random walk in log coordinates, which the bulk sampler advances in blocks.
+random walk in log coordinates.  The bulk sampler advances it by exact
+skips: as many steps as cannot reach either barrier, with the number taken
+toward the target drawn from a binomial law.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     ConditioningError,
     IcandError,
+    InvalidDistributionError,
     MalformedInputError,
     NonTerminationError,
     SplittingError,
 )
-from .measures import LN2, ZERO_MASS, InputDistribution, _xlogx
+from .measures import LN2, SUM_TOL, ZERO_MASS, InputDistribution, _xlogx
 
 __all__ = [
     "Signal",
@@ -56,9 +61,6 @@ __all__ = [
 
 #: Relative tolerance for segment-membership and tie tests in the walk.
 SEGMENT_TOL = 1e-9
-
-#: Steps a pure-region trace of the bulk sampler advances per round.
-_BLOCK = 64
 
 _UNBIASED_TOL = 1e-12
 
@@ -334,24 +336,58 @@ class TraceStep:
     posterior: InputDistribution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
+    """One simulated signal, held as per-step arrays.
+
+    Step ``j`` realized the splitting signal of ``sender`` with conditionals
+    ``conditionals[j] = (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1])``, the bit
+    ``bits[j]`` and the posterior ``posteriors[j]`` over ``mu.labels``.
+    """
+
     mu: InputDistribution
     eps: float
-    steps: tuple[TraceStep, ...]
+    sender: int
+    conditionals: np.ndarray
+    bits: np.ndarray
+    posteriors: np.ndarray
     terminal: InputDistribution
 
+    def _rows(self):
+        """Per step: the two conditionals, the bit and the posterior row, as
+        Python numbers."""
+        return zip(self.conditionals.tolist(), self.bits.tolist(), self.posteriors.tolist())
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """The steps as signal and measure objects, built on first access."""
+        k, labels = self.mu.k, self.mu.labels
+        return tuple(
+            TraceStep(
+                signal=Signal(self.sender, c0, c1),
+                bit=bit,
+                posterior=InputDistribution(k, dict(zip(labels, row))),
+            )
+            for (c0, c1), bit, row in self._rows()
+        )
+
     def to_json_obj(self) -> dict:
+        """The JSON of ``Signal.to_json_obj`` and
+        ``InputDistribution.to_json_obj`` per step, formatted from the arrays."""
+        k, names = self.mu.k, [str(lab) for lab in self.mu.labels]
         return {
             "mu": self.mu.to_json_obj(),
             "eps": self.eps,
             "steps": [
                 {
-                    "signal": s.signal.to_json_obj(),
-                    "bit": s.bit,
-                    "posterior": s.posterior.to_json_obj(),
+                    "signal": {"sender": self.sender, "p0_given_0": c0, "p0_given_1": c1},
+                    "bit": bit,
+                    "posterior": {
+                        "k": k,
+                        "mass": {name: m for name, m in zip(names, row) if m > 0.0},
+                    },
                 }
-                for s in self.steps
+                for (c0, c1), bit, row in self._rows()
             ],
             "terminal": self.terminal.to_json_obj(),
         }
@@ -359,7 +395,11 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class TerminalSample:
-    """Bulk simulation summary: empirical two-point law plus diagnostics."""
+    """Bulk simulation summary: empirical two-point law plus diagnostics.
+
+    ``pure_steps`` were taken by pure-region skips, ``general_steps`` one per
+    general move; ``rounds`` counts the vectorised rounds that moved a walk.
+    """
 
     n_traces: int
     count0: int
@@ -368,10 +408,30 @@ class TerminalSample:
     max_weakness: float
     max_steps_observed: int
     mean_steps: float
+    pure_steps: int
+    general_steps: int
+    rounds: int
 
     def tv_distance(self) -> float:
         """Total variation between the empirical and exact two-point laws."""
         return abs(self.count0 / self.n_traces - self.prob0_exact)
+
+
+def _check_walk_args(eps: float, snap_tol: float, max_steps: int) -> None:
+    """Reject malformed walk parameters before anything is allocated; every
+    test is written so that NaN fails it."""
+    if not 0.0 < eps < 1.0:
+        raise MalformedInputError(f"weakness bound {eps} outside (0, 1)")
+    if not 0.0 < snap_tol < math.inf:
+        raise MalformedInputError(f"snap tolerance {snap_tol} must be finite and > 0")
+    if not max_steps >= 0:
+        raise MalformedInputError(f"step cap {max_steps} must be >= 0")
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry, None if there is none."""
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if hit.size else None
 
 
 class _SegmentWalk:
@@ -384,10 +444,7 @@ class _SegmentWalk:
     """
 
     def __init__(self, mu: InputDistribution, sig: Signal, eps: float, snap_tol: float):
-        if eps <= 0.0 or eps >= 1.0:
-            raise MalformedInputError(f"weakness bound {eps} outside (0, 1)")
         self.mu = mu
-        self.sig = sig
         self.eps = eps
         self.snap_tol = snap_tol
         self.p0 = sig.prob0(mu)
@@ -404,19 +461,34 @@ class _SegmentWalk:
         self.d = self.v1 - self.v0
         self.tv01 = 0.5 * float(np.abs(self.d).sum())
         self.alpha_mu = 1.0 - self.p0
-        self.k = mu.k
-        self.labels = [mu.labels[j] for j in self.support_idx]
+        labels = [mu.labels[j] for j in self.support_idx]
         sbit = sig.sender - 1
         self.class_idx = {
-            v: [j for j, lab in enumerate(self.labels) if lab.bits[sbit] == v]
+            v: np.array([j for j, lab in enumerate(labels) if lab.bits[sbit] == v], dtype=int)
             for v in (0, 1)
         }
-        n = len(self.labels)
+        n = len(labels)
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         self.pair_a = np.array([p[0] for p in pairs], dtype=int)
         self.pair_b = np.array([p[1] for p in pairs], dtype=int)
         self.pure0 = self._pure_region(self.v0, self.d, self.alpha_mu)
         self.pure1 = self._pure_region(self.v1, -self.d, 1.0 - self.alpha_mu)
+        # what the scalar walk needs per branch (below, above the branch
+        # point), as Python floats: the target, the direction, its absolute
+        # value, and (a, b, |direction_b - direction_a|) per ordered pair
+        self.scalar_branches = tuple(
+            (
+                base.tolist(),
+                direction.tolist(),
+                np.abs(direction).tolist(),
+                list(zip(
+                    self.pair_a.tolist(),
+                    self.pair_b.tolist(),
+                    np.abs(direction[self.pair_b] - direction[self.pair_a]).tolist(),
+                )),
+            )
+            for base, direction in ((self.v0, self.d), (self.v1, -self.d))
+        )
 
     def _pure_region(self, base, direction, branch_extent):
         """Largest [0, hi) of the distance scalar where lam = eps exactly.
@@ -445,6 +517,16 @@ class _SegmentWalk:
                     hi = min(hi, float(g0i / ((1.0 + eps) * -gdi)))
         return max(hi, 0.0)
 
+    def _frame(self, alpha: np.ndarray):
+        """Per entry of ``alpha``: whether it is above the branch point, its
+        distance to the branch target, the target, the direction away from
+        it, and the current point, all on the support."""
+        side1 = alpha > self.alpha_mu
+        dist = np.where(side1, 1.0 - alpha, alpha)
+        base = np.where(side1[:, None], self.v1[None, :], self.v0[None, :])
+        direction = np.where(side1[:, None], -self.d[None, :], self.d[None, :])
+        return side1, dist, base, direction, base + dist[:, None] * direction
+
     # -- exact vectorized step ------------------------------------------------
 
     def step(self, alpha: np.ndarray, bits: np.ndarray):
@@ -453,11 +535,7 @@ class _SegmentWalk:
         Returns (new alpha, lam, ratio).  ``bits = 0`` moves toward the
         current branch target.
         """
-        side1 = alpha > self.alpha_mu
-        dist = np.where(side1, 1.0 - alpha, alpha)
-        base = np.where(side1[:, None], self.v1[None, :], self.v0[None, :])
-        direction = np.where(side1[:, None], -self.d[None, :], self.d[None, :])
-        mu_c = base + dist[:, None] * direction
+        side1, dist, base, direction, mu_c = self._frame(alpha)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             comp = np.where(
@@ -484,74 +562,117 @@ class _SegmentWalk:
         new_alpha = np.where(side1, 1.0 - new_dist, new_dist)
         return new_alpha, lam, ratio
 
-    # -- helpers ---------------------------------------------------------------
+    # -- one trace, step by step -----------------------------------------------
 
-    def point(self, alpha: float) -> InputDistribution:
-        vec = np.zeros(len(self.mu.labels))
-        vec[self.support_idx] = self.v0 + alpha * self.d
-        vec = np.maximum(vec, 0.0)
-        vec /= vec.sum()
-        return InputDistribution(self.mu.k, dict(zip(self.mu.labels, vec)))
+    def trace(self, rng: np.random.Generator, max_steps: int):
+        """One walk from the branch point, with one ``rng.integers(0, 2)``
+        per step.
 
-    def step_signal(self, alpha: float, lam: float) -> Signal:
-        """The splitting signal realized by one step from ``alpha``."""
-        side1 = alpha > self.alpha_mu
-        dist = (1.0 - alpha) if side1 else alpha
-        base = self.v1 if side1 else self.v0
-        direction = -self.d if side1 else self.d
-        mu_c = base + dist * direction
-        target = base
-        conds = []
+        Each step is :meth:`step` on Python floats: the same operations in
+        the same order, so the same floats.  Returns the alphas before the
+        first step and after every step, the step sizes, the bits, and the
+        endpoint snapped to (None if not snapped within ``max_steps``).
+        """
+        alpha_mu, eps, tv01, snap_tol = self.alpha_mu, self.eps, self.tv01, self.snap_tol
+        alpha = alpha_mu
+        path, lams, bits = [alpha], [], []
+        for _ in range(max_steps):
+            if alpha * tv01 <= snap_tol:
+                return path, lams, bits, 0
+            if (1.0 - alpha) * tv01 <= snap_tol:
+                return path, lams, bits, 1
+            bit = int(rng.integers(0, 2))
+            side1 = alpha > alpha_mu
+            dist = (1.0 - alpha) if side1 else alpha
+            target, direction, abs_dir, pairs = self.scalar_branches[side1]
+            mu_c = [t + dist * e for t, e in zip(target, direction)]
+            ratio = max(
+                [dist * s / m if m > ZERO_MASS else 0.0 for s, m in zip(abs_dir, mu_c)]
+            )
+            lam = 1.0
+            for i, j, diff in pairs:
+                gap = mu_c[j] - mu_c[i]
+                denom = dist * diff
+                if gap > SEGMENT_TOL * max(mu_c[j], mu_c[i], ZERO_MASS) and denom > 0.0:
+                    lam = min(lam, gap / denom)
+            if ratio > 0.0:
+                lam = min(lam, eps / ratio)
+            new_dist = dist * (1.0 - lam) if bit == 0 else dist * (1.0 + lam)
+            alpha = (1.0 - new_dist) if side1 else new_dist
+            path.append(alpha)
+            lams.append(lam)
+            bits.append(bit)
+        return path, lams, bits, None
+
+    # -- whole traces as arrays --------------------------------------------------
+
+    def points(self, alpha: np.ndarray) -> np.ndarray:
+        """The measures at ``alpha``, one row each over ``mu.labels``, with
+        the constructor's check that each sums to one (NaN fails it)."""
+        vec = np.zeros((alpha.size, len(self.mu.labels)))
+        vec[:, self.support_idx] = self.v0 + alpha[:, None] * self.d
+        np.maximum(vec, 0.0, out=vec)
+        vec /= vec.sum(axis=1, keepdims=True)
+        total = vec.sum(axis=1)
+        j = _first(~(np.abs(total - 1.0) <= SUM_TOL))
+        if j is not None:
+            raise InvalidDistributionError(f"posterior of step {j} sums to {total[j]!r}, not 1")
+        return vec
+
+    def step_signals(self, alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Conditionals (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1]) of the splitting
+        signal each step from ``alpha`` with size ``lam`` realizes: the mean
+        over the sender's bit class of the live coordinates' conditionals,
+        1/2 for a class without any."""
+        _, _, target, _, mu_c = self._frame(alpha)
+        live = mu_c > ZERO_MASS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (1.0 - lam)[:, None] / 2.0 + lam[:, None] * target / (2.0 * mu_c)
+        conds = np.full((alpha.size, 2), 0.5)
         for v in (0, 1):
-            vals = [
-                (1.0 - lam) / 2.0 + lam * target[j] / (2.0 * mu_c[j])
-                for j in self.class_idx[v]
-                if mu_c[j] > ZERO_MASS
-            ]
-            conds.append(float(np.clip(np.mean(vals), 0.0, 1.0)) if vals else 0.5)
-        return Signal(self.sig.sender, conds[0], conds[1])
+            cols = self.class_idx[v]
+            count = live[:, cols].sum(axis=1)
+            total = np.where(live[:, cols], vals[:, cols], 0.0).sum(axis=1)
+            some = count > 0
+            conds[some, v] = np.clip(total[some] / count[some], 0.0, 1.0)
+        j = _first(~((conds >= 0.0) & (conds <= 1.0)).all(axis=1))
+        if j is not None:
+            raise MalformedInputError(
+                f"conditional probabilities {conds[j]} of step {j} outside [0,1]"
+            )
+        return conds
 
-    def snap_state(self, alpha: float) -> int | None:
-        """0/1 when within snapping distance of an endpoint, else None."""
-        if alpha * self.tv01 <= self.snap_tol:
-            return 0
-        if (1.0 - alpha) * self.tv01 <= self.snap_tol:
-            return 1
-        return None
-
-    def validate_step(self, alpha: float, lam: float) -> None:
-        """Check one step against the three signal conditions.
+    def validate_steps(self, alpha: np.ndarray, lam: np.ndarray) -> None:
+        """Check every step against the three signal conditions.
 
         Weakness and order preservation are checked on the raw support
         vectors with the walk's tie tolerance; bias is checked from the
-        realized conditionals.  Violations raise, they never pass silently.
+        realized conditionals.  Violations raise, they never pass silently,
+        and a NaN fails every check.
         """
-        side1 = alpha > self.alpha_mu
-        dist = (1.0 - alpha) if side1 else alpha
-        base = self.v1 if side1 else self.v0
-        direction = -self.d if side1 else self.d
-        mu_c = base + dist * direction
-        target = base
-
+        _, _, target, _, mu_c = self._frame(alpha)
+        lam = lam[:, None]
         live = mu_c > ZERO_MASS
-        weakness = float(
-            np.max(lam * np.abs(mu_c[live] - target[live]) / mu_c[live])
-        )
-        if weakness > self.eps * (1.0 + 1e-12):
-            raise IcandError(f"step weakness {weakness} exceeds eps={self.eps}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weakness = np.where(live, lam * np.abs(mu_c - target) / mu_c, 0.0).max(axis=1)
+        j = _first(~(weakness <= self.eps * (1.0 + 1e-12)))
+        if j is not None:
+            raise IcandError(f"step {j} weakness {weakness[j]} exceeds eps={self.eps}")
 
-        prob0 = 0.5 * float((mu_c + lam * (target - mu_c)).sum() / mu_c.sum())
-        if abs(prob0 - 0.5) > _UNBIASED_TOL:
-            raise IcandError(f"step bias |Pr[B=0] - 1/2| = {abs(prob0 - 0.5)}")
+        prob0 = 0.5 * ((mu_c + lam * (target - mu_c)).sum(axis=1) / mu_c.sum(axis=1))
+        j = _first(~(np.abs(prob0 - 0.5) <= _UNBIASED_TOL))
+        if j is not None:
+            raise IcandError(f"step {j} bias |Pr[B=0] - 1/2| = {abs(prob0[j] - 0.5)}")
 
-        gap = mu_c[self.pair_b] - mu_c[self.pair_a]
-        scale = np.maximum(mu_c[self.pair_b], mu_c[self.pair_a])
+        gap = mu_c[:, self.pair_b] - mu_c[:, self.pair_a]
+        scale = np.maximum(mu_c[:, self.pair_b], mu_c[:, self.pair_a])
         strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
         for sign in (+1.0, -1.0):
             post = mu_c + sign * lam * (target - mu_c)
-            post_gap = post[self.pair_b] - post[self.pair_a]
-            if np.any(strict & (post_gap < -1e-12)):
-                raise IcandError("step crossed a strict support ordering")
+            post_gap = post[:, self.pair_b] - post[:, self.pair_a]
+            j = _first((strict & ~(post_gap >= -1e-12)).any(axis=1))
+            if j is not None:
+                raise IcandError(f"step {j} crossed a strict support ordering")
 
 
 def simulate_signal(
@@ -566,32 +687,57 @@ def simulate_signal(
 ) -> SimulationTrace:
     """Simulate one signal by a full trace of eps-weak steps.
 
-    The trace materializes every step's splitting signal, realized bit, and
-    posterior; use :func:`sample_terminal_posteriors` for bulk statistics.
-    Raises :class:`NonTerminationError` past ``max_steps`` (the walk
-    terminates with probability one, so the cap is diagnostic).
+    The walk runs step by step on Python floats, one random bit per step.
+    Every step's splitting signal and posterior are then computed as arrays,
+    with the checks the signal and measure constructors make; the trace's
+    ``steps`` objects are built only when read.  With ``validate`` every
+    step is also checked for weakness, bias and order preservation before
+    the function returns.  Use :func:`sample_terminal_posteriors` for bulk
+    statistics.  Raises :class:`NonTerminationError` past ``max_steps`` (the
+    walk terminates with probability one, so the cap is diagnostic).
     """
+    _check_walk_args(eps, snap_tol, max_steps)
     walk = _SegmentWalk(mu, sig, eps, snap_tol)
     if walk.degenerate:
-        return SimulationTrace(mu=mu, eps=eps, steps=(), terminal=mu)
+        return SimulationTrace(
+            mu=mu,
+            eps=eps,
+            sender=sig.sender,
+            conditionals=np.empty((0, 2)),
+            bits=np.empty(0, dtype=np.int64),
+            posteriors=np.empty((0, len(mu.labels))),
+            terminal=mu,
+        )
 
-    steps: list[TraceStep] = []
-    alpha = walk.alpha_mu
-    for _ in range(max_steps):
-        snapped = walk.snap_state(alpha)
-        if snapped is not None:
-            terminal = walk.mu0 if snapped == 0 else walk.mu1
-            return SimulationTrace(mu=mu, eps=eps, steps=tuple(steps), terminal=terminal)
-        bit = int(rng.integers(0, 2))
-        new_alpha, lam, _ = walk.step(np.array([alpha]), np.array([bit]))
-        lam_f = float(lam[0])
-        sig_step = walk.step_signal(alpha, lam_f)
-        post = walk.point(float(new_alpha[0]))
-        if validate:
-            walk.validate_step(alpha, lam_f)
-        steps.append(TraceStep(signal=sig_step, bit=bit, posterior=post))
-        alpha = float(new_alpha[0])
-    raise NonTerminationError(f"simulation exceeded {max_steps} steps")
+    path, lams, bits, snapped = walk.trace(rng, max_steps)
+    alpha = np.array(path)
+    lam = np.array(lams)
+    conditionals = walk.step_signals(alpha[:-1], lam)
+    posteriors = walk.points(alpha[1:])
+    if validate:
+        walk.validate_steps(alpha[:-1], lam)
+    if snapped is None:
+        raise NonTerminationError(f"simulation exceeded {max_steps} steps")
+    return SimulationTrace(
+        mu=mu,
+        eps=eps,
+        sender=sig.sender,
+        conditionals=conditionals,
+        bits=np.array(bits, dtype=np.int64),
+        posteriors=posteriors,
+        terminal=walk.mu0 if snapped == 0 else walk.mu1,
+    )
+
+
+def _skip_lengths(
+    log_dist: np.ndarray, log_lo: float, log_hi: np.ndarray, reach: float
+) -> np.ndarray:
+    """Steps per pure-region skip: the most, n, with ``n * reach`` below the
+    log distance to the nearer barrier, so that neither extreme path (all
+    steps toward, all steps away) reaches ``log_lo`` or ``log_hi``; at least
+    one.  ``reach`` is the longer of the two log steps."""
+    gap = np.minimum(log_dist - log_lo, log_hi - log_dist)
+    return np.maximum(np.ceil(gap / reach) - 1.0, 1.0).astype(np.int64)
 
 
 def sample_terminal_posteriors(
@@ -606,12 +752,21 @@ def sample_terminal_posteriors(
 ) -> TerminalSample:
     """Terminal-posterior law of ``n_traces`` independent simulation walks.
 
-    Dynamics are identical to :func:`simulate_signal`; traces sitting in a
-    region where the step size is exactly ``eps`` advance ``_BLOCK`` steps at
-    a time through a cumulative-sum random walk in log coordinates, with the
-    first barrier crossing recovered exactly.  Every generally-stepped move
-    asserts its weakness bound; pure-region moves satisfy it by construction.
+    Dynamics are those of :func:`simulate_signal`, run for all walks at once
+    in rounds.  A walk in the general region takes one exact step per round
+    and asserts its weakness bound.  In the pure region the step size is
+    exactly ``eps``, so the log distance to the target moves by
+    ``ln(1 - eps)`` or ``ln(1 + eps)``; a walk there takes ``n`` steps per
+    round (:func:`_skip_lengths`), moving to
+    ``L + K ln(1 - eps) + (n - K) ln(1 + eps)`` with ``K ~ Binomial(n, 1/2)``.
+    Those ``n`` steps cannot cross the snap barrier or the region's upper end
+    unless ``n = 1``, which is tested as one plain step, so the skip is exact
+    in law and keeps the step count.  Pure-region steps have weakness ``eps``
+    by construction.
     """
+    _check_walk_args(eps, snap_tol, max_steps)
+    if not n_traces >= 1:
+        raise MalformedInputError(f"trace count {n_traces} must be >= 1")
     walk = _SegmentWalk(mu, sig, eps, snap_tol)
     if walk.degenerate:
         return TerminalSample(
@@ -622,10 +777,14 @@ def sample_terminal_posteriors(
             max_weakness=0.0,
             max_steps_observed=0,
             mean_steps=0.0,
+            pure_steps=0,
+            general_steps=0,
+            rounds=0,
         )
 
     c_tow = float(np.log1p(-eps))  # toward-target log step (negative)
     c_away = float(np.log1p(eps))
+    reach = max(-c_tow, c_away)
     snap_d = walk.snap_tol / walk.tv01  # snap distance, the same on both sides
     log_snap = np.log(snap_d)
 
@@ -633,6 +792,7 @@ def sample_terminal_posteriors(
     label = np.full(n_traces, -1, dtype=np.int8)
     steps = np.zeros(n_traces, dtype=np.int64)
     max_weakness = 0.0  # pure-region steps have weakness eps by construction
+    pure_steps = general_steps = rounds = 0
 
     active = np.flatnonzero(label < 0)
     while active.size:
@@ -647,6 +807,7 @@ def sample_terminal_posteriors(
             a = alpha[active]
             if not active.size:
                 break
+        rounds += 1
 
         side1 = a > walk.alpha_mu
         dist = np.where(side1, 1.0 - a, a)
@@ -656,23 +817,16 @@ def sample_terminal_posteriors(
         if pure.any():
             idx = active[pure]
             L = np.log(dist[pure])
-            hi = np.log(pure_hi[pure])
-            draws = rng.integers(0, 2, size=(idx.size, _BLOCK), dtype=np.uint8)
-            moves = np.where(draws == 0, c_tow, c_away)
-            W = L[:, None] + np.cumsum(moves, axis=1)
-            crossed = (W <= log_snap) | (W >= hi[:, None])
-            any_cross = crossed.any(axis=1)
-            first = np.where(any_cross, crossed.argmax(axis=1), _BLOCK - 1)
-            newL = W[np.arange(idx.size), first]
-            consumed = first + 1
-            steps[idx] += consumed
+            n = _skip_lengths(L, log_snap, np.log(pure_hi[pure]), reach)
+            toward = rng.binomial(n, 0.5)
+            newL = L + toward * c_tow + (n - toward) * c_away
+            steps[idx] += n
+            pure_steps += int(n.sum())
             new_dist = np.exp(newL)
-            snapped = newL <= log_snap
             s1 = side1[pure]
-            new_a = np.where(s1, 1.0 - new_dist, new_dist)
-            alpha[idx] = new_a
-            lab_hit = np.where(s1, 1, 0).astype(np.int8)
-            label[idx[snapped]] = lab_hit[snapped]
+            alpha[idx] = np.where(s1, 1.0 - new_dist, new_dist)
+            snapped = newL <= log_snap
+            label[idx[snapped]] = s1[snapped]
             max_weakness = max(max_weakness, eps)
 
         general = ~pure
@@ -681,11 +835,12 @@ def sample_terminal_posteriors(
             bits = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
             new_a, lam, ratio = walk.step(a[general], bits)
             w = float(np.max(lam * ratio))
-            if w > eps * (1.0 + 1e-12):
+            if not w <= eps * (1.0 + 1e-12):
                 raise IcandError("walk step exceeded its weakness bound")
             max_weakness = max(max_weakness, w)
             alpha[idx] = new_a
             steps[idx] += 1
+            general_steps += idx.size
 
         over = steps[active] > max_steps
         if over.any():
@@ -701,5 +856,8 @@ def sample_terminal_posteriors(
         prob0_exact=walk.p0,
         max_weakness=max_weakness,
         max_steps_observed=int(steps.max(initial=0)),
-        mean_steps=float(steps.mean()) if n_traces else 0.0,
+        mean_steps=float(steps.mean()),
+        pure_steps=pure_steps,
+        general_steps=general_steps,
+        rounds=rounds,
     )

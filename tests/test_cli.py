@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from icand import signals
 from icand.cli import main
 
 
@@ -160,6 +161,36 @@ class TestSimulateSignal:
         summary = json.loads(out)
         assert len(summary["traces"]) == 2
         assert summary["traces"][0]["steps"]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "nan"),
+            ("--eps", "1"),
+            ("--snap-tol", "nan"),
+            ("--snap-tol", "-1"),
+            ("--snap-tol", "inf"),
+            ("--traces", "-3"),
+            ("--traces", "0"),
+            ("--max-steps", "-1"),
+        ],
+    )
+    def test_malformed_walk_input_exit_2(self, capsys, monkeypatch, no11_file, flag, value):
+        def no_walk(*args):
+            raise AssertionError("the walk was set up for a malformed input")
+
+        monkeypatch.setattr(signals, "_SegmentWalk", no_walk)
+        # --max-steps 10 keeps a walk that does start short
+        options = {"--eps": "0.1", "--traces": "10", "--max-steps": "10", flag: value}
+        argv = [item for pair in options.items() for item in pair]
+        code, out, err = run(
+            capsys, "simulate-signal", "--measure", no11_file, "--reveal", "1", *argv
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert error["exit_code"] == 2
 
     def test_signal_flags_required(self, capsys, no11_file):
         code, _, err = run(

@@ -239,6 +239,14 @@ class TestInputDistribution:
         assert type(h) is float
         assert h == pytest.approx(0.7 * binary_entropy(0.2 / 0.7), abs=1e-15)
 
+    def test_measures_share_the_cached_labels(self):
+        a = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
+        b = InputDistribution(2, {"01": 0.5, "10": 0.5})
+        assert a.labels is b.labels is canonical_labels(2)
+        with pytest.raises(TypeError):  # the cache does not serve k=2.0 as k=2
+            canonical_labels(2.0)
+        assert b.mass("10") == 0.5 and b.mass("11") == 0.0
+
     def test_label_parsing(self):
         assert str(InputLabel.from_string("010")) == "010"
         assert InputLabel.basis(3, 1).bits == (1, 0, 0)

@@ -1,20 +1,26 @@
 """Signal algebra: posteriors, classification, splitting, simulation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from icand.errors import (
     ConditioningError,
+    IcandError,
+    MalformedInputError,
     NonTerminationError,
     SplittingError,
 )
-from icand.measures import InputDistribution, canonical_labels
+from icand.measures import ZERO_MASS, InputDistribution, canonical_labels
 from icand.signals import (
+    SEGMENT_TOL,
     Signal,
     WeakSignal,
+    _SegmentWalk,
+    _skip_lengths,
     classify,
     posterior,
     sample_terminal_posteriors,
@@ -249,6 +255,91 @@ class TestSplit:
 
 REVEALING = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.0)
 
+MU_K3 = InputDistribution(3, {"000": 0.3, "100": 0.25, "010": 0.2, "001": 0.15, "111": 0.1})
+WEAK_K3 = WeakSignal(sender=2, eps=0.6).to_signal(MU_K3)
+
+
+def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6, validate=True):
+    """The per-step trace loop the array path replaced: each step goes
+    through the vectorized ``_SegmentWalk.step`` and builds its own signal
+    and measure, and is validated on its own.  Returns the trace's JSON."""
+    walk = _SegmentWalk(mu, sig, eps, snap_tol)
+    steps = []
+    alpha = walk.alpha_mu
+    for _ in range(max_steps):
+        for snapped, d in ((walk.mu0, alpha), (walk.mu1, 1.0 - alpha)):
+            if d * walk.tv01 <= snap_tol:
+                return {
+                    "mu": mu.to_json_obj(),
+                    "eps": eps,
+                    "steps": steps,
+                    "terminal": snapped.to_json_obj(),
+                }
+        bit = int(rng.integers(0, 2))
+        new_alpha, lam, _ = walk.step(np.array([alpha]), np.array([bit]))
+        new_alpha, lam = float(new_alpha[0]), float(lam[0])
+        side1 = alpha > walk.alpha_mu
+        dist = (1.0 - alpha) if side1 else alpha
+        target = walk.v1 if side1 else walk.v0
+        mu_c = target + dist * (-walk.d if side1 else walk.d)
+
+        conds = []
+        for v in (0, 1):
+            vals = [
+                (1.0 - lam) / 2.0 + lam * target[j] / (2.0 * mu_c[j])
+                for j in walk.class_idx[v]
+                if mu_c[j] > ZERO_MASS
+            ]
+            conds.append(float(np.clip(np.mean(vals), 0.0, 1.0)) if vals else 0.5)
+        vec = np.zeros(len(mu.labels))
+        vec[walk.support_idx] = walk.v0 + new_alpha * walk.d
+        vec = np.maximum(vec, 0.0)
+        vec /= vec.sum()
+        post = InputDistribution(mu.k, dict(zip(mu.labels, vec)))
+
+        if validate:
+            live = mu_c > ZERO_MASS
+            weakness = np.max(lam * np.abs(mu_c[live] - target[live]) / mu_c[live])
+            assert weakness <= eps * (1.0 + 1e-12)
+            prob0 = 0.5 * float((mu_c + lam * (target - mu_c)).sum() / mu_c.sum())
+            assert abs(prob0 - 0.5) <= 1e-12
+            gap = mu_c[walk.pair_b] - mu_c[walk.pair_a]
+            scale = np.maximum(mu_c[walk.pair_b], mu_c[walk.pair_a])
+            strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
+            for sign in (+1.0, -1.0):
+                post_c = mu_c + sign * lam * (target - mu_c)
+                assert not np.any(strict & (post_c[walk.pair_b] - post_c[walk.pair_a] < -1e-12))
+
+        steps.append(
+            {
+                "signal": Signal(sig.sender, conds[0], conds[1]).to_json_obj(),
+                "bit": bit,
+                "posterior": post.to_json_obj(),
+            }
+        )
+        alpha = new_alpha
+    raise NonTerminationError(f"simulation exceeded {max_steps} steps")
+
+
+def reference_sample(mu, sig, eps, rng, n_traces, snap_tol):
+    """Step-by-step bulk sampler: every step of every walk goes through
+    ``_SegmentWalk.step``.  Returns each walk's endpoint and step count."""
+    walk = _SegmentWalk(mu, sig, eps, snap_tol)
+    alpha = np.full(n_traces, walk.alpha_mu)
+    label = np.full(n_traces, -1)
+    steps = np.zeros(n_traces, dtype=int)
+    active = np.arange(n_traces)
+    while active.size:
+        a = alpha[active]
+        hit0 = a * walk.tv01 <= snap_tol
+        hit1 = (1.0 - a) * walk.tv01 <= snap_tol
+        label[active[hit0]] = 0
+        label[active[hit1 & ~hit0]] = 1
+        active = active[~(hit0 | hit1)]
+        alpha[active] = walk.step(alpha[active], rng.integers(0, 2, size=active.size))[0]
+        steps[active] += 1
+    return label, steps
+
 
 class TestSimulation:
     def test_single_step_when_already_weak(self):
@@ -294,17 +385,168 @@ class TestSimulation:
         assert sample.max_weakness <= 0.2 * (1 + 1e-9)
 
     def test_sampler_matches_trace_dynamics(self):
-        # same seed, same walk law: the scalar and vector paths agree on the
-        # terminal label distribution at coarse statistics
+        # same walk law: the per-step traces and the skip-ahead sampler agree
+        # on the terminal label frequency and the mean step count within 4
+        # sigma of the difference of two independent samples
         rng = np.random.default_rng(11)
-        terminals = []
-        for _ in range(200):
+        terminals, lengths = [], []
+        for _ in range(1000):
             tr = simulate_signal(
                 MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4, validate=False
             )
             terminals.append(tr.terminal.mass("10") > 0.5)
+            lengths.append(len(tr.bits))
         frac1 = np.mean(terminals)
         assert abs(frac1 - 1 / 3) < 0.12
+
+        n = 4000
+        sample = sample_terminal_posteriors(
+            MU_NO11, REVEALING, eps=0.25, rng=np.random.default_rng(12), n_traces=n,
+            snap_tol=1e-4,
+        )
+        scale = math.sqrt(1 / len(lengths) + 1 / n)
+        p1 = sample.count1 / n
+        assert abs(frac1 - p1) <= 4 * math.sqrt(p1 * (1 - p1)) * scale
+        assert abs(np.mean(lengths) - sample.mean_steps) <= 4 * np.std(lengths) * scale
+
+    def test_skip_ahead_matches_step_by_step_reference(self):
+        n = 4000
+        label, steps = reference_sample(
+            MU_NO11, REVEALING, 0.25, np.random.default_rng(1), n, snap_tol=1e-4
+        )
+        sample = sample_terminal_posteriors(
+            MU_NO11, REVEALING, eps=0.25, rng=np.random.default_rng(2), n_traces=n,
+            snap_tol=1e-4,
+        )
+        assert sample.pure_steps > 10 * sample.rounds  # the skips were taken
+        scale = math.sqrt(2 / n)
+        p0 = np.mean(label == 0)
+        assert abs(sample.count0 / n - p0) <= 4 * math.sqrt(p0 * (1 - p0)) * scale
+        assert abs(sample.mean_steps - steps.mean()) <= 4 * steps.std() * scale
+
+    @given(
+        st.floats(0.01, 0.9),
+        st.floats(1e-12, 1e-2),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_skip_keeps_extreme_paths_inside(self, eps, snap_tol, u):
+        walk = _SegmentWalk(MU_NO11, REVEALING, eps, snap_tol)
+        c_tow, c_away = math.log1p(-eps), math.log1p(eps)
+        reach = max(-c_tow, c_away)
+        lo = math.log(snap_tol / walk.tv01)
+        for pure_hi in (walk.pure0, walk.pure1):
+            hi = math.log(pure_hi)
+            assume(hi > lo)
+            L = lo + u * (hi - lo)  # a start in the pure region, in log distance
+            n = int(_skip_lengths(np.array([L]), lo, np.array([hi]), reach)[0])
+            if min(L - lo, hi - L) <= reach:
+                assert n == 1  # one plain step, tested for a crossing
+                continue
+            for toward in (n, 0):
+                end = L + toward * c_tow + (n - toward) * c_away
+                assert lo < end < hi
+
+    def test_sampler_counters(self):
+        n = 500
+        sample = sample_terminal_posteriors(
+            MU_NO11, REVEALING, eps=0.25, rng=np.random.default_rng(3), n_traces=n,
+            snap_tol=1e-4,
+        )
+        assert sample.pure_steps + sample.general_steps == round(sample.mean_steps * n)
+        assert sample.pure_steps > 0 and sample.general_steps > 0
+        # every round moves the walk that is still running at the end
+        assert 1 <= sample.rounds <= sample.max_steps_observed
+        constant = Signal(sender=1, p0_given_0=1.0, p0_given_1=1.0)
+        degenerate = sample_terminal_posteriors(
+            MU_NO11, constant, eps=0.25, rng=np.random.default_rng(3), n_traces=n
+        )
+        assert (degenerate.pure_steps, degenerate.general_steps, degenerate.rounds) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "mu, sig, eps, snap_tol, seeds",
+        [
+            (MU_NO11, REVEALING, 0.05, 1e-3, (0, 1)),
+            (MU_NO11, REVEALING, 0.2, 1e-4, (2, 3, 4)),
+            (MU_K3, WEAK_K3, 0.1, 1e-4, (0, 1, 2)),
+        ],
+    )
+    def test_trace_bytes_match_per_step_reference(self, mu, sig, eps, snap_tol, seeds):
+        runs = [(seed, True) for seed in seeds] + [(seeds[0], False)]
+        for seed, validate in runs:
+            trace = simulate_signal(
+                mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol,
+                validate=validate,
+            )
+            ref = reference_trace(
+                mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol,
+                validate=validate,
+            )
+            assert len(ref["steps"]) > 1
+            obj = trace.to_json_obj()
+            assert obj == ref
+            assert json.dumps(obj, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+    def test_steps_are_built_from_the_arrays(self):
+        trace = simulate_signal(
+            MU_K3, WEAK_K3, 0.1, np.random.default_rng(5), snap_tol=1e-4
+        )
+        steps = trace.steps
+        assert type(steps) is tuple and steps is trace.steps
+        assert [
+            {
+                "signal": st.signal.to_json_obj(),
+                "bit": st.bit,
+                "posterior": st.posterior.to_json_obj(),
+            }
+            for st in steps
+        ] == trace.to_json_obj()["steps"]
+
+    def test_validation_rejects_bad_steps(self):
+        walk = _SegmentWalk(MU_NO11, REVEALING, 0.2, 1e-3)
+        path, lams, _, snapped = walk.trace(np.random.default_rng(0), 10**6)
+        alpha, lam = np.array(path[:-1]), np.array(lams)
+        assert snapped is not None
+        walk.validate_steps(alpha, lam)
+        too_big = lam.copy()
+        too_big[len(lam) // 2] *= 1.5
+        with pytest.raises(IcandError, match="weakness"):
+            walk.validate_steps(alpha, too_big)
+        with pytest.raises(IcandError):
+            walk.validate_steps(alpha, np.where(np.arange(lam.size) == 3, np.nan, lam))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps": math.nan},
+            {"eps": 0.0},
+            {"eps": 1.0},
+            {"snap_tol": math.nan},
+            {"snap_tol": -1.0},
+            {"snap_tol": 0.0},
+            {"snap_tol": math.inf},
+            {"max_steps": -1},
+        ],
+    )
+    def test_malformed_walk_arguments(self, kwargs):
+        args = {"eps": 0.1, "snap_tol": 1e-4, "max_steps": 10}
+        args.update(kwargs)
+        eps = args.pop("eps")
+        for run in (
+            lambda: simulate_signal(MU_NO11, REVEALING, eps, np.random.default_rng(0), **args),
+            lambda: sample_terminal_posteriors(
+                MU_NO11, REVEALING, eps, np.random.default_rng(0), 10, **args
+            ),
+        ):
+            with pytest.raises(MalformedInputError):
+                run()
+
+    @pytest.mark.parametrize("n_traces", [0, -3])
+    def test_trace_count_must_be_positive(self, n_traces):
+        with pytest.raises(MalformedInputError):
+            sample_terminal_posteriors(
+                MU_NO11, REVEALING, 0.1, np.random.default_rng(0), n_traces, max_steps=10
+            )
 
     def test_non_termination_cap(self):
         with pytest.raises(NonTerminationError):
