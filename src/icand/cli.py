@@ -176,6 +176,8 @@ def _cmd_simulate_signal(args) -> int:
     else:
         raise MalformedInputError("specify the signal via --reveal or --sender")
 
+    if not args.export_traces >= 0:
+        raise MalformedInputError(f"exported trace count {args.export_traces} must be >= 0")
     rng = np.random.default_rng(args.seed)
     sample = sample_terminal_posteriors(
         mu, sig, args.eps, rng, args.traces,

@@ -222,6 +222,15 @@ class InputDistribution:
         object.__setattr__(self, "_vec", vec)
         object.__setattr__(self, "_index", index)
 
+    @classmethod
+    def _checked(cls, k: int, vec: np.ndarray) -> "InputDistribution":
+        """The measure with masses ``vec`` over ``canonical_labels(k)`` as is:
+        ``vec`` must be clamped and sum to one, as the constructor leaves it."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (k, canonical_labels(k), vec, _label_index(k))):
+            object.__setattr__(self, name, value)
+        return self
+
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("InputDistribution is immutable")
 

@@ -21,8 +21,8 @@ an endpoint once within ``snap_tol`` total-variation distance; the snap
 biases the terminal law by at most ``snap_tol``.  Away from the branch
 point, steps toward a coordinate-killing target reduce to a fixed-step
 random walk in log coordinates.  The bulk sampler advances it by exact
-skips: as many steps as cannot reach either barrier, with the number taken
-toward the target drawn from a binomial law.
+skips (as many steps as cannot reach either barrier, binomially many toward
+the target) and reads every other step from a table of lines in 1 / dist.
 """
 
 from __future__ import annotations
@@ -361,12 +361,12 @@ class SimulationTrace:
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
         """The steps as signal and measure objects, built on first access."""
-        k, labels = self.mu.k, self.mu.labels
+        k = self.mu.k
         return tuple(
             TraceStep(
                 signal=Signal(self.sender, c0, c1),
                 bit=bit,
-                posterior=InputDistribution(k, dict(zip(labels, row))),
+                posterior=InputDistribution._checked(k, np.array(row)),
             )
             for (c0, c1), bit, row in self._rows()
         )
@@ -471,8 +471,6 @@ class _SegmentWalk:
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         self.pair_a = np.array([p[0] for p in pairs], dtype=int)
         self.pair_b = np.array([p[1] for p in pairs], dtype=int)
-        self.pure0 = self._pure_region(self.v0, self.d, self.alpha_mu)
-        self.pure1 = self._pure_region(self.v1, -self.d, 1.0 - self.alpha_mu)
         # what the scalar walk needs per branch (below, above the branch
         # point), as Python floats: the target, the direction, its absolute
         # value, and (a, b, |direction_b - direction_a|) per ordered pair
@@ -490,33 +488,6 @@ class _SegmentWalk:
             for base, direction in ((self.v0, self.d), (self.v1, -self.d))
         )
 
-    def _pure_region(self, base, direction, branch_extent):
-        """Largest [0, hi) of the distance scalar where lam = eps exactly.
-
-        Needs a coordinate killed by the target (ratio constraint pinned at
-        1) and no order constraint or ratio component binding below eps
-        anywhere in the region.
-        """
-        killed = (base <= ZERO_MASS) & (direction > ZERO_MASS)
-        if not killed.any():
-            return 0.0
-        hi = branch_extent
-        neg = direction < -ZERO_MASS
-        if neg.any():
-            # other ratio components stay <= 1 while 2 t |dir| <= base
-            hi = min(hi, float(np.min(base[neg] / (2.0 * -direction[neg]))))
-        g0 = base[self.pair_b] - base[self.pair_a]
-        gd = direction[self.pair_b] - direction[self.pair_a]
-        eps = self.eps
-        for g0i, gdi in zip(g0, gd):
-            if gdi >= -ZERO_MASS:
-                if g0i < -ZERO_MASS and gdi > ZERO_MASS:
-                    hi = min(hi, float(-g0i / gdi))
-            else:
-                if g0i > ZERO_MASS:
-                    hi = min(hi, float(g0i / ((1.0 + eps) * -gdi)))
-        return max(hi, 0.0)
-
     def _frame(self, alpha: np.ndarray):
         """Per entry of ``alpha``: whether it is above the branch point, its
         distance to the branch target, the target, the direction away from
@@ -527,40 +498,69 @@ class _SegmentWalk:
         direction = np.where(side1[:, None], -self.d[None, :], self.d[None, :])
         return side1, dist, base, direction, base + dist[:, None] * direction
 
-    # -- exact vectorized step ------------------------------------------------
+    def lam_table(self):
+        """Step size and ratio of a step from ``alpha``, as pieces.
 
-    def step(self, alpha: np.ndarray, bits: np.ndarray):
-        """One exact walk step for every entry of ``alpha``.
-
-        Returns (new alpha, lam, ratio).  ``bits = 0`` moves toward the
-        current branch target.
+        With u = 1/dist a live coordinate bounds lam by eps (base_i u + dir_i)
+        / |dir_i|, a strict pair by (g0 u + gd) / |gd|; between the floats where
+        a step's tests flip, lam is the lower envelope of those lines.  Returns
+        ``edges``, the first float of every piece but the first; per piece (A,
+        B, C, D), with lam = min(1, A u + B) and ratio = eps / (C u + D); and
+        per side the distance below which lam = eps and ratio = 1 (pure region).
         """
-        side1, dist, base, direction, mu_c = self._frame(alpha)
+        pa, pb, eps, n, tol = self.pair_a, self.pair_b, self.eps, self.v0.size, SEGMENT_TOL
+        u_hi, m = self.tv01 / self.snap_tol, self.pair_a.size
+        tables, pure_hi = [], []
+        for side, base, direction, a_first, a_last in (
+            (0, self.v0, self.d, 1.0 / u_hi, self.alpha_mu),
+            (1, self.v1, -self.d, np.nextafter(self.alpha_mu, 1.0), 1.0 - 1.0 / u_hi),
+        ):
+            g0, gd = base[pb] - base[pa], direction[pb] - direction[pa]
+            absd, scale = np.abs(np.r_[direction, gd]), np.r_[np.full(n, eps), np.ones(m)]
+            flip = lambda x: side + (1.0 - 2.0 * side) * x  # alpha <-> dist on this side
+            ia, ib = np.r_[np.arange(n), pa, pa, pa], np.r_[np.arange(n), pb, pb, pb]
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            comp = np.where(
-                mu_c > ZERO_MASS,
-                dist[:, None] * np.abs(direction) / np.where(mu_c > ZERO_MASS, mu_c, 1.0),
-                0.0,
-            )
-        ratio = comp.max(axis=1)
-
-        gap = mu_c[:, self.pair_b] - mu_c[:, self.pair_a]
-        scale = np.maximum(mu_c[:, self.pair_b], mu_c[:, self.pair_a])
-        strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
-        denom = dist[:, None] * np.abs(
-            direction[:, self.pair_b] - direction[:, self.pair_a]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam2 = np.where(strict & (denom > 0), gap / np.where(denom > 0, denom, 1.0), np.inf)
-        lam = np.minimum(1.0, lam2.min(axis=1))
-        with np.errstate(divide="ignore"):
-            lam = np.minimum(lam, np.where(ratio > 0, self.eps / np.where(ratio > 0, ratio, 1.0), 1.0))
-
-        toward = bits == 0
-        new_dist = np.where(toward, dist * (1.0 - lam), dist * (1.0 + lam))
-        new_alpha = np.where(side1, 1.0 - new_dist, new_dist)
-        return new_alpha, lam, ratio
+            def test(alpha, t):  # test t of a step from alpha, the sign of p_t u + q_t below
+                mu_a, mu_b = (base[i] + flip(alpha) * direction[i] for i in (ia[t], ib[t]))
+                return np.select([t < n, t < n + m, t < n + 2 * m], [
+                    mu_b > ZERO_MASS, mu_b - mu_a > tol * mu_b, mu_b - mu_a > tol * mu_a],
+                    mu_b - mu_a > tol * ZERO_MASS)
+            p = np.r_[base - ZERO_MASS, g0 - tol * base[pb], g0 - tol * base[pa],
+                      g0 - tol * ZERO_MASS]
+            q = np.r_[direction, gd - tol * direction[pb], gd - tol * direction[pa], gd]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = scale * np.r_[np.where(base > ZERO_MASS, base, 0.0), g0] / absd
+                icpt = scale * np.sign(np.r_[direction, gd])
+                near = flip(1.0 / np.outer(-q / p, [1.0 - 1e-9, 1.0 + 1e-9]))
+            near = np.clip(np.sort(near, axis=1), a_first, a_last)
+            k = np.flatnonzero(near[:, 0] < near[:, 1])
+            flips = _first_float(*near[k].T, lambda x: test(x, k) == test(near[k, 1], k))
+            bounds = np.unique(np.r_[a_first, flips])
+            on = test(bounds[:, None], np.arange(p.size))
+            on = np.c_[on[:, :n], on[:, n:].reshape(-1, 3, m).all(axis=1)]  # strict: all three
+            starts, rows = [], []
+            for a0, a1, live in zip(bounds, np.r_[bounds[1:], a_last], on & (absd > 0.0)):
+                u0, u1 = np.sort(1.0 / flip(np.array([a0, a1])))
+                ls, la, lb = _lower_envelope(slope[live], icpt[live], u0, u1)
+                rs, ra, rb = _lower_envelope(slope[:n][live[:n]], icpt[:n][live[:n]], u0, u1)
+                s = np.union1d(ls, rs)
+                li, ri = np.searchsorted(ls, s, "right") - 1, np.searchsorted(rs, s, "right") - 1
+                rows.append(np.stack([la[li], lb[li], ra[ri], rb[ri]])[:, :: 2 * side - 1])
+                starts += [a0, *np.sort(flip(1.0 / s[1:]))]
+            coef, starts = np.concatenate(rows, axis=1), np.array(starts)
+            cross = np.flatnonzero(~np.isin(starts, bounds))
+            # where two lines cross: the first float on which the new ones are lower
+            mid = (starts + np.r_[starts[1:], a_last]) / 2.0
+            starts[cross] = _first_float(mid[cross - 1], mid[cross], lambda x: (
+                coef[0::2, cross] / flip(x) + coef[1::2, cross]
+                <= coef[0::2, cross - 1] / flip(x) + coef[1::2, cross - 1]).all(axis=0))
+            tables.append((starts, coef))
+            pure = (coef == np.c_[[0.0, eps, 0.0, eps]]).all(axis=0)[:: 1 - 2 * side]
+            run = int(np.argmin(np.r_[pure, False]))  # pure pieces at the snap end
+            end = np.r_[starts, a_last][:: 1 - 2 * side][run]
+            pure_hi.append(float(flip(end)) if run else 0.0)
+        (s0, c0), (s1, c1) = tables  # the first piece also covers every alpha below it
+        return np.maximum.accumulate(np.r_[s0[1:], s1]), np.c_[c0, c1], tuple(pure_hi)
 
     # -- one trace, step by step -----------------------------------------------
 
@@ -568,10 +568,10 @@ class _SegmentWalk:
         """One walk from the branch point, with one ``rng.integers(0, 2)``
         per step.
 
-        Each step is :meth:`step` on Python floats: the same operations in
-        the same order, so the same floats.  Returns the alphas before the
-        first step and after every step, the step sizes, the bits, and the
-        endpoint snapped to (None if not snapped within ``max_steps``).
+        Each step recomputes every bound on Python floats.  Returns the
+        alphas before the first step and after every step, the step sizes,
+        the bits, and the endpoint snapped to (None if not snapped within
+        ``max_steps``).
         """
         alpha_mu, eps, tv01, snap_tol = self.alpha_mu, self.eps, self.tv01, self.snap_tol
         alpha = alpha_mu
@@ -729,6 +729,31 @@ def simulate_signal(
     )
 
 
+def _lower_envelope(A, B, u0, u1):
+    """min_j (A_j u + B_j) on [u0, u1]: the starts of its pieces and each
+    one's line (A, B), (0, inf) if none; each switch lowers the slope."""
+    A, B = np.append(A, 0.0), np.append(B, np.inf)
+    j = int(np.lexsort((A, A * u0 + B))[0])
+    starts, lines = [u0], [j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            cross = np.where(A < A[j], np.maximum((B - B[j]) / (A[j] - A), starts[-1]), np.inf)
+            j = int(np.lexsort((A, cross))[0])
+            if not cross[j] < u1:
+                return np.array(starts), A[lines], B[lines]
+            starts, lines = starts + [float(cross[j])], lines + [j]
+
+
+def _first_float(lo, hi, holds):
+    """Per entry, the first float >= 0 in (lo, hi] where ``holds``, true at hi, not at lo."""
+    lo, hi = np.asarray(lo, float).view(np.int64), np.asarray(hi, float).view(np.int64)
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        at = holds(mid.view(float))
+        lo, hi = np.where(at, lo, mid), np.where(at, mid, hi)
+    return hi.view(float)
+
+
 def _skip_lengths(
     log_dist: np.ndarray, log_lo: float, log_hi: np.ndarray, reach: float
 ) -> np.ndarray:
@@ -753,11 +778,11 @@ def sample_terminal_posteriors(
     """Terminal-posterior law of ``n_traces`` independent simulation walks.
 
     Dynamics are those of :func:`simulate_signal`, run for all walks at once
-    in rounds.  A walk in the general region takes one exact step per round
-    and asserts its weakness bound.  In the pure region the step size is
-    exactly ``eps``, so the log distance to the target moves by
-    ``ln(1 - eps)`` or ``ln(1 + eps)``; a walk there takes ``n`` steps per
-    round (:func:`_skip_lengths`), moving to
+    in rounds.  A walk in the general region takes one step per round, read
+    from :meth:`_SegmentWalk.lam_table`, and asserts its weakness bound.  In
+    the pure region the step size is exactly ``eps``, so the log distance to
+    the target moves by ``ln(1 - eps)`` or ``ln(1 + eps)``; a walk there
+    takes ``n`` steps per round (:func:`_skip_lengths`), moving to
     ``L + K ln(1 - eps) + (n - K) ln(1 + eps)`` with ``K ~ Binomial(n, 1/2)``.
     Those ``n`` steps cannot cross the snap barrier or the region's upper end
     unless ``n = 1``, which is tested as one plain step, so the skip is exact
@@ -787,6 +812,7 @@ def sample_terminal_posteriors(
     reach = max(-c_tow, c_away)
     snap_d = walk.snap_tol / walk.tv01  # snap distance, the same on both sides
     log_snap = np.log(snap_d)
+    edges, coef, (pure0, pure1) = walk.lam_table()
 
     alpha = np.full(n_traces, walk.alpha_mu)
     label = np.full(n_traces, -1, dtype=np.int8)
@@ -811,7 +837,7 @@ def sample_terminal_posteriors(
 
         side1 = a > walk.alpha_mu
         dist = np.where(side1, 1.0 - a, a)
-        pure_hi = np.where(side1, walk.pure1, walk.pure0)
+        pure_hi = np.where(side1, pure1, pure0)
         pure = (dist < pure_hi) & (dist > snap_d) & (pure_hi > 0)
 
         if pure.any():
@@ -833,12 +859,15 @@ def sample_terminal_posteriors(
         if general.any():
             idx = active[general]
             bits = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
-            new_a, lam, ratio = walk.step(a[general], bits)
-            w = float(np.max(lam * ratio))
+            d = dist[general]
+            A, B, C, D = coef[:, np.searchsorted(edges, a[general], side="right")]
+            lam = np.minimum(1.0, A / d + B)
+            w = float(np.max(lam * (eps / (C / d + D))))
             if not w <= eps * (1.0 + 1e-12):
                 raise IcandError("walk step exceeded its weakness bound")
             max_weakness = max(max_weakness, w)
-            alpha[idx] = new_a
+            new_dist = d * (1.0 + np.where(bits == 0, -lam, lam))
+            alpha[idx] = np.where(side1[general], 1.0 - new_dist, new_dist)
             steps[idx] += 1
             general_steps += idx.size
 

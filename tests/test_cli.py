@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from icand import signals
+from icand import cli, signals
 from icand.cli import main
 
 
@@ -185,6 +185,21 @@ class TestSimulateSignal:
         argv = [item for pair in options.items() for item in pair]
         code, out, err = run(
             capsys, "simulate-signal", "--measure", no11_file, "--reveal", "1", *argv
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert error["exit_code"] == 2
+
+    def test_negative_export_count_exit_2(self, capsys, monkeypatch, no11_file):
+        def no_walks(*args, **kwargs):
+            raise AssertionError("the walks ran for a malformed export count")
+
+        monkeypatch.setattr(cli, "sample_terminal_posteriors", no_walks)
+        code, out, err = run(
+            capsys, "simulate-signal", "--measure", no11_file, "--reveal", "1",
+            "--eps", "0.1", "--traces", "10", "--export-traces", "-3",
         )
         assert code == 2
         assert out == ""

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from icand.errors import (
     NonTerminationError,
     SplittingError,
 )
+from icand import measures
 from icand.measures import ZERO_MASS, InputDistribution, canonical_labels
 from icand.signals import (
     SEGMENT_TOL,
@@ -259,9 +261,129 @@ MU_K3 = InputDistribution(3, {"000": 0.3, "100": 0.25, "010": 0.2, "001": 0.15, 
 WEAK_K3 = WeakSignal(sender=2, eps=0.6).to_signal(MU_K3)
 
 
+def reference_step(walk, alpha, bits):
+    """One exact walk step for every entry of ``alpha``, every constraint
+    recomputed per walk on (N, n) and (N, n(n - 1)) arrays: the reference
+    for the sampler's lam table and the traces' scalar step.  Returns (new
+    alpha, lam, ratio); ``bits = 0`` moves toward the current branch
+    target."""
+    side1, dist, base, direction, mu_c = walk._frame(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp = np.where(
+            mu_c > ZERO_MASS,
+            dist[:, None] * np.abs(direction) / np.where(mu_c > ZERO_MASS, mu_c, 1.0),
+            0.0,
+        )
+    ratio = comp.max(axis=1)
+
+    gap = mu_c[:, walk.pair_b] - mu_c[:, walk.pair_a]
+    scale = np.maximum(mu_c[:, walk.pair_b], mu_c[:, walk.pair_a])
+    strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
+    denom = dist[:, None] * np.abs(direction[:, walk.pair_b] - direction[:, walk.pair_a])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam2 = np.where(strict & (denom > 0), gap / np.where(denom > 0, denom, 1.0), np.inf)
+    lam = np.minimum(1.0, lam2.min(axis=1))
+    with np.errstate(divide="ignore"):
+        lam = np.minimum(
+            lam, np.where(ratio > 0, walk.eps / np.where(ratio > 0, ratio, 1.0), 1.0)
+        )
+
+    toward = bits == 0
+    new_dist = np.where(toward, dist * (1.0 - lam), dist * (1.0 + lam))
+    new_alpha = np.where(side1, 1.0 - new_dist, new_dist)
+    return new_alpha, lam, ratio
+
+
+def table_step(walk, alpha):
+    """lam and ratio of a step from each ``alpha`` read off
+    ``walk.lam_table()`` as the bulk sampler reads them."""
+    edges, coef, _ = walk.lam_table()
+    dist = np.where(alpha > walk.alpha_mu, 1.0 - alpha, alpha)
+    A, B, C, D = coef[:, np.searchsorted(edges, alpha, side="right")]
+    return np.minimum(1.0, A / dist + B), walk.eps / (C / dist + D)
+
+
+def exact_step(walk, alpha):
+    """lam and ratio of :func:`reference_step` at each ``alpha``, with its
+    float tests (which coordinates are live, which pairs strict) but every
+    bound evaluated in exact rational arithmetic on its float inputs."""
+    _, dist, base, direction, mu_c = walk._frame(alpha)
+    live = mu_c > ZERO_MASS
+    scale = np.maximum(mu_c[:, walk.pair_b], mu_c[:, walk.pair_a])
+    gap = mu_c[:, walk.pair_b] - mu_c[:, walk.pair_a]
+    strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
+    eps, lams, ratios = Fraction(walk.eps), [], []
+    for r in range(alpha.size):
+        t = Fraction(dist[r])
+        e = [Fraction(x) for x in direction[r]]
+        m = [Fraction(b) + t * x for b, x in zip(base[r], e)]
+        ratio = max([t * abs(e[i]) / m[i] for i in np.flatnonzero(live[r])], default=0)
+        bounds = [Fraction(1)] + ([eps / ratio] if ratio > 0 else [])
+        bounds += [
+            (m[j] - m[i]) / (t * abs(e[j] - e[i]))
+            for i, j in zip(walk.pair_a[strict[r]], walk.pair_b[strict[r]])
+            if e[j] != e[i]
+        ]
+        lams.append(float(min(bounds)))
+        ratios.append(float(ratio))
+    return np.array(lams), np.array(ratios)
+
+
+def assert_table_matches_step(walk, alpha):
+    """The table gives the reference step's lam to 1e-15 and its ratio to
+    1e-14 relative; where the float reference is itself further than that
+    from its exact value, the table is held to those bounds against the
+    exact value instead.  Where the sampler skips (the pure region) both
+    give lam = eps and ratio = 1."""
+    stepping = (alpha * walk.tv01 > walk.snap_tol) & ((1.0 - alpha) * walk.tv01 > walk.snap_tol)
+    alpha = alpha[stepping]
+    lam, ratio = table_step(walk, alpha)
+    _, ref_lam, ref_ratio = reference_step(walk, alpha, np.zeros(alpha.size, dtype=int))
+    off = ~(np.abs(lam - ref_lam) <= 1e-15) | ~(np.abs(ratio - ref_ratio) <= 1e-14 * ref_ratio)
+    exact_lam, exact_ratio = exact_step(walk, alpha[off])
+    assert np.all(np.abs(lam[off] - exact_lam) <= 1e-15)
+    assert np.all(np.abs(ratio[off] - exact_ratio) <= 1e-14 * exact_ratio)
+
+    side1 = alpha > walk.alpha_mu
+    pure0, pure1 = walk.lam_table()[2]
+    pure = np.where(side1, 1.0 - alpha, alpha) < np.where(side1, pure1, pure0)
+    for got_lam, got_ratio in ((lam, ratio), (ref_lam, ref_ratio)):
+        assert np.all(np.abs(got_lam[pure] - walk.eps) <= 1e-15)
+        assert np.all(np.abs(got_ratio[pure] - 1.0) <= 1e-14)
+    return alpha.size
+
+
+def table_alphas(walk, n_grid):
+    """A uniform alpha grid, every table edge and the floats either side of
+    it, and the branch point."""
+    edges = walk.lam_table()[0]
+    return np.r_[
+        np.linspace(0.0, 1.0, n_grid), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0), walk.alpha_mu,
+    ]
+
+
+@st.composite
+def basis_family_walks(draw):
+    """Walks of random signals on random basis-family measures, k <= 5, some
+    masses and some conditionals zero or one."""
+    k = draw(st.integers(2, 5))
+    labels = canonical_labels(k)
+    mass = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=len(labels), max_size=len(labels)
+    ))
+    assume(sum(mass) > 0.0)
+    mu = InputDistribution(k, dict(zip(labels, np.array(mass) / sum(mass))))
+    cond = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+    sig = Signal(draw(st.integers(1, k)), draw(cond), draw(cond))
+    walk = _SegmentWalk(mu, sig, draw(st.floats(0.01, 0.9)), draw(st.sampled_from([1e-4, 1e-8])))
+    assume(not walk.degenerate and walk.tv01 > 0.0)
+    return walk
+
+
 def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6, validate=True):
     """The per-step trace loop the array path replaced: each step goes
-    through the vectorized ``_SegmentWalk.step`` and builds its own signal
+    through :func:`reference_step` and builds its own signal
     and measure, and is validated on its own.  Returns the trace's JSON."""
     walk = _SegmentWalk(mu, sig, eps, snap_tol)
     steps = []
@@ -276,7 +398,7 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6, valida
                     "terminal": snapped.to_json_obj(),
                 }
         bit = int(rng.integers(0, 2))
-        new_alpha, lam, _ = walk.step(np.array([alpha]), np.array([bit]))
+        new_alpha, lam, _ = reference_step(walk, np.array([alpha]), np.array([bit]))
         new_alpha, lam = float(new_alpha[0]), float(lam[0])
         side1 = alpha > walk.alpha_mu
         dist = (1.0 - alpha) if side1 else alpha
@@ -323,7 +445,7 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6, valida
 
 def reference_sample(mu, sig, eps, rng, n_traces, snap_tol):
     """Step-by-step bulk sampler: every step of every walk goes through
-    ``_SegmentWalk.step``.  Returns each walk's endpoint and step count."""
+    :func:`reference_step`.  Returns each walk's endpoint and step count."""
     walk = _SegmentWalk(mu, sig, eps, snap_tol)
     alpha = np.full(n_traces, walk.alpha_mu)
     label = np.full(n_traces, -1)
@@ -336,9 +458,83 @@ def reference_sample(mu, sig, eps, rng, n_traces, snap_tol):
         label[active[hit0]] = 0
         label[active[hit1 & ~hit0]] = 1
         active = active[~(hit0 | hit1)]
-        alpha[active] = walk.step(alpha[active], rng.integers(0, 2, size=active.size))[0]
+        alpha[active] = reference_step(
+            walk, alpha[active], rng.integers(0, 2, size=active.size)
+        )[0]
         steps[active] += 1
     return label, steps
+
+
+class TestLamTable:
+    @pytest.mark.parametrize(
+        "mu, sig, eps, snap_tol",
+        [
+            (MU_NO11, REVEALING, 0.05, 1e-6),
+            (MU_NO11, REVEALING, 0.25, 1e-6),
+            (MU_K3, WEAK_K3, 0.1, 1e-4),
+            (MU_K3, WEAK_K3, 0.05, 1e-6),
+            # lines cross where one float of alpha moves u by far more than
+            # an ulp: an edge off by one float there misses 1e-15
+            (
+                InputDistribution(
+                    3, {"000": 0.2, "100": 0.3, "010": 0.1, "001": 0.1, "111": 0.3}
+                ),
+                Signal(sender=3, p0_given_0=0.25, p0_given_1=0.75),
+                0.05,
+                1e-4,
+            ),
+        ],
+    )
+    def test_table_matches_reference_step(self, mu, sig, eps, snap_tol):
+        walk = _SegmentWalk(mu, sig, eps, snap_tol)
+        assert assert_table_matches_step(walk, table_alphas(walk, 20001)) > 19000
+
+    @pytest.mark.parametrize("eps", [0.05, 0.25])
+    def test_pure_region_of_the_revealing_signal(self, eps):
+        # below the branch point the order of 00 over 10 binds lam below
+        # eps beyond dist 1 / (3 (1 + eps)); above it the ratio of 10
+        # exceeds 1 beyond dist 1/2
+        walk = _SegmentWalk(MU_NO11, REVEALING, eps, 1e-6)
+        assert walk.lam_table()[2] == pytest.approx((1 / (3 * (1 + eps)), 0.5), rel=1e-15)
+
+    @given(basis_family_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_reference_step_on_basis_family(self, walk):
+        assert_table_matches_step(walk, table_alphas(walk, 501))
+
+    def test_inflated_entry_trips_the_weakness_guard(self, monkeypatch):
+        lam_table = _SegmentWalk.lam_table
+
+        def inflated(walk):
+            edges, coef, pure = lam_table(walk)
+            coef = coef.copy()
+            coef[:2, np.searchsorted(edges, walk.alpha_mu, side="right")] *= 1.5
+            return edges, coef, pure
+
+        monkeypatch.setattr(_SegmentWalk, "lam_table", inflated)
+        with pytest.raises(IcandError, match="weakness"):
+            sample_terminal_posteriors(
+                MU_NO11, REVEALING, eps=0.05, rng=np.random.default_rng(0), n_traces=100
+            )
+
+    def test_twelve_players(self):
+        rng = np.random.default_rng(12)
+        labels = canonical_labels(12)
+        mass = rng.uniform(0.5, 1.5, len(labels))
+        mu = InputDistribution(12, dict(zip(labels, mass / mass.sum())))
+        sig = Signal(sender=3, p0_given_0=0.9, p0_given_1=0.2)
+        walk = _SegmentWalk(mu, sig, 0.2, 1e-4)
+        assert walk.lam_table()[1].shape[1] > 2 * len(labels)
+        assert_table_matches_step(walk, table_alphas(walk, 2001))
+        n = 200
+        sample = sample_terminal_posteriors(
+            mu, sig, 0.2, np.random.default_rng(13), n, snap_tol=1e-4
+        )
+        assert sample.count0 + sample.count1 == n
+        assert sample.general_steps > 0
+        assert sample.max_weakness <= 0.2 * (1 + 1e-12)
+        p0 = sample.prob0_exact
+        assert sample.tv_distance() <= 4 * math.sqrt(p0 * (1 - p0) / n) + 1e-4
 
 
 class TestSimulation:
@@ -435,7 +631,7 @@ class TestSimulation:
         c_tow, c_away = math.log1p(-eps), math.log1p(eps)
         reach = max(-c_tow, c_away)
         lo = math.log(snap_tol / walk.tv01)
-        for pure_hi in (walk.pure0, walk.pure1):
+        for pure_hi in walk.lam_table()[2]:
             hi = math.log(pure_hi)
             assume(hi > lo)
             L = lo + u * (hi - lo)  # a start in the pure region, in log distance
@@ -501,6 +697,28 @@ class TestSimulation:
             }
             for st in steps
         ] == trace.to_json_obj()["steps"]
+
+    @pytest.mark.parametrize(
+        "mu, sig, eps", [(MU_K3, WEAK_K3, 0.1), (MU_NO11, REVEALING, 0.3)]
+    )
+    def test_step_posteriors_equal_the_constructor_path(self, mu, sig, eps):
+        trace = simulate_signal(mu, sig, eps, np.random.default_rng(5), snap_tol=1e-4)
+        assert len(trace.steps) > 1
+        for step, row in zip(trace.steps, trace.posteriors):
+            built = InputDistribution(mu.k, dict(zip(mu.labels, row)))
+            assert np.array_equal(step.posterior.vector, built.vector)
+            assert step.posterior == built
+
+    def test_reading_steps_does_not_validate_again(self, monkeypatch):
+        trace = simulate_signal(MU_K3, WEAK_K3, 0.1, np.random.default_rng(5), snap_tol=1e-4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checked posterior was validated again")
+
+        monkeypatch.setattr(measures, "_as_prob_vector", refuse)
+        steps = trace.steps
+        assert len(steps) == len(trace.bits) > 1
+        assert steps[-1].posterior.k == MU_K3.k
 
     def test_validation_rejects_bad_steps(self):
         walk = _SegmentWalk(MU_NO11, REVEALING, 0.2, 1e-3)
