@@ -39,12 +39,13 @@ the transcript reveals nothing, so both costs are zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
-from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel, _prior_entropies
+from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 from .quadrature import integrate, integrate_segments
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "BuzzersProtocol",
     "ICReport",
     "start_times",
-    "phi",
     "buzz_densities",
     "player_classes",
     "conditional_entropies",
@@ -136,19 +136,6 @@ class BuzzersProtocol:
         """Same protocol with every start time moved by ``offset``; the
         exponential clocks are memoryless, so costs are invariant."""
         return BuzzersProtocol(tuple(t + offset for t in self.player_times))
-
-
-def phi(label: InputLabel, t: float, times: StartTimes | BuzzersProtocol) -> float:
-    """Total active time before ``t``: sum of max(t - t_i, 0) over players
-    with bit 0."""
-    per_player = (
-        times.per_player if isinstance(times, StartTimes) else times.player_times
-    )
-    if label.k != len(per_player):
-        raise MalformedInputError("label and start times disagree on k")
-    return float(
-        sum(max(t - ti, 0.0) for ti, b in zip(per_player, label.bits) if b == 0)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +351,8 @@ def information_cost(
     Concealed information is reported against the original measure's
     entropies.
     """
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
+        raise MalformedInputError(f"tolerances rtol={rtol}, atol={atol} must be finite and >= 0")
     mu_r, c_ones = mu.without_all_ones()
     e = np.array([mu_r.e_mass(i) for i in range(1, mu.k + 1)])
     if np.any(e <= ZERO_MASS):

@@ -255,6 +255,12 @@ def _random_measure(rng, k: int) -> InputDistribution:
 
 
 def _cmd_continuity_check(args) -> int:
+    if not args.pairs >= 1:
+        raise MalformedInputError(f"pair count {args.pairs} must be >= 1")
+    if not args.mixtures >= 0:
+        raise MalformedInputError(f"mixture count {args.mixtures} must be >= 0")
+    if not args.delta_max > 0.0:
+        raise MalformedInputError(f"--delta-max {args.delta_max} must be > 0")
     rng = np.random.default_rng(args.seed)
     k_values = _ints(args.k)
     rows = []

@@ -40,7 +40,7 @@ from .errors import (
     MalformedInputError,
     ToleranceError,
 )
-from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel
+from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel, canonical_labels
 from .quadrature import integrate_segments
 
 __all__ = [
@@ -53,11 +53,8 @@ __all__ = [
     "gamma1_of",
     "perturb",
     "window_deficits",
-    "deficit_external",
-    "deficit_internal",
     "taylor_coefficient",
     "outside_window_checks",
-    "weakness_budget",
     "merge_tail_players",
     "concavity_report",
     "verify_grid",
@@ -126,28 +123,16 @@ class CanonicalMeasure:
                 f"canonical family infeasible: mass(all-zeros) = {mass_zeros:.3e} "
                 f"for k={self.k}, s={self.s}, beta={self.beta}, eps={eps}"
             )
-        mass = {InputLabel.zeros(self.k): max(mass_zeros, 0.0)}
+        labels = canonical_labels(self.k)  # all-zeros, e_1, ..., e_k first
+        mass = {labels[0]: max(mass_zeros, 0.0)}
         for i in range(1, self.k + 1):
-            mass[InputLabel.basis(self.k, i)] = self.beta if i < self.s else bs
+            mass[labels[i]] = self.beta if i < self.s else bs
         return InputDistribution(self.k, mass)
 
     def sender_times(self, eps: float) -> tuple[float, ...]:
         """Start times shifted so the sender block sits at zero."""
         g0 = self.gamma0(eps)
         return tuple(-g0 if i < self.s else 0.0 for i in range(1, self.k + 1))
-
-    def weakness_budget(self, c: float = 1.0) -> float:
-        return weakness_budget(self.k, self.beta, c)
-
-
-def weakness_budget(k: int, beta: float, c: float = 1.0) -> float:
-    """Admissible signal weakness ``c k^-20 min(beta, 1-k beta)^3``.
-
-    The constant is a proof artifact and astronomically small; verification
-    sweeps use larger weakness values and monitor the quartic residual
-    instead, which is the checkable content of the cubic law.
-    """
-    return float(c * k**-20 * min(beta, 1.0 - k * beta) ** 3)
 
 
 @dataclass(frozen=True)
@@ -370,28 +355,6 @@ def window_deficits(
     )
 
 
-def deficit_external(canonical: CanonicalMeasure, eps: float, **kw) -> float:
-    """Window deficit of the external condition for the canonical family."""
-    return window_deficits(
-        canonical.measure(eps),
-        canonical.s,
-        eps,
-        protocol=BuzzersProtocol(canonical.sender_times(eps)),
-        **kw,
-    ).external
-
-
-def deficit_internal(canonical: CanonicalMeasure, eps: float, **kw) -> float:
-    """Window deficit of the internal condition (summed over players)."""
-    return window_deficits(
-        canonical.measure(eps),
-        canonical.s,
-        eps,
-        protocol=BuzzersProtocol(canonical.sender_times(eps)),
-        **kw,
-    ).internal
-
-
 def taylor_coefficient(k: int, s: int, beta: float, which: str) -> float:
     """Leading cubic-law coefficient: deficit ~ coefficient * eps^3.
 
@@ -541,32 +504,6 @@ class ConcavityReport:
     residual_ext: float
     residual_int: float
     outside: OutsideWindowChecks | None
-
-    def to_json_obj(self) -> dict:
-        out = {
-            "k": self.k,
-            "s": self.s,
-            "beta": self.beta,
-            "eps": self.eps,
-            "window": list(self.window),
-            "ext_deficit": self.ext_deficit,
-            "int_deficit": self.int_deficit,
-            "taylor_ext": self.taylor_ext,
-            "taylor_int": self.taylor_int,
-            "residual_ext": self.residual_ext,
-            "residual_int": self.residual_int,
-        }
-        if self.outside is not None:
-            out["outside"] = {
-                "left_value": self.outside.left_value,
-                "left_ok": self.outside.left_ok,
-                "right_value": self.outside.right_value,
-                "right_ok": self.outside.right_ok,
-                "eps2_ok": self.outside.eps2_ok,
-                "eps2_skip_reason": self.outside.eps2_skip_reason,
-            }
-        return out
-
 
 def concavity_report(
     canonical: CanonicalMeasure, eps: float, *, with_outside: bool = True

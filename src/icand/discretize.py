@@ -63,12 +63,12 @@ def build(
     ``horizon`` must leave at least one time unit past the last start time.
     The construction is exact; nothing is sampled.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise MalformedInputError(f"slot length {delta} must be positive")
     times = np.asarray(start_times(mu).per_player)
-    if horizon < times.max() + 1.0:
+    if not times.max() + 1.0 <= horizon < math.inf:
         raise MalformedInputError(
-            f"horizon {horizon} too small; need at least {times.max() + 1.0}"
+            f"horizon {horizon} must be finite and at least {times.max() + 1.0}"
         )
     n_slots = int(math.ceil(horizon / delta))
 

@@ -23,12 +23,6 @@ class InvalidDistributionError(IcandError):
     exit_code = 2
 
 
-class AbsoluteContinuityError(IcandError):
-    """Divergence D(p || q) requested with supp(p) not contained in supp(q)."""
-
-    exit_code = 2
-
-
 class MalformedInputError(IcandError):
     """Unparseable measure file, signal file, or CLI payload."""
 
@@ -62,13 +56,6 @@ class ConditioningError(IcandError):
     """Conditioning on an event of probability zero."""
 
     exit_code = 2
-
-
-class SplittingError(IcandError):
-    """Posterior-splitting request is infeasible (point off the segment or at
-    an endpoint)."""
-
-    exit_code = 4
 
 
 class NonTerminationError(IcandError):

@@ -26,7 +26,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
-    AbsoluteContinuityError,
     AssumptionViolationError,
     ConditioningError,
     InvalidDistributionError,
@@ -40,6 +39,10 @@ ZERO_MASS = 1e-15
 
 #: Normalization slack accepted when validating distributions.
 SUM_TOL = 1e-12
+
+#: Largest player count: the canonical labels are k + 2 dense k-tuples, so a
+#: larger k is rejected before any of them is built.
+MAX_K = 1000
 
 
 @dataclass(frozen=True, order=True)
@@ -77,10 +80,6 @@ class InputLabel:
     def k(self) -> int:
         return len(self.bits)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -93,6 +92,8 @@ def canonical_labels(k: int) -> tuple[InputLabel, ...]:
     coincide with (0,) and (1,).  Cached: every measure with ``k`` players
     shares the one tuple.
     """
+    if k > MAX_K:
+        raise MalformedInputError(f"player count {k} exceeds the limit {MAX_K}")
     labels = [InputLabel.zeros(k)]
     labels += [InputLabel.basis(k, i) for i in range(1, k + 1)]
     ones = InputLabel.ones(k)
@@ -157,38 +158,6 @@ def binary_entropy(x: float) -> float:
     return entropy((x, 1.0 - x))
 
 
-def divergence(p: Iterable[float], q: Iterable[float]) -> float:
-    """Relative entropy D(p || q) in bits; requires supp(p) within supp(q)."""
-    vp = _as_prob_vector(p, "p")
-    vq = _as_prob_vector(q, "q")
-    if vp.shape != vq.shape:
-        raise InvalidDistributionError("p and q have different lengths")
-    live = vp > ZERO_MASS
-    if np.any(live & (vq <= ZERO_MASS)):
-        raise AbsoluteContinuityError("supp(p) is not contained in supp(q)")
-    d = float(np.sum(vp[live] * (np.log(vp[live]) - np.log(vq[live]))) / LN2)
-    return max(d, 0.0)
-
-
-def mutual_information(joint: np.ndarray) -> float:
-    """Mutual information of a 2-D joint distribution, in bits.
-
-    Computed as H(rows) + H(cols) - H(joint); tiny negative values from
-    rounding are clamped to zero.
-    """
-    j = np.asarray(joint, dtype=float)
-    if j.ndim != 2:
-        raise InvalidDistributionError("joint must be a 2-D array")
-    _as_prob_vector(j.ravel(), "joint")
-    h_rows = entropy(j.sum(axis=1))
-    h_cols = entropy(j.sum(axis=0))
-    h_joint = entropy(j.ravel())
-    mi = h_rows + h_cols - h_joint
-    if mi < -1e-12:
-        raise InvalidDistributionError(f"mutual information {mi} below numeric slack")
-    return max(mi, 0.0)
-
-
 class InputDistribution:
     """Measure on the k-player input cube, supported on the basis family.
 
@@ -244,11 +213,7 @@ class InputDistribution:
     @classmethod
     def uniform_basis(cls, k: int) -> "InputDistribution":
         """Uniform measure on {e_1, ..., e_k}."""
-        return cls(k, {InputLabel.basis(k, i): 1.0 / k for i in range(1, k + 1)})
-
-    @classmethod
-    def point_mass(cls, label: InputLabel) -> "InputDistribution":
-        return cls(label.k, {label: 1.0})
+        return cls(k, {lab: 1.0 / k for lab in canonical_labels(k)[1 : k + 1]})
 
     @classmethod
     def from_json(cls, text_or_obj) -> "InputDistribution":
@@ -308,10 +273,6 @@ class InputDistribution:
         """Pr[X_i = 1]."""
         return float(sum(m for lab, m in zip(self._labels, self._vec) if lab.bits[i - 1] == 1))
 
-    def zeta(self, i: int) -> float:
-        """Pr[X_i = 0]."""
-        return 1.0 - self.beta(i)
-
     def support(self) -> tuple[InputLabel, ...]:
         return tuple(lab for lab, m in zip(self._labels, self._vec) if m > ZERO_MASS)
 
@@ -335,15 +296,6 @@ class InputDistribution:
         return float(0.5 * np.abs(self._vec - other._vec).sum())
 
     # -- transforms -----------------------------------------------------------
-
-    def condition_on_player(self, i: int, b: int) -> "InputDistribution":
-        """Measure conditioned on X_i = b."""
-        keep = np.array([lab.bits[i - 1] == b for lab in self._labels])
-        pb = float(self._vec[keep].sum())
-        if pb <= ZERO_MASS:
-            raise ConditioningError(f"Pr[X_{i} = {b}] = 0 under this measure")
-        vec = np.where(keep, self._vec, 0.0) / pb
-        return InputDistribution(self.k, dict(zip(self._labels, vec)))
 
     def without_all_ones(self) -> tuple["InputDistribution", float]:
         """Measure conditioned on X != all-ones, plus the removed mass."""

@@ -101,6 +101,11 @@ def _maximize(
     grid_step: float,
     coord_tol: float,
 ) -> OptResult:
+    # a subnormal step would overflow the lattice size 1 / grid_step
+    if not grid_step >= np.finfo(float).tiny:
+        raise MalformedInputError(f"grid step {grid_step} must be a positive normal float")
+    if not 0.0 < coord_tol < math.inf:
+        raise MalformedInputError(f"coordinate tolerance {coord_tol} must be finite and > 0")
     free = pattern.free_labels
     n = len(free)
 

@@ -1,4 +1,4 @@
-"""Single-bit signals: posteriors, classification, splitting, and simulation.
+"""Single-bit signals: posteriors, classification, and the simulation walk.
 
 A signal is one randomized bit ``B`` sent by player ``s`` whose law depends
 on the input only through ``x_s``.  Observing ``B = b`` moves the input
@@ -39,22 +39,17 @@ from .errors import (
     InvalidDistributionError,
     MalformedInputError,
     NonTerminationError,
-    SplittingError,
 )
-from .measures import LN2, SUM_TOL, ZERO_MASS, InputDistribution, _xlogx
+from .measures import SUM_TOL, ZERO_MASS, InputDistribution
 
 __all__ = [
     "Signal",
-    "WeakSignal",
     "SignalProfile",
     "TraceStep",
     "SimulationTrace",
     "TerminalSample",
     "posterior",
     "classify",
-    "signal_info_internal",
-    "signal_info_external",
-    "split",
     "simulate_signal",
     "sample_terminal_posteriors",
 ]
@@ -107,29 +102,6 @@ class Signal:
         }
 
 
-@dataclass(frozen=True)
-class WeakSignal:
-    """Weakness-``eps`` unbiased signal: its conditionals tilt by eps times
-    the opposite bit's probability, so Pr[B=0] = 1/2 under the reference
-    measure for every eps."""
-
-    sender: int
-    eps: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eps < 1.0:
-            raise MalformedInputError(f"weakness parameter {self.eps} outside [0,1)")
-
-    def to_signal(self, mu: InputDistribution) -> Signal:
-        beta = mu.beta(self.sender)
-        zeta = 1.0 - beta
-        return Signal(
-            sender=self.sender,
-            p0_given_0=(1.0 + self.eps * beta) / 2.0,
-            p0_given_1=(1.0 - self.eps * zeta) / 2.0,
-        )
-
-
 def posterior(mu: InputDistribution, sig: Signal, bit: int) -> InputDistribution:
     """Input measure conditioned on the signal value: a row-multiplied ``mu``.
 
@@ -179,149 +151,6 @@ def classify(mu: InputDistribution, sig: Signal) -> SignalProfile:
                     if post.mass(xa) > post.mass(xb) + 1e-12:
                         noncrossing = False
     return SignalProfile(unbiased=unbiased, noncrossing=noncrossing, weakness=float(weakness))
-
-
-def _joint_mi_nats(weights: np.ndarray, p0: np.ndarray) -> float:
-    """I(B; X) in nats for unnormalized input weights and per-input
-    Pr[B=0]; zero-weight rows drop out."""
-    w = weights / weights.sum()
-    joint = np.stack([w * p0, w * (1.0 - p0)], axis=1)
-    pb = joint.sum(axis=0)
-    h_x = -_xlogx(w).sum()
-    h_b = -_xlogx(pb).sum()
-    h_joint = -_xlogx(joint.ravel()).sum()
-    return float(max(h_x + h_b - h_joint, 0.0))
-
-
-def signal_info_external(mu: InputDistribution, sig: Signal) -> float:
-    """I(B; X) in bits, exactly from the finite joint."""
-    sig._check_k(mu)
-    w = mu.vector
-    p0 = np.array([sig.p0_given(lab.bits[sig.sender - 1]) for lab in mu.labels])
-    live = w > ZERO_MASS
-    if not live.any():
-        return 0.0
-    return _joint_mi_nats(w[live], p0[live]) / LN2
-
-
-def signal_info_internal(mu: InputDistribution, sig: Signal) -> float:
-    """Sum over players of I(B; X | X_i) in bits, exactly."""
-    sig._check_k(mu)
-    w = mu.vector
-    p0 = np.array([sig.p0_given(lab.bits[sig.sender - 1]) for lab in mu.labels])
-    bits = np.array([lab.bits for lab in mu.labels])
-    total = 0.0
-    for i in range(mu.k):
-        for b in (0, 1):
-            sel = (bits[:, i] == b) & (w > ZERO_MASS)
-            pb = float(w[sel].sum())
-            if pb <= ZERO_MASS:
-                continue
-            total += pb * _joint_mi_nats(w[sel], p0[sel])
-    return total / LN2
-
-
-# ---------------------------------------------------------------------------
-# splitting
-# ---------------------------------------------------------------------------
-
-
-def _segment_coordinate(
-    base: np.ndarray, direction: np.ndarray, point: np.ndarray
-) -> float:
-    """Solve point = base + t * direction; SplittingError if off the line."""
-    scale = float(np.max(np.abs(direction)))
-    if scale <= ZERO_MASS:
-        if np.max(np.abs(point - base)) > SEGMENT_TOL:
-            raise SplittingError("segment is degenerate but point differs from it")
-        return 0.0
-    j = int(np.argmax(np.abs(direction)))
-    t = float((point[j] - base[j]) / direction[j])
-    residual = np.max(np.abs(base + t * direction - point))
-    if residual > SEGMENT_TOL * max(1.0, np.max(np.abs(point))):
-        raise SplittingError(f"point is off the posterior segment (residual {residual:.2e})")
-    return t
-
-
-def split(
-    mu: InputDistribution,
-    sig: Signal,
-    rho: InputDistribution,
-    rho0: InputDistribution,
-    rho1: InputDistribution,
-) -> Signal:
-    """Signal the same sender can emit at ``rho`` with posteriors ``rho0/rho1``.
-
-    All three points must lie on the sender's posterior segment through
-    ``mu`` (the convex hull of ``mu | B=0`` and ``mu | B=1``), with ``rho``
-    strictly between ``rho0`` and ``rho1``; the open interval is essential,
-    an endpoint ``rho`` admits no splitting signal unless the segment is
-    degenerate.
-    """
-    sig._check_k(mu)
-    p_top = sig.prob0(mu)
-    if p_top <= ZERO_MASS or p_top >= 1.0 - ZERO_MASS:
-        mu0_vec = mu1_vec = mu.vector
-    else:
-        mu0_vec = posterior(mu, sig, 0).vector
-        mu1_vec = posterior(mu, sig, 1).vector
-    d = mu1_vec - mu0_vec
-
-    for point, name in ((rho0, "rho0"), (rho1, "rho1"), (rho, "rho")):
-        if point.k != mu.k:
-            raise SplittingError(f"{name} lives on a different cube")
-        t = _segment_coordinate(mu0_vec, d, point.vector)
-        if not -SEGMENT_TOL <= t <= 1.0 + SEGMENT_TOL:
-            raise SplittingError(f"{name} is outside the posterior segment")
-
-    seg = rho1.vector - rho0.vector
-    if np.max(np.abs(seg)) <= ZERO_MASS:
-        if rho.statistical_distance(rho0) > SEGMENT_TOL:
-            raise SplittingError("rho0 = rho1 but rho differs")
-        return Signal(sender=sig.sender, p0_given_0=0.5, p0_given_1=0.5)
-
-    a = _segment_coordinate(rho0.vector, seg, rho.vector)  # rho = rho0 + a*(rho1-rho0)
-    p = 1.0 - a  # Pr[B'=0]
-    if not ZERO_MASS < p < 1.0 - ZERO_MASS:
-        raise SplittingError(
-            f"rho sits at an endpoint of (rho0, rho1) (Pr[B'=0] = {p:.3e}); "
-            "the open interval is required"
-        )
-
-    # read the conditionals off the smaller branch, where they are computed
-    # to full relative accuracy, and complement for the other one
-    sbit = sig.sender - 1
-    small_is_zero = p <= 0.5
-    weight, target_small = (p, rho0) if small_is_zero else (1.0 - p, rho1)
-    conds = []
-    for v in (0, 1):
-        vals = [
-            weight * target_small.mass(lab) / rho.mass(lab)
-            for lab in rho.support()
-            if lab.bits[sbit] == v and rho.mass(lab) > ZERO_MASS
-        ]
-        if not vals:
-            conds.append(0.5)
-            continue
-        if max(vals) - min(vals) > SEGMENT_TOL * max(1.0, max(vals)):
-            raise SplittingError(
-                "the three points are not on one row-multiplier family "
-                "of the sender"
-            )
-        q_small = min(max(float(np.mean(vals)), 0.0), 1.0)
-        conds.append(q_small if small_is_zero else 1.0 - q_small)
-    out = Signal(sender=sig.sender, p0_given_0=float(conds[0]), p0_given_1=float(conds[1]))
-
-    # round trip, weighted by branch probability: a branch of vanishing
-    # probability cannot be represented to absolute precision by float
-    # conditionals, and contributes proportionally little
-    for bit, target, pb in ((0, rho0, p), (1, rho1, 1.0 - p)):
-        if pb <= ZERO_MASS:
-            continue
-        got = posterior(rho, out, bit)
-        if min(pb, 1.0) * got.statistical_distance(target) > 1e-10:
-            raise SplittingError("posterior round-trip check failed")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +277,11 @@ class _SegmentWalk:
         self.eps = eps
         self.snap_tol = snap_tol
         self.p0 = sig.prob0(mu)
-        self.degenerate = self.p0 <= ZERO_MASS or self.p0 >= 1.0 - ZERO_MASS
+        # a signal with one law on the whole support (equal conditionals, or
+        # a support inside one class of the sender's bit) leaves both
+        # posteriors at mu: there is no segment to walk
+        laws = {sig.p0_given(lab.bits[sig.sender - 1]) for lab in mu.support()}
+        self.degenerate = self.p0 <= ZERO_MASS or self.p0 >= 1.0 - ZERO_MASS or len(laws) == 1
         if self.degenerate:
             return
         mu0 = posterior(mu, sig, 0)

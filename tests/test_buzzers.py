@@ -15,7 +15,6 @@ from icand.buzzers import (
     conditional_entropies,
     cost_under,
     information_cost,
-    phi,
     player_classes,
     start_times,
 )
@@ -70,21 +69,6 @@ class TestStartTimes:
         with pytest.raises(ZeroEMassError) as err:
             start_times(InputDistribution.two_party(0.5, 0.5, 0.0, 0.0))
         assert err.value.players == (1,)
-
-
-class TestPhi:
-    def test_before_start_is_zero(self):
-        proto = BuzzersProtocol((0.0, 1.0))
-        assert phi(InputLabel.from_string("00"), -0.5, proto) == 0.0
-
-    def test_all_ones_always_zero(self):
-        proto = BuzzersProtocol((0.0, 0.0, 0.0))
-        assert phi(InputLabel.ones(3), 100.0, proto) == 0.0
-
-    def test_piecewise_value(self):
-        proto = BuzzersProtocol((0.0, 0.0, math.log(4.0)))
-        # two players active for one unit, the third not yet started
-        assert phi(InputLabel.zeros(3), 1.0, proto) == pytest.approx(2.0, abs=1e-15)
 
 
 def per_input_densities(mu, ts, protocol=None):
@@ -142,7 +126,7 @@ class TestDensity:
     @given(basis_measures(with_ones=True))
     @settings(max_examples=30, deadline=None)
     def test_normalization_per_input(self, mu):
-        expected = [0.0 if lab.weight == lab.k else 1.0 for lab in mu.labels]
+        expected = [0.0 if sum(lab.bits) == lab.k else 1.0 for lab in mu.labels]
         np.testing.assert_allclose(buzz_mass_per_input(mu), expected, atol=1e-10)
 
     def test_normalization_by_quadrature(self):
@@ -229,9 +213,7 @@ class TestInformationCost:
         assert report.external_bits == pytest.approx(0.7325275143508104, abs=1e-9)
 
     def test_point_mass_zero(self):
-        report = information_cost(
-            InputDistribution.point_mass(InputLabel.from_string("000"))
-        )
+        report = information_cost(InputDistribution(3, {"000": 1.0}))
         assert report.external_bits == 0.0
         assert report.internal_bits == 0.0
 
@@ -314,7 +296,7 @@ class TestCostUnder:
 
     def test_point_mass_under_any_protocol(self):
         proto = BuzzersProtocol((0.0, 0.5))
-        mu = InputDistribution.point_mass(InputLabel.from_string("01"))
+        mu = InputDistribution(2, {"01": 1.0})
         report = cost_under(proto, mu)
         assert report.external_bits == pytest.approx(0.0, abs=1e-12)
         assert report.internal_bits == pytest.approx(0.0, abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 
 from icand import cli, signals
 from icand.cli import main
+from icand.measures import InputLabel
 
 
 @pytest.fixture
@@ -207,6 +208,28 @@ class TestSimulateSignal:
         assert error["type"] == "MalformedInputError"
         assert error["exit_code"] == 2
 
+    @pytest.mark.parametrize(
+        "mass, p0_given_1",
+        [
+            ({"00": 1 / 3, "01": 1 / 3, "10": 1 / 3}, "0.3"),  # equal conditionals
+            ({"00": 0.5, "01": 0.5}, "0.7"),  # the sender holds 0 on the whole support
+        ],
+    )
+    def test_signal_that_moves_nothing_exports_empty_traces(
+        self, capsys, tmp_path, mass, p0_given_1
+    ):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"k": 2, "mass": mass}))
+        code, out, _ = run(
+            capsys, "simulate-signal", "--measure", str(path), "--sender", "1",
+            "--p0-given-0", "0.3", "--p0-given-1", p0_given_1, "--eps", "0.1",
+            "--traces", "10", "--export-traces", "2",
+        )
+        assert code == 0
+        traces = json.loads(out)["traces"]
+        assert [t["steps"] for t in traces] == [[], []]
+        assert all(t["terminal"] == t["mu"] == {"k": 2, "mass": mass} for t in traces)
+
     def test_signal_flags_required(self, capsys, no11_file):
         code, _, err = run(
             capsys, "simulate-signal", "--measure", no11_file, "--eps", "0.1"
@@ -274,3 +297,52 @@ class TestContinuityCheck:
         )
         assert code == 0
         assert "np.float64(" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximize", "--grid-step", "0"],
+        ["maximize", "--grid-step", "nan"],
+        ["maximize", "--grid-step", "1e-309"],
+        ["maximize", "--tol", "nan", "--budget", "40", "--grid-step", "0.25"],
+        ["discretize", "--measure", "NO11", "--delta", "nan"],
+        ["discretize", "--measure", "NO11", "--delta", "0.25", "--horizon", "nan"],
+        ["discretize", "--measure", "NO11", "--delta", "0.25", "--horizon", "inf"],
+        ["ic", "--measure", "NO11", "--rtol", "nan"],
+        ["ic", "--measure", "NO11", "--rtol", "-1"],
+        ["continuity-check", "--pairs", "-1"],
+        ["continuity-check", "--pairs", "1", "--mixtures", "-1"],
+        ["continuity-check", "--pairs", "1", "--delta-max", "nan"],
+    ],
+)
+def test_malformed_number_exit_2(capsys, no11_file, argv):
+    argv = [no11_file if a == "NO11" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "MalformedInputError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniform", "--k", "1000000000"],
+        ["maximize", "--k", "5000"],
+        ["verify-concavity", "--k", "2000", "--beta", "1e-4", "--eps", "1e-2"],
+        ["ic", "--measure", "BIG"],
+    ],
+)
+def test_absurd_k_rejected_before_labels_are_built(capsys, monkeypatch, tmp_path, argv):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"k": 5000, "mass": {"0" * 5000: 1.0}}))
+
+    def build(*args):
+        raise AssertionError("a label was built for an absurd k")
+
+    for name in ("zeros", "basis", "ones"):
+        monkeypatch.setattr(InputLabel, name, build)
+    code, out, err = run(capsys, *[str(big) if a == "BIG" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit 1000" in json.loads(err)["error"]["message"]

@@ -11,8 +11,6 @@ from icand.concavity import (
     CanonicalMeasure,
     check_same_average,
     concavity_report,
-    deficit_external,
-    deficit_internal,
     gamma0_of,
     gamma1_of,
     merge_tail_players,
@@ -20,7 +18,6 @@ from icand.concavity import (
     perturb,
     taylor_coefficient,
     verify_grid,
-    weakness_budget,
     window_deficits,
 )
 from icand.errors import InvalidDistributionError, MalformedInputError
@@ -200,18 +197,6 @@ class TestCanonicalMeasure:
         assert mu.e_mass(3) > 0.07
         assert mu.mass_ones == 0.0
 
-    def test_weakness_budget_value(self):
-        assert weakness_budget(2, 0.25) == pytest.approx(
-            2.0**-20 * 0.25**3, rel=1e-12
-        )
-        assert weakness_budget(2, 0.25) == pytest.approx(1.49e-8, rel=1e-2)
-
-    def test_weakness_budget_monotone(self):
-        values = [weakness_budget(3, b) for b in (0.01, 0.05, 0.1, 0.2)]
-        mins = [min(b, 1 - 3 * b) for b in (0.01, 0.05, 0.1, 0.2)]
-        order = np.argsort(mins)
-        assert np.all(np.diff(np.array(values)[order]) >= 0)
-
 
 class TestPerturbation:
     def test_zero_eps_is_identity(self):
@@ -291,8 +276,9 @@ class TestPerturbedDensities:
 class TestDeficits:
     def test_zero_eps_zero_deficit(self):
         c = CanonicalMeasure(k=3, s=2, beta=0.1)
-        assert deficit_external(c, 0.0) == 0.0
-        assert deficit_internal(c, 0.0) == 0.0
+        report = concavity_report(c, 0.0, with_outside=False)
+        assert report.ext_deficit == 0.0
+        assert report.int_deficit == 0.0
 
     def test_cubic_law_external(self):
         # ratio within 5% of (k+5s-6)(1-2b)b / (12(1-b) ln 2)
@@ -300,20 +286,21 @@ class TestDeficits:
         coeff = taylor_coefficient(2, 1, 0.25, "ext")
         assert coeff == pytest.approx(0.0200365, abs=1e-6)
         eps = 1e-2
-        assert deficit_external(c, eps) / eps**3 == pytest.approx(coeff, rel=0.05)
+        deficit = concavity_report(c, eps, with_outside=False).ext_deficit
+        assert deficit / eps**3 == pytest.approx(coeff, rel=0.05)
 
     def test_cubic_law_internal_k3(self):
         c = CanonicalMeasure(k=3, s=2, beta=0.1)
         coeff = taylor_coefficient(3, 2, 0.1, "int")
         eps = 5e-3
-        assert deficit_internal(c, eps) / eps**3 == pytest.approx(coeff, rel=0.05)
+        deficit = concavity_report(c, eps, with_outside=False).int_deficit
+        assert deficit / eps**3 == pytest.approx(coeff, rel=0.05)
 
     def test_internal_equals_external_for_two_players(self):
         c = CanonicalMeasure(k=2, s=2, beta=0.2)
         eps = 5e-3
-        assert deficit_internal(c, eps) == pytest.approx(
-            deficit_external(c, eps), rel=1e-9
-        )
+        report = concavity_report(c, eps, with_outside=False)
+        assert report.int_deficit == pytest.approx(report.ext_deficit, rel=1e-9)
 
     def test_same_average_checked(self):
         c = CanonicalMeasure(k=4, s=2, beta=0.05)
@@ -328,7 +315,7 @@ class TestDeficits:
         c = CanonicalMeasure(k=3, s=1, beta=0.1)
         coeff = taylor_coefficient(3, 1, 0.1, "ext")
         residuals = [
-            abs(deficit_external(c, eps) / eps**3 - coeff)
+            abs(concavity_report(c, eps, with_outside=False).ext_deficit / eps**3 - coeff)
             for eps in (1e-2, 5e-3, 2.5e-3, 1.25e-3)
         ]
         for a, b in zip(residuals, residuals[1:]):
@@ -458,5 +445,4 @@ class TestGridRunner:
         assert report.residual_ext == pytest.approx(
             report.ext_deficit - report.taylor_ext, abs=1e-15
         )
-        obj = report.to_json_obj()
-        assert obj["outside"]["right_ok"]
+        assert report.outside.right_ok

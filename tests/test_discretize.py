@@ -120,7 +120,7 @@ class TestTree:
         # reveal stage outputs the AND of the revealed input
         for mu in (MU_WITH11, MU_K4):
             proto = build(mu, 0.25, 5.0)
-            ones = [lab.weight == lab.k for lab in proto.support]
+            ones = [sum(lab.bits) == lab.k for lab in proto.support]
             assert not proto.leaf_prob[:, ones].any()
 
     def test_martingale_at_every_node(self):
@@ -129,7 +129,7 @@ class TestTree:
         # of slots >= r and the reveal stage, must carry exactly that mass
         proto = build(MU_NO11, 0.5, 4.0)
         n_slots = 8
-        zeros = np.array([lab.k - lab.weight for lab in proto.support])
+        zeros = np.array([lab.k - sum(lab.bits) for lab in proto.support])
         per_slot = np.zeros((n_slots, len(zeros)))
         np.add.at(per_slot, proto.leaf_slot, proto.leaf_prob)
         subtree = np.cumsum(per_slot[::-1], axis=0)[::-1] + proto.silent_prob

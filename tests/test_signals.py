@@ -1,7 +1,8 @@
-"""Signal algebra: posteriors, classification, splitting, simulation."""
+"""Signal algebra: posteriors, classification, simulation."""
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,26 +14,39 @@ from icand.errors import (
     IcandError,
     MalformedInputError,
     NonTerminationError,
-    SplittingError,
 )
 from icand import measures
 from icand.measures import ZERO_MASS, InputDistribution, canonical_labels
 from icand.signals import (
     SEGMENT_TOL,
     Signal,
-    WeakSignal,
     _SegmentWalk,
     _skip_lengths,
     classify,
     posterior,
     sample_terminal_posteriors,
-    signal_info_external,
-    signal_info_internal,
     simulate_signal,
-    split,
 )
 
 MU_NO11 = InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0)
+
+
+@dataclass(frozen=True)
+class WeakSignal:
+    """Weakness-``eps`` unbiased signal: its conditionals tilt by eps times
+    the opposite bit's probability, so Pr[B=0] = 1/2 under the reference
+    measure for every eps."""
+
+    sender: int
+    eps: float
+
+    def to_signal(self, mu: InputDistribution) -> Signal:
+        beta = mu.beta(self.sender)
+        return Signal(
+            sender=self.sender,
+            p0_given_0=(1.0 + self.eps * beta) / 2.0,
+            p0_given_1=(1.0 - self.eps * (1.0 - beta)) / 2.0,
+        )
 
 
 @st.composite
@@ -49,47 +63,6 @@ def signals(draw):
         p0_given_0=draw(st.floats(0.05, 0.95)),
         p0_given_1=draw(st.floats(0.05, 0.95)),
     )
-
-
-def brute_force_internal(mu, sig):
-    """Independent oracle: enumerate the dense joint of (X, B) and sum
-    conditional mutual informations player by player."""
-    total = 0.0
-    for i in range(1, mu.k + 1):
-        for b in (0, 1):
-            pb = sum(m for lab, m in zip(mu.labels, mu.vector) if lab.bits[i - 1] == b)
-            if pb < 1e-14:
-                continue
-            acc = 0.0
-            pairs = [
-                (m / pb, sig.p0_given(lab.bits[sig.sender - 1]))
-                for lab, m in zip(mu.labels, mu.vector)
-                if lab.bits[i - 1] == b and m > 0
-            ]
-            pc = sum(w * p for w, p in pairs)
-            for w, p in pairs:
-                for c, q in ((0, p), (1, 1 - p)):
-                    joint = w * q
-                    marg = pc if c == 0 else 1 - pc
-                    if joint > 0 and marg > 0:
-                        acc += joint * math.log2(joint / (w * marg))
-            total += pb * acc
-    return total
-
-
-def brute_force_external(mu, sig):
-    acc = 0.0
-    pc = sig.prob0(mu)
-    for lab, m in zip(mu.labels, mu.vector):
-        if m <= 0:
-            continue
-        p = sig.p0_given(lab.bits[sig.sender - 1])
-        for c, q in ((0, p), (1, 1 - p)):
-            joint = m * q
-            marg = pc if c == 0 else 1 - pc
-            if joint > 0 and marg > 0:
-                acc += joint * math.log2(joint / (m * marg))
-    return acc
 
 
 class TestPosterior:
@@ -149,40 +122,6 @@ class TestPosterior:
         np.testing.assert_allclose(mix, mu.vector, atol=1e-12)
 
 
-class TestInfo:
-    def test_zero_weakness_zero_info(self):
-        sig = WeakSignal(sender=1, eps=0.0).to_signal(MU_NO11)
-        assert signal_info_internal(MU_NO11, sig) == pytest.approx(0.0, abs=1e-12)
-        assert signal_info_external(MU_NO11, sig) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_signal_external_zero(self):
-        sig = Signal(sender=1, p0_given_0=1.0, p0_given_1=1.0)
-        assert signal_info_external(MU_NO11, sig) == pytest.approx(0.0, abs=1e-12)
-
-    def test_revealing_signal_on_anticorrelated_support(self):
-        # on support {01, 10} either player's bit determines the input, so
-        # a revealing signal adds nothing given the conditioning bit
-        mu = InputDistribution.two_party(0.0, 0.5, 0.5, 0.0)
-        sig = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.0)
-        assert signal_info_internal(mu, sig) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_brute_force(self):
-        sig = WeakSignal(sender=1, eps=0.1).to_signal(MU_NO11)
-        assert signal_info_internal(MU_NO11, sig) == pytest.approx(
-            brute_force_internal(MU_NO11, sig), abs=1e-12
-        )
-        assert signal_info_external(MU_NO11, sig) == pytest.approx(
-            brute_force_external(MU_NO11, sig), abs=1e-12
-        )
-
-    @given(two_party_measures(), signals())
-    @settings(max_examples=40, deadline=None)
-    def test_brute_force_agreement_random(self, mu, sig):
-        assert signal_info_internal(mu, sig) == pytest.approx(
-            brute_force_internal(mu, sig), abs=1e-12
-        )
-
-
 class TestClassify:
     def test_weak_signal_profile(self):
         profile = classify(MU_NO11, WeakSignal(sender=1, eps=0.25).to_signal(MU_NO11))
@@ -206,53 +145,6 @@ class TestClassify:
     def test_weak_signals_always_unbiased(self, mu, sender, eps):
         profile = classify(mu, WeakSignal(sender=sender, eps=eps).to_signal(mu))
         assert profile.unbiased
-
-
-class TestSplit:
-    def test_midpoint_recovers_weak_signal(self):
-        sig = WeakSignal(sender=1, eps=0.2).to_signal(MU_NO11)
-        rho0 = posterior(MU_NO11, sig, 0)
-        rho1 = posterior(MU_NO11, sig, 1)
-        again = split(MU_NO11, sig, MU_NO11, rho0, rho1)
-        assert again.p0_given_0 == pytest.approx(sig.p0_given_0, abs=1e-10)
-        assert again.p0_given_1 == pytest.approx(sig.p0_given_1, abs=1e-10)
-        np.testing.assert_allclose(
-            posterior(MU_NO11, again, 0).vector, rho0.vector, atol=1e-10
-        )
-
-    def test_degenerate_constant(self):
-        sig = WeakSignal(sender=1, eps=0.2).to_signal(MU_NO11)
-        out = split(MU_NO11, sig, MU_NO11, MU_NO11, MU_NO11)
-        assert out.p0_given_0 == 0.5 and out.p0_given_1 == 0.5
-
-    def test_near_endpoint_still_valid(self):
-        sig = WeakSignal(sender=1, eps=0.2).to_signal(MU_NO11)
-        rho0 = posterior(MU_NO11, sig, 0)
-        rho1 = posterior(MU_NO11, sig, 1)
-        t = 1e-8  # rho close to rho0 but strictly inside
-        vec = (1 - t) * rho0.vector + t * rho1.vector
-        rho = InputDistribution(2, dict(zip(MU_NO11.labels, vec)))
-        out = split(MU_NO11, sig, rho, rho0, rho1)
-        p0 = out.prob0(rho)
-        assert p0 > 1 - 1e-7
-        np.testing.assert_allclose(
-            posterior(rho, out, 0).vector, rho0.vector, atol=1e-9
-        )
-
-    def test_endpoint_rejected(self):
-        sig = WeakSignal(sender=1, eps=0.2).to_signal(MU_NO11)
-        rho0 = posterior(MU_NO11, sig, 0)
-        rho1 = posterior(MU_NO11, sig, 1)
-        with pytest.raises(SplittingError):
-            split(MU_NO11, sig, rho0, rho0, rho1)
-
-    def test_off_segment_rejected(self):
-        sig = WeakSignal(sender=1, eps=0.2).to_signal(MU_NO11)
-        rho0 = posterior(MU_NO11, sig, 0)
-        rho1 = posterior(MU_NO11, sig, 1)
-        off = InputDistribution.two_party(0.7, 0.1, 0.2, 0.0)
-        with pytest.raises(SplittingError):
-            split(MU_NO11, sig, off, rho0, rho1)
 
 
 REVEALING = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.0)
