@@ -8,8 +8,8 @@ for a fixed seed: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,7 +48,42 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, for str
+    keys, without the pure-Python encoder that ``indent`` selects on 3.11."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append the JSON of ``obj``; ``newline`` carries the current indent."""
+    inner = newline + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_JSON_FLOATS.get(text, text))
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for j, (key, value) in enumerate(sorted(obj.items())):
+            out.append(("," if j else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, inner)
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        for j, value in enumerate(obj):
+            out.append(("," if j else "[") + inner)
+            _write_json(value, out, inner)
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv(rows: list[dict], columns: list[str]) -> list[str]:
@@ -66,16 +101,22 @@ def _csv(rows: list[dict], columns: list[str]) -> list[str]:
 
 def _floats(spec: str) -> list[float]:
     try:
-        return [float(s) for s in spec.split(",") if s.strip()]
+        values = [float(s) for s in spec.split(",") if s.strip()]
     except ValueError as exc:
         raise MalformedInputError(f"bad numeric list {spec!r}") from exc
+    if not values:
+        raise MalformedInputError(f"empty numeric list {spec!r}")
+    return values
 
 
 def _ints(spec: str) -> list[int]:
     try:
-        return [int(s) for s in spec.split(",") if s.strip()]
+        values = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError as exc:
         raise MalformedInputError(f"bad integer list {spec!r}") from exc
+    if not values:
+        raise MalformedInputError(f"empty integer list {spec!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

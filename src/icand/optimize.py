@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .buzzers import information_cost
 from .errors import MalformedInputError
@@ -172,6 +171,8 @@ def _maximize(
         v = x0.copy()
         v[j] = v[j] + step if v[j] + step + x0.sum() - x0[j] <= 1.0 else v[j] - step
         initial_simplex.append(v)
+    from scipy.optimize import minimize  # here: no other subcommand pays for scipy
+
     res = minimize(
         neg_objective,
         x0,

@@ -22,7 +22,8 @@ biases the terminal law by at most ``snap_tol``.  Away from the branch
 point, steps toward a coordinate-killing target reduce to a fixed-step
 random walk in log coordinates.  The bulk sampler advances it by exact
 skips (as many steps as cannot reach either barrier, binomially many toward
-the target) and reads every other step from a table of lines in 1 / dist.
+the target, counted as the ones among that many raw random bits) and reads
+every other step from a table of lines in 1 / dist.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ __all__ = [
 SEGMENT_TOL = 1e-9
 
 _UNBIASED_TOL = 1e-12
+
+#: ``_LOW_BITS[m]`` has the lowest m of 64 bits set.
+_LOW_BITS = np.array([(1 << m) - 1 for m in range(65)], dtype=np.uint64)
+_MAX_SKIP = 512  # steps per pure-region skip: at most eight raw words per walk
 
 
 @dataclass(frozen=True)
@@ -228,22 +233,25 @@ class TerminalSample:
 
     ``pure_steps`` were taken by pure-region skips, ``general_steps`` one per
     general move; ``rounds`` counts the vectorised rounds that moved a walk.
+    A ``degenerate`` signal leaves every walk at mu = mu_0 = mu_1, the exact
+    terminal law; its walks are counted on the likelier label.
     """
 
     n_traces: int
     count0: int
     count1: int
     prob0_exact: float
-    max_weakness: float
-    max_steps_observed: int
-    mean_steps: float
-    pure_steps: int
-    general_steps: int
-    rounds: int
+    max_weakness: float = 0.0
+    max_steps_observed: int = 0
+    mean_steps: float = 0.0
+    pure_steps: int = 0
+    general_steps: int = 0
+    rounds: int = 0
+    degenerate: bool = False
 
     def tv_distance(self) -> float:
-        """Total variation between the empirical and exact two-point laws."""
-        return abs(self.count0 / self.n_traces - self.prob0_exact)
+        """Total variation between the empirical and exact terminal laws."""
+        return 0.0 if self.degenerate else abs(self.count0 / self.n_traces - self.prob0_exact)
 
 
 def _check_walk_args(eps: float, snap_tol: float, max_steps: int) -> None:
@@ -393,7 +401,7 @@ class _SegmentWalk:
             end = np.r_[starts, a_last][:: 1 - 2 * side][run]
             pure_hi.append(float(flip(end)) if run else 0.0)
         (s0, c0), (s1, c1) = tables  # the first piece also covers every alpha below it
-        return np.maximum.accumulate(np.r_[s0[1:], s1]), np.c_[c0, c1], tuple(pure_hi)
+        return np.maximum.accumulate(np.r_[s0[1:], s1]), np.c_[c0, c1], np.array(pure_hi)
 
     # -- one trace, step by step -----------------------------------------------
 
@@ -598,6 +606,15 @@ def _skip_lengths(
     return np.maximum(np.ceil(gap / reach) - 1.0, 1.0).astype(np.int64)
 
 
+def _binomial_half(rng: np.random.Generator, n: np.ndarray) -> np.ndarray:
+    """Binomial(n, 1/2) per entry of ``n`` >= 1: the ones among the lowest n
+    bits of ceil(max n / 64) raw 64-bit words per entry, word 0 first."""
+    words = -(-int(n.max()) // 64)
+    raw = rng.bit_generator.random_raw((words, n.size))
+    raw &= _LOW_BITS[np.clip(n - 64 * np.arange(words)[:, None], 0, 64)]
+    return np.bitwise_count(raw).sum(axis=0, dtype=np.int64)
+
+
 def sample_terminal_posteriors(
     mu: InputDistribution,
     sig: Signal,
@@ -616,11 +633,13 @@ def sample_terminal_posteriors(
     the pure region the step size is exactly ``eps``, so the log distance to
     the target moves by ``ln(1 - eps)`` or ``ln(1 + eps)``; a walk there
     takes ``n`` steps per round (:func:`_skip_lengths`), moving to
-    ``L + K ln(1 - eps) + (n - K) ln(1 + eps)`` with ``K ~ Binomial(n, 1/2)``.
+    ``L + K ln(1 - eps) + (n - K) ln(1 + eps)`` with ``K ~ Binomial(n, 1/2)``
+    counted as the ones among n raw random bits (:func:`_binomial_half`).
     Those ``n`` steps cannot cross the snap barrier or the region's upper end
     unless ``n = 1``, which is tested as one plain step, so the skip is exact
     in law and keeps the step count.  Pure-region steps have weakness ``eps``
-    by construction.
+    by construction.  Only unfinished walks are held; a walk that snaps has
+    its label and step count written back and is dropped.
     """
     _check_walk_args(eps, snap_tol, max_steps)
     if not n_traces >= 1:
@@ -632,84 +651,73 @@ def sample_terminal_posteriors(
             count0=n_traces if walk.p0 >= 0.5 else 0,
             count1=0 if walk.p0 >= 0.5 else n_traces,
             prob0_exact=walk.p0,
-            max_weakness=0.0,
-            max_steps_observed=0,
-            mean_steps=0.0,
-            pure_steps=0,
-            general_steps=0,
-            rounds=0,
+            degenerate=True,
         )
 
     c_tow = float(np.log1p(-eps))  # toward-target log step (negative)
     c_away = float(np.log1p(eps))
     reach = max(-c_tow, c_away)
-    snap_d = walk.snap_tol / walk.tv01  # snap distance, the same on both sides
+    snap_d = snap_tol / walk.tv01  # snap distance, the same on both sides
     log_snap = np.log(snap_d)
-    edges, coef, (pure0, pure1) = walk.lam_table()
+    edges, coef, pure_hi = walk.lam_table()  # pure_hi is read with side1 as an index
+    with np.errstate(divide="ignore"):
+        log_hi = np.log(pure_hi)
 
-    alpha = np.full(n_traces, walk.alpha_mu)
-    label = np.full(n_traces, -1, dtype=np.int8)
-    steps = np.zeros(n_traces, dtype=np.int64)
-    max_weakness = 0.0  # pure-region steps have weakness eps by construction
+    # the branch point may lie within snap distance of the far end; past it
+    # a walk can only snap to the end of its own side
+    far = (1.0 - walk.alpha_mu) * walk.tv01 <= snap_tol < walk.alpha_mu * walk.tv01
+    label = np.full(n_traces, 1 if far else -1, dtype=np.int8)
+    total = np.zeros(n_traces, dtype=np.int64)  # step counts of finished walks
+    ids = np.arange(0 if far else n_traces)  # unfinished walks: index, alpha, steps
+    alpha = np.full(ids.size, walk.alpha_mu)
+    steps = np.zeros(ids.size, dtype=np.int64)
+    max_weakness = 0.0
     pure_steps = general_steps = rounds = 0
 
-    active = np.flatnonzero(label < 0)
-    while active.size:
-        a = alpha[active]
-        hit0 = a * walk.tv01 <= walk.snap_tol
-        hit1 = (1.0 - a) * walk.tv01 <= walk.snap_tol
-        if hit0.any() or hit1.any():
-            label[active[hit0]] = 0
-            label[active[hit1 & ~hit0]] = 1
-            keep = ~(hit0 | hit1)
-            active = active[keep]
-            a = alpha[active]
-            if not active.size:
-                break
-        rounds += 1
+    while ids.size:
+        side1 = alpha > walk.alpha_mu
+        dist = np.where(side1, 1.0 - alpha, alpha)
+        done = dist * walk.tv01 <= snap_tol
+        pure = (dist < np.take(pure_hi, side1.view(np.uint8))) & ~done
+        p, g = np.flatnonzero(pure), np.flatnonzero(~(pure | done))
+        rounds += bool(p.size or g.size)
 
-        side1 = a > walk.alpha_mu
-        dist = np.where(side1, 1.0 - a, a)
-        pure_hi = np.where(side1, pure1, pure0)
-        pure = (dist < pure_hi) & (dist > snap_d) & (pure_hi > 0)
-
-        if pure.any():
-            idx = active[pure]
-            L = np.log(dist[pure])
-            n = _skip_lengths(L, log_snap, np.log(pure_hi[pure]), reach)
-            toward = rng.binomial(n, 0.5)
+        if p.size:
+            s1 = side1[p]
+            L = np.log(dist[p])
+            n = _skip_lengths(L, log_snap, np.take(log_hi, s1.view(np.uint8)), reach)
+            n = np.minimum(n, _MAX_SKIP)  # a shorter skip stays inside as well
+            toward = _binomial_half(rng, n)
             newL = L + toward * c_tow + (n - toward) * c_away
-            steps[idx] += n
-            pure_steps += int(n.sum())
             new_dist = np.exp(newL)
-            s1 = side1[pure]
-            alpha[idx] = np.where(s1, 1.0 - new_dist, new_dist)
-            snapped = newL <= log_snap
-            label[idx[snapped]] = s1[snapped]
+            alpha[p] = np.where(s1, 1.0 - new_dist, new_dist)
+            steps[p] += n
+            pure_steps += int(n.sum())
+            done[p[newL <= log_snap]] = True
             max_weakness = max(max_weakness, eps)
 
-        general = ~pure
-        if general.any():
-            idx = active[general]
-            bits = rng.integers(0, 2, size=idx.size, dtype=np.uint8)
-            d = dist[general]
-            A, B, C, D = coef[:, np.searchsorted(edges, a[general], side="right")]
+        if g.size:
+            bits = rng.integers(0, 2, size=g.size, dtype=np.uint8)
+            d = dist[g]
+            A, B, C, D = np.take(coef, np.searchsorted(edges, alpha[g], side="right"), axis=1)
             lam = np.minimum(1.0, A / d + B)
             w = float(np.max(lam * (eps / (C / d + D))))
             if not w <= eps * (1.0 + 1e-12):
                 raise IcandError("walk step exceeded its weakness bound")
             max_weakness = max(max_weakness, w)
-            new_dist = d * (1.0 + np.where(bits == 0, -lam, lam))
-            alpha[idx] = np.where(side1[general], 1.0 - new_dist, new_dist)
-            steps[idx] += 1
-            general_steps += idx.size
+            new_dist = d * (1.0 + lam * (2.0 * bits - 1.0))  # bit 0 steps toward
+            alpha[g] = np.where(side1[g], 1.0 - new_dist, new_dist)
+            steps[g] += 1
+            general_steps += g.size
 
-        over = steps[active] > max_steps
-        if over.any():
-            raise NonTerminationError(
-                f"{int(over.sum())} traces exceeded {max_steps} steps"
-            )
-        active = active[label[active] < 0]
+        over = int((steps > max_steps).sum())
+        if over:
+            raise NonTerminationError(f"{over} traces exceeded {max_steps} steps")
+        if done.any():
+            label[ids[done]] = side1[done]
+            total[ids[done]] = steps[done]
+            keep = ~done
+            ids, alpha, steps = ids[keep], alpha[keep], steps[keep]
 
     return TerminalSample(
         n_traces=n_traces,
@@ -717,8 +725,8 @@ def sample_terminal_posteriors(
         count1=int((label == 1).sum()),
         prob0_exact=walk.p0,
         max_weakness=max_weakness,
-        max_steps_observed=int(steps.max(initial=0)),
-        mean_steps=float(steps.mean()),
+        max_steps_observed=int(total.max()),
+        mean_steps=float(total.mean()),
         pure_steps=pure_steps,
         general_steps=general_steps,
         rounds=rounds,

@@ -1,7 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from icand import cli, signals
@@ -226,7 +232,11 @@ class TestSimulateSignal:
             "--traces", "10", "--export-traces", "2",
         )
         assert code == 0
-        traces = json.loads(out)["traces"]
+        summary = json.loads(out)
+        # every walk ends at mu = mu_0 = mu_1, which is the exact terminal law
+        assert summary["count0"] + summary["count1"] == 10
+        assert summary["tv_distance"] == 0.0
+        traces = summary["traces"]
         assert [t["steps"] for t in traces] == [[], []]
         assert all(t["terminal"] == t["mu"] == {"k": 2, "mass": mass} for t in traces)
 
@@ -314,6 +324,10 @@ class TestContinuityCheck:
         ["continuity-check", "--pairs", "-1"],
         ["continuity-check", "--pairs", "1", "--mixtures", "-1"],
         ["continuity-check", "--pairs", "1", "--delta-max", "nan"],
+        ["uniform", "--k", "", "--format", "csv"],
+        ["discretize", "--measure", "NO11", "--delta", ""],
+        ["verify-concavity", "--beta", ","],
+        ["continuity-check", "--k", " "],
     ],
 )
 def test_malformed_number_exit_2(capsys, no11_file, argv):
@@ -346,3 +360,60 @@ def test_absurd_k_rejected_before_labels_are_built(capsys, monkeypatch, tmp_path
     assert code == 2
     assert out == ""
     assert "exceeds the limit 1000" in json.loads(err)["error"]["message"]
+
+
+def _json_runs(tmp):
+    no11 = tmp / "no11.json"
+    no11.write_text(json.dumps({"k": 2, "mass": {"00": 1 / 3, "01": 1 / 3, "10": 1 / 3}}))
+    k3 = tmp / "k3.json"
+    k3.write_text(json.dumps({"k": 3, "mass": {"000": 0.4, "100": 0.2, "010": 0.2, "111": 0.2}}))
+    return [
+        ["ic", "--measure", str(k3)],
+        ["uniform", "--k", "2,3"],
+        ["verify-concavity", "--k", "2", "--beta", "0.05", "--eps", "1e-2", "--outside",
+         "--format", "json"],
+        ["simulate-signal", "--measure", str(no11), "--reveal", "1", "--eps", "0.3",
+         "--traces", "20", "--export-traces", "2"],
+        ["discretize", "--measure", str(no11), "--delta", "0.25", "--format", "json"],
+        ["maximize", "--zero", "11", "--budget", "40", "--grid-step", "0.25"],
+        ["continuity-check", "--pairs", "2", "--mixtures", "1"],
+        ["ic", "--measure", str(tmp / "missing.json")],
+    ]
+
+
+def test_json_bytes_equal_the_stdlib_writer(capsys, tmp_path):
+    for argv in _json_runs(tmp_path):
+        main(argv)
+        captured = capsys.readouterr()
+        text = (captured.out or captured.err).removesuffix("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2), argv[0]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-16, 5e-324, 2.0**70, -(2**70)],
+        {"": {}, "a": [], "b": [[], {}], "c": None, "d": True, "e": False},
+        {"\u00e9\u4e2d": "caf\u00e9 \u2014 \"q\" \\ \n\t\x01", "z": "\U0001f600"},
+        ("tuple", 1, (2.5, ("nested",))),
+        [{"k": [[{"deep": [0.1]}]]}] * 3,
+        "plain",
+        np.float64(0.1),
+    ],
+)
+def test_json_writer_matches_stdlib(obj):
+    deep = obj
+    for _ in range(60):
+        deep = {"x": [deep]}
+    for value in (obj, deep):
+        assert cli._dump(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by maximize, which is the only subcommand that uses it
+    code = "import sys, icand.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from icand.signals import (
     SEGMENT_TOL,
     Signal,
     _SegmentWalk,
+    _binomial_half,
     _skip_lengths,
     classify,
     posterior,
@@ -429,6 +431,41 @@ class TestLamTable:
         assert sample.tv_distance() <= 4 * math.sqrt(p0 * (1 - p0) / n) + 1e-4
 
 
+POPCOUNT_NS = (1, 63, 64, 65, 127, 128, 200)
+
+
+class TestPopcountBinomial:
+    @pytest.mark.parametrize("word", [2**64 - 1, 0x5555555555555555, 1, 2**63])
+    def test_masks_keep_the_lowest_n_bits(self, word):
+        # a generator whose raw words are all ``word``: the count is the ones
+        # among the lowest n bits of as many copies of it as n needs
+        class Fixed:
+            bit_generator = SimpleNamespace(
+                random_raw=lambda size: np.full(size, word, dtype=np.uint64)
+            )
+
+        bits = [(word >> j) & 1 for j in range(64)]
+        for ns in [np.array([n]) for n in POPCOUNT_NS] + [np.array(POPCOUNT_NS)]:
+            expected = [sum(bits[j % 64] for j in range(n)) for n in ns]
+            assert _binomial_half(Fixed(), ns).tolist() == expected
+
+    @pytest.mark.parametrize("n", POPCOUNT_NS)
+    def test_law_matches_the_binomial_pmf(self, n):
+        # alone, and among longer draws that take more words per entry
+        m = 40_000
+        for ns in (np.full(m, n), np.tile([n, 200], m // 2)):
+            draws = _binomial_half(np.random.default_rng(n), ns)[ns == n]
+            count = np.bincount(draws, minlength=n + 1)
+            pmf = np.array([math.comb(n, j) / 2**n for j in range(n + 1)])
+            assert count.size == n + 1  # never more ones than bits
+            # every value expected at least ten times, and the rest pooled
+            cells = pmf * draws.size >= 10
+            freq = np.r_[count[cells], count[~cells].sum()] / draws.size
+            prob = np.r_[pmf[cells], pmf[~cells].sum()]
+            assert np.all(np.abs(freq - prob) <= 4.0 * np.sqrt(prob * (1.0 - prob) / draws.size))
+            assert abs(draws.mean() - n / 2) <= 4.0 * math.sqrt(n / 4 / draws.size)
+
+
 class TestSimulation:
     def test_single_step_when_already_weak(self):
         sig = WeakSignal(sender=1, eps=0.15).to_signal(MU_NO11)
@@ -545,6 +582,13 @@ class TestSimulation:
         assert sample.pure_steps > 0 and sample.general_steps > 0
         # every round moves the walk that is still running at the end
         assert 1 <= sample.rounds <= sample.max_steps_observed
+        # a finished walk's steps are written back when it leaves the state
+        one = sample_terminal_posteriors(
+            MU_NO11, REVEALING, eps=0.25, rng=np.random.default_rng(4), n_traces=1,
+            snap_tol=1e-4,
+        )
+        assert one.max_steps_observed == one.mean_steps == one.pure_steps + one.general_steps
+        assert one.max_steps_observed > 0
         constant = Signal(sender=1, p0_given_0=1.0, p0_given_1=1.0)
         degenerate = sample_terminal_posteriors(
             MU_NO11, constant, eps=0.25, rng=np.random.default_rng(3), n_traces=n
@@ -668,6 +712,37 @@ class TestSimulation:
                 max_steps=10,
                 validate=False,
             )
+
+    def test_sampler_step_cap(self):
+        with pytest.raises(NonTerminationError, match="exceeded 10 steps"):
+            sample_terminal_posteriors(
+                MU_NO11, REVEALING, 0.01, np.random.default_rng(3), 100, max_steps=10
+            )
+        sample = sample_terminal_posteriors(
+            MU_NO11, REVEALING, 0.25, np.random.default_rng(3), 100, snap_tol=1e-4
+        )
+        capped = sample_terminal_posteriors(
+            MU_NO11, REVEALING, 0.25, np.random.default_rng(3), 100, snap_tol=1e-4,
+            max_steps=sample.max_steps_observed,
+        )
+        assert capped == sample
+
+    @pytest.mark.parametrize("p0_given_0, label", [(1e-8, 1), (1.0 - 1e-8, 0)])
+    def test_branch_point_within_snap_distance(self, p0_given_0, label):
+        # Pr[B=0] within snap_tol / tv01 of 0 or 1: every walk ends where it starts
+        sig = Signal(sender=1, p0_given_0=p0_given_0, p0_given_1=0.0 if label else 1.0)
+        sample = sample_terminal_posteriors(MU_NO11, sig, 0.1, np.random.default_rng(0), 50)
+        assert (sample.count0, sample.count1)[label] == 50
+        assert (sample.max_steps_observed, sample.rounds) == (0, 0)
+
+    @pytest.mark.parametrize("p0_given", [0.3, 1.0])
+    def test_degenerate_sample_has_the_exact_law(self, p0_given):
+        # one law on the whole support: every walk ends at mu = mu_0 = mu_1
+        sig = Signal(sender=1, p0_given_0=p0_given, p0_given_1=p0_given)
+        sample = sample_terminal_posteriors(MU_NO11, sig, 0.1, np.random.default_rng(0), 10)
+        assert sample.count0 + sample.count1 == 10
+        assert sample.prob0_exact == pytest.approx(p0_given)
+        assert sample.tv_distance() == 0.0
 
     def test_degenerate_signal(self):
         sig = Signal(sender=1, p0_given_0=1.0, p0_given_1=1.0)
