@@ -215,12 +215,10 @@ class ICReport:
     quadrature_error_estimate: float
 
     @classmethod
-    def of(
-        cls, mu: InputDistribution, external: float, per_player, error: float
-    ) -> "ICReport":
-        """Report costs in bits, with concealed information against ``mu``."""
-        bits = np.array([lab.bits for lab in mu.labels])
-        prior = _prior_entropies(bits, mu.vector) / LN2
+    def of(cls, prior, external: float, per_player, error: float) -> "ICReport":
+        """Report costs in bits, with concealed information against the prior
+        entropies ``[H(X), H(X|X_1), ..., H(X|X_k)]`` in nats."""
+        prior = np.asarray(prior) / LN2
         internal = float(np.sum(per_player))
         return cls(
             external_bits=float(external),
@@ -301,8 +299,9 @@ def _cost_arrays(
     *,
     rtol: float,
     atol: float,
-) -> tuple[float, np.ndarray, float]:
-    """(external, per-player internal terms, error estimate), all in bits.
+) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """(prior entropies in nats, external, per-player internal terms, error
+    estimate), the last three in bits.
 
     The estimate sums the quadrature error bounds of all k + 1 components and
     adds ``_ROUNDOFF * eps * (H(X) + sum_i H(X|X_i))`` for the cancellation
@@ -317,7 +316,7 @@ def _cost_arrays(
     prior = _prior_entropies(bits, masses)
     cost = (prior - cond) / LN2
     bound = err.sum() + _ROUNDOFF * _EPS * prior.sum()
-    return float(cost[0]), cost[1:], float(bound / LN2)
+    return prior, float(cost[0]), cost[1:], float(bound / LN2)
 
 
 def cost_under(
@@ -337,7 +336,7 @@ def cost_under(
         raise MalformedInputError("protocol and measure disagree on k")
     bits = np.array([lab.bits for lab in mu.labels])
     times = np.asarray(protocol.player_times, dtype=float)
-    return ICReport.of(mu, *_cost_arrays(times, bits, mu.vector, rtol=rtol, atol=atol))
+    return ICReport.of(*_cost_arrays(times, bits, mu.vector, rtol=rtol, atol=atol))
 
 
 def information_cost(
@@ -355,16 +354,18 @@ def information_cost(
         raise MalformedInputError(f"tolerances rtol={rtol}, atol={atol} must be finite and >= 0")
     mu_r, c_ones = mu.without_all_ones()
     e = np.array([mu_r.e_mass(i) for i in range(1, mu.k + 1)])
+    bits = np.array([lab.bits for lab in mu.labels])
     if np.any(e <= ZERO_MASS):
-        return ICReport.of(mu, 0.0, np.zeros(mu.k), 0.0)
+        return ICReport.of(_prior_entropies(bits, mu.vector), 0.0, np.zeros(mu.k), 0.0)
     live = mu_r.vector > ZERO_MASS
-    bits = np.array([lab.bits for lab in mu_r.labels])[live]
     w = mu_r.vector[live]
-    ext, per, err = _cost_arrays(
-        np.log(e / e.min()), bits, w / w.sum(), rtol=rtol, atol=atol
+    prior, ext, per, err = _cost_arrays(
+        np.log(e / e.min()), bits[live], w / w.sum(), rtol=rtol, atol=atol
     )
+    if c_ones > 0.0:
+        prior = _prior_entropies(bits, mu.vector)
     scale = 1.0 - c_ones
-    return ICReport.of(mu, ext * scale, per * scale, err * scale)
+    return ICReport.of(prior, ext * scale, per * scale, err * scale)
 
 
 def closed_form_uniform(k: int) -> tuple[float, float]:

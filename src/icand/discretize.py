@@ -140,5 +140,6 @@ def exact_ic(proto: DiscreteProtocol) -> ICReport:
     bits = np.array([lab.bits for lab in proto.support])
     w = np.array([proto.mu.mass(lab) for lab in proto.support])
     leaves = conditional_entropies((proto.leaf_prob * w)[:, None, :], player_classes(bits))
-    cost = (_prior_entropies(bits, w) - leaves.sum(axis=0)) / LN2
-    return ICReport.of(proto.mu, cost[0], cost[1:], 0.0)
+    prior = _prior_entropies(bits, w)
+    cost = (prior - leaves.sum(axis=0)) / LN2
+    return ICReport.of(prior, cost[0], cost[1:], 0.0)

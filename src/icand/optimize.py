@@ -2,16 +2,23 @@
 
 The feasible set is the set of measures supported on a declared subset of
 the basis-family labels (e.g. the two-party face with no mass on 11, whose
-internal-cost maximum is the set-disjointness constant).  The objective is
-evaluated by exact quadrature, so no gradients are available; the search is
-a coarse lattice scan over the face followed by a reflect/contract simplex
-refinement seeded at the best lattice point.  Everything is deterministic
-for a fixed budget.
+internal-cost maximum is the set-disjointness constant).  The cost is
+invariant under the player permutations that fix the face, which permute
+its free basis inputs ``e_i`` in any order, so the search runs on the
+symmetric line: mass ``a`` on all-zeros and ``(1 - a) / |F|`` on each free
+``e_i`` (``a = 0`` when all-zeros is zeroed, ``a = 1`` when no ``e_i`` is
+free), with no all-ones mass, which only scales the cost by its complement.
 
-Coordinates are clipped away from zero during refinement; the cost is
-continuous there (a vanishing basis mass costs its limit, zero), but the
-protocol's start times degenerate.  The best point is re-evaluated at
-tighter quadrature tolerances before reporting.
+A lattice scan of ``a`` and a comparison-only golden-section refinement of
+its best bracket spend a number of evaluations fixed by the face and the
+arguments, never by the cost's last bits.  The best point is re-evaluated at
+tighter tolerances.  By symmetry the gradient vanishes on every asymmetric
+direction and the Hessian is a multiple of the identity there, so one
+evaluation at ``mu + h (e_1 - e_2)`` certifies a local maximum of the face
+(status ``local_max``) when the cost drops by more than the two error
+estimates, and gives ``not_local_max`` otherwise.  ``converged`` means that
+no asymmetric direction exists, ``budget_exhausted`` that the bracket never
+reached ``coord_tol``.
 """
 
 from __future__ import annotations
@@ -22,12 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buzzers import information_cost
-from .errors import MalformedInputError
+from .errors import ConditioningError, MalformedInputError
 from .measures import InputDistribution, InputLabel, canonical_labels
 
 __all__ = ["SupportPattern", "OptResult", "maximize_internal", "maximize_external"]
 
-_CLIP = 1e-9
+#: Each golden-section evaluation shrinks the bracket by this factor.
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+#: The asymmetric step ``h`` as a fraction of each free basis mass.
+_ASYM_STEP = 1.0 / 16.0
+
+#: Quadrature tolerances of the reported value and the asymmetric check.
+_TIGHT = {"rtol": 1e-11, "atol": 1e-13}
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,7 @@ class OptResult:
     objective: str
     argmax: InputDistribution
     value_bits: float
+    value_error_bits: float  # tight error estimate + final bracket's value spread
     evaluations: int
     status: str
     trace: tuple[tuple[int, float], ...]  # (evaluation count, best so far)
@@ -78,19 +93,11 @@ class OptResult:
             "objective": self.objective,
             "argmax": self.argmax.to_json_obj(),
             "value_bits": self.value_bits,
+            "value_error_bits": self.value_error_bits,
             "evaluations": self.evaluations,
             "status": self.status,
             "trace": [[n, v] for n, v in self.trace],
         }
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def _maximize(
@@ -105,96 +112,75 @@ def _maximize(
         raise MalformedInputError(f"grid step {grid_step} must be a positive normal float")
     if not 0.0 < coord_tol < math.inf:
         raise MalformedInputError(f"coordinate tolerance {coord_tol} must be finite and > 0")
-    free = pattern.free_labels
-    n = len(free)
+    if not budget >= 3:
+        raise MalformedInputError(f"budget {budget} must cover a scan point and two checks")
+    k, free = pattern.k, pattern.free_labels
+    zeros = InputLabel.zeros(k)
+    basis = [lab for lab in free if lab not in (zeros, InputLabel.ones(k))]
+    lo, hi = (0.0 if basis else 1.0), (1.0 if zeros in free else 0.0)
+    if lo > hi:
+        raise ConditioningError("measure is a point mass on all-ones")
 
-    evals = 0
-    best_trace: list[tuple[int, float]] = []
+    def mu_at(a: float, h: float = 0.0) -> InputDistribution:
+        mass = {zeros: a} | {lab: (1.0 - a) / len(basis) for lab in basis}
+        for lab, step in zip(basis, (h, -h)):
+            mass[lab] += step
+        return InputDistribution(k, mass)
 
-    def cost_of(q: np.ndarray, *, tight: bool = False) -> float:
+    evals, best = 0, lo
+    seen: dict[float, float] = {}
+    trace: list[tuple[int, float]] = []
+
+    def cost(mu: InputDistribution, **tols) -> tuple[float, float]:
         nonlocal evals
         evals += 1
-        mu = InputDistribution(pattern.k, dict(zip(free, q)))
-        kw = {"rtol": 1e-11, "atol": 1e-13} if tight else {}
-        report = information_cost(mu, **kw)
-        return report.internal_bits if objective == "internal" else report.external_bits
+        report = information_cost(mu, **tols)
+        value = report.internal_bits if objective == "internal" else report.external_bits
+        return value, report.quadrature_error_estimate
 
-    if n == 1:
-        mu = InputDistribution(pattern.k, {free[0]: 1.0})
-        value = cost_of(np.array([1.0]))
-        return OptResult(
-            objective=objective,
-            argmax=mu,
-            value_bits=value,
-            evaluations=evals,
-            status="converged",
-            trace=((evals, value),),
-        )
+    def value(a: float) -> float:
+        nonlocal best
+        seen[a] = v = cost(mu_at(a))[0]
+        if not trace or v > trace[-1][1]:
+            best = a
+            trace.append((evals, v))
+        return v
 
-    # lattice scan; coarsen if the declared step floods the budget
+    # lattice scan, then golden-section refinement of the best scan bracket
     m = max(int(round(1.0 / grid_step)), 1)
-    grid_cap = max(budget - 500, 200)
-    while math.comb(m + n - 1, n - 1) > grid_cap and m > 1:
-        m //= 2
-    best_q = None
-    best_val = -math.inf
-    for comp in _compositions(m, n):
-        q = np.array(comp, dtype=float) / m
-        val = cost_of(q)
-        if val > best_val:
-            best_val = val
-            best_q = q
-            best_trace.append((evals, val))
+    grid = [float(a) for a in np.linspace(lo, hi, min(m + 1, budget - 2) if lo < hi else 1)]
+    j = int(np.argmax([value(a) for a in grid]))
+    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    need = math.ceil(math.log((hi - lo) / coord_tol, _PHI)) + 1 if hi - lo > coord_tol else 0
+    n = min(need, budget - 2 - evals)
+    if n >= 2:
+        x1, x2 = hi - (hi - lo) / _PHI, lo + (hi - lo) / _PHI
+        f1, f2 = value(x1), value(x2)
+        for _ in range(n - 2):
+            if f1 > f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - (hi - lo) / _PHI
+                f1 = value(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + (hi - lo) / _PHI
+                f2 = value(x2)
+    spread = float(np.ptp([v for a, v in seen.items() if lo <= a <= hi]))
 
-    # reflect/contract simplex refinement on the first n-1 coordinates
-    def neg_objective(x: np.ndarray) -> float:
-        nonlocal best_val, best_q
-        q = np.empty(n)
-        q[:-1] = x
-        q[-1] = 1.0 - x.sum()
-        if np.any(q < -0.25) or q[-1] < -0.25:
-            return 1.0
-        q = np.clip(q, _CLIP, None)
-        q = q / q.sum()
-        val = cost_of(q)
-        if val > best_val:
-            best_val = val
-            best_q = q
-            best_trace.append((evals, val))
-        return -val
-
-    remaining = max(budget - evals, 50)
-    x0 = np.asarray(best_q[:-1], dtype=float)
-    step = max(1.0 / m / 2.0, 4.0 * coord_tol)
-    initial_simplex = [x0]
-    for j in range(n - 1):
-        v = x0.copy()
-        v[j] = v[j] + step if v[j] + step + x0.sum() - x0[j] <= 1.0 else v[j] - step
-        initial_simplex.append(v)
-    from scipy.optimize import minimize  # here: no other subcommand pays for scipy
-
-    res = minimize(
-        neg_objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": coord_tol,
-            "fatol": 1e-12,
-            "maxfev": remaining,
-            "initial_simplex": np.array(initial_simplex),
-        },
-    )
-    status = "converged" if res.success else "budget_exhausted"
-
-    value = cost_of(np.asarray(best_q), tight=True)
-    argmax = InputDistribution(pattern.k, dict(zip(free, np.asarray(best_q))))
+    argmax = mu_at(best)
+    top, err = cost(argmax, **_TIGHT)
+    status = "budget_exhausted" if n < need else "converged"
+    if status == "converged" and len(basis) >= 2:
+        other, other_err = cost(mu_at(best, _ASYM_STEP * (1.0 - best) / len(basis)), **_TIGHT)
+        status = "local_max" if top - other > err + other_err else "not_local_max"
     return OptResult(
         objective=objective,
         argmax=argmax,
-        value_bits=float(value),
+        value_bits=float(top),
+        value_error_bits=err + spread,
         evaluations=evals,
         status=status,
-        trace=tuple(best_trace),
+        trace=tuple(trace),
     )
 
 

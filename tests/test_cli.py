@@ -279,7 +279,36 @@ class TestMaximize:
         assert code == 0
         result = json.loads(out)
         assert result["value_bits"] == pytest.approx(0.4827, abs=2e-3)
+        assert result["value_error_bits"] < 1e-9
         assert trace_path.read_text().startswith("evaluations,best_value_bits")
+
+    @pytest.mark.parametrize(
+        "face, same_as",
+        [
+            (["--zero", ""], ["--zero", "11"]),
+            ([], ["--zero", "11"]),
+            (["--k", "3", "--zero", "000"], ["--k", "3", "--zero", "000,111"]),
+        ],
+    )
+    def test_faces_with_all_ones_free(self, capsys, face, same_as):
+        results = []
+        for argv in (face, same_as):
+            code, out, _ = run(capsys, "maximize", *argv)
+            assert code == 0
+            results.append(json.loads(out))
+        assert results[0]["value_bits"] == results[1]["value_bits"]
+        assert results[0]["argmax"] == results[1]["argmax"]
+
+    def test_face_without_basis_inputs(self, capsys):
+        code, out, _ = run(capsys, "maximize", "--zero", "01,10")
+        assert code == 0
+        assert json.loads(out)["value_bits"] == 0.0
+
+    def test_face_of_all_ones_alone_exits_2(self, capsys):
+        code, out, err = run(capsys, "maximize", "--zero", "00,01,10")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ConditioningError"
 
 
 class TestContinuityCheck:
@@ -316,6 +345,7 @@ class TestContinuityCheck:
         ["maximize", "--grid-step", "nan"],
         ["maximize", "--grid-step", "1e-309"],
         ["maximize", "--tol", "nan", "--budget", "40", "--grid-step", "0.25"],
+        ["maximize", "--zero", "11", "--budget", "2"],
         ["discretize", "--measure", "NO11", "--delta", "nan"],
         ["discretize", "--measure", "NO11", "--delta", "0.25", "--horizon", "nan"],
         ["discretize", "--measure", "NO11", "--delta", "0.25", "--horizon", "inf"],
@@ -409,9 +439,13 @@ def test_json_writer_matches_stdlib(obj):
         assert cli._dump(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only by maximize, which is the only subcommand that uses it
-    code = "import sys, icand.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the package does not use scipy, not even in maximize
+    code = (
+        "import sys, icand.cli; icand.cli.main(['maximize', '--zero', '11', '--budget', '40', "
+        f"'--grid-step', '0.25', '--output', {str(tmp_path / 'max.json')!r}]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

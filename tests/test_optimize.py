@@ -1,7 +1,10 @@
 """Cost maximization over support faces."""
 
+import dataclasses
+
 import pytest
 
+from icand import optimize
 from icand.buzzers import closed_form_uniform, information_cost
 from icand.errors import MalformedInputError
 from icand.optimize import SupportPattern, maximize_external, maximize_internal
@@ -85,3 +88,55 @@ class TestMaximize:
         assert all(b >= a for a, b in zip(values, values[1:]))
         counts = [n for n, _ in result.trace]
         assert all(b > a for a, b in zip(counts, counts[1:]))
+
+
+class TestSymmetricLine:
+    def test_disjointness_argmax_is_exactly_symmetric(self):
+        result = maximize_internal(SupportPattern.parse(2, "11"))
+        assert result.argmax.mass("01") == result.argmax.mass("10")
+        assert result.evaluations <= 100
+        assert result.status == "local_max"
+        assert 0.0 < result.value_error_bits < 1e-9
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-15, 1.0 - 1e-15])
+    def test_last_bits_of_the_cost_do_not_move_the_argmax(self, monkeypatch, factor):
+        pattern = SupportPattern.parse(2, "11")
+        plain = maximize_internal(pattern)
+
+        def scaled(mu, **tols):
+            report = information_cost(mu, **tols)
+            return dataclasses.replace(
+                report,
+                internal_bits=report.internal_bits * factor,
+                external_bits=report.external_bits * factor,
+            )
+
+        monkeypatch.setattr(optimize, "information_cost", scaled)
+        moved = maximize_internal(pattern)
+        assert moved.argmax.vector.tobytes() == plain.argmax.vector.tobytes()
+        assert moved.evaluations == plain.evaluations
+        assert moved.status == plain.status
+
+    def test_asymmetric_bump_fails_the_check(self, monkeypatch):
+        def bumped(mu, **tols):
+            report = information_cost(mu, **tols)
+            bump = 10.0 * (mu.mass("01") - mu.mass("10")) ** 2
+            return dataclasses.replace(report, internal_bits=report.internal_bits + bump)
+
+        monkeypatch.setattr(optimize, "information_cost", bumped)
+        result = maximize_internal(SupportPattern.parse(2, "11"))
+        assert result.status == "not_local_max"
+
+    def test_budget_below_the_checks_is_rejected_before_any_cost(self, monkeypatch):
+        def never(mu, **tols):
+            raise AssertionError("a cost was evaluated")
+
+        monkeypatch.setattr(optimize, "information_cost", never)
+        for budget in (-5, 0, 2):
+            with pytest.raises(MalformedInputError):
+                maximize_internal(SupportPattern.parse(2, "11"), budget=budget)
+
+    def test_small_budget_reports_exhaustion(self):
+        result = maximize_internal(SupportPattern.parse(2, "11"), budget=12)
+        assert result.evaluations <= 12
+        assert result.status == "budget_exhausted"
