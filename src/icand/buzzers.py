@@ -380,3 +380,71 @@ def closed_form_uniform(k: int) -> tuple[float, float]:
     if k == 2:
         return ext, 0.0
     return ext, float((k - 2) * (np.log2(k - 1) - np.log2(k - 2)))
+
+
+#: Terms kept of the power series in ``_symmetric_line``: all that matter
+#: unless a is within about 1e-3 of 1; the tail past them enters the error.
+_SERIES_TERMS = 2**17
+
+
+def _symmetric_line(k: int, a: float) -> tuple[tuple[float, float], tuple[float, float], float]:
+    """((external, internal), their a-derivatives, error) in bits for mass
+    ``a`` on all-zeros and ``(1 - a) / k`` on each ``e_i``, k >= 2.
+
+    Every start time is 0, so the transcript is one stretch.  With
+    ``L(g) = int_0^1 u^(k-2) (g + a u) ln(g + a u) du``, ``c = (k-1)(1-a)/k``
+    and ``c' = (k-2)(1-a)/k``, in nats
+
+        external = -a/k - k L(c)
+        internal = k ((a + c) ln(a + c) - a/k - L(c) - (k-1) L(c')).
+
+    For ``g = (k-q)(1-a)/k``, q = 1 or 2, put ``s = a / (g + a)`` and
+    ``P_j = s^j B(j+1, k-1)``, positive with ratio ``s j / (j + k - 1)``.
+    Then ``g + a u = (g + a)(1 - s (1 - u))`` and
+
+        L = ln(g + a) (g/(k-1) + a/k) + (g + a) (-P_1 + sum_{j>=2} P_j / (j (j-1)))
+        dL/da = (q-1)(1 + ln(g + a)) / (k (k-1))
+                + sum_{j>=1} P_j ((k-q) j - (q-1) k) / (j k (j + k)),
+
+    the second being ``int u^(k-2) (u - (k-q)/k)(1 + ln(g + a u)) du``.  The
+    value's series has no cancellation.  With g = 0 (k = q = 2, or a = 1)
+    both are elementary; at a = 1 both costs are zero to round-off.
+    ``error`` bounds the round-off of both costs: every elementary summand
+    carries at most 16 roundings, series term j at most 9 j + 16 (s is good
+    to 6 eps and enters as s^j; three per factor of the product), and the
+    series' tail is at most its last term times s / (1 - s).
+    """
+    eps = float(_EPS)
+    L, dL, err = [], [], []
+    for q in (1, 2):
+        if q == k or a == 1.0:  # g = 0
+            la, xl = (math.log(a), a * math.log(a)) if a > 0.0 else (-math.inf, 0.0)
+            L.append(xl / k - a / k**2)
+            dL.append((q - 1) * (1.0 + la) / (k * (k - 1)) - 1.0 / k**2
+                      + (k - q) / (k * (k - 1) ** 2))
+            err.append(16.0 * eps * (abs(xl) / k + a / k**2))
+            continue
+        x = q * (1.0 - a) / k  # 1 - (g + a)
+        ell, s = math.log1p(-x), a / (1.0 - x)
+        w = (1.0 - a) * (k - q) / k / (k - 1) + a / k
+        n = 1 if s == 0.0 else min(_SERIES_TERMS, max(2, math.ceil(math.log(eps) / math.log(s))))
+        j = np.arange(1.0, n + 1.0)
+        P = np.cumprod(s * j / (j + (k - 1))) / (k - 1)
+        t = np.concatenate([-P[:1], P[1:] / (j[1:] * (j[1:] - 1.0))])
+        d = P * ((k - q) * j - (q - 1) * k) / (j * k * (j + k))
+        L.append(ell * w + (1.0 - x) * math.fsum(t.tolist()))
+        dL.append((q - 1) * (1.0 + ell) / (k * (k - 1)) + math.fsum(d.tolist()))
+        terms = 16.0 * abs(ell * w) + (1.0 - x) * float(np.dot(9.0 * j + 16.0, np.abs(t)))
+        err.append(eps * terms + (1.0 - x) * abs(t[-1]) * s / (1.0 - s))  # + the tail
+    x = (1.0 - a) / k
+    ell, spent = math.log1p(-x), a / k
+    ext = -spent - k * L[0]
+    internal = k * ((1.0 - x) * ell - spent - L[0] - (k - 1) * L[1])
+    d_ext = -1.0 / k - k * dL[0]
+    d_int = ell - k * dL[0] - k * (k - 1) * dL[1]
+    err_ext = 4.0 * eps * (spent + k * abs(L[0])) + k * err[0]
+    err_int = k * (err[0] + (k - 1) * err[1] + 8.0 * eps * (
+        2.0 * abs((1.0 - x) * ell) + spent + abs(L[0]) + (k - 1) * abs(L[1])))
+    values, slopes = (ext / LN2, internal / LN2), (d_ext / LN2, d_int / LN2)
+    error = max(err_ext, err_int) / LN2 + 2.0 * eps * max(map(abs, values))
+    return values, slopes, error

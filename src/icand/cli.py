@@ -23,7 +23,7 @@ from .buzzers import (
 from .concavity import GridRow, verify_grid
 from .discretize import build, exact_ic
 from .errors import IcandError, MalformedInputError
-from .measures import InputDistribution, binary_entropy
+from .measures import InputDistribution, binary_entropy, canonical_labels
 from .optimize import SupportPattern, maximize_external, maximize_internal
 from .signals import Signal, sample_terminal_posteriors, simulate_signal
 
@@ -172,7 +172,6 @@ def _grid_row(row: GridRow) -> dict:
         out.update(
             left_ok=int(report.outside.left_ok),
             right_ok=int(report.outside.right_ok),
-            eps2_ok="" if report.outside.eps2_ok is None else int(report.outside.eps2_ok),
         )
     return out
 
@@ -180,7 +179,7 @@ def _grid_row(row: GridRow) -> dict:
 _GRID_COLUMNS = [
     "k", "s", "beta", "eps", "feasible", "ext_deficit", "int_deficit",
     "taylor_ext", "taylor_int", "residual_ext", "residual_int",
-    "left_ok", "right_ok", "eps2_ok", "skip_reason",
+    "left_ok", "right_ok", "skip_reason",
 ]
 
 
@@ -288,8 +287,6 @@ def _cmd_maximize(args) -> int:
 
 
 def _random_measure(rng, k: int) -> InputDistribution:
-    from .measures import canonical_labels
-
     labels = canonical_labels(k)
     w = rng.dirichlet(np.ones(len(labels)))
     return InputDistribution(k, dict(zip(labels, w)))
@@ -298,8 +295,6 @@ def _random_measure(rng, k: int) -> InputDistribution:
 def _cmd_continuity_check(args) -> int:
     if not args.pairs >= 1:
         raise MalformedInputError(f"pair count {args.pairs} must be >= 1")
-    if not args.mixtures >= 0:
-        raise MalformedInputError(f"mixture count {args.mixtures} must be >= 0")
     if not args.delta_max > 0.0:
         raise MalformedInputError(f"--delta-max {args.delta_max} must be > 0")
     rng = np.random.default_rng(args.seed)
@@ -312,12 +307,7 @@ def _cmd_continuity_check(args) -> int:
         other = _random_measure(rng, k)
         width = mu.statistical_distance(other)
         w = min(1.0, args.delta_max * float(rng.uniform(0.2, 1.0)) / max(width, 1e-12))
-        nu = InputDistribution(
-            k,
-            dict(
-                zip(mu.labels, (1.0 - w) * mu.vector + w * other.vector)
-            ),
-        )
+        nu = InputDistribution(k, dict(zip(mu.labels, (1.0 - w) * mu.vector + w * other.vector)))
         delta = mu.statistical_distance(nu)
         protocol = BuzzersProtocol.from_measure(mu)
         cost_mu = cost_under(protocol, mu)
@@ -327,64 +317,16 @@ def _cmd_continuity_check(args) -> int:
         gap_ext = abs(cost_mu.external_bits - cost_nu.external_bits)
         ok = gap_int <= bound
         violations += 0 if ok else 1
-        rows.append(
-            {
-                "pair": j,
-                "k": k,
-                "delta": delta,
-                "bound": bound,
-                "internal_gap": gap_int,
-                "external_gap": gap_ext,
-                "ok": int(ok),
-            }
-        )
+        rows.append({"pair": j, "k": k, "delta": delta, "bound": bound,
+                     "internal_gap": gap_int, "external_gap": gap_ext, "ok": int(ok)})
 
-    # error-tolerance mixture bound, two-party: blending the protocol with a
-    # full input exchange at rate d raises the cost by at most d log2|inputs|
-    mixture_rows = []
-    mixture_violations = 0
-    for j in range(args.mixtures):
-        mu = _random_measure(rng, 2)
-        report = information_cost(mu)
-        reveal_int = sum(mu.entropy_given_player(i) for i in (1, 2))
-        reveal_ext = mu.entropy()
-        for d in (0.1, 0.5, 1.0):
-            mix_int = (1.0 - d) * report.internal_bits + d * reveal_int
-            mix_ext = (1.0 - d) * report.external_bits + d * reveal_ext
-            ok = (
-                mix_int - report.internal_bits <= 2.0 * d + 1e-12
-                and mix_ext - report.external_bits <= 2.0 * d + 1e-12
-            )
-            mixture_violations += 0 if ok else 1
-            mixture_rows.append(
-                {
-                    "measure": j,
-                    "mix_rate": d,
-                    "internal_increase": mix_int - report.internal_bits,
-                    "external_increase": mix_ext - report.external_bits,
-                    "bound": 2.0 * d,
-                    "ok": int(ok),
-                }
-            )
-
-    summary = {
-        "pairs": args.pairs,
-        "violations": violations,
-        "mixture_rows": len(mixture_rows),
-        "mixture_violations": mixture_violations,
-    }
+    summary = {"pairs": args.pairs, "violations": violations}
     if args.format == "json":
-        _emit(
-            _dump({"summary": summary, "pairs": rows, "mixtures": mixture_rows}),
-            args.output,
-        )
+        _emit(_dump({"summary": summary, "pairs": rows}), args.output)
     else:
-        lines = _csv(rows, list(rows[0])) + [""]
-        if mixture_rows:
-            lines += _csv(mixture_rows, list(mixture_rows[0]))
-        lines.append(f"# violations={violations} mixture_violations={mixture_violations}")
+        lines = _csv(rows, list(rows[0])) + ["", f"# violations={violations}"]
         _emit("\n".join(lines) + "\n", args.output)
-    return 0 if violations == 0 and mixture_violations == 0 else 4
+    return 0 if violations == 0 else 4
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_maximize)
 
-    p = sub.add_parser("continuity-check", help="measure-continuity and mixture bounds")
+    p = sub.add_parser("continuity-check", help="measure-continuity bound on random pairs")
     p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--mixtures", type=int, default=10)
     p.add_argument("--k", default="2,3")
     p.add_argument("--delta-max", type=float, default=0.1, dest="delta_max")
     p.add_argument("--seed", type=int, default=0)

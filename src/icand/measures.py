@@ -278,15 +278,6 @@ class InputDistribution:
 
     # -- information functionals ---------------------------------------------
 
-    def entropy(self) -> float:
-        """H(X) in bits."""
-        return entropy(self._vec)
-
-    def entropy_given_player(self, i: int) -> float:
-        """H(X | X_i) in bits."""
-        col = np.array([[lab.bits[i - 1]] for lab in self._labels])
-        return float(_prior_entropies(col, self._vec)[1] / LN2)
-
     def statistical_distance(self, other: "InputDistribution") -> float:
         """Half L1 distance to another measure on the same cube."""
         if self.k != other.k:

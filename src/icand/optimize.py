@@ -9,16 +9,23 @@ symmetric line: mass ``a`` on all-zeros and ``(1 - a) / |F|`` on each free
 ``e_i`` (``a = 0`` when all-zeros is zeroed, ``a = 1`` when no ``e_i`` is
 free), with no all-ones mass, which only scales the cost by its complement.
 
-A lattice scan of ``a`` and a comparison-only golden-section refinement of
-its best bracket spend a number of evaluations fixed by the face and the
-arguments, never by the cost's last bits.  The best point is re-evaluated at
-tighter tolerances.  By symmetry the gradient vanishes on every asymmetric
-direction and the Hessian is a multiple of the identity there, so one
-evaluation at ``mu + h (e_1 - e_2)`` certifies a local maximum of the face
-(status ``local_max``) when the cost drops by more than the two error
-estimates, and gives ``not_local_max`` otherwise.  ``converged`` means that
-no asymmetric direction exists, ``budget_exhausted`` that the bracket never
-reached ``coord_tol``.
+On that line every start time is 0, and the cost and its derivative in
+``a`` have a closed form (``buzzers._symmetric_line``).  A lattice scan at
+``grid_step`` finds the best point; its slope names the bracket beside it
+that holds the maximum, or, at an end where it points outward, makes that
+end the maximum exactly.  Bisection of the slope's sign narrows the bracket
+to ``coord_tol``, so the evaluation count is fixed by the face and the
+arguments.  The value is the closed form at the better bracket end; the
+cost being concave there, its error is the closed form's round-off bound
+plus |slope| times the final width.  One tight quadrature cost at the
+argmax cross-checks the closed form (``ToleranceError`` beyond both
+estimates).  By symmetry the gradient vanishes on every asymmetric
+direction and the Hessian is a multiple of the identity there, so one more
+at ``mu + h (e_1 - e_2)`` certifies a local maximum of the face (status
+``local_max``) when the cost drops by more than the two error estimates,
+and gives ``not_local_max`` otherwise.  ``converged`` means that no
+asymmetric direction exists, ``budget_exhausted`` that the budget ran out
+before the bracket reached ``coord_tol`` and the checks were made.
 """
 
 from __future__ import annotations
@@ -28,19 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buzzers import information_cost
-from .errors import ConditioningError, MalformedInputError
+from .buzzers import _symmetric_line, information_cost
+from .errors import ConditioningError, MalformedInputError, ToleranceError
 from .measures import InputDistribution, InputLabel, canonical_labels
 
 __all__ = ["SupportPattern", "OptResult", "maximize_internal", "maximize_external"]
 
-#: Each golden-section evaluation shrinks the bracket by this factor.
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
 #: The asymmetric step ``h`` as a fraction of each free basis mass.
 _ASYM_STEP = 1.0 / 16.0
 
-#: Quadrature tolerances of the reported value and the asymmetric check.
+#: Quadrature tolerances of the cross-check and the asymmetric check.
 _TIGHT = {"rtol": 1e-11, "atol": 1e-13}
 
 
@@ -83,7 +87,7 @@ class OptResult:
     objective: str
     argmax: InputDistribution
     value_bits: float
-    value_error_bits: float  # tight error estimate + final bracket's value spread
+    value_error_bits: float  # closed-form round-off + |slope| * final bracket width
     evaluations: int
     status: str
     trace: tuple[tuple[int, float], ...]  # (evaluation count, best so far)
@@ -100,13 +104,8 @@ class OptResult:
         }
 
 
-def _maximize(
-    pattern: SupportPattern,
-    objective: str,
-    budget: int,
-    grid_step: float,
-    coord_tol: float,
-) -> OptResult:
+def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: float,
+              coord_tol: float) -> OptResult:
     # a subnormal step would overflow the lattice size 1 / grid_step
     if not grid_step >= np.finfo(float).tiny:
         raise MalformedInputError(f"grid step {grid_step} must be a positive normal float")
@@ -127,57 +126,57 @@ def _maximize(
             mass[lab] += step
         return InputDistribution(k, mass)
 
-    evals, best = 0, lo
-    seen: dict[float, float] = {}
+    evals, pick = 0, ("external", "internal").index(objective)
     trace: list[tuple[int, float]] = []
+    flat = len(basis) < k  # a vanishing basis mass: zero cost everywhere
 
-    def cost(mu: InputDistribution, **tols) -> tuple[float, float]:
+    def line(a: float) -> tuple[float, float, float, float]:
+        """(a, value, slope, error) in bits, by the closed form."""
         nonlocal evals
         evals += 1
-        report = information_cost(mu, **tols)
-        value = report.internal_bits if objective == "internal" else report.external_bits
-        return value, report.quadrature_error_estimate
+        values, slopes, err = ((0.0, 0.0), (0.0, 0.0), 0.0) if flat else _symmetric_line(k, a)
+        if not trace or values[pick] > trace[-1][1]:
+            trace.append((evals, values[pick]))
+        return a, values[pick], slopes[pick], err
 
-    def value(a: float) -> float:
-        nonlocal best
-        seen[a] = v = cost(mu_at(a))[0]
-        if not trace or v > trace[-1][1]:
-            best = a
-            trace.append((evals, v))
-        return v
+    def cost(mu: InputDistribution) -> tuple[float, float]:
+        """(value, error estimate) in bits, by tight quadrature."""
+        nonlocal evals
+        evals += 1
+        report = information_cost(mu, **_TIGHT)
+        return (report.external_bits, report.internal_bits)[pick], report.quadrature_error_estimate
 
-    # lattice scan, then golden-section refinement of the best scan bracket
+    # lattice scan; the best point's slope names the bracket beside it that
+    # holds the maximum of the concave cost, or makes that point the maximum
     m = max(int(round(1.0 / grid_step)), 1)
-    grid = [float(a) for a in np.linspace(lo, hi, min(m + 1, budget - 2) if lo < hi else 1)]
-    j = int(np.argmax([value(a) for a in grid]))
-    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    need = math.ceil(math.log((hi - lo) / coord_tol, _PHI)) + 1 if hi - lo > coord_tol else 0
+    size = max(min(m + 1, budget - 2), 2) if lo < hi else 1  # both ends of a segment
+    grid = [line(float(a)) for a in np.linspace(lo, hi, size)]
+    j = int(np.argmax([p[1] for p in grid]))
+    left = grid[j - 1] if grid[j][2] < 0.0 and j > 0 else grid[j]
+    right = grid[j + 1] if grid[j][2] > 0.0 and j + 1 < len(grid) else grid[j]
+    width = right[0] - left[0]
+    need = math.ceil(math.log2(width / coord_tol)) if width > coord_tol else 0
     n = min(need, budget - 2 - evals)
-    if n >= 2:
-        x1, x2 = hi - (hi - lo) / _PHI, lo + (hi - lo) / _PHI
-        f1, f2 = value(x1), value(x2)
-        for _ in range(n - 2):
-            if f1 > f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - (hi - lo) / _PHI
-                f1 = value(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + (hi - lo) / _PHI
-                f2 = value(x2)
-    spread = float(np.ptp([v for a, v in seen.items() if lo <= a <= hi]))
+    for _ in range(n):
+        mid = line(0.5 * (left[0] + right[0]))
+        left, right = (mid, right) if mid[2] > 0.0 else (left, mid)
+    a, value, slope, err = max(left, right, key=lambda p: p[1])
+    width = right[0] - left[0]
 
-    argmax = mu_at(best)
-    top, err = cost(argmax, **_TIGHT)
+    argmax = mu_at(a)
+    top, top_err = cost(argmax)
+    if abs(top - value) > top_err + err:
+        raise ToleranceError(f"quadrature cost {top!r} at a = {a!r} misses the closed form "
+                             f"{value!r} by more than {top_err:.2e} + {err:.2e}")
     status = "budget_exhausted" if n < need else "converged"
     if status == "converged" and len(basis) >= 2:
-        other, other_err = cost(mu_at(best, _ASYM_STEP * (1.0 - best) / len(basis)), **_TIGHT)
-        status = "local_max" if top - other > err + other_err else "not_local_max"
+        other, other_err = cost(mu_at(a, _ASYM_STEP * (1.0 - a) / len(basis)))
+        status = "local_max" if top - other > top_err + other_err else "not_local_max"
     return OptResult(
         objective=objective,
         argmax=argmax,
-        value_bits=float(top),
-        value_error_bits=err + spread,
+        value_bits=value,
+        value_error_bits=err + abs(slope) * width if width > 0.0 else err,
         evaluations=evals,
         status=status,
         trace=tuple(trace),

@@ -89,7 +89,7 @@ def _cli_runs(tmp: Path) -> list[list[str]]:
         ["maximize", "--zero", "11", "--budget", "40", "--grid-step", "0.25",
          "--trace-csv", str(tmp / "trace.csv"), *out("maximize.json")],
         ["maximize", "--zero", "00,10,11", "--objective", "external", *out("point.json")],
-        ["continuity-check", "--pairs", "2", "--mixtures", "1", "--format", "csv",
+        ["continuity-check", "--pairs", "2", "--format", "csv",
          *out("continuity.csv")],
         ["ic", "--measure", str(tmp / "missing.json")],
     ]

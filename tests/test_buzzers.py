@@ -24,6 +24,7 @@ from icand.measures import (
     InputLabel,
     binary_entropy,
     canonical_labels,
+    entropy,
 )
 from icand.quadrature import integrate_segments
 
@@ -239,9 +240,10 @@ class TestInformationCost:
             sum(report.per_player_bits), abs=1e-12
         )
         assert report.concealed_external_bits == pytest.approx(
-            mu.entropy() - report.external_bits, abs=1e-12
+            entropy(mu.vector) - report.external_bits, abs=1e-12
         )
-        hxi = sum(mu.entropy_given_player(i) for i in (1, 2, 3))
+        # X_i is a function of X, so H(X | X_i) = H(X) - H(X_i)
+        hxi = sum(entropy(mu.vector) - binary_entropy(mu.beta(i)) for i in (1, 2, 3))
         assert report.concealed_internal_bits == pytest.approx(
             hxi - report.internal_bits, abs=1e-12
         )
@@ -259,7 +261,7 @@ class TestInformationCost:
             at, by = information_cost(mu), information_cost(near)
             assert at.per_player_bits == (0.0,) * mu.k
             assert at.external_bits == 0.0
-            assert at.concealed_external_bits == mu.entropy()
+            assert at.concealed_external_bits == entropy(mu.vector)
             assert by.external_bits == pytest.approx(at.external_bits, abs=1e-6)
             assert by.internal_bits == pytest.approx(at.internal_bits, abs=1e-6)
 
@@ -462,3 +464,71 @@ class TestGradedTail:
         ext, internal = closed_form_uniform(k)
         gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
         assert report.quadrature_error_estimate >= gap
+
+
+def mp_symmetric_line(k, a):
+    """((external, internal), (their a-derivatives)) in bits for mass ``a``
+    on all-zeros and ``(1 - a) / k`` on each e_i, by ``mpmath.quad`` at 30
+    digits of the one-stretch integral
+    ``L(g) = int_0^1 u^(k-2) (g + a u) ln(g + a u) du`` and its derivative
+    ``int_0^1 u^(k-2) (u - kappa)(1 + ln(g + a u)) du``, g = kappa (1 - a)."""
+    with mp.workdps(30):
+        a = mp.mpf(a)
+
+        def line(kappa):
+            g = kappa * (1 - a)
+            value = mp.quad(lambda u: u ** (k - 2) * (g + a * u) * mp.log(g + a * u), [0, 1])
+            slope = mp.quad(lambda u: u ** (k - 2) * (u - kappa) * (1 + mp.log(g + a * u)), [0, 1])
+            return value, slope
+
+        (Lc, dLc), (Ld, dLd) = line(mp.mpf(k - 1) / k), line(mp.mpf(k - 2) / k)
+        top = a + (k - 1) * (1 - a) / k
+        ext = -a / k - k * Lc
+        internal = k * (top * mp.log(top) - a / k - Lc - (k - 1) * Ld)
+        d_ext = -mp.mpf(1) / k - k * dLc
+        d_int = mp.log(top) - k * dLc - k * (k - 1) * dLd
+        bits = [float(v / mp.log(2)) for v in (ext, internal, d_ext, d_int)]
+        return tuple(bits[:2]), tuple(bits[2:])
+
+
+def symmetric_measure(k, a):
+    return InputDistribution(
+        k, {InputLabel.zeros(k): a} | {InputLabel.basis(k, i): (1 - a) / k for i in range(1, k + 1)}
+    )
+
+
+class TestSymmetricLine:
+    @pytest.mark.parametrize("k", [2, 3, 4, 10, 50, 128, 1000])
+    def test_matches_mpmath(self, k):
+        for a in (1e-9, 0.2, 0.3653, 0.5, 0.999):
+            values, slopes, error = buzzers._symmetric_line(k, a)
+            ref_values, ref_slopes = mp_symmetric_line(k, a)
+            gap = max(abs(v - r) for v, r in zip(values, ref_values))
+            assert gap <= 1e-14, (k, a)
+            assert gap <= error, (k, a)
+            assert slopes == pytest.approx(ref_slopes, rel=1e-10), (k, a)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 32])
+    def test_matches_quadrature_within_both_estimates(self, k):
+        for a in (0.0, 0.15, 0.3653, 0.7, 0.98):
+            report = information_cost(symmetric_measure(k, a))
+            values, _, error = buzzers._symmetric_line(k, a)
+            quadrature = (report.external_bits, report.internal_bits)
+            gap = max(abs(v - q) for v, q in zip(values, quadrature))
+            assert gap <= error + report.quadrature_error_estimate, (k, a)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_uniform_end_is_the_closed_form(self, k):
+        values, _, error = buzzers._symmetric_line(k, 0.0)
+        gap = max(abs(v - c) for v, c in zip(values, closed_form_uniform(k)))
+        assert gap <= error
+
+    def test_two_party_internal_slope_is_infinite_at_the_uniform_end(self):
+        (_, internal), (_, slope), _ = buzzers._symmetric_line(2, 0.0)
+        assert internal == 0.0
+        assert slope == math.inf
+
+    def test_costs_vanish_at_the_all_zeros_end(self):
+        for k in (2, 3, 10, 1000):
+            values, _, error = buzzers._symmetric_line(k, 1.0)
+            assert max(map(abs, values)) <= error

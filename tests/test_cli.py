@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icand import cli, signals
+from icand import cli, concavity, signals
+from icand.buzzers import cost_under
 from icand.cli import main
-from icand.measures import InputLabel
+from icand.measures import InputLabel, binary_entropy
 
 
 @pytest.fixture
@@ -311,27 +314,65 @@ class TestMaximize:
         assert json.loads(err)["error"]["type"] == "ConditioningError"
 
 
+class TestVerifyConcavityChecks:
+    def test_shifted_integrand_fails_the_right_tail_check(self, capsys, monkeypatch):
+        # on the canonical grid the left interval is empty (the sender's
+        # window opens at the earliest start time), so only right_ok can fire
+        plain = concavity._concavity_integrand
+
+        def shifted(pert):
+            f = plain(pert)
+            return lambda ts: f(ts) - 1e-6
+
+        monkeypatch.setattr(concavity, "_concavity_integrand", shifted)
+        code, out, _ = run(capsys, "verify-concavity", "--k", "2,3", "--beta", "0.05",
+                           "--eps", "1e-2", "--outside")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 5
+        assert {row["right_ok"] for row in rows} == {"0"}
+
+
 class TestContinuityCheck:
     def test_sweep_clean(self, capsys):
         code, out, _ = run(
             capsys,
             "continuity-check",
             "--pairs", "10",
-            "--mixtures", "3",
             "--seed", "2",
         )
         assert code == 0
         result = json.loads(out)
-        assert result["summary"]["violations"] == 0
-        assert result["summary"]["mixture_violations"] == 0
+        assert result["summary"] == {"pairs": 10, "violations": 0}
+        assert list(result) == ["pairs", "summary"]
         assert len(result["pairs"]) == 10
+
+    def test_cost_pushed_past_the_bound_is_a_violation(self, capsys, monkeypatch):
+        # the second cost of each pair is moved by twice the pair's bound, so
+        # its gap lies at least one bound past it
+        seen = []
+
+        def pushed(protocol, mu, **tols):
+            report = cost_under(protocol, mu, **tols)
+            seen.append(mu)
+            if len(seen) % 2 == 0:
+                delta = seen[-2].statistical_distance(mu)
+                bound = 2.0 * mu.k * delta + 2.0 * binary_entropy(min(2.0 * delta, 1.0))
+                report = dataclasses.replace(report, internal_bits=report.internal_bits + 2 * bound)
+            return report
+
+        monkeypatch.setattr(cli, "cost_under", pushed)
+        code, out, _ = run(capsys, "continuity-check", "--pairs", "4")
+        result = json.loads(out)
+        assert code == 4
+        assert result["summary"]["violations"] == 4
+        assert [row["ok"] for row in result["pairs"]] == [0] * 4
 
     def test_csv_floats_are_plain(self, capsys):
         code, out, _ = run(
             capsys,
             "continuity-check",
             "--pairs", "20",
-            "--mixtures", "3",
             "--format", "csv",
         )
         assert code == 0
@@ -352,7 +393,6 @@ class TestContinuityCheck:
         ["ic", "--measure", "NO11", "--rtol", "nan"],
         ["ic", "--measure", "NO11", "--rtol", "-1"],
         ["continuity-check", "--pairs", "-1"],
-        ["continuity-check", "--pairs", "1", "--mixtures", "-1"],
         ["continuity-check", "--pairs", "1", "--delta-max", "nan"],
         ["uniform", "--k", "", "--format", "csv"],
         ["discretize", "--measure", "NO11", "--delta", ""],
@@ -406,7 +446,7 @@ def _json_runs(tmp):
          "--traces", "20", "--export-traces", "2"],
         ["discretize", "--measure", str(no11), "--delta", "0.25", "--format", "json"],
         ["maximize", "--zero", "11", "--budget", "40", "--grid-step", "0.25"],
-        ["continuity-check", "--pairs", "2", "--mixtures", "1"],
+        ["continuity-check", "--pairs", "2"],
         ["ic", "--measure", str(tmp / "missing.json")],
     ]
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from icand import concavity
 from icand.buzzers import BuzzersProtocol, buzz_densities
 from icand.concavity import (
     CanonicalMeasure,
@@ -395,6 +396,25 @@ class TestOutsideWindow:
         assert checks.eps2_bound == pytest.approx(expected_bound, rel=1e-12)
         assert checks.eps2_gap_value >= checks.eps2_bound - 1e-10
         assert checks.eps2_ok
+
+    def test_shifted_integrand_fails_both_sign_checks(self, monkeypatch):
+        mu = staggered_instance(gap=1.0)
+        base = outside_window_checks(mu, 2, 0.05)
+        assert base.left_ok and base.right_ok
+        # the left check integrates from the earliest start to the window
+        pert = perturb(mu, 2, 0.05)
+        times = pert.base_protocol.player_times
+        shift = 2.0 * base.left_value / (times[1] - pert.gamma0 - min(times))
+        plain = concavity._concavity_integrand
+
+        def shifted(pert):
+            f = plain(pert)
+            return lambda ts: f(ts) - shift
+
+        monkeypatch.setattr(concavity, "_concavity_integrand", shifted)
+        checks = outside_window_checks(mu, 2, 0.05)
+        assert not checks.left_ok
+        assert not checks.right_ok
 
     def test_skipped_for_first_sender(self):
         c = CanonicalMeasure(k=3, s=1, beta=0.1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icand import measures
+from icand.buzzers import ICReport
 from icand.errors import (
     AssumptionViolationError,
     InvalidDistributionError,
@@ -170,17 +171,33 @@ class TestInputDistribution:
         with pytest.raises(MalformedInputError):
             InputDistribution.from_json(f'{{"k": 100000, "mass": {mass}}}')
 
+    @staticmethod
+    def _given_player(mu, i):
+        """H(X | X_i) in bits, from the prior entropies the costs use."""
+        bits = np.array([lab.bits for lab in mu.labels])
+        return measures._prior_entropies(bits, mu.vector)[i] / measures.LN2
+
     def test_entropy_given_player(self):
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
         # independent fair bits: H(X | X_i) = 1
-        assert mu.entropy_given_player(1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_entropy_given_player_is_a_python_float(self):
+        assert self._given_player(mu, 1) == pytest.approx(1.0, abs=1e-12)
         # (00, 01, 10) = (0.2, 0.5, 0.3): X_1 = 0 leaves {00, 01}
         mu = InputDistribution.two_party(0.2, 0.5, 0.3, 0.0)
-        h = mu.entropy_given_player(1)
+        expected = 0.7 * binary_entropy(0.2 / 0.7)
+        assert self._given_player(mu, 1) == pytest.approx(expected, abs=1e-15)
+
+    def test_entropy_given_player_is_a_python_float(self):
+        # the conditional entropies reach the reports (and so the JSON and
+        # CSV output) as Python floats, not numpy scalars
+        mu = InputDistribution.two_party(0.2, 0.5, 0.3, 0.0)
+        bits = np.array([lab.bits for lab in mu.labels])
+        report = ICReport.of(measures._prior_entropies(bits, mu.vector), 0.0, np.zeros(2), 0.0)
+        h = report.concealed_internal_bits
         assert type(h) is float
-        assert h == pytest.approx(0.7 * binary_entropy(0.2 / 0.7), abs=1e-15)
+        # X_1 = 0 leaves {00, 01}; X_2 = 0 leaves {00, 10}
+        expected = 0.7 * binary_entropy(0.2 / 0.7) + 0.5 * binary_entropy(0.4)
+        assert h == pytest.approx(expected, abs=1e-15)
+        assert type(report.concealed_external_bits) is float
 
     def test_measures_share_the_cached_labels(self):
         a = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)

@@ -1,12 +1,16 @@
 """Cost maximization over support faces."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
+from test_buzzers import mp_symmetric_line
 
-from icand import optimize
-from icand.buzzers import closed_form_uniform, information_cost
-from icand.errors import MalformedInputError
+from icand import cli, optimize
+from icand.buzzers import _symmetric_line, closed_form_uniform, information_cost
+from icand.errors import MalformedInputError, ToleranceError
+from icand.measures import InputDistribution, canonical_labels
 from icand.optimize import SupportPattern, maximize_external, maximize_internal
 
 
@@ -137,6 +141,95 @@ class TestSymmetricLine:
                 maximize_internal(SupportPattern.parse(2, "11"), budget=budget)
 
     def test_small_budget_reports_exhaustion(self):
-        result = maximize_internal(SupportPattern.parse(2, "11"), budget=12)
-        assert result.evaluations <= 12
-        assert result.status == "budget_exhausted"
+        for budget in (3, 4, 12):
+            result = maximize_internal(SupportPattern.parse(2, "11"), budget=budget)
+            assert result.evaluations <= budget
+            assert result.status == "budget_exhausted"
+            assert not result.value_error_bits < 1e-9
+
+    def test_single_point_line_with_an_infinite_slope(self):
+        # no all-zeros mass: a = 0 alone, where the k=2 internal slope is +inf
+        result = maximize_internal(SupportPattern.parse(2, "00,11"))
+        assert result.argmax.mass("01") == 0.5
+        assert 0.0 <= result.value_error_bits < 1e-12
+
+
+class TestDerivativeSearch:
+    def test_disjointness_value_is_the_line_integral(self, monkeypatch):
+        calls = []
+
+        def counted(mu, **tols):
+            calls.append(mu)
+            return information_cost(mu, **tols)
+
+        monkeypatch.setattr(optimize, "information_cost", counted)
+        result = maximize_internal(SupportPattern.parse(2, "11"))
+        (_, reference), _ = mp_symmetric_line(2, result.argmax.mass("00"))
+        assert abs(result.value_bits - reference) <= 1e-14
+        # the maximum, 0.482701848170372017 at a = 0.365319405102450853
+        assert abs(result.value_bits - 0.48270184817037) <= result.value_error_bits
+        assert result.argmax.mass("01") == result.argmax.mass("10")
+        assert result.status == "local_max"
+        assert len(calls) <= 2
+        # 51 lattice points, 15 halvings of a 0.02 bracket to 1e-6, two checks
+        assert result.evaluations == 68
+
+    @pytest.mark.parametrize(
+        "k, maximize",
+        [(2, maximize_external)]
+        + [(k, f) for k in (3, 4, 8, 16, 32, 64, 128) for f in (maximize_internal, maximize_external)],
+    )
+    def test_end_point_maxima_are_exact(self, k, maximize):
+        result = maximize(SupportPattern.parse(k, "1" * k))
+        assert result.argmax.mass("0" * k) == 0.0
+        assert result.status == "local_max"
+        assert result.value_error_bits <= 1e-12
+        ext, internal = closed_form_uniform(k)
+        expected = internal if maximize is maximize_internal else ext
+        assert result.value_bits == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_both_objectives_are_concave_with_the_returned_slopes(self, k):
+        grid = np.linspace(0.0, 1.0, 50)
+        points = [_symmetric_line(k, float(a)) for a in grid]
+        error = max(p[2] for p in points)
+        for pick in (0, 1):
+            v = np.array([p[0][pick] for p in points])
+            slope = np.array([p[1][pick] for p in points])
+            secant = np.diff(v) / np.diff(grid)
+            assert np.all(v[:-2] + v[2:] - 2.0 * v[1:-1] <= 4.0 * error)
+            assert np.all(np.diff(slope) < 0.0)
+            # a concave function's secant lies between its end slopes
+            assert np.all(slope[1:] <= secant + 1e-9)
+            assert np.all(secant <= slope[:-1] + 1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_face_points_do_not_beat_the_symmetric_maximum(self, k):
+        face = SupportPattern.parse(k, "1" * k)
+        best = [maximize_external(face), maximize_internal(face)]
+        labels = canonical_labels(k)[:-1]
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            mu = InputDistribution(k, dict(zip(labels, rng.dirichlet(np.ones(k + 1)))))
+            report = information_cost(mu)
+            for cost, top in zip((report.external_bits, report.internal_bits), best):
+                assert cost <= top.value_bits + top.value_error_bits + report.quadrature_error_estimate
+
+    def test_quadrature_off_by_twice_its_estimate_fails_the_cross_check(self, monkeypatch, capsys):
+        def offset(mu, **tols):
+            report = information_cost(mu, **tols)
+            shift = 2.0 * report.quadrature_error_estimate
+            return dataclasses.replace(
+                report,
+                internal_bits=report.internal_bits + shift,
+                external_bits=report.external_bits + shift,
+            )
+
+        monkeypatch.setattr(optimize, "information_cost", offset)
+        for k, maximize in ((2, maximize_internal), (3, maximize_external)):
+            with pytest.raises(ToleranceError):
+                maximize(SupportPattern.parse(k, "1" * k))
+        assert cli.main(["maximize", "--zero", "11"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ToleranceError"
