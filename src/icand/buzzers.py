@@ -9,44 +9,31 @@ the silent outcome, which has probability one exactly on the all-ones input.
 
 Transcript densities factor per input as ``f_x(t, m) = exp(-Phi_x(t))`` for
 ``t >= t_m`` and ``x_m = 0`` (zero otherwise), with ``Phi_x`` the total time
-already spent by active players.  Internal and external information costs
-are computed by piecewise quadrature of the conditional-entropy integrands
-against these densities.  The unbounded tail is mapped onto (0, 1] by
-``u = exp(-(t - t_last)) = v^g``.  Past ``t_last`` an input with ``z`` zero
-bits has density proportional to ``u^z``, so where inputs with different
-zero counts share a buzz (all-zeros beside the ``e_j``) the integrand in
-``u`` carries a ``u^{z1-1} ln u`` term, ``z1`` being the second-smallest
-positive zero count among inputs with mass (``u ln u`` at k = 2).  Grading
-turns it into ``g^2 v^{g z1 - 1} ln v`` with ``g = ceil(8 / z1)``, smooth
-enough for a few Gauss-Legendre panels instead of a cascade of bisections
-toward v = 0; g = 4, 3, 2 at k = 2, 3, 4 and 1 from k = 8 on.  With a
-single positive count (the uniform basis) the logarithms cancel and g = 1.
+already spent by active players.  A cost is a prior entropy minus the
+conditional entropy of the input given the transcript, integrated stretch
+by stretch between start times: each finite stretch by Gauss-Legendre
+quadrature, the last one in closed form (``_tail``).  That closed form
+rests on one integral, ``int_0^1 u^(k-2) (g + a u) ln(g + a u) du``, which
+is also the whole cost on the player-symmetric line (``_symmetric_line``);
+one power series evaluates it for both (``_line_series``).
 
-A cost's error estimate sums the quadrature error bounds of all k + 1
-conditional entropies and adds a round-off term of 32 eps times
-``H(X) + sum_i H(X|X_i)``, the entropies the integrals are subtracted from;
-it bounds the error of the external, the internal and every per-player cost.
-
-Measures with mass on the all-ones input are costed by conditioning that
-point away and scaling by its complement, matching the protocol-equivalence
-convention used throughout this package (the start times only depend on
-ratios of basis masses, so the conditioned measure runs the same protocol).
-A zero basis mass forces that player's bit to zero almost surely.  Start
-times are undefined there, so such a measure is costed as the limit of
-vanishing mass: the player starts first, holds 0 and buzzes at once, and
-the transcript reveals nothing, so both costs are zero.
+All-ones mass is conditioned away and the cost scaled by its complement:
+start times depend only on ratios of basis masses, so the conditioned
+measure runs the same protocol.  A zero basis mass leaves its player's start
+time undefined; the limit of vanishing mass (the player starts first, holds
+0 and buzzes at once, revealing nothing) costs zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
 from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
-from .quadrature import integrate, integrate_segments
+from .quadrature import integrate
 
 __all__ = [
     "StartTimes",
@@ -66,12 +53,6 @@ _TIME_DEDUPE = 1e-14
 
 #: Smallest normal double; transcript densities below it count as zero.
 _TINY = np.finfo(float).tiny
-
-#: The graded tail ``u = v^g`` turns the integrand's leading singular term
-#: ``u^{z1-1} ln u`` into ``g^2 v^{g z1 - 1} ln v``; g is the least integer
-#: with ``g z1`` at least this, so the term has six continuous derivatives
-#: at v = 0 and a few 15-point Gauss-Legendre panels resolve it.
-_TAIL_SMOOTHNESS = 8
 
 _EPS = np.finfo(float).eps
 
@@ -230,89 +211,84 @@ class ICReport:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "external_bits": self.external_bits,
-            "internal_bits": self.internal_bits,
-            "per_player_bits": list(self.per_player_bits),
-            "concealed_internal_bits": self.concealed_internal_bits,
-            "concealed_external_bits": self.concealed_external_bits,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-        }
+        return asdict(self)
 
 
-def _tail_grading(zeros: np.ndarray) -> int:
-    """The exponent g of the tail substitution ``u = v^g``.
+def _tail(times: np.ndarray, bits: np.ndarray, log_w: np.ndarray, t_last: float) -> np.ndarray:
+    """The stretch ``t >= t_last`` of [H(X|T), H(X|T, X_1), ..., H(X|T, X_k)]
+    in nats, in closed form (row 0), and a round-off bound of each (row 1).
 
-    ``zeros[x]`` marks the zero bits of each input with mass; ``z1`` is the
-    second-smallest positive count of them.  With a single positive count
-    every posterior on the tail is constant and the integrand is a power of
-    ``u``, so no grading is needed.
+    With ``u = exp(-(t - t_last))`` all-zeros buzzes with density ``a u^k``,
+    ``e_j`` with ``c_j u^(k-1)``.  A class of the e_j in S (and all-zeros, or
+    a = 0) sums to ``u^(k-1) (g + a u)``, ``g = sum_S c_j``, and integrates to
+
+        T = L(g, a) + a/k^2 - sum_S c_j ln c_j / (k-1) - a ln a / k,
+        L = int_0^1 u^(k-2) (g + a u) ln(g + a u) du
+          = ln(g + a) (g/(k-1) + a/k) + (g + a) ell(a / (g + a)),
+
+    or to exactly 0 with one input.  Class (m, i) lacks e_m and e_i: at
+    buzzer m it is player i's class beside the single e_i, and (m, m) is the
+    external class, player m's too.  So H(X|T) sums the diagonal and
+    H(X|T, X_i) row i.  Where removing the largest weight(s) from the total
+    would cancel, the class is summed directly.
     """
-    counts = np.unique(zeros.sum(axis=1))
-    counts = counts[counts > 0]
-    if len(counts) < 2:
-        return 1
-    return -(-_TAIL_SMOOTHNESS // int(counts[1]))
+    k, eps = bits.shape[1], float(_EPS)
+    c = np.exp(log_w - (bits == 0) @ np.maximum(t_last - times, 0.0))
+    ones = bits.sum(axis=1)
+    a, e = float(c[ones == 0].sum()), np.zeros(k)
+    e[np.argmax(bits[ones == 1], axis=1)] = c[ones == 1]
+    xl, xl_a = _xlogx(e), float(_xlogx(np.array(a)))
+    top, second = np.argsort(-e, kind="stable")[:2]
+    rest = e.sum() - e
+    rest[top] = np.delete(e, top).sum()
+    g = np.where(e[:, None] >= e, rest[:, None] - e, rest - e[:, None])
+    g[top, second] = g[second, top] = np.delete(e, [top, second]).sum()
+    x = xl.sum() - xl[:, None] - xl
+    size = (a > 0.0) + np.count_nonzero(e) - (e > 0.0)[:, None] - (e > 0.0)
+    diag = np.diag_indices(k)  # without e_m alone: external, and player m's
+    g[diag], x[diag], size[diag] = rest, xl.sum() - xl, size[diag] + (e > 0.0)
+    live = size >= 2
+    g, x = np.maximum(g[live], 0.0), x[live]
+    sigma = g + a
+    # one series per distinct s; under a measure's own protocol every c_j is
+    # the same, so information_cost sums a handful of them at any k
+    uniq, inv = np.unique(a / sigma, return_inverse=True)
+    ell, ell_err = np.array([_line_series(k, float(v))[:2] for v in uniq]).reshape(-1, 2).T[:, inv]
+    head = np.log(sigma) * (g / (k - 1) + a / k)
+    out = np.zeros((2, k, k))  # T and its bound for class (m, i)
+    out[0, live] = head + sigma * ell + a / k**2 - x / (k - 1) - xl_a / k
+    out[1, live] = sigma * ell_err + eps * (16.0 + math.log2(k)) * (
+        np.abs(head) + sigma * np.abs(ell) + (sigma + 3.0 * np.abs(xl).sum() + abs(xl_a)) / (k - 1))
+    # class (m, i) is symmetric in m and i: sum each row pairwise
+    return np.hstack([out.trace(axis1=1, axis2=2)[:, None], out.sum(axis=2)])
 
 
-def _cond_entropy_profile(
-    times: np.ndarray,
-    bits: np.ndarray,
-    w: np.ndarray,
-    *,
-    rtol: float,
-    atol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """[H(X|T), H(X|T, X_1), ..., H(X|T, X_k)] in nats for transcript T,
-    with the quadrature error bound of each component.
-
-    Only the buzz part of the transcript integrates; the silent atom is a
-    point posterior (all-ones) and contributes nothing.
-    """
-    zeros = (bits == 0).astype(float)
-    classes = player_classes(bits)
-    log_w = np.log(w)
-    bp = _dedupe_sorted(np.sort(times))
-    t_last = float(bp[-1])
-    g = _tail_grading(zeros)
-
-    def segment(ts: np.ndarray) -> np.ndarray:
-        return conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
-
-    def tail(vs: np.ndarray) -> np.ndarray:
-        # u = e^{-(t - t_last)} = v^g: t = t_last - g ln v and dt = g dv / v,
-        # the Jacobian folded into the weights
-        ln_v = np.log(vs)
-        log_wv = log_w + np.log(g) - ln_v[:, None]
-        V = buzz_densities(times, zeros, log_wv, t_last - g * ln_v)
-        return conditional_entropies(V, classes)
-
-    total, err = integrate_segments(segment, bp, rtol=rtol, atol=atol)
-    vals, e = integrate(tail, 0.0, 1.0, rtol=rtol, atol=atol)
-    return total + vals, err + e
-
-
-def _cost_arrays(
-    times: np.ndarray,
-    bits: np.ndarray,
-    masses: np.ndarray,
-    *,
-    rtol: float,
-    atol: float,
-) -> tuple[np.ndarray, float, np.ndarray, float]:
+def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
+                 rtol: float, atol: float) -> tuple[np.ndarray, float, np.ndarray, float]:
     """(prior entropies in nats, external, per-player internal terms, error
     estimate), the last three in bits.
 
-    The estimate sums the quadrature error bounds of all k + 1 components and
-    adds ``_ROUNDOFF * eps * (H(X) + sum_i H(X|X_i))`` for the cancellation
-    between the priors and the integrals, so it bounds the error of the
-    external cost, of the internal cost (a sum of k differences) and of each
-    per-player term.
+    The conditional entropies of the input given a buzz integrate stretch by
+    stretch, by quadrature between start times and then ``_tail``; the
+    silent atom is a point posterior and adds nothing.  The estimate sums
+    their error bounds over all k + 1 components and adds ``_ROUNDOFF * eps
+    * (H(X) + sum_i H(X|X_i))`` for the cancellation between the priors and
+    the integrals, so it bounds the error of the external cost, of the
+    internal cost (a sum of k differences) and of each per-player term.
     """
     keep = masses > ZERO_MASS
-    cond, err = _cond_entropy_profile(
-        times, bits[keep], masses[keep], rtol=rtol, atol=atol
-    )
+    live, log_w = bits[keep], np.log(masses[keep])
+    bp = _dedupe_sorted(np.sort(times))
+    cond, err = _tail(times, live, log_w, float(bp[-1]))
+    if len(bp) > 1:
+        zeros, classes = (live == 0).astype(float), player_classes(live)
+
+        def segment(ts: np.ndarray) -> np.ndarray:
+            return conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
+
+        for lo, hi in zip(bp[:-1], bp[1:]):
+            vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol)
+            cond, err = cond + vals, err + e
     prior = _prior_entropies(bits, masses)
     cost = (prior - cond) / LN2
     bound = err.sum() + _ROUNDOFF * _EPS * prior.sum()
@@ -369,22 +345,47 @@ def information_cost(
 
 
 def closed_form_uniform(k: int) -> tuple[float, float]:
-    """(external, internal) cost in bits for the uniform basis measure.
-
-    External is ``log2(k) - log2(k-1)``; internal is
-    ``(k-2) (log2(k-1) - log2(k-2))``, which vanishes at k = 2.
-    """
+    """(external, internal) cost in bits for the uniform basis measure:
+    ``log2(k / (k-1))`` and ``(k-2) log2((k-1) / (k-2))``, 0 at k = 2, both
+    by ``log1p`` so that no digits cancel at large k."""
     if k < 2:
         raise MalformedInputError(f"need at least two players, got k={k}")
-    ext = float(np.log2(k) - np.log2(k - 1))
-    if k == 2:
-        return ext, 0.0
-    return ext, float((k - 2) * (np.log2(k - 1) - np.log2(k - 2)))
+    ext = math.log1p(1.0 / (k - 1)) / LN2
+    return ext, (k - 2) * math.log1p(1.0 / (k - 2)) / LN2 if k > 2 else 0.0
 
 
-#: Terms kept of the power series in ``_symmetric_line``: all that matter
-#: unless a is within about 1e-3 of 1; the tail past them enters the error.
+#: Terms kept of the power series in ``_line_series``: all that matter
+#: unless s is within about 1e-3 of 1; the tail past them enters the error.
 _SERIES_TERMS = 2**17
+
+
+def _line_series(k: int, s: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(ell, round-off bound, j, P) for s in [0, 1] and k >= 2, with
+
+        ell(s) = int_0^1 u^(k-2) (1 - s + s u) ln(1 - s + s u) du
+               = -P_1 + sum_{j>=2} P_j / (j (j-1)),   P_j = s^j B(j+1, k-1).
+
+    P_j has ratio ``s j / (j + k - 1)`` and is kept until ``s^j`` drops below
+    eps, for at most ``_SERIES_TERMS`` terms.  A term carries at most 9 j + 16
+    roundings (s, good to 6 eps, enters as s^j; three per factor).  The terms
+    dropped after the n-th are at most it times ``min(s / (1-s), (n+k) / k)``:
+    their ratio is at most s and at most ``1 - (k+1) / (j+k)``.  At k = 2 and
+    s > 0.9 the series would need over 342 terms; the elementary
+    ``((1-s)^2 (1/4 - ln(1-s)/2) - 1/4) / s`` gives ell there instead.  j
+    and P are returned for the slope series of ``_symmetric_line``.
+    """
+    eps = float(_EPS)
+    n = 1 if s == 0.0 else min(_SERIES_TERMS, max(2, math.ceil(math.log(eps) / math.log(min(s, 1.0 - eps)))))
+    j = np.arange(1.0, n + 1.0)
+    P = np.cumprod(s * j / (j + (k - 1))) / (k - 1)
+    if k == 2 and s > 0.9:
+        r = 1.0 - s
+        r_ln_r = r * math.log(r) if r > 0.0 else 0.0
+        f = r * (0.25 * r - 0.5 * r_ln_r)
+        return (f - 0.25) / s, eps * (16.0 * (f + 0.25) + 6.0 * (abs(r_ln_r) + 0.25)) / s, j, P
+    t = np.concatenate([-P[:1], P[1:] / (j[1:] * (j[1:] - 1.0))])
+    dropped = abs(t[-1]) * min(s / (1.0 - s) if s < 1.0 else math.inf, (n + k) / k)
+    return math.fsum(t.tolist()), eps * float(np.dot(9.0 * j + 16.0, np.abs(t))) + dropped, j, P
 
 
 def _symmetric_line(k: int, a: float) -> tuple[tuple[float, float], tuple[float, float], float]:
@@ -398,21 +399,16 @@ def _symmetric_line(k: int, a: float) -> tuple[tuple[float, float], tuple[float,
         external = -a/k - k L(c)
         internal = k ((a + c) ln(a + c) - a/k - L(c) - (k-1) L(c')).
 
-    For ``g = (k-q)(1-a)/k``, q = 1 or 2, put ``s = a / (g + a)`` and
-    ``P_j = s^j B(j+1, k-1)``, positive with ratio ``s j / (j + k - 1)``.
-    Then ``g + a u = (g + a)(1 - s (1 - u))`` and
+    For ``g = (k-q)(1-a)/k``, q = 1 or 2, and ``s = a / (g + a)``,
+    ``L = ln(g + a) (g/(k-1) + a/k) + (g + a) ell(s)`` (``_line_series``) and
 
-        L = ln(g + a) (g/(k-1) + a/k) + (g + a) (-P_1 + sum_{j>=2} P_j / (j (j-1)))
-        dL/da = (q-1)(1 + ln(g + a)) / (k (k-1))
-                + sum_{j>=1} P_j ((k-q) j - (q-1) k) / (j k (j + k)),
+        dL/da = int u^(k-2) (u - (k-q)/k)(1 + ln(g + a u)) du
+              = (q-1)(1 + ln(g + a)) / (k (k-1))
+                + sum_{j>=1} P_j ((k-q) j - (q-1) k) / (j k (j + k)).
 
-    the second being ``int u^(k-2) (u - (k-q)/k)(1 + ln(g + a u)) du``.  The
-    value's series has no cancellation.  With g = 0 (k = q = 2, or a = 1)
-    both are elementary; at a = 1 both costs are zero to round-off.
-    ``error`` bounds the round-off of both costs: every elementary summand
-    carries at most 16 roundings, series term j at most 9 j + 16 (s is good
-    to 6 eps and enters as s^j; three per factor of the product), and the
-    series' tail is at most its last term times s / (1 - s).
+    With g = 0 (k = q = 2, or a = 1) both are elementary; at a = 1 both
+    costs are zero to round-off.  ``error`` bounds the round-off of both
+    costs: 16 roundings per elementary summand, and ``ell``'s own bound.
     """
     eps = float(_EPS)
     L, dL, err = [], [], []
@@ -427,15 +423,11 @@ def _symmetric_line(k: int, a: float) -> tuple[tuple[float, float], tuple[float,
         x = q * (1.0 - a) / k  # 1 - (g + a)
         ell, s = math.log1p(-x), a / (1.0 - x)
         w = (1.0 - a) * (k - q) / k / (k - 1) + a / k
-        n = 1 if s == 0.0 else min(_SERIES_TERMS, max(2, math.ceil(math.log(eps) / math.log(s))))
-        j = np.arange(1.0, n + 1.0)
-        P = np.cumprod(s * j / (j + (k - 1))) / (k - 1)
-        t = np.concatenate([-P[:1], P[1:] / (j[1:] * (j[1:] - 1.0))])
+        series, bound, j, P = _line_series(k, s)
         d = P * ((k - q) * j - (q - 1) * k) / (j * k * (j + k))
-        L.append(ell * w + (1.0 - x) * math.fsum(t.tolist()))
+        L.append(ell * w + (1.0 - x) * series)
         dL.append((q - 1) * (1.0 + ell) / (k * (k - 1)) + math.fsum(d.tolist()))
-        terms = 16.0 * abs(ell * w) + (1.0 - x) * float(np.dot(9.0 * j + 16.0, np.abs(t)))
-        err.append(eps * terms + (1.0 - x) * abs(t[-1]) * s / (1.0 - s))  # + the tail
+        err.append(16.0 * eps * abs(ell * w) + (1.0 - x) * bound)
     x = (1.0 - a) / k
     ell, spent = math.log1p(-x), a / k
     ext = -spent - k * L[0]

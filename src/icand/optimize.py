@@ -14,12 +14,13 @@ On that line every start time is 0, and the cost and its derivative in
 ``grid_step`` finds the best point; its slope names the bracket beside it
 that holds the maximum, or, at an end where it points outward, makes that
 end the maximum exactly.  Bisection of the slope's sign narrows the bracket
-to ``coord_tol``, so the evaluation count is fixed by the face and the
-arguments.  The value is the closed form at the better bracket end; the
-cost being concave there, its error is the closed form's round-off bound
-plus |slope| times the final width.  One tight quadrature cost at the
-argmax cross-checks the closed form (``ToleranceError`` beyond both
-estimates).  By symmetry the gradient vanishes on every asymmetric
+to ``coord_tol`` or to adjacent floats, so the evaluation count is fixed by
+the face and the arguments.  The value is the closed form at the better
+bracket end; the cost being concave there, its error is the closed form's
+round-off bound plus |slope| times the final width.  One tight
+``information_cost`` at the argmax, which sums the same one-stretch
+integral class by class, cross-checks the closed form (``ToleranceError``
+beyond both estimates).  By symmetry the gradient vanishes on every asymmetric
 direction and the Hessian is a multiple of the identity there, so one more
 at ``mu + h (e_1 - e_2)`` certifies a local maximum of the face (status
 ``local_max``) when the cost drops by more than the two error estimates,
@@ -140,7 +141,7 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
         return a, values[pick], slopes[pick], err
 
     def cost(mu: InputDistribution) -> tuple[float, float]:
-        """(value, error estimate) in bits, by tight quadrature."""
+        """(value, error estimate) in bits, by a tight ``information_cost``."""
         nonlocal evals
         evals += 1
         report = information_cost(mu, **_TIGHT)
@@ -158,7 +159,10 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
     need = math.ceil(math.log2(width / coord_tol)) if width > coord_tol else 0
     n = min(need, budget - 2 - evals)
     for _ in range(n):
-        mid = line(0.5 * (left[0] + right[0]))
+        if (half := 0.5 * (left[0] + right[0])) in (left[0], right[0]):
+            need = 0  # adjacent floats: no narrower bracket exists
+            break
+        mid = line(half)
         left, right = (mid, right) if mid[2] > 0.0 else (left, mid)
     a, value, slope, err = max(left, right, key=lambda p: p[1])
     width = right[0] - left[0]
@@ -166,7 +170,7 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
     argmax = mu_at(a)
     top, top_err = cost(argmax)
     if abs(top - value) > top_err + err:
-        raise ToleranceError(f"quadrature cost {top!r} at a = {a!r} misses the closed form "
+        raise ToleranceError(f"information_cost {top!r} at a = {a!r} misses the closed form "
                              f"{value!r} by more than {top_err:.2e} + {err:.2e}")
     status = "budget_exhausted" if n < need else "converged"
     if status == "converged" and len(basis) >= 2:

@@ -20,13 +20,15 @@ from icand.buzzers import (
 )
 from icand.errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
 from icand.measures import (
+    LN2,
     InputDistribution,
     InputLabel,
+    _prior_entropies,
     binary_entropy,
     canonical_labels,
     entropy,
 )
-from icand.quadrature import integrate_segments
+from icand.quadrature import integrate, integrate_segments
 
 
 @st.composite
@@ -333,7 +335,8 @@ class TestCostUnder:
 
 
 # ---------------------------------------------------------------------------
-# graded tail: 30-digit references computed from the transcript densities
+# the last stretch in closed form: 30-digit references computed from the
+# transcript densities, and the graded quadrature it replaced
 # ---------------------------------------------------------------------------
 
 REFERENCE_MEASURES = [
@@ -342,6 +345,14 @@ REFERENCE_MEASURES = [
     (2, {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}),
     (3, {"000": 0.25, "100": 0.2, "010": 0.25, "001": 0.3}),
     (4, {"0000": 0.2, "1000": 0.2, "0100": 0.2, "0010": 0.15, "0001": 0.25}),
+    # staggered start times and all-ones mass
+    (3, {"000": 0.2, "100": 0.1, "010": 0.25, "001": 0.15, "111": 0.3}),
+    # e-masses far below the all-zeros mass: s = 1 - 1e-6 on the tail, and
+    # a start time 13.8 after the first
+    (2, {"00": 1 - 2e-6, "01": 1e-6, "10": 1e-6}),
+    (2, {"00": 1 - 1e-6 - 1e-12, "01": 1e-6, "10": 1e-12}),
+    # k = 3, where the series itself sums s near 1 (1 - 1e-7 and 1 - 2e-7)
+    (3, {"000": 1 - 3.5e-7, "100": 1e-7, "010": 2e-7, "001": 5e-8}),
 ]
 
 
@@ -420,50 +431,92 @@ class TestGradedTail:
         assert gap <= 1e-14
         assert report.quadrature_error_estimate >= gap
 
-    @pytest.mark.parametrize(
-        "mu, g",
-        [
-            (InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0), 4),
-            (InputDistribution.two_party(0.25, 0.25, 0.25, 0.25), 4),
-            (InputDistribution(3, {"000": 0.5, "100": 0.2, "010": 0.2, "001": 0.1}), 3),
-            (InputDistribution(4, dict(REFERENCE_MEASURES[4][1])), 2),
-            (InputDistribution(8, dict.fromkeys(canonical_labels(8)[:-1], 1 / 9)), 1),
-            (InputDistribution.uniform_basis(2), 1),
-            (InputDistribution.uniform_basis(5), 1),
-        ],
-    )
-    def test_grading_from_zero_counts(self, mu, g):
-        bits = np.array([lab.bits for lab in mu.labels])[mu.vector > 0]
-        assert buzzers._tail_grading((bits == 0).astype(float)) == g
+    def test_zero_e_mass_under_a_given_protocol_matches_mpmath(self):
+        # e_1 has no mass, so player 1 buzzes on every input that buzzes
+        for mass, times in (
+            ({"00": 0.5, "01": 0.5}, (0.0, 0.7)),
+            ({"000": 0.3, "010": 0.3, "001": 0.4}, (0.0, 0.5, 1.25)),
+        ):
+            mu = InputDistribution(len(times), mass)
+            report = cost_under(BuzzersProtocol(times), mu)
+            ext, internal = mp_costs(mu, times)
+            gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+            assert gap <= 1e-14
+            assert report.quadrature_error_estimate >= gap
 
     def test_abscissa_count(self, monkeypatch):
-        # the parent's ungraded tail took 1,365 abscissas on this measure
+        # the no-11 measure's start times coincide: one stretch, costed in
+        # closed form without abscissas; only finite stretches integrate
         count = [0]
 
-        def counting(integrator):
-            def run(f, *args, **kwargs):
-                def counted(ts):
-                    count[0] += len(ts)
-                    return f(ts)
+        def counting(f, *args, **kwargs):
+            def counted(ts):
+                count[0] += len(ts)
+                return f(ts)
 
-                return integrator(counted, *args, **kwargs)
+            return integrate(counted, *args, **kwargs)
 
-            return run
-
-        monkeypatch.setattr(buzzers, "integrate", counting(buzzers.integrate))
-        monkeypatch.setattr(
-            buzzers, "integrate_segments", counting(buzzers.integrate_segments)
-        )
+        monkeypatch.setattr(buzzers, "integrate", counting)
         information_cost(InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0))
-        assert 0 < count[0] <= 90
+        assert count[0] == 0
+        information_cost(InputDistribution.two_party(0.2, 0.5, 0.3, 0.0))
+        assert count[0] > 0
 
-    @pytest.mark.parametrize("k", [8, 16, 32, 64, 96])
+    @pytest.mark.parametrize("k", [8, 16, 32, 64, 96, 100, 400, 1000])
     def test_error_estimate_bounds_uniform_gap(self, k):
         # k = 200 is checked in test_uniform_closed_form_at_k200
         report = information_cost(InputDistribution.uniform_basis(k))
         ext, internal = closed_form_uniform(k)
         gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
         assert report.quadrature_error_estimate >= gap
+
+    @pytest.mark.parametrize("k", [8, 16, 24])
+    def test_matches_the_graded_quadrature(self, k):
+        rng = np.random.default_rng(k)
+        mu = InputDistribution(k, dict(zip(canonical_labels(k), rng.dirichlet(np.ones(k + 1)))))
+        report = information_cost(mu)
+        ext, internal, error = graded_tail_cost(mu)
+        gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+        assert gap <= report.quadrature_error_estimate + error
+
+
+def graded_tail_cost(mu, rtol=1e-10, atol=1e-12):
+    """(external, internal, error estimate) in bits of the buzzers protocol
+    on ``mu`` (no all-ones mass), with the last stretch integrated by graded
+    Gauss-Legendre quadrature: a path to the cost independent of the closed
+    form in ``buzzers._tail``.
+
+    ``u = exp(-(t - t_last)) = v^g`` maps it onto (0, 1].  Past ``t_last`` an
+    input with z zero bits has density proportional to ``u^z``, so where
+    inputs with different zero counts share a buzz the integrand carries a
+    ``u^(z1-1) ln u`` term, z1 the second-smallest positive zero count.
+    ``g = ceil(8 / z1)`` makes it ``g^2 v^(g z1 - 1) ln v``, smooth enough for
+    Gauss-Legendre panels; with one positive count the logarithms cancel and
+    g = 1.
+    """
+    times = np.asarray(start_times(mu).per_player)
+    live = mu.vector > 0
+    bits = np.array([lab.bits for lab in mu.labels])[live]
+    zeros, classes, log_w = (bits == 0).astype(float), player_classes(bits), np.log(mu.vector[live])
+    counts = np.unique(zeros.sum(axis=1))
+    counts = counts[counts > 0]
+    g = 1 if len(counts) < 2 else -(-8 // int(counts[1]))
+
+    def segment(ts):
+        return conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
+
+    def tail(vs):
+        # t = t_last - g ln v and dt = g dv / v, the Jacobian in the weights
+        ln_v = np.log(vs)
+        log_wv = log_w + np.log(g) - ln_v[:, None]
+        return conditional_entropies(buzz_densities(times, zeros, log_wv, times.max() - g * ln_v), classes)
+
+    total, err = integrate_segments(segment, times, rtol=rtol, atol=atol)
+    vals, e = integrate(tail, 0.0, 1.0, rtol=rtol, atol=atol)
+    prior = _prior_entropies(bits, mu.vector[live])
+    cost = (prior - total - vals) / LN2
+    roundoff = 32.0 * np.finfo(float).eps * prior.sum()
+    return cost[0], cost[1:].sum(), ((err + e).sum() + roundoff) / LN2
 
 
 def mp_symmetric_line(k, a):
@@ -508,8 +561,9 @@ class TestSymmetricLine:
             assert gap <= error, (k, a)
             assert slopes == pytest.approx(ref_slopes, rel=1e-10), (k, a)
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 32])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 10, 16, 32, 128])
     def test_matches_quadrature_within_both_estimates(self, k):
+        # information_cost sums the same integral class by class
         for a in (0.0, 0.15, 0.3653, 0.7, 0.98):
             report = information_cost(symmetric_measure(k, a))
             values, _, error = buzzers._symmetric_line(k, a)
@@ -532,3 +586,23 @@ class TestSymmetricLine:
         for k in (2, 3, 10, 1000):
             values, _, error = buzzers._symmetric_line(k, 1.0)
             assert max(map(abs, values)) <= error
+
+
+def mp_ell(k, s):
+    """``int_0^1 u^(k-2) (1 - s + s u) ln(1 - s + s u) du`` by ``mpmath.quad``
+    at 30 digits, split where ``u^(k-2)`` rises at large k."""
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        points = [0, 1 - mp.mpf(10) / k, 1 - mp.mpf(1) / k, 1] if k > 10 else [0, 1]
+        return mp.quad(lambda u: u ** (k - 2) * (1 - s + s * u) * mp.log(1 - s + s * u), points)
+
+
+class TestLineSeries:
+    @pytest.mark.parametrize("k", [2, 3, 4, 12, 1000])
+    def test_matches_mpmath(self, k):
+        # s near 1 takes the k = 2 closed form, and 2^17 terms at k >= 3
+        for s in (0.0, 1e-9, 0.3, 0.9, 0.95, 1 - 1e-6, 1 - 1e-12, 1.0):
+            ell, error, _, _ = buzzers._line_series(k, s)
+            gap = abs(float(ell - mp_ell(k, s)))
+            assert gap <= 1e-15, (k, s)
+            assert gap <= error, (k, s)

@@ -174,6 +174,23 @@ class TestDerivativeSearch:
         # 51 lattice points, 15 halvings of a 0.02 bracket to 1e-6, two checks
         assert result.evaluations == 68
 
+    def test_bisection_stops_at_adjacent_floats(self, capsys):
+        def run(tol):
+            assert cli.main(["maximize", "--zero", "11", "--tol", tol]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        fine, finest = run("1e-15"), run("1e-300")
+        # 51 lattice points, two checks, and no more halvings than the 49
+        # that bring the 0.02 bracket down to adjacent floats
+        assert finest["evaluations"] <= 110
+        assert finest["status"] == fine["status"] == "local_max"
+        # a few more halvings inside the 1e-15 bracket move the argmax by
+        # ulps at most, and the value within its error
+        a, b = (r["argmax"]["mass"]["00"] for r in (fine, finest))
+        assert abs(a - b) <= 1e-15
+        assert abs(fine["value_bits"] - finest["value_bits"]) <= fine["value_error_bits"]
+        assert run("1e-6")["evaluations"] == 68
+
     @pytest.mark.parametrize(
         "k, maximize",
         [(2, maximize_external)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from icand.errors import QuadratureError
 from icand.quadrature import integrate, integrate_segments
 
 
@@ -31,3 +32,9 @@ def test_no_segment_calls_nothing(breakpoints):
         raise AssertionError("integrand called")
 
     assert integrate_segments(f, breakpoints) == (0.0, 0.0)
+
+
+def test_empty_interval_is_rejected():
+    # the package integrates only stretches of positive width
+    with pytest.raises(QuadratureError):
+        integrate(lambda t: np.ones((len(t), 1)), 1.0, 1.0)
