@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -179,6 +180,23 @@ def conditional_entropies(V: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return np.concatenate([ext[:, None], per], axis=1)
 
 
+#: Most transcript densities the kernel holds at once.  Past about this many
+#: its cost per abscissa rose with the block (k = 16, 24, 32), and at large k
+#: its memory grew with the batch.
+_KERNEL_BLOCK = 10_000
+
+
+def _entropy_densities(times, zeros, log_w, classes, ts: np.ndarray) -> np.ndarray:
+    """``conditional_entropies`` of the transcript densities at ``ts``, in
+    blocks of nearly equal length; one abscissa holds ``zeros.size`` densities."""
+    blocks = min(len(ts), -(-len(ts) * zeros.size // _KERNEL_BLOCK))
+    step = -(-len(ts) // blocks)
+    return np.concatenate([
+        conditional_entropies(buzz_densities(times, zeros, log_w, ts[j : j + step]), classes)
+        for j in range(0, len(ts), step)
+    ])
+
+
 # ---------------------------------------------------------------------------
 # information cost
 # ---------------------------------------------------------------------------
@@ -281,11 +299,8 @@ def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
     bp = _dedupe_sorted(np.sort(times))
     cond, err = _tail(times, live, log_w, float(bp[-1]))
     if len(bp) > 1:
-        zeros, classes = (live == 0).astype(float), player_classes(live)
-
-        def segment(ts: np.ndarray) -> np.ndarray:
-            return conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
-
+        segment = partial(_entropy_densities, times, (live == 0).astype(float), log_w,
+                          player_classes(live))
         for lo, hi in zip(bp[:-1], bp[1:]):
             vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol)
             cond, err = cond + vals, err + e

@@ -24,23 +24,19 @@ to compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buzzers import (
-    BuzzersProtocol,
-    buzz_densities,
-    conditional_entropies,
-    player_classes,
-)
+from .buzzers import BuzzersProtocol, _entropy_densities, player_classes
 from .errors import (
     AssumptionViolationError,
     InvalidDistributionError,
     MalformedInputError,
     ToleranceError,
 )
-from .measures import LN2, ZERO_MASS, InputDistribution, InputLabel, canonical_labels
+from .measures import (LN2, ZERO_MASS, InputDistribution, InputLabel, _as_prob_vector,
+                       canonical_labels)
 from .quadrature import integrate_segments
 
 __all__ = [
@@ -62,6 +58,11 @@ __all__ = [
 ]
 
 _SAME_AVERAGE_TOL = 1e-11
+
+
+def _bits(mu: InputDistribution) -> np.ndarray:
+    """(n_x, k) bit matrix of the measure's labels, one row per input."""
+    return np.array([lab.bits for lab in mu.labels])
 
 
 def gamma0_of(beta_s: float, eps: float) -> float:
@@ -88,6 +89,7 @@ class CanonicalMeasure:
     k: int
     s: int
     beta: float
+    _gamma0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -100,11 +102,15 @@ class CanonicalMeasure:
             )
 
     def gamma0(self, eps: float) -> float:
-        """Fixed point of g = gamma0_of(exp(g) beta, eps)."""
+        """Fixed point of g = gamma0_of(exp(g) beta, eps), solved once per
+        ``eps``: the measure, the start times and ``gamma1`` all read it."""
+        if eps in self._gamma0:
+            return self._gamma0[eps]
         g = 0.0
         for _ in range(200):
             g_new = gamma0_of(math.exp(g) * self.beta, eps)
             if abs(g_new - g) <= 1e-16 * max(1.0, abs(g_new)):
+                self._gamma0[eps] = g_new
                 return g_new
             g = g_new
         raise MalformedInputError("gamma0 fixed point did not converge")
@@ -177,27 +183,21 @@ def perturb(
     g0 = gamma0_of(beta_s, eps)
     g1 = gamma1_of(beta_s, eps)
 
-    def tilt(plus_on_zero: bool) -> InputDistribution:
-        mass = {}
-        for lab, m in zip(mu.labels, mu.vector):
-            if m <= 0.0:
-                continue
-            if lab.bits[s - 1] == 0:
-                factor = 1.0 + eps * beta_s if plus_on_zero else 1.0 - eps * beta_s
-            else:
-                factor = 1.0 - eps * zeta_s if plus_on_zero else 1.0 + eps * zeta_s
-            mass[lab] = m * factor
-        return InputDistribution(mu.k, mass)
+    # the sender's zeros rows gain eps beta_s in mu0 and lose it in mu1, its
+    # ones rows the reverse with eps zeta_s
+    shift = np.where(_bits(mu)[:, s - 1] == 0, eps * beta_s, -eps * zeta_s)
+    mu0, mu1 = (
+        InputDistribution._checked(mu.k, _as_prob_vector(row, "measure"))
+        for row in mu.vector * np.stack([1.0 + shift, 1.0 - shift])
+    )
 
     if protocol is None:
         base = BuzzersProtocol.from_measure(mu)
         base = base.shifted(-base.player_times[s - 1])
     else:
         base = protocol
-    times = list(base.player_times)
-    t0 = list(times)
+    t0, t1 = list(base.player_times), list(base.player_times)
     t0[s - 1] -= g0
-    t1 = list(times)
     t1[s - 1] += g1
     return Perturbation(
         sender=s,
@@ -207,8 +207,8 @@ def perturb(
         beta_s=beta_s,
         zeta_s=zeta_s,
         mu=mu,
-        mu0=tilt(True),
-        mu1=tilt(False),
+        mu0=mu0,
+        mu1=mu1,
         base_protocol=base,
         protocol0=BuzzersProtocol(tuple(t0)),
         protocol1=BuzzersProtocol(tuple(t1)),
@@ -228,7 +228,7 @@ def _concavity_integrand(pert: Perturbation):
     Values are in nats; integrals are divided by ln 2 at the reporting
     boundary.
     """
-    bits = np.array([lab.bits for lab in pert.mu.labels])
+    bits = _bits(pert.mu)
     zeros = (bits == 0).astype(float)
     classes = player_classes(bits)
     with np.errstate(divide="ignore"):
@@ -243,8 +243,7 @@ def _concavity_integrand(pert: Perturbation):
 
     def f(ts: np.ndarray) -> np.ndarray:
         base, h0, h1 = (
-            conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
-            for times, log_w in runs
+            _entropy_densities(times, zeros, log_w, classes, ts) for times, log_w in runs
         )
         return base - 0.5 * (h0 + h1)
 
@@ -269,35 +268,24 @@ def _window_integral(f, pert: Perturbation, lo: float, hi: float, **tol):
     return zero + vals / LN2, zero + err / LN2
 
 
-def _window_probability(times, label: InputLabel, lo: float, hi: float) -> float:
-    """Pr[buzz time lands in [lo, hi]] for one input: survival difference."""
-    zeros = np.array([b == 0 for b in label.bits], dtype=float)
-    tt = np.asarray(times)
-
-    def survival(t: float) -> float:
-        return float(np.exp(-np.maximum(t - tt, 0.0) @ zeros))
-
-    return survival(lo) - survival(hi)
-
-
 def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> float:
     """Per-input window mass equals the average of the tilted window masses.
 
     This identity is what cancels every linear phi-term in the window
     integrals; it is asserted, not assumed.  Returns the worst residual.
+    An input's window mass is its mass times the drop of its survival
+    ``exp(-sum_{i: x_i = 0} (t - t_i)^+)`` across the window.
     """
-    lo = pert.base_protocol.player_times[pert.sender - 1] - pert.gamma0
-    hi = pert.base_protocol.player_times[pert.sender - 1] + pert.gamma1
-    worst = 0.0
-    for lab, m, m0, m1 in zip(
-        pert.mu.labels, pert.mu.vector, pert.mu0.vector, pert.mu1.vector
-    ):
-        lhs = m * _window_probability(pert.base_protocol.player_times, lab, lo, hi)
-        rhs = 0.5 * (
-            m0 * _window_probability(pert.protocol0.player_times, lab, lo, hi)
-            + m1 * _window_probability(pert.protocol1.player_times, lab, lo, hi)
-        )
-        worst = max(worst, abs(lhs - rhs))
+    t_s = pert.base_protocol.player_times[pert.sender - 1]
+    edges = np.array([t_s - pert.gamma0, t_s + pert.gamma1])
+    zeros = (_bits(pert.mu) == 0).astype(float)
+    protocols = (pert.base_protocol, pert.protocol0, pert.protocol1)
+    times = np.array([p.player_times for p in protocols])
+    # survival[p, e, x] of input x under protocol p at window edge e
+    survival = np.exp(-(np.maximum(edges[:, None] - times[:, None, :], 0.0) @ zeros.T))
+    masses = np.array([pert.mu.vector, pert.mu0.vector, pert.mu1.vector])
+    window = masses * (survival[:, 0] - survival[:, 1])
+    worst = float(np.max(np.abs(window[0] - 0.5 * (window[1] + window[2]))))
     if worst > tol:
         raise ToleranceError(
             f"window-mass average identity violated by {worst:.3e} (tol {tol})"
@@ -440,20 +428,12 @@ def outside_window_checks(
         if pert.gamma0 > gap_len / 2.0:
             skip = f"gamma0 = {pert.gamma0:.3e} exceeds half the gap {gap_len:.3e}"
         else:
-            n_before = sum(
-                1 for t in pert.base_protocol.player_times if t < t_s - ZERO_MASS
-            )
-            bound = (
-                (1.0 - math.exp(-n_before * gap_len / 2.0))
-                * mu.mass_zeros
-                * mu.e_mass(s)
-                / (2.0 * n_before)
-                * eps**2
-            )
+            n_before = len(earlier)
+            eps2_bound = ((1.0 - math.exp(-n_before * gap_len / 2.0)) * mu.mass_zeros
+                          * mu.e_mass(s) / (2.0 * n_before) * eps**2)
             vals, _ = _window_integral(f, pert, t_prev, lo_edge, rtol=rtol, atol=atol)
             eps2_gap = float(vals[0])
-            eps2_bound = bound
-            eps2_ok = eps2_gap >= bound - 1e-10
+            eps2_ok = eps2_gap >= eps2_bound - 1e-10
 
     return OutsideWindowChecks(
         left_value=left,

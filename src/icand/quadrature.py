@@ -5,8 +5,10 @@ and their logarithms), so a fixed-order panel rule converges spectrally; the
 adaptive driver bisects a panel whenever one rule application disagrees with
 the sum over its halves.  All integrand evaluations are batched: ``f`` takes
 an array of abscissas and returns an array of shape ``(len(t), n_components)``.
-A panel is accepted on its worst component; the error bound is kept per
-component.
+One call covers a whole bisection: the first evaluates the interval and both
+its halves, and each split evaluates the four quarter panels at once, so an
+integral makes 1 + (number of splits) calls.  A panel is accepted on its
+worst component; the error bound is kept per component.
 """
 
 from __future__ import annotations
@@ -20,18 +22,20 @@ from .errors import QuadratureError
 
 @lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _panel(f, a: float, b: float, n: int) -> np.ndarray:
+def _panel_sums(f, bounds, n: int) -> list[np.ndarray]:
+    """Rule sums over the panels ``[lo, hi]`` in ``bounds``, from one call of ``f``."""
     x, w = _gl_rule(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.atleast_2d(np.asarray(f(mid + half * x), dtype=float))
-    if vals.shape[0] != n:
+    ts = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in bounds])
+    vals = np.atleast_2d(np.asarray(f(ts), dtype=float))
+    if vals.shape[0] != len(ts):
         raise QuadratureError("integrand must return one row per abscissa")
-    return half * (w[:, None] * vals).sum(axis=0)
+    return [
+        0.5 * (hi - lo) * (w[:, None] * vals[j * n : (j + 1) * n]).sum(axis=0)
+        for j, (lo, hi) in enumerate(bounds)
+    ]
 
 
 def integrate(
@@ -55,22 +59,20 @@ def integrate(
         raise QuadratureError(f"empty or inverted interval [{a}, {b}]")
 
     width = b - a
-    coarse = _panel(f, a, b, order)
-    stack = [(a, b, coarse)]
+    mid = 0.5 * (a + b)
+    coarse, left, right = _panel_sums(f, [(a, b), (a, mid), (mid, b)], order)
+    stack = [(a, b, coarse, left, right)]
     total = np.zeros_like(coarse)
     err = np.zeros_like(coarse)
     panels = 0
     while stack:
-        lo, hi, rough = stack.pop()
+        lo, hi, rough, left, right = stack.pop()
         panels += 1
         if panels > max_panels:
             raise QuadratureError(
                 f"exceeded {max_panels} panels on [{a}, {b}]; "
                 f"residual interval [{lo}, {hi}]"
             )
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, order)
-        right = _panel(f, mid, hi, order)
         fine = left + right
         disagree = np.abs(fine - rough)
         budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine))))
@@ -78,8 +80,11 @@ def integrate(
             total += fine
             err += disagree
         else:
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, right))
+            mid = 0.5 * (lo + hi)
+            q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            quarters = _panel_sums(f, [(lo, q1), (q1, mid), (mid, q3), (q3, hi)], order)
+            stack.append((lo, mid, left, *quarters[:2]))
+            stack.append((mid, hi, right, *quarters[2:]))
     return total, err
 
 

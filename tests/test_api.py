@@ -18,7 +18,6 @@ UNREACHED = {
     "merge_tail_players": "acceptance: criterion 10, merge invariance",
     "BuzzersProtocol.shifted": "acceptance: the default protocol of perturb",
     "SimulationTrace.steps": "acceptance: criterion 6 reads the step objects",
-    "InputDistribution._checked": "acceptance: builds the posteriors of SimulationTrace.steps",
     "InputDistribution.two_party": "acceptance: the no-11 measure of criteria 6 and 7",
     "InputDistribution.to_json": "acceptance: criterion 1 writes its measure files",
     "InputDistribution.mass_zeros": "acceptance: the eps^2 bound of criterion 5 and merge_tail_players",

@@ -176,6 +176,46 @@ class TestEntropyKernel:
         assert h[1] == 0.0 and h[2] == 0.0
 
 
+    @pytest.mark.parametrize("k, rows", [(3, [60]), (24, [15] * 4), (100, [1] * 60)])
+    def test_blocks_match_one_batch(self, monkeypatch, k, rows):
+        # 60 abscissas, a quadrature split's batch, in equal blocks of at most
+        # _KERNEL_BLOCK densities (k (k + 1) per abscissa) or of one abscissa;
+        # the rows agree with one kernel call to rounding (the matrix
+        # products may sum in another order)
+        rng = np.random.default_rng(k)
+        bits = np.array([lab.bits for lab in canonical_labels(k)[: k + 1]])
+        zeros, classes = (bits == 0).astype(float), player_classes(bits)
+        log_w = np.log(rng.dirichlet(np.ones(k + 1)))
+        times = np.sort(rng.uniform(0.0, 2.0, k))
+        ts = np.linspace(0.3, 2.5, 60)
+        whole = conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
+        held = []
+
+        def counted(times, zeros, log_w, t):
+            held.append(len(t))
+            return buzz_densities(times, zeros, log_w, t)
+
+        monkeypatch.setattr(buzzers, "buzz_densities", counted)
+        blocked = buzzers._entropy_densities(times, zeros, log_w, classes, ts)
+        assert held == rows
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
+
+    def test_cost_takes_quadrature_batches_in_blocks(self, monkeypatch):
+        # at k = 24 (600 densities per abscissa) the 45 abscissas of an
+        # interval and its halves, and the 60 of a split, come as blocks of 15
+        held = []
+
+        def counted(times, zeros, log_w, t):
+            held.append((len(t), zeros.size))
+            return buzz_densities(times, zeros, log_w, t)
+
+        monkeypatch.setattr(buzzers, "buzz_densities", counted)
+        rng = np.random.default_rng(24)
+        mass = rng.dirichlet(np.ones(25))
+        information_cost(InputDistribution(24, dict(zip(canonical_labels(24), mass))))
+        assert held and set(held) == {(15, 24 * 25)}
+
+
 class TestClosedFormUniform:
     def test_values(self):
         assert closed_form_uniform(2) == (1.0, 0.0)

@@ -120,6 +120,16 @@ class TestVerifyConcavity:
         assert lines[0].startswith("k,s,beta,eps,feasible")
         assert len(lines) == 3  # s = 1, 2
 
+    def test_smoke_grid_bytes_are_pinned(self, tmp_path):
+        # the bench smoke grid with outside checks, against a CSV written by
+        # the per-panel quadrature and the per-label window masses it replaced
+        out = tmp_path / "grid.csv"
+        code = main(["verify-concavity", "--k", "2,3", "--beta", "0.05",
+                     "--eps", "1e-2,5e-3", "--outside", "--output", str(out)])
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "verify_concavity_smoke.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_infeasible_rows_flagged(self, capsys):
         code, out, _ = run(
             capsys,

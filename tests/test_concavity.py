@@ -1,7 +1,7 @@
 """Window deficits, cubic laws, and the outside-window structure."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,8 @@ from icand.concavity import (
     verify_grid,
     window_deficits,
 )
-from icand.errors import InvalidDistributionError, MalformedInputError
-from icand.measures import InputDistribution
+from icand.errors import InvalidDistributionError, MalformedInputError, ToleranceError
+from icand.measures import InputDistribution, canonical_labels
 
 LN2 = math.log(2.0)
 
@@ -134,6 +134,67 @@ def canonical_window_forms(canonical: CanonicalMeasure, eps: float) -> WindowDen
     )
 
 
+def random_measures(seed, count=6, k_max=6):
+    """Seeded Dirichlet measures on all-zeros and the e_i, k = 2..k_max."""
+    rng = np.random.default_rng(seed)
+    for k in range(2, k_max + 1):
+        labels = canonical_labels(k)[: k + 1]
+        for _ in range(count):
+            yield InputDistribution(k, dict(zip(labels, rng.dirichlet(np.ones(k + 1)))))
+
+
+def per_label_tilts(mu, s, eps):
+    """The tilted measures (mu0, mu1), built label by label."""
+    beta_s = mu.beta(s)
+    zeta_s = 1.0 - beta_s
+    out = []
+    for plus_on_zero in (True, False):
+        mass = {}
+        for lab, m in zip(mu.labels, mu.vector):
+            if m <= 0.0:
+                continue
+            if lab.bits[s - 1] == 0:
+                factor = 1.0 + eps * beta_s if plus_on_zero else 1.0 - eps * beta_s
+            else:
+                factor = 1.0 - eps * zeta_s if plus_on_zero else 1.0 + eps * zeta_s
+            mass[lab] = m * factor
+        out.append(InputDistribution(mu.k, mass))
+    return out
+
+
+def per_label_same_average(pert):
+    """Worst residual of the window-mass identity, one input at a time."""
+
+    def window_probability(times, label, lo, hi):
+        zeros = np.array([b == 0 for b in label.bits], dtype=float)
+        tt = np.asarray(times)
+
+        def survival(t):
+            return float(np.exp(-np.maximum(t - tt, 0.0) @ zeros))
+
+        return survival(lo) - survival(hi)
+
+    lo = pert.base_protocol.player_times[pert.sender - 1] - pert.gamma0
+    hi = pert.base_protocol.player_times[pert.sender - 1] + pert.gamma1
+    worst = 0.0
+    for lab, m, m0, m1 in zip(
+        pert.mu.labels, pert.mu.vector, pert.mu0.vector, pert.mu1.vector
+    ):
+        lhs = m * window_probability(pert.base_protocol.player_times, lab, lo, hi)
+        rhs = 0.5 * (
+            m0 * window_probability(pert.protocol0.player_times, lab, lo, hi)
+            + m1 * window_probability(pert.protocol1.player_times, lab, lo, hi)
+        )
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def with_scaled_mu0(pert, factor):
+    """The perturbation with mu0's masses scaled, unnormalised, by ``factor``."""
+    scaled = InputDistribution._checked(pert.mu.k, pert.mu0.vector * factor)
+    return replace(pert, mu0=scaled)
+
+
 class TestGammas:
     def test_direct_formula(self):
         # ln(1.025 / 0.925) for beta_s = 0.25, eps = 0.1
@@ -226,6 +287,15 @@ class TestPerturbation:
         with pytest.raises(MalformedInputError):
             perturb(mu, 1, 1.2)
 
+    @pytest.mark.parametrize("eps", [0.2, 0.01])
+    def test_tilts_match_per_label_loop(self, eps):
+        for mu in random_measures(seed=11, count=3):
+            for s in range(1, mu.k + 1):
+                pert = perturb(mu, s, eps)
+                mu0, mu1 = per_label_tilts(mu, s, eps)
+                assert pert.mu0.vector.tobytes() == mu0.vector.tobytes()
+                assert pert.mu1.vector.tobytes() == mu1.vector.tobytes()
+
 
 def mixtures(protocol, mu, ts):
     """f(t, m) = sum_x V[t, m, x] from the package's density builder."""
@@ -310,6 +380,47 @@ class TestDeficits:
             c.measure(eps), 2, eps, protocol=BuzzersProtocol(c.sender_times(eps))
         )
         assert check_same_average(pert) <= 1e-11
+
+    @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01])
+    def test_same_average_matches_per_label_loop(self, eps):
+        for mu in random_measures(seed=5):
+            for s in range(1, mu.k + 1):
+                pert = perturb(mu, s, eps)
+                assert check_same_average(pert) == pytest.approx(
+                    per_label_same_average(pert), abs=1e-16
+                )
+                # a violated identity: both give the same, much larger residual
+                broken = with_scaled_mu0(pert, 1.0 + 1e-6)
+                assert check_same_average(broken, tol=1.0) == pytest.approx(
+                    per_label_same_average(broken), rel=1e-6
+                )
+
+    def test_scaled_tilt_is_caught(self):
+        # mu0 scaled by 1 + 1e-9 breaks the identity by about 1e-9 times the
+        # largest tilted window mass, far above the 1e-11 tolerance
+        mu = InputDistribution(3, {"000": 0.4, "100": 0.15, "010": 0.15, "001": 0.3})
+        pert = perturb(mu, 2, 0.2)
+        assert check_same_average(pert) <= 1e-15
+        with pytest.raises(ToleranceError, match="window-mass average identity"):
+            check_same_average(with_scaled_mu0(pert, 1.0 + 1e-9))
+
+    def test_gamma0_solved_once_per_report(self, monkeypatch):
+        calls = []
+        original = concavity.gamma0_of
+
+        def counted(beta_s, eps):
+            calls.append(beta_s)
+            return original(beta_s, eps)
+
+        monkeypatch.setattr(concavity, "gamma0_of", counted)
+        eps = 5e-3
+        CanonicalMeasure(k=4, s=3, beta=0.05).gamma0(eps)
+        solve = len(calls)
+        calls.clear()
+        concavity_report(CanonicalMeasure(k=4, s=3, beta=0.05), eps, with_outside=True)
+        # one fixed-point solve, and one window edge for each of the two
+        # perturbations (window deficits and outside checks)
+        assert solve > 2 and len(calls) == solve + 2
 
     def test_richardson_residual_order(self):
         # residual of deficit/eps^3 should roughly halve per eps halving

@@ -1,4 +1,7 @@
-"""Adaptive Gauss-Legendre quadrature: per-component errors, empty sums."""
+"""Adaptive Gauss-Legendre quadrature: per-component errors, empty sums, and
+agreement with a per-panel oracle."""
+
+import math
 
 import numpy as np
 import pytest
@@ -38,3 +41,108 @@ def test_empty_interval_is_rejected():
     # the package integrates only stretches of positive width
     with pytest.raises(QuadratureError):
         integrate(lambda t: np.ones((len(t), 1)), 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the per-panel loop as an oracle: one integrand call per 15-abscissa panel
+# ---------------------------------------------------------------------------
+
+
+def _oracle_panel(f, a, b, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = np.atleast_2d(np.asarray(f(mid + half * x), dtype=float))
+    return half * (w[:, None] * vals).sum(axis=0)
+
+
+def per_panel_integrate(f, a, b, *, rtol=1e-10, atol=1e-13, order=15, max_panels=4096):
+    """Adaptive Gauss-Legendre with one integrand call per panel; returns
+    (integrals, error bounds, number of splits)."""
+    width = b - a
+    coarse = _oracle_panel(f, a, b, order)
+    stack = [(a, b, coarse)]
+    total = np.zeros_like(coarse)
+    err = np.zeros_like(coarse)
+    panels = splits = 0
+    while stack:
+        lo, hi, rough = stack.pop()
+        panels += 1
+        if panels > max_panels:
+            raise QuadratureError(
+                f"exceeded {max_panels} panels on [{a}, {b}]; "
+                f"residual interval [{lo}, {hi}]"
+            )
+        mid = 0.5 * (lo + hi)
+        left = _oracle_panel(f, lo, mid, order)
+        right = _oracle_panel(f, mid, hi, order)
+        fine = left + right
+        disagree = np.abs(fine - rough)
+        budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine))))
+        if float(np.max(disagree)) <= budget or (hi - lo) < 1e-14 * width:
+            total += fine
+            err += disagree
+        else:
+            splits += 1
+            stack.append((lo, mid, left))
+            stack.append((mid, hi, right))
+    return total, err, splits
+
+
+def smooth(t):
+    return np.stack([np.exp(-t), np.sin(3.0 * t), 1.0 / (1.0 + t * t)], axis=1)
+
+
+def kinked(t):
+    # kinks at an irrational point, so no bisection midpoint ever lands on them
+    d = np.abs(t - 1.0 / math.pi)
+    return np.stack([np.sqrt(d), d * np.log(d + 1e-300), 1e-6 * d], axis=1)
+
+
+class Counted:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.f(t)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, tol",
+    [
+        (smooth, 0.0, 5.0, {}),
+        (smooth, -1.0, 40.0, {"rtol": 1e-13, "atol": 1e-16}),
+        (kinked, 0.0, 1.0, {}),
+        (kinked, 0.0, 1.0, {"rtol": 1e-11, "atol": 1e-14}),
+    ],
+)
+def test_bit_identical_to_per_panel_loop(f, a, b, tol):
+    counted = Counted(f)
+    vals, err = integrate(counted, a, b, **tol)
+    ref_vals, ref_err, splits = per_panel_integrate(f, a, b, **tol)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert err.tobytes() == ref_err.tobytes()
+    # one call for the interval and its halves, then one per split
+    assert counted.calls == 1 + splits
+
+
+def test_kinked_integrand_splits_deeply():
+    # the oracle comparison above must cover a deep bisection, not a few splits
+    _, _, splits = per_panel_integrate(kinked, 0.0, 1.0)
+    assert splits >= 30
+
+
+def test_smooth_integrand_needs_no_split():
+    counted = Counted(smooth)
+    integrate(counted, 0.0, 1.0)
+    assert counted.calls == 1
+
+
+def test_max_panels_error_matches_per_panel_loop():
+    with pytest.raises(QuadratureError) as ref:
+        per_panel_integrate(kinked, 0.0, 1.0, max_panels=9)
+    with pytest.raises(QuadratureError) as got:
+        integrate(kinked, 0.0, 1.0, max_panels=9)
+    assert str(got.value) == str(ref.value)
+    assert "residual interval" in str(got.value)
