@@ -37,7 +37,6 @@ from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 from .quadrature import integrate
 
 __all__ = [
-    "StartTimes",
     "BuzzersProtocol",
     "ICReport",
     "start_times",
@@ -64,34 +63,15 @@ _EPS = np.finfo(float).eps
 _ROUNDOFF = 32.0
 
 
-@dataclass(frozen=True)
-class StartTimes:
-    """Sorted buzzer start times with the player permutation that sorts them.
-
-    ``sorted_times[0] == 0`` and ``order[r]`` is the 1-based player whose
-    start time is ``sorted_times[r]``.  ``per_player[i-1]`` is player i's
-    start time.
-    """
-
-    sorted_times: tuple[float, ...]
-    order: tuple[int, ...]
-    per_player: tuple[float, ...]
-
-
-def start_times(mu: InputDistribution) -> StartTimes:
-    """Start times ``ln(m_i / m_min)`` for a measure with positive basis masses."""
-    e = np.array([mu.e_mass(i) for i in range(1, mu.k + 1)])
+def start_times(mu: InputDistribution) -> tuple[float, ...]:
+    """Player i's start time ``ln(m_i / m_min)`` at index i - 1, for a measure
+    with positive basis masses."""
+    e = mu.vector[1 : mu.k + 1]
     if np.all(e <= ZERO_MASS):
         raise TrivialInstanceError("all basis masses vanish; no start times")
     if np.any(e <= ZERO_MASS):
         raise ZeroEMassError([i + 1 for i in np.flatnonzero(e <= ZERO_MASS)])
-    order = np.argsort(e, kind="stable")
-    times = np.log(e / e[order[0]])
-    return StartTimes(
-        sorted_times=tuple(float(times[j]) for j in order),
-        order=tuple(int(j) + 1 for j in order),
-        per_player=tuple(float(t) for t in times),
-    )
+    return tuple(np.log(e / e.min()).tolist())
 
 
 @dataclass(frozen=True)
@@ -112,7 +92,7 @@ class BuzzersProtocol:
 
     @classmethod
     def from_measure(cls, mu: InputDistribution) -> "BuzzersProtocol":
-        return cls(start_times(mu).per_player)
+        return cls(start_times(mu))
 
     def shifted(self, offset: float) -> "BuzzersProtocol":
         """Same protocol with every start time moved by ``offset``; the
@@ -325,9 +305,8 @@ def cost_under(
     """
     if protocol.k != mu.k:
         raise MalformedInputError("protocol and measure disagree on k")
-    bits = np.array([lab.bits for lab in mu.labels])
     times = np.asarray(protocol.player_times, dtype=float)
-    return ICReport.of(*_cost_arrays(times, bits, mu.vector, rtol=rtol, atol=atol))
+    return ICReport.of(*_cost_arrays(times, mu.bits, mu.vector, rtol=rtol, atol=atol))
 
 
 def information_cost(
@@ -344,17 +323,17 @@ def information_cost(
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise MalformedInputError(f"tolerances rtol={rtol}, atol={atol} must be finite and >= 0")
     mu_r, c_ones = mu.without_all_ones()
-    e = np.array([mu_r.e_mass(i) for i in range(1, mu.k + 1)])
-    bits = np.array([lab.bits for lab in mu.labels])
+    v = mu_r.vector
+    e = v[1 : mu.k + 1]
     if np.any(e <= ZERO_MASS):
-        return ICReport.of(_prior_entropies(bits, mu.vector), 0.0, np.zeros(mu.k), 0.0)
-    live = mu_r.vector > ZERO_MASS
-    w = mu_r.vector[live]
+        return ICReport.of(_prior_entropies(mu.bits, mu.vector), 0.0, np.zeros(mu.k), 0.0)
+    live = v > ZERO_MASS
+    w = v[live]
     prior, ext, per, err = _cost_arrays(
-        np.log(e / e.min()), bits[live], w / w.sum(), rtol=rtol, atol=atol
+        np.log(e / e.min()), mu.bits[live], w / w.sum(), rtol=rtol, atol=atol
     )
     if c_ones > 0.0:
-        prior = _prior_entropies(bits, mu.vector)
+        prior = _prior_entropies(mu.bits, mu.vector)
     scale = 1.0 - c_ones
     return ICReport.of(prior, ext * scale, per * scale, err * scale)
 

@@ -35,8 +35,7 @@ from .errors import (
     MalformedInputError,
     ToleranceError,
 )
-from .measures import (LN2, ZERO_MASS, InputDistribution, InputLabel, _as_prob_vector,
-                       canonical_labels)
+from .measures import LN2, ZERO_MASS, InputDistribution, canonical_labels
 from .quadrature import integrate_segments
 
 __all__ = [
@@ -58,11 +57,6 @@ __all__ = [
 ]
 
 _SAME_AVERAGE_TOL = 1e-11
-
-
-def _bits(mu: InputDistribution) -> np.ndarray:
-    """(n_x, k) bit matrix of the measure's labels, one row per input."""
-    return np.array([lab.bits for lab in mu.labels])
 
 
 def gamma0_of(beta_s: float, eps: float) -> float:
@@ -106,12 +100,15 @@ class CanonicalMeasure:
         ``eps``: the measure, the start times and ``gamma1`` all read it."""
         if eps in self._gamma0:
             return self._gamma0[eps]
-        g = 0.0
+        g, seen = 0.0, set()
         for _ in range(200):
             g_new = gamma0_of(math.exp(g) * self.beta, eps)
-            if abs(g_new - g) <= 1e-16 * max(1.0, abs(g_new)):
+            # a repeated iterate is a cycle between neighbouring floats,
+            # which no further step can leave
+            if abs(g_new - g) <= 1e-16 * max(1.0, abs(g_new)) or g_new in seen:
                 self._gamma0[eps] = g_new
                 return g_new
+            seen.add(g)
             g = g_new
         raise MalformedInputError("gamma0 fixed point did not converge")
 
@@ -146,17 +143,14 @@ class Perturbation:
     """A sender's unbiased weak signal as a pair of tilted measures.
 
     Conditioning on the signal multiplies masses by ``1 +/- eps beta_s`` /
-    ``1 -/+ eps zeta_s`` (zeros/ones rows of the sender), which moves the
-    sender's start time to ``-gamma0`` or ``+gamma1`` while every other
-    start time stays put.
+    ``1 -/+ eps (1 - beta_s)`` (zeros/ones rows of the sender), with
+    ``beta_s = Pr[X_s = 1]``, which moves the sender's start time to
+    ``-gamma0`` or ``+gamma1`` while every other start time stays put.
     """
 
     sender: int
-    eps: float
     gamma0: float
     gamma1: float
-    beta_s: float
-    zeta_s: float
     mu: InputDistribution
     mu0: InputDistribution
     mu1: InputDistribution
@@ -185,9 +179,9 @@ def perturb(
 
     # the sender's zeros rows gain eps beta_s in mu0 and lose it in mu1, its
     # ones rows the reverse with eps zeta_s
-    shift = np.where(_bits(mu)[:, s - 1] == 0, eps * beta_s, -eps * zeta_s)
+    shift = np.where(mu.bits[:, s - 1] == 0, eps * beta_s, -eps * zeta_s)
     mu0, mu1 = (
-        InputDistribution._checked(mu.k, _as_prob_vector(row, "measure"))
+        InputDistribution._from_vector(mu.k, row)
         for row in mu.vector * np.stack([1.0 + shift, 1.0 - shift])
     )
 
@@ -201,11 +195,8 @@ def perturb(
     t1[s - 1] += g1
     return Perturbation(
         sender=s,
-        eps=eps,
         gamma0=g0,
         gamma1=g1,
-        beta_s=beta_s,
-        zeta_s=zeta_s,
         mu=mu,
         mu0=mu0,
         mu1=mu1,
@@ -228,9 +219,8 @@ def _concavity_integrand(pert: Perturbation):
     Values are in nats; integrals are divided by ln 2 at the reporting
     boundary.
     """
-    bits = _bits(pert.mu)
-    zeros = (bits == 0).astype(float)
-    classes = player_classes(bits)
+    zeros = (pert.mu.bits == 0).astype(float)
+    classes = player_classes(pert.mu.bits)
     with np.errstate(divide="ignore"):
         runs = [
             (np.asarray(p.player_times), np.log(m.vector))
@@ -278,7 +268,7 @@ def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> fl
     """
     t_s = pert.base_protocol.player_times[pert.sender - 1]
     edges = np.array([t_s - pert.gamma0, t_s + pert.gamma1])
-    zeros = (_bits(pert.mu) == 0).astype(float)
+    zeros = (pert.mu.bits == 0).astype(float)
     protocols = (pert.base_protocol, pert.protocol0, pert.protocol1)
     times = np.array([p.player_times for p in protocols])
     # survival[p, e, x] of input x under protocol p at window edge e
@@ -458,11 +448,9 @@ def merge_tail_players(mu: InputDistribution, keep: int) -> InputDistribution:
         raise MalformedInputError(f"keep={keep} outside 2..{mu.k - 1}")
     if mu.mass_ones > ZERO_MASS:
         raise AssumptionViolationError("remove the all-ones mass first")
-    mass = {InputLabel.zeros(keep): mu.mass_zeros
-            + sum(mu.e_mass(j) for j in range(keep + 1, mu.k + 1))}
-    for i in range(1, keep + 1):
-        mass[InputLabel.basis(keep, i)] = mu.e_mass(i)
-    return InputDistribution(keep, mass)
+    e = mu.vector[1 : mu.k + 1]
+    zeros = mu.mass_zeros + sum(e[keep:].tolist())
+    return InputDistribution._from_vector(keep, np.concatenate([[zeros], e[:keep], [0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .buzzers import ICReport, conditional_entropies, player_classes, start_times
 from .errors import MalformedInputError, ResolutionError
-from .measures import LN2, InputDistribution, _prior_entropies
+from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 
 __all__ = ["DiscreteProtocol", "build", "exact_ic"]
 
@@ -65,7 +65,7 @@ def build(
     """
     if not delta > 0.0:
         raise MalformedInputError(f"slot length {delta} must be positive")
-    times = np.asarray(start_times(mu).per_player)
+    times = np.asarray(start_times(mu))
     if not times.max() + 1.0 <= horizon < math.inf:
         raise MalformedInputError(
             f"horizon {horizon} must be finite and at least {times.max() + 1.0}"
@@ -73,7 +73,7 @@ def build(
     n_slots = int(math.ceil(horizon / delta))
 
     support = mu.support()
-    bits = np.array([lab.bits for lab in support])
+    bits = mu.bits[mu.vector > ZERO_MASS]
     zeros = (bits == 0).astype(float)  # (n_x, k)
 
     # slot r admits players whose start time is at most r * delta
@@ -137,8 +137,8 @@ def exact_ic(proto: DiscreteProtocol) -> ICReport:
     conditional entropies; buzz leaves are summed exactly.  No quadrature
     and no sampling anywhere, so the error estimate is zero.
     """
-    bits = np.array([lab.bits for lab in proto.support])
-    w = np.array([proto.mu.mass(lab) for lab in proto.support])
+    live = proto.mu.vector > ZERO_MASS
+    bits, w = proto.mu.bits[live], proto.mu.vector[live]
     leaves = conditional_entropies((proto.leaf_prob * w)[:, None, :], player_classes(bits))
     prior = _prior_entropies(bits, w)
     cost = (prior - leaves.sum(axis=0)) / LN2

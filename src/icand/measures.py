@@ -7,8 +7,14 @@ only measures supported on the basis family
     {all-zeros, all-ones, e_1, ..., e_k}
 
 are accepted; for ``k = 2`` that family is the whole cube, so every two-party
-distribution is valid.  Masses are stored densely over the family, which has
-at most ``k + 2`` points.
+distribution is valid.
+
+The layout is fixed: a measure is the vector of its ``k + 2`` masses on
+``(0^k, e_1, ..., e_k, 1^k)``, in that order, so ``e_i`` is entry ``i`` and
+all-ones the last.  ``InputDistribution.bits`` is the read-only
+``(k + 2, k)`` bit matrix of those inputs, built once per ``k``.  Every
+module reads masses by position and bits from that matrix; labels only name
+inputs where a user or a file does (JSON, support patterns).
 
 All information quantities are computed with natural logarithms internally
 and converted to bits only when returned.  Probabilities below ``ZERO_MASS``
@@ -40,8 +46,8 @@ ZERO_MASS = 1e-15
 #: Normalization slack accepted when validating distributions.
 SUM_TOL = 1e-12
 
-#: Largest player count: the canonical labels are k + 2 dense k-tuples, so a
-#: larger k is rejected before any of them is built.
+#: Largest player count: the layout is k + 2 dense rows of k bits, so a
+#: larger k is rejected before it is built.
 MAX_K = 1000
 
 
@@ -61,21 +67,6 @@ class InputLabel:
             raise MalformedInputError(f"not a bit string: {text!r}")
         return cls(tuple(int(c) for c in text))
 
-    @classmethod
-    def zeros(cls, k: int) -> "InputLabel":
-        return cls((0,) * k)
-
-    @classmethod
-    def ones(cls, k: int) -> "InputLabel":
-        return cls((1,) * k)
-
-    @classmethod
-    def basis(cls, k: int, i: int) -> "InputLabel":
-        """e_i: player i (1-based) holds 1, everyone else 0."""
-        if not 1 <= i <= k:
-            raise MalformedInputError(f"player index {i} out of range 1..{k}")
-        return cls(tuple(1 if j == i - 1 else 0 for j in range(k)))
-
     @property
     def k(self) -> int:
         return len(self.bits)
@@ -85,28 +76,33 @@ class InputLabel:
 
 
 @lru_cache(maxsize=32, typed=True)
-def canonical_labels(k: int) -> tuple[InputLabel, ...]:
-    """Allowed support, in the fixed order (all-zeros, e_1, ..., e_k, all-ones).
-
-    For ``k = 2`` this is the whole cube; for ``k = 1`` the two labels
-    coincide with (0,) and (1,).  Cached: every measure with ``k`` players
-    shares the one tuple.
-    """
+def _layout(k: int) -> np.ndarray:
+    """The read-only (k + 2, k) bit matrix of (0^k, e_1, ..., e_k, 1^k)."""
+    if k < 2:
+        raise InvalidDistributionError(f"player count {k} < 2")
     if k > MAX_K:
         raise MalformedInputError(f"player count {k} exceeds the limit {MAX_K}")
-    labels = [InputLabel.zeros(k)]
-    labels += [InputLabel.basis(k, i) for i in range(1, k + 1)]
-    ones = InputLabel.ones(k)
-    if ones not in labels:
-        labels.append(ones)
-    return tuple(labels)
+    bits = np.vstack([np.zeros(k, dtype=int), np.eye(k, dtype=int), np.ones(k, dtype=int)])
+    bits.flags.writeable = False
+    return bits
+
+
+def _position(bits: tuple[int, ...]) -> int | None:
+    """Row of the input ``bits`` in the layout; None off the basis family."""
+    ones = sum(bits)
+    if ones == 0:
+        return 0
+    if ones == len(bits):
+        return len(bits) + 1
+    return bits.index(1) + 1 if ones == 1 else None
 
 
 @lru_cache(maxsize=32, typed=True)
-def _label_index(k: int) -> dict[InputLabel, int]:
-    """Position of each canonical label; shared by every measure with ``k``
-    players, which only read it."""
-    return {lab: i for i, lab in enumerate(canonical_labels(k))}
+def canonical_labels(k: int) -> tuple[InputLabel, ...]:
+    """The layout's rows as labels: (all-zeros, e_1, ..., e_k, all-ones),
+    for ``k = 2`` the whole cube.  Cached, so measures with ``k`` players
+    share the one tuple."""
+    return tuple(InputLabel(tuple(row)) for row in _layout(k).tolist())
 
 
 def _as_prob_vector(p: Iterable[float], what: str = "distribution") -> np.ndarray:
@@ -161,44 +157,45 @@ def binary_entropy(x: float) -> float:
 class InputDistribution:
     """Measure on the k-player input cube, supported on the basis family.
 
-    Masses are stored densely over :func:`canonical_labels`; anything off
-    that family is rejected for ``k >= 3`` (for ``k = 2`` the family is the
-    whole cube).  Instances are immutable and safe to share.
+    Masses are stored densely in the layout order (see the module
+    docstring); anything off the family is rejected for ``k >= 3`` (for
+    ``k = 2`` the family is the whole cube).  Instances are immutable and
+    safe to share.
     """
 
-    __slots__ = ("k", "_labels", "_vec", "_index")
+    __slots__ = ("k", "_vec")
 
     def __init__(self, k: int, mass: Mapping[InputLabel | str, float]):
-        if k < 2:
-            raise InvalidDistributionError(f"player count {k} < 2")
-        labels = canonical_labels(k)
-        index = _label_index(k)
-        vec = np.zeros(len(labels))
+        vec = np.zeros(len(_layout(k)))  # _layout rejects a k out of range
         for key, m in mass.items():
             lab = InputLabel.from_string(key) if isinstance(key, str) else key
             if lab.k != k:
                 raise InvalidDistributionError(
                     f"label {lab} has {lab.k} bits, expected {k}"
                 )
-            if lab not in index:
+            pos = _position(lab.bits)
+            if pos is None:
                 raise AssumptionViolationError(
                     f"label {lab} outside the allowed support family for k={k}"
                 )
-            vec[index[lab]] += float(m)
-        vec = _as_prob_vector(vec, "measure")
+            vec[pos] += float(m)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_vec", vec)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_vec", _as_prob_vector(vec, "measure"))
 
     @classmethod
     def _checked(cls, k: int, vec: np.ndarray) -> "InputDistribution":
-        """The measure with masses ``vec`` over ``canonical_labels(k)`` as is:
-        ``vec`` must be clamped and sum to one, as the constructor leaves it."""
+        """The measure with masses ``vec`` over the layout as is: ``vec``
+        must be clamped and sum to one, as the constructor leaves it."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (k, canonical_labels(k), vec, _label_index(k))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_vec", vec)
         return self
+
+    @classmethod
+    def _from_vector(cls, k: int, vec: np.ndarray) -> "InputDistribution":
+        """The measure with masses ``vec`` over the layout, validated and
+        clamped as the constructor does it."""
+        return cls._checked(k, _as_prob_vector(vec, "measure"))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("InputDistribution is immutable")
@@ -235,8 +232,7 @@ class InputDistribution:
             mass = {str(key): float(val) for key, val in obj["mass"].items()}
         except (TypeError, ValueError) as exc:
             raise MalformedInputError(f"bad measure JSON: {exc}") from exc
-        # the canonical labels are k-tuples: reject a mismatched k before
-        # they are built
+        # each label is a k-tuple: reject a mismatched k before any is parsed
         if not mass or any(len(key) != k for key in mass):
             raise MalformedInputError(f"measure labels must be {k} bits long")
         return cls(k, mass)
@@ -245,17 +241,22 @@ class InputDistribution:
 
     @property
     def labels(self) -> tuple[InputLabel, ...]:
-        return self._labels
+        return canonical_labels(self.k)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The layout's read-only (k + 2, k) bit matrix, one row per input."""
+        return _layout(self.k)
 
     @property
     def vector(self) -> np.ndarray:
-        """Masses in canonical label order (copy)."""
+        """Masses in layout order (copy)."""
         return self._vec.copy()
 
     def mass(self, label: InputLabel | str) -> float:
         lab = InputLabel.from_string(label) if isinstance(label, str) else label
-        idx = self._index.get(lab)
-        return float(self._vec[idx]) if idx is not None else 0.0
+        pos = _position(lab.bits) if lab.k == self.k else None
+        return 0.0 if pos is None else float(self._vec[pos])
 
     @property
     def mass_zeros(self) -> float:
@@ -263,18 +264,20 @@ class InputDistribution:
 
     @property
     def mass_ones(self) -> float:
-        return self.mass(InputLabel.ones(self.k))
+        return float(self._vec[-1])
 
     def e_mass(self, i: int) -> float:
         """Mass of the basis vector e_i (player i, 1-based)."""
-        return self.mass(InputLabel.basis(self.k, i))
+        if not 1 <= i <= self.k:
+            raise MalformedInputError(f"player index {i} out of range 1..{self.k}")
+        return float(self._vec[i])
 
     def beta(self, i: int) -> float:
-        """Pr[X_i = 1]."""
-        return float(sum(m for lab, m in zip(self._labels, self._vec) if lab.bits[i - 1] == 1))
+        """Pr[X_i = 1]: the masses of e_i and all-ones."""
+        return self.e_mass(i) + self.mass_ones
 
     def support(self) -> tuple[InputLabel, ...]:
-        return tuple(lab for lab, m in zip(self._labels, self._vec) if m > ZERO_MASS)
+        return tuple(lab for lab, m in zip(self.labels, self._vec) if m > ZERO_MASS)
 
     # -- information functionals ---------------------------------------------
 
@@ -296,9 +299,9 @@ class InputDistribution:
         if c >= 1.0 - ZERO_MASS:
             raise ConditioningError("measure is a point mass on all-ones")
         vec = self._vec.copy()
-        vec[self._index[InputLabel.ones(self.k)]] = 0.0
+        vec[-1] = 0.0
         vec /= vec.sum()
-        return InputDistribution(self.k, dict(zip(self._labels, vec))), c
+        return InputDistribution._from_vector(self.k, vec), c
 
     # -- serialization ---------------------------------------------------------
 
@@ -307,7 +310,7 @@ class InputDistribution:
             "k": self.k,
             "mass": {
                 str(lab): float(m)
-                for lab, m in zip(self._labels, self._vec)
+                for lab, m in zip(self.labels, self._vec)
                 if m > 0.0
             },
         }
@@ -316,7 +319,7 @@ class InputDistribution:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{lab}: {m:.6g}" for lab, m in zip(self._labels, self._vec) if m > 0)
+        body = ", ".join(f"{lab}: {m:.6g}" for lab, m in zip(self.labels, self._vec) if m > 0)
         return f"InputDistribution(k={self.k}, {{{body}}})"
 
     def __eq__(self, other) -> bool:

@@ -115,8 +115,8 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
     if not budget >= 3:
         raise MalformedInputError(f"budget {budget} must cover a scan point and two checks")
     k, free = pattern.k, pattern.free_labels
-    zeros = InputLabel.zeros(k)
-    basis = [lab for lab in free if lab not in (zeros, InputLabel.ones(k))]
+    zeros, *_, ones = canonical_labels(k)
+    basis = [lab for lab in free if lab not in (zeros, ones)]
     lo, hi = (0.0 if basis else 1.0), (1.0 if zeros in free else 0.0)
     if lo > hi:
         raise ConditioningError("measure is a point mass on all-ones")

@@ -80,24 +80,17 @@ class Signal:
             if not 0.0 <= p <= 1.0:
                 raise MalformedInputError(f"conditional probability {p} outside [0,1]")
 
-    def p0_given(self, bit: int) -> float:
-        return self.p0_given_0 if bit == 0 else self.p0_given_1
-
-    def prob0(self, mu: InputDistribution) -> float:
-        """Pr[B = 0] under ``mu``."""
-        self._check_k(mu)
-        return float(
-            sum(
-                m * self.p0_given(lab.bits[self.sender - 1])
-                for lab, m in zip(mu.labels, mu.vector)
-            )
-        )
-
-    def _check_k(self, mu: InputDistribution) -> None:
+    def _p0_rows(self, mu: InputDistribution) -> np.ndarray:
+        """Pr[B = 0 | x] for every input x of the layout of ``mu``."""
         if self.sender > mu.k:
             raise MalformedInputError(
                 f"sender {self.sender} outside 1..{mu.k}"
             )
+        return np.where(mu.bits[:, self.sender - 1] == 0, self.p0_given_0, self.p0_given_1)
+
+    def prob0(self, mu: InputDistribution) -> float:
+        """Pr[B = 0] under ``mu``, summed left to right."""
+        return float(sum(mu.vector * self._p0_rows(mu)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -113,17 +106,12 @@ def posterior(mu: InputDistribution, sig: Signal, bit: int) -> InputDistribution
     Normalized by the sum of the unnormalized branch masses, which keeps the
     result an exact distribution even when the branch probability is tiny.
     """
-    sig._check_k(mu)
-    mass = {}
-    for lab, m in zip(mu.labels, mu.vector):
-        if m <= 0.0:
-            continue
-        p = sig.p0_given(lab.bits[sig.sender - 1])
-        mass[lab] = m * (p if bit == 0 else 1.0 - p)
-    pb = sum(mass.values())
+    p0 = sig._p0_rows(mu)
+    mass = mu.vector * (p0 if bit == 0 else 1.0 - p0)
+    pb = sum(mass)
     if pb <= ZERO_MASS:
         raise ConditioningError(f"branch B={bit} has probability {pb}")
-    return InputDistribution(mu.k, {lab: m / pb for lab, m in mass.items()})
+    return InputDistribution._from_vector(mu.k, mass / pb)
 
 
 @dataclass(frozen=True)
@@ -136,25 +124,20 @@ class SignalProfile:
 def classify(mu: InputDistribution, sig: Signal) -> SignalProfile:
     """Weakness (max conditional bias over the support), unbiasedness, and
     whether both posteriors preserve the measure's support ordering."""
-    sig._check_k(mu)
-    support = mu.support()
-    weakness = max(
-        (abs(2.0 * sig.p0_given(lab.bits[sig.sender - 1]) - 1.0) for lab in support),
-        default=0.0,
-    )
+    live = mu.vector > ZERO_MASS
+    weakness = np.abs(2.0 * sig._p0_rows(mu)[live] - 1.0).max()
     p0 = sig.prob0(mu)
     unbiased = abs(p0 - 0.5) <= _UNBIASED_TOL
 
     noncrossing = True
+    m = mu.vector[live]
+    lighter = m[:, None] < m[None, :] - 1e-15  # [a, b]: x_a lighter than x_b
     for bit, pb in ((0, p0), (1, 1.0 - p0)):
         if pb <= ZERO_MASS:
             continue
-        post = posterior(mu, sig, bit)
-        for xa in support:
-            for xb in support:
-                if mu.mass(xa) < mu.mass(xb) - 1e-15:
-                    if post.mass(xa) > post.mass(xb) + 1e-12:
-                        noncrossing = False
+        post = posterior(mu, sig, bit).vector[live]
+        if np.any(lighter & (post[:, None] > post[None, :] + 1e-12)):
+            noncrossing = False
     return SignalProfile(unbiased=unbiased, noncrossing=noncrossing, weakness=float(weakness))
 
 
@@ -288,7 +271,7 @@ class _SegmentWalk:
         # a signal with one law on the whole support (equal conditionals, or
         # a support inside one class of the sender's bit) leaves both
         # posteriors at mu: there is no segment to walk
-        laws = {sig.p0_given(lab.bits[sig.sender - 1]) for lab in mu.support()}
+        laws = set(sig._p0_rows(mu)[mu.vector > ZERO_MASS].tolist())
         self.degenerate = self.p0 <= ZERO_MASS or self.p0 >= 1.0 - ZERO_MASS or len(laws) == 1
         if self.degenerate:
             return
@@ -302,13 +285,9 @@ class _SegmentWalk:
         self.d = self.v1 - self.v0
         self.tv01 = 0.5 * float(np.abs(self.d).sum())
         self.alpha_mu = 1.0 - self.p0
-        labels = [mu.labels[j] for j in self.support_idx]
-        sbit = sig.sender - 1
-        self.class_idx = {
-            v: np.array([j for j, lab in enumerate(labels) if lab.bits[sbit] == v], dtype=int)
-            for v in (0, 1)
-        }
-        n = len(labels)
+        sender_bits = mu.bits[self.support_idx, sig.sender - 1]
+        self.class_idx = {v: np.flatnonzero(sender_bits == v) for v in (0, 1)}
+        n = self.support_idx.size
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         self.pair_a = np.array([p[0] for p in pairs], dtype=int)
         self.pair_b = np.array([p[1] for p in pairs], dtype=int)

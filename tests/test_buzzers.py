@@ -45,24 +45,18 @@ def basis_measures(draw, k_min=2, k_max=4, with_ones=False):
 
 class TestStartTimes:
     def test_equal_masses(self):
-        st_ = start_times(InputDistribution.uniform_basis(3))
-        assert st_.sorted_times == (0.0, 0.0, 0.0)
+        assert start_times(InputDistribution.uniform_basis(3)) == (0.0, 0.0, 0.0)
 
     def test_two_party_ratio(self):
         mu = InputDistribution.two_party(0.7, 0.2, 0.1, 0.0)
-        st_ = start_times(mu)
-        assert st_.sorted_times[0] == 0.0
-        assert st_.sorted_times[1] == pytest.approx(math.log(2.0), abs=1e-15)
         # player 1 has the smaller basis mass (0.1 on label 10), so it leads
-        assert st_.order == (1, 2)
-        assert st_.per_player == (0.0, pytest.approx(math.log(2.0)))
+        assert start_times(mu) == (0.0, pytest.approx(math.log(2.0), abs=1e-15))
 
     def test_three_party(self):
         mu = InputDistribution(
             3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4}
         )
-        st_ = start_times(mu)
-        assert st_.sorted_times == (0.0, 0.0, pytest.approx(math.log(4.0)))
+        assert start_times(mu) == (0.0, 0.0, pytest.approx(math.log(4.0)))
 
     def test_all_zero_masses(self):
         with pytest.raises(TrivialInstanceError):
@@ -99,7 +93,7 @@ class TestDensity:
     def test_all_ones_atom(self):
         # all-ones never buzzes: its whole mass sits on the silent outcome
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
-        ones = mu.labels.index(InputLabel.ones(2))
+        ones = mu.labels.index(InputLabel.from_string("11"))
         dens = per_input_densities(mu, np.linspace(0, 5, 7))
         assert np.all(dens[:, :, ones] == 0.0)
         assert buzz_mass_per_input(mu)[ones] == 0.0
@@ -123,7 +117,7 @@ class TestDensity:
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
         dens = per_input_densities(mu, np.array([0.5, 1.5]), proto)
         assert np.all(dens[0, 1] == 0.0)
-        zeros = mu.labels.index(InputLabel.zeros(2))
+        zeros = mu.labels.index(InputLabel.from_string("00"))
         assert dens[1, 1, zeros] == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     @given(basis_measures(with_ones=True))
@@ -447,7 +441,7 @@ def mp_information_cost(mu):
     """The reference for ``information_cost``: all-ones conditioned away and
     the cost scaled by the remaining mass."""
     reduced, c = mu.without_all_ones()
-    times = start_times(reduced).per_player
+    times = start_times(reduced)
     return tuple((1 - c) * v for v in mp_costs(reduced, times))
 
 
@@ -534,7 +528,7 @@ def graded_tail_cost(mu, rtol=1e-10, atol=1e-12):
     Gauss-Legendre panels; with one positive count the logarithms cancel and
     g = 1.
     """
-    times = np.asarray(start_times(mu).per_player)
+    times = np.asarray(start_times(mu))
     live = mu.vector > 0
     bits = np.array([lab.bits for lab in mu.labels])[live]
     zeros, classes, log_w = (bits == 0).astype(float), player_classes(bits), np.log(mu.vector[live])
@@ -585,9 +579,7 @@ def mp_symmetric_line(k, a):
 
 
 def symmetric_measure(k, a):
-    return InputDistribution(
-        k, {InputLabel.zeros(k): a} | {InputLabel.basis(k, i): (1 - a) / k for i in range(1, k + 1)}
-    )
+    return InputDistribution(k, dict(zip(canonical_labels(k), [a] + [(1 - a) / k] * k)))
 
 
 class TestSymmetricLine:

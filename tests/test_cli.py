@@ -120,6 +120,12 @@ class TestVerifyConcavity:
         assert lines[0].startswith("k,s,beta,eps,feasible")
         assert len(lines) == 3  # s = 1, 2
 
+    def test_cell_whose_gamma0_iteration_cycles(self, capsys):
+        code, out, _ = run(capsys, "verify-concavity", "--k", "2", "--beta", "0.318",
+                           "--eps", "2.5e-3")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
+
     def test_smoke_grid_bytes_are_pinned(self, tmp_path):
         # the bench smoke grid with outside checks, against a CSV written by
         # the per-panel quadrature and the per-label window masses it replaced
@@ -434,8 +440,7 @@ def test_absurd_k_rejected_before_labels_are_built(capsys, monkeypatch, tmp_path
     def build(*args):
         raise AssertionError("a label was built for an absurd k")
 
-    for name in ("zeros", "basis", "ones"):
-        monkeypatch.setattr(InputLabel, name, build)
+    monkeypatch.setattr(InputLabel, "__post_init__", build)
     code, out, err = run(capsys, *[str(big) if a == "BIG" else a for a in argv])
     assert code == 2
     assert out == ""

@@ -219,6 +219,16 @@ class TestGammas:
         assert mu.e_mass(2) / mu.e_mass(1) == pytest.approx(math.exp(g0), rel=1e-12)
         assert g0 == pytest.approx(gamma0_of(mu.beta(2), eps), abs=1e-14)
 
+    @pytest.mark.parametrize("k, beta, eps", [(2, 0.318, 2.5e-3), (2, 0.2, 0.2), (3, 0.1, 0.9)])
+    def test_fixed_point_that_cycles_between_floats(self, k, beta, eps):
+        # the iterates alternate between two floats farther apart than the
+        # stop test allows; the solver returns at the repeat.  gamma0_of is a
+        # log of a ratio near one, so its round-off is a few ulps of one
+        # (times max(1, g)) however small g is
+        g = CanonicalMeasure(k=k, s=1, beta=beta).gamma0(eps)
+        gap = abs(g - gamma0_of(math.exp(g) * beta, eps))
+        assert gap <= 4.0 * np.finfo(float).eps * max(1.0, g)
+
     @pytest.mark.parametrize("beta", [0.1, 0.25])
     def test_derivatives_by_central_differences(self, beta):
         # the implicit family's derivatives at eps = 0:

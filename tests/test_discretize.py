@@ -28,7 +28,7 @@ def slot_by_slot(mu, delta, horizon):
     nothing changes.  Returns the buzz leaves as {(slot, player): per-input
     probabilities} and the per-input probability of reaching the reveal stage.
     """
-    times = start_times(mu).per_player
+    times = start_times(mu)
     bits = np.array([lab.bits for lab in mu.support()])
     reach = np.ones(len(bits))
     leaves = {}

@@ -207,8 +207,28 @@ class TestInputDistribution:
             canonical_labels(2.0)
         assert b.mass("10") == 0.5 and b.mass("11") == 0.0
 
+    @pytest.mark.parametrize("k", [2, 3, 6, 1000])
+    def test_layout_is_the_labels_bits(self, k):
+        mu = InputDistribution.uniform_basis(k)
+        labels = canonical_labels(k)
+        assert np.array_equal(mu.bits, np.array([lab.bits for lab in labels]))
+        assert mu.bits is InputDistribution(k, {labels[0]: 1.0}).bits  # cached per k
+        with pytest.raises(ValueError):
+            mu.bits[0, 0] = 1
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            mu = InputDistribution(k, dict(zip(labels, rng.dirichlet(np.ones(k + 2)))))
+            by_label = {lab: m for lab, m in zip(labels, mu.vector)}
+            assert mu.mass_ones == by_label[InputLabel((1,) * k)]
+            for i in (1, 2, k):
+                e_i = InputLabel(tuple(int(j == i) for j in range(1, k + 1)))
+                assert mu.e_mass(i) == by_label[e_i] == mu.mass(e_i)
+                assert mu.beta(i) == sum(m for lab, m in by_label.items() if lab.bits[i - 1])
+        with pytest.raises(MalformedInputError):
+            mu.e_mass(k + 1)
+
     def test_label_parsing(self):
         assert str(InputLabel.from_string("010")) == "010"
-        assert InputLabel.basis(3, 1).bits == (1, 0, 0)
+        assert canonical_labels(3)[1].bits == (1, 0, 0)  # e_1, row 1 of the layout
         with pytest.raises(MalformedInputError):
             InputLabel.from_string("01x")
