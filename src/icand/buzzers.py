@@ -62,6 +62,9 @@ _EPS = np.finfo(float).eps
 #: 32 keeps a factor near three above that.
 _ROUNDOFF = 32.0
 
+#: Default quadrature tolerances of a cost.
+_RTOL, _ATOL = 1e-10, 1e-12
+
 
 def start_times(mu: InputDistribution) -> tuple[float, ...]:
     """Player i's start time ``ln(m_i / m_min)`` at index i - 1, for a measure
@@ -93,11 +96,6 @@ class BuzzersProtocol:
     @classmethod
     def from_measure(cls, mu: InputDistribution) -> "BuzzersProtocol":
         return cls(start_times(mu))
-
-    def shifted(self, offset: float) -> "BuzzersProtocol":
-        """Same protocol with every start time moved by ``offset``; the
-        exponential clocks are memoryless, so costs are invariant."""
-        return BuzzersProtocol(tuple(t + offset for t in self.player_times))
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +288,9 @@ def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
     return prior, float(cost[0]), cost[1:], float(bound / LN2)
 
 
-def cost_under(
-    protocol: BuzzersProtocol,
-    mu: InputDistribution,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ICReport:
-    """Exact cost of running a fixed protocol on inputs drawn from ``mu``.
+def cost_under(protocol: BuzzersProtocol, mu: InputDistribution) -> ICReport:
+    """Exact cost of running a fixed protocol on inputs drawn from ``mu``,
+    at ``information_cost``'s default tolerances.
 
     No reductions are applied: the silent atom (all-ones inputs) is costed
     exactly, and zero masses anywhere are fine because the protocol is given.
@@ -306,11 +299,11 @@ def cost_under(
     if protocol.k != mu.k:
         raise MalformedInputError("protocol and measure disagree on k")
     times = np.asarray(protocol.player_times, dtype=float)
-    return ICReport.of(*_cost_arrays(times, mu.bits, mu.vector, rtol=rtol, atol=atol))
+    return ICReport.of(*_cost_arrays(times, mu.bits, mu.vector, rtol=_RTOL, atol=_ATOL))
 
 
 def information_cost(
-    mu: InputDistribution, *, rtol: float = 1e-10, atol: float = 1e-12
+    mu: InputDistribution, *, rtol: float = _RTOL, atol: float = _ATOL
 ) -> ICReport:
     """Internal and external information cost of the buzzers protocol on ``mu``.
 

@@ -23,7 +23,7 @@ from .buzzers import (
 from .concavity import GridRow, verify_grid
 from .discretize import build, exact_ic
 from .errors import IcandError, MalformedInputError
-from .measures import InputDistribution, binary_entropy, canonical_labels
+from .measures import InputDistribution, _layout, binary_entropy
 from .optimize import SupportPattern, maximize_external, maximize_internal
 from .signals import Signal, sample_terminal_posteriors, simulate_signal
 
@@ -200,6 +200,8 @@ def _cmd_verify_concavity(args) -> int:
 
 
 def _cmd_simulate_signal(args) -> int:
+    if not args.seed >= 0:
+        raise MalformedInputError(f"seed {args.seed} must be >= 0")
     mu = _read_measure(args.measure)
     if args.reveal is not None:
         sig = Signal(sender=args.reveal, p0_given_0=1.0, p0_given_1=0.0)
@@ -287,9 +289,8 @@ def _cmd_maximize(args) -> int:
 
 
 def _random_measure(rng, k: int) -> InputDistribution:
-    labels = canonical_labels(k)
-    w = rng.dirichlet(np.ones(len(labels)))
-    return InputDistribution(k, dict(zip(labels, w)))
+    rows = len(_layout(k))  # rejects a k out of range before the draw
+    return InputDistribution._from_vector(k, rng.dirichlet(np.ones(rows)))
 
 
 def _cmd_continuity_check(args) -> int:
@@ -297,6 +298,8 @@ def _cmd_continuity_check(args) -> int:
         raise MalformedInputError(f"pair count {args.pairs} must be >= 1")
     if not args.delta_max > 0.0:
         raise MalformedInputError(f"--delta-max {args.delta_max} must be > 0")
+    if not args.seed >= 0:
+        raise MalformedInputError(f"seed {args.seed} must be >= 0")
     rng = np.random.default_rng(args.seed)
     k_values = _ints(args.k)
     rows = []
@@ -307,7 +310,7 @@ def _cmd_continuity_check(args) -> int:
         other = _random_measure(rng, k)
         width = mu.statistical_distance(other)
         w = min(1.0, args.delta_max * float(rng.uniform(0.2, 1.0)) / max(width, 1e-12))
-        nu = InputDistribution(k, dict(zip(mu.labels, (1.0 - w) * mu.vector + w * other.vector)))
+        nu = InputDistribution._from_vector(k, (1.0 - w) * mu.vector + w * other.vector)
         delta = mu.statistical_distance(nu)
         protocol = BuzzersProtocol.from_measure(mu)
         cost_mu = cost_under(protocol, mu)

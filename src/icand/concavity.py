@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buzzers import BuzzersProtocol, _entropy_densities, player_classes
+from .buzzers import BuzzersProtocol, _entropy_densities, player_classes, start_times
 from .errors import (
     AssumptionViolationError,
     InvalidDistributionError,
     MalformedInputError,
     ToleranceError,
 )
-from .measures import LN2, ZERO_MASS, InputDistribution, canonical_labels
+from .measures import LN2, ZERO_MASS, InputDistribution
 from .quadrature import integrate_segments
 
 __all__ = [
@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 _SAME_AVERAGE_TOL = 1e-11
+
+#: Quadrature tolerances of every window integral.
+_RTOL, _ATOL = 1e-9, 1e-15
+
+#: Length of the stretch past the window that the right-tail check integrates.
+_RIGHT_WIDTH = 5.0
 
 
 def gamma0_of(beta_s: float, eps: float) -> float:
@@ -126,11 +132,9 @@ class CanonicalMeasure:
                 f"canonical family infeasible: mass(all-zeros) = {mass_zeros:.3e} "
                 f"for k={self.k}, s={self.s}, beta={self.beta}, eps={eps}"
             )
-        labels = canonical_labels(self.k)  # all-zeros, e_1, ..., e_k first
-        mass = {labels[0]: max(mass_zeros, 0.0)}
-        for i in range(1, self.k + 1):
-            mass[labels[i]] = self.beta if i < self.s else bs
-        return InputDistribution(self.k, mass)
+        # layout order: all-zeros, e_1, ..., e_k, all-ones
+        vec = [max(mass_zeros, 0.0)] + [self.beta] * (self.s - 1) + [bs] * (self.k - self.s + 1)
+        return InputDistribution._from_vector(self.k, np.array(vec + [0.0]))
 
     def sender_times(self, eps: float) -> tuple[float, ...]:
         """Start times shifted so the sender block sits at zero."""
@@ -186,8 +190,8 @@ def perturb(
     )
 
     if protocol is None:
-        base = BuzzersProtocol.from_measure(mu)
-        base = base.shifted(-base.player_times[s - 1])
+        times = start_times(mu)
+        base = BuzzersProtocol(tuple(t - times[s - 1] for t in times))
     else:
         base = protocol
     t0, t1 = list(base.player_times), list(base.player_times)
@@ -249,11 +253,11 @@ def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
     return sorted(pts)
 
 
-def _window_integral(f, pert: Perturbation, lo: float, hi: float, **tol):
+def _window_integral(f, pert: Perturbation, lo: float, hi: float):
     """Integrals of ``f`` over [lo, hi] in bits, split at every start time
     inside, with their per-component error bounds; an empty window (no
     segment wider than the quadrature's 1e-14 cut) integrates to zeros."""
-    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), **tol)
+    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL)
     zero = np.zeros(pert.mu.k + 1)
     return zero + vals / LN2, zero + err / LN2
 
@@ -304,8 +308,6 @@ def window_deficits(
     eps: float,
     *,
     protocol: BuzzersProtocol | None = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-15,
 ) -> WindowDeficits:
     """Integrate the external and internal concavity defects over the window.
 
@@ -321,9 +323,7 @@ def window_deficits(
     residual = check_same_average(pert)
     t_s = pert.base_protocol.player_times[s - 1]
     lo, hi = t_s - pert.gamma0, t_s + pert.gamma1
-    vals, err = _window_integral(
-        _concavity_integrand(pert), pert, lo, hi, rtol=rtol, atol=atol
-    )
+    vals, err = _window_integral(_concavity_integrand(pert), pert, lo, hi)
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -376,9 +376,6 @@ def outside_window_checks(
     eps: float,
     *,
     protocol: BuzzersProtocol | None = None,
-    right_width: float = 5.0,
-    rtol: float = 1e-9,
-    atol: float = 1e-15,
 ) -> OutsideWindowChecks:
     """Sign checks outside the window, plus the quadratic left-gap bound.
 
@@ -400,11 +397,9 @@ def outside_window_checks(
     t_min = min(pert.base_protocol.player_times)
     left = 0.0
     if lo_edge > t_min:
-        vals, _ = _window_integral(f, pert, t_min, lo_edge, rtol=rtol, atol=atol)
+        vals, _ = _window_integral(f, pert, t_min, lo_edge)
         left = float(vals[0])
-    right_vals, _ = _window_integral(
-        f, pert, hi_edge, hi_edge + right_width, rtol=rtol, atol=atol
-    )
+    right_vals, _ = _window_integral(f, pert, hi_edge, hi_edge + _RIGHT_WIDTH)
     right = float(right_vals[0])
 
     eps2_bound = eps2_gap = eps2_ok = None
@@ -421,7 +416,7 @@ def outside_window_checks(
             n_before = len(earlier)
             eps2_bound = ((1.0 - math.exp(-n_before * gap_len / 2.0)) * mu.mass_zeros
                           * mu.e_mass(s) / (2.0 * n_before) * eps**2)
-            vals, _ = _window_integral(f, pert, t_prev, lo_edge, rtol=rtol, atol=atol)
+            vals, _ = _window_integral(f, pert, t_prev, lo_edge)
             eps2_gap = float(vals[0])
             eps2_ok = eps2_gap >= eps2_bound - 1e-10
 

@@ -36,15 +36,14 @@ class DiscreteProtocol:
     """The exact finite transcript distribution of the slotted protocol.
 
     ``leaf_slot[l]``, ``leaf_player[l]`` identify buzz leaf ``l`` and
-    ``leaf_prob[l, x]`` is its probability on input ``x`` (canonical label
-    order restricted to the support); ``silent_prob[x]`` is the probability
-    of reaching the reveal stage.
+    ``leaf_prob[l, x]`` is its probability on input ``x`` (the layout's
+    rows with mass above ``ZERO_MASS``, in layout order); ``silent_prob[x]``
+    is the probability of reaching the reveal stage.
     """
 
     mu: InputDistribution
     delta: float
     horizon: float
-    support: tuple
     leaf_slot: np.ndarray
     leaf_player: np.ndarray
     leaf_prob: np.ndarray
@@ -72,7 +71,6 @@ def build(
         )
     n_slots = int(math.ceil(horizon / delta))
 
-    support = mu.support()
     bits = mu.bits[mu.vector > ZERO_MASS]
     zeros = (bits == 0).astype(float)  # (n_x, k)
 
@@ -94,8 +92,8 @@ def build(
     boundaries = sorted({0, n_slots, *[int(j) for j in join_slot if 0 <= j < n_slots]})
     leaf_slot = np.empty(n_leaves, dtype=np.int64)
     leaf_player = np.empty(n_leaves, dtype=np.int64)
-    leaf_prob = np.empty((n_leaves, len(support)))
-    log_surv = np.zeros(len(support))  # log Pr[silent through slots < r | x]
+    leaf_prob = np.empty((n_leaves, len(bits)))
+    log_surv = np.zeros(len(bits))  # log Pr[silent through slots < r | x]
     pos = 0
     for b0, b1 in zip(boundaries[:-1], boundaries[1:]):
         # the earliest player starts at 0 and joins slot 0: no phase is empty
@@ -105,7 +103,7 @@ def build(
         r_off = np.arange(length)
         # survival entering slot b0 + r_off
         surv = np.exp(log_surv[None, :] + r_off[:, None] * log_q * n_active[None, :])
-        prefix = np.zeros(len(support))
+        prefix = np.zeros(len(bits))
         for m in active:
             fires = (bits[:, m] == 0).astype(float)
             probs = surv * (np.exp(log_q * prefix) * fires * p)[None, :]
@@ -122,7 +120,6 @@ def build(
         mu=mu,
         delta=float(delta),
         horizon=float(horizon),
-        support=support,
         leaf_slot=leaf_slot,
         leaf_player=leaf_player,
         leaf_prob=leaf_prob,

@@ -13,8 +13,10 @@ The layout is fixed: a measure is the vector of its ``k + 2`` masses on
 ``(0^k, e_1, ..., e_k, 1^k)``, in that order, so ``e_i`` is entry ``i`` and
 all-ones the last.  ``InputDistribution.bits`` is the read-only
 ``(k + 2, k)`` bit matrix of those inputs, built once per ``k``.  Every
-module reads masses by position and bits from that matrix; labels only name
-inputs where a user or a file does (JSON, support patterns).
+module reads masses by position and bits from that matrix.  An input is
+named only where a user or a file names it (JSON, support patterns,
+outputs), by its bit string, player 1 leftmost: ``canonical_labels(k)``
+spells the layout's rows that way.
 
 All information quantities are computed with natural logarithms internally
 and converted to bits only when returned.  Probabilities below ``ZERO_MASS``
@@ -25,7 +27,6 @@ without poisoning sums with infinities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -51,30 +52,6 @@ SUM_TOL = 1e-12
 MAX_K = 1000
 
 
-@dataclass(frozen=True, order=True)
-class InputLabel:
-    """One point of the input cube: the tuple of all players' private bits."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
-            raise MalformedInputError(f"not a bit vector: {self.bits!r}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "InputLabel":
-        if not text or any(c not in "01" for c in text):
-            raise MalformedInputError(f"not a bit string: {text!r}")
-        return cls(tuple(int(c) for c in text))
-
-    @property
-    def k(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
 @lru_cache(maxsize=32, typed=True)
 def _layout(k: int) -> np.ndarray:
     """The read-only (k + 2, k) bit matrix of (0^k, e_1, ..., e_k, 1^k)."""
@@ -87,22 +64,28 @@ def _layout(k: int) -> np.ndarray:
     return bits
 
 
-def _position(bits: tuple[int, ...]) -> int | None:
-    """Row of the input ``bits`` in the layout; None off the basis family."""
-    ones = sum(bits)
+@lru_cache(maxsize=32, typed=True)
+def canonical_labels(k: int) -> tuple[str, ...]:
+    """The layout's rows as bit strings: (all-zeros, e_1, ..., e_k,
+    all-ones), for ``k = 2`` the whole cube.  Cached, so measures with ``k``
+    players share the one tuple."""
+    text = (_layout(k) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return tuple(text[j : j + k] for j in range(0, len(text), k))
+
+
+def _row(label: str, k: int) -> int | None:
+    """Row of the input named ``label`` in the layout; None for a label of
+    another length or off the basis family."""
+    ones = label.count("1")
+    if not label or ones + label.count("0") != len(label):
+        raise MalformedInputError(f"not a bit string: {label!r}")
+    if len(label) != k:
+        return None
     if ones == 0:
         return 0
-    if ones == len(bits):
-        return len(bits) + 1
-    return bits.index(1) + 1 if ones == 1 else None
-
-
-@lru_cache(maxsize=32, typed=True)
-def canonical_labels(k: int) -> tuple[InputLabel, ...]:
-    """The layout's rows as labels: (all-zeros, e_1, ..., e_k, all-ones),
-    for ``k = 2`` the whole cube.  Cached, so measures with ``k`` players
-    share the one tuple."""
-    return tuple(InputLabel(tuple(row)) for row in _layout(k).tolist())
+    if ones == k:
+        return k + 1
+    return label.index("1") + 1 if ones == 1 else None
 
 
 def _as_prob_vector(p: Iterable[float], what: str = "distribution") -> np.ndarray:
@@ -165,15 +148,12 @@ class InputDistribution:
 
     __slots__ = ("k", "_vec")
 
-    def __init__(self, k: int, mass: Mapping[InputLabel | str, float]):
+    def __init__(self, k: int, mass: Mapping[str, float]):
         vec = np.zeros(len(_layout(k)))  # _layout rejects a k out of range
-        for key, m in mass.items():
-            lab = InputLabel.from_string(key) if isinstance(key, str) else key
-            if lab.k != k:
-                raise InvalidDistributionError(
-                    f"label {lab} has {lab.k} bits, expected {k}"
-                )
-            pos = _position(lab.bits)
+        for lab, m in mass.items():
+            pos = _row(lab, k)
+            if pos is None and len(lab) != k:
+                raise InvalidDistributionError(f"label {lab} has {len(lab)} bits, expected {k}")
             if pos is None:
                 raise AssumptionViolationError(
                     f"label {lab} outside the allowed support family for k={k}"
@@ -194,7 +174,8 @@ class InputDistribution:
     @classmethod
     def _from_vector(cls, k: int, vec: np.ndarray) -> "InputDistribution":
         """The measure with masses ``vec`` over the layout, validated and
-        clamped as the constructor does it."""
+        clamped as the constructor does it, ``k`` included."""
+        _layout(k)  # rejects a k out of range
         return cls._checked(k, _as_prob_vector(vec, "measure"))
 
     def __setattr__(self, name, value):  # immutability
@@ -228,11 +209,11 @@ class InputDistribution:
         k = obj["k"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise MalformedInputError(f'"k" must be an integer, got {k!r}')
-        try:
-            mass = {str(key): float(val) for key, val in obj["mass"].items()}
-        except (TypeError, ValueError) as exc:
-            raise MalformedInputError(f"bad measure JSON: {exc}") from exc
-        # each label is a k-tuple: reject a mismatched k before any is parsed
+        for key, val in obj["mass"].items():
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise MalformedInputError(f"mass of {key} must be a number, got {val!r}")
+        mass = {str(key): float(val) for key, val in obj["mass"].items()}
+        # each label is k bits long: reject a mismatched k before any is read
         if not mass or any(len(key) != k for key in mass):
             raise MalformedInputError(f"measure labels must be {k} bits long")
         return cls(k, mass)
@@ -240,7 +221,7 @@ class InputDistribution:
     # -- accessors -----------------------------------------------------------
 
     @property
-    def labels(self) -> tuple[InputLabel, ...]:
+    def labels(self) -> tuple[str, ...]:
         return canonical_labels(self.k)
 
     @property
@@ -253,9 +234,8 @@ class InputDistribution:
         """Masses in layout order (copy)."""
         return self._vec.copy()
 
-    def mass(self, label: InputLabel | str) -> float:
-        lab = InputLabel.from_string(label) if isinstance(label, str) else label
-        pos = _position(lab.bits) if lab.k == self.k else None
+    def mass(self, label: str) -> float:
+        pos = _row(label, self.k)
         return 0.0 if pos is None else float(self._vec[pos])
 
     @property
@@ -275,9 +255,6 @@ class InputDistribution:
     def beta(self, i: int) -> float:
         """Pr[X_i = 1]: the masses of e_i and all-ones."""
         return self.e_mass(i) + self.mass_ones
-
-    def support(self) -> tuple[InputLabel, ...]:
-        return tuple(lab for lab, m in zip(self.labels, self._vec) if m > ZERO_MASS)
 
     # -- information functionals ---------------------------------------------
 
@@ -308,11 +285,7 @@ class InputDistribution:
     def to_json_obj(self) -> dict:
         return {
             "k": self.k,
-            "mass": {
-                str(lab): float(m)
-                for lab, m in zip(self.labels, self._vec)
-                if m > 0.0
-            },
+            "mass": {lab: float(m) for lab, m in zip(self.labels, self._vec) if m > 0.0},
         }
 
     def to_json(self) -> str:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .buzzers import _symmetric_line, information_cost
 from .errors import ConditioningError, MalformedInputError, ToleranceError
-from .measures import InputDistribution, InputLabel, canonical_labels
+from .measures import InputDistribution, _row, canonical_labels
 
 __all__ = ["SupportPattern", "OptResult", "maximize_internal", "maximize_external"]
 
@@ -51,14 +51,14 @@ _TIGHT = {"rtol": 1e-11, "atol": 1e-13}
 
 @dataclass(frozen=True)
 class SupportPattern:
-    """Which canonical labels are frozen to zero mass."""
+    """Which canonical labels (bit strings) are frozen to zero mass."""
 
     k: int
     zero_labels: frozenset
 
     def __post_init__(self):
         allowed = set(canonical_labels(self.k))
-        for lab in self.zero_labels:
+        for lab in sorted(self.zero_labels):
             if lab not in allowed:
                 raise MalformedInputError(
                     f"label {lab} is not on the k={self.k} support family"
@@ -69,15 +69,13 @@ class SupportPattern:
     @classmethod
     def parse(cls, k: int, zero_spec: str = "") -> "SupportPattern":
         """Build from a comma-separated list of zeroed bit strings."""
-        zeros = frozenset(
-            InputLabel.from_string(s.strip())
-            for s in zero_spec.split(",")
-            if s.strip()
-        )
-        return cls(k=k, zero_labels=zeros)
+        zeros = [s.strip() for s in zero_spec.split(",") if s.strip()]
+        for lab in zeros:
+            _row(lab, k)  # raises on a label that is not a bit string
+        return cls(k=k, zero_labels=frozenset(zeros))
 
     @property
-    def free_labels(self) -> tuple[InputLabel, ...]:
+    def free_labels(self) -> tuple[str, ...]:
         return tuple(
             lab for lab in canonical_labels(self.k) if lab not in self.zero_labels
         )

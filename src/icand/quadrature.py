@@ -20,6 +20,10 @@ import numpy as np
 from .errors import QuadratureError
 
 
+#: Points of the Gauss-Legendre rule on each panel.
+_ORDER = 15
+
+
 @lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
@@ -45,7 +49,6 @@ def integrate(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-13,
-    order: int = 15,
     max_panels: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over [a, b]; returns (component integrals, error bounds).
@@ -60,7 +63,7 @@ def integrate(
 
     width = b - a
     mid = 0.5 * (a + b)
-    coarse, left, right = _panel_sums(f, [(a, b), (a, mid), (mid, b)], order)
+    coarse, left, right = _panel_sums(f, [(a, b), (a, mid), (mid, b)], _ORDER)
     stack = [(a, b, coarse, left, right)]
     total = np.zeros_like(coarse)
     err = np.zeros_like(coarse)
@@ -82,7 +85,7 @@ def integrate(
         else:
             mid = 0.5 * (lo + hi)
             q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            quarters = _panel_sums(f, [(lo, q1), (q1, mid), (mid, q3), (q3, hi)], order)
+            quarters = _panel_sums(f, [(lo, q1), (q1, mid), (mid, q3), (q3, hi)], _ORDER)
             stack.append((lo, mid, left, *quarters[:2]))
             stack.append((mid, hi, right, *quarters[2:]))
     return total, err

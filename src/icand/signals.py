@@ -159,7 +159,7 @@ class SimulationTrace:
 
     Step ``j`` realized the splitting signal of ``sender`` with conditionals
     ``conditionals[j] = (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1])``, the bit
-    ``bits[j]`` and the posterior ``posteriors[j]`` over ``mu.labels``.
+    ``bits[j]`` and the posterior ``posteriors[j]`` in layout order.
     """
 
     mu: InputDistribution
@@ -191,7 +191,7 @@ class SimulationTrace:
     def to_json_obj(self) -> dict:
         """The JSON of ``Signal.to_json_obj`` and
         ``InputDistribution.to_json_obj`` per step, formatted from the arrays."""
-        k, names = self.mu.k, [str(lab) for lab in self.mu.labels]
+        k, names = self.mu.k, self.mu.labels
         return {
             "mu": self.mu.to_json_obj(),
             "eps": self.eps,
@@ -427,9 +427,9 @@ class _SegmentWalk:
     # -- whole traces as arrays --------------------------------------------------
 
     def points(self, alpha: np.ndarray) -> np.ndarray:
-        """The measures at ``alpha``, one row each over ``mu.labels``, with
+        """The measures at ``alpha``, one row each in layout order, with
         the constructor's check that each sums to one (NaN fails it)."""
-        vec = np.zeros((alpha.size, len(self.mu.labels)))
+        vec = np.zeros((alpha.size, len(self.mu.bits)))
         vec[:, self.support_idx] = self.v0 + alpha[:, None] * self.d
         np.maximum(vec, 0.0, out=vec)
         vec /= vec.sum(axis=1, keepdims=True)
@@ -503,18 +503,17 @@ def simulate_signal(
     *,
     max_steps: int = 10**6,
     snap_tol: float = 1e-6,
-    validate: bool = True,
 ) -> SimulationTrace:
     """Simulate one signal by a full trace of eps-weak steps.
 
     The walk runs step by step on Python floats, one random bit per step.
     Every step's splitting signal and posterior are then computed as arrays,
     with the checks the signal and measure constructors make; the trace's
-    ``steps`` objects are built only when read.  With ``validate`` every
-    step is also checked for weakness, bias and order preservation before
-    the function returns.  Use :func:`sample_terminal_posteriors` for bulk
-    statistics.  Raises :class:`NonTerminationError` past ``max_steps`` (the
-    walk terminates with probability one, so the cap is diagnostic).
+    ``steps`` objects are built only when read.  Every step is also checked
+    for weakness, bias and order preservation before the function returns.
+    Use :func:`sample_terminal_posteriors` for bulk statistics.  Raises
+    :class:`NonTerminationError` past ``max_steps`` (the walk terminates
+    with probability one, so the cap is diagnostic).
     """
     _check_walk_args(eps, snap_tol, max_steps)
     walk = _SegmentWalk(mu, sig, eps, snap_tol)
@@ -525,7 +524,7 @@ def simulate_signal(
             sender=sig.sender,
             conditionals=np.empty((0, 2)),
             bits=np.empty(0, dtype=np.int64),
-            posteriors=np.empty((0, len(mu.labels))),
+            posteriors=np.empty((0, len(mu.bits))),
             terminal=mu,
         )
 
@@ -534,8 +533,7 @@ def simulate_signal(
     lam = np.array(lams)
     conditionals = walk.step_signals(alpha[:-1], lam)
     posteriors = walk.points(alpha[1:])
-    if validate:
-        walk.validate_steps(alpha[:-1], lam)
+    walk.validate_steps(alpha[:-1], lam)
     if snapped is None:
         raise NonTerminationError(f"simulation exceeded {max_steps} steps")
     return SimulationTrace(

@@ -223,9 +223,7 @@ def test_criterion_6_signal_simulation():
     rng2 = np.random.default_rng(7)
     classifier_ok = True
     for _ in range(20):
-        trace = simulate_signal(
-            mu, revealing, eps, rng2, snap_tol=1e-3, validate=True
-        )
+        trace = simulate_signal(mu, revealing, eps, rng2, snap_tol=1e-3)
         current = mu
         for j, step in enumerate(trace.steps):
             if j % 25 == 0:

@@ -16,7 +16,6 @@ PACKAGE = Path(icand.__file__).parent
 UNREACHED = {
     "classify": "acceptance: criterion 6 classifies every walk step",
     "merge_tail_players": "acceptance: criterion 10, merge invariance",
-    "BuzzersProtocol.shifted": "acceptance: the default protocol of perturb",
     "SimulationTrace.steps": "acceptance: criterion 6 reads the step objects",
     "InputDistribution.two_party": "acceptance: the no-11 measure of criteria 6 and 7",
     "InputDistribution.to_json": "acceptance: criterion 1 writes its measure files",

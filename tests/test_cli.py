@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icand import cli, concavity, signals
+from icand import cli, concavity, measures, optimize, signals
 from icand.buzzers import cost_under
 from icand.cli import main
-from icand.measures import InputLabel, binary_entropy
+from icand.measures import binary_entropy
 
 
 @pytest.fixture
@@ -72,6 +72,8 @@ class TestIC:
             ('{"k": 2, "mass": {"00": NaN, "01": 0.5, "10": 0.5}}', "InvalidDistributionError"),
             ('{"k": true, "mass": {"0": 0.5, "1": 0.5}}', "MalformedInputError"),
             ('{"k": 2.9, "mass": {"01": 0.5, "10": 0.5}}', "MalformedInputError"),
+            ('{"k": 2, "mass": {"00": true}}', "MalformedInputError"),
+            ('{"k": 2, "mass": {"00": "0.5", "01": "0.5"}}', "MalformedInputError"),
         ],
     )
     def test_invalid_measure_exit_2(self, capsys, tmp_path, text, error):
@@ -368,8 +370,8 @@ class TestContinuityCheck:
         # its gap lies at least one bound past it
         seen = []
 
-        def pushed(protocol, mu, **tols):
-            report = cost_under(protocol, mu, **tols)
+        def pushed(protocol, mu):
+            report = cost_under(protocol, mu)
             seen.append(mu)
             if len(seen) % 2 == 0:
                 delta = seen[-2].statistical_distance(mu)
@@ -414,6 +416,9 @@ class TestContinuityCheck:
         ["discretize", "--measure", "NO11", "--delta", ""],
         ["verify-concavity", "--beta", ","],
         ["continuity-check", "--k", " "],
+        ["simulate-signal", "--measure", "NO11", "--reveal", "1", "--eps", "0.05",
+         "--traces", "10", "--seed", "-1"],
+        ["continuity-check", "--seed", "-5"],
     ],
 )
 def test_malformed_number_exit_2(capsys, no11_file, argv):
@@ -422,6 +427,29 @@ def test_malformed_number_exit_2(capsys, no11_file, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "MalformedInputError"
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind, message",
+    [
+        (["maximize", "--zero", "1x"], 2, "MalformedInputError", "not a bit string: '1x'"),
+        (["maximize", "--zero", "111"], 2, "MalformedInputError",
+         "label 111 is not on the k=2 support family"),
+        (["ic", "--measure", '{"k": 2, "mass": {"0x": 1.0}}'], 2, "MalformedInputError",
+         "not a bit string: '0x'"),
+        (["ic", "--measure", '{"k": 3, "mass": {"110": 1.0}}'], 3, "AssumptionViolationError",
+         "label 110 outside the allowed support family for k=3"),
+    ],
+)
+def test_bad_label_stderr_bytes(capsys, tmp_path, argv, code, kind, message):
+    if argv[0] == "ic":
+        path = tmp_path / "measure.json"
+        path.write_text(argv[-1])
+        argv = [*argv[:-1], str(path)]
+    got, out, err = run(capsys, *argv)
+    error = {"exit_code": code, "message": message, "type": kind}
+    assert (got, out) == (code, "")
+    assert err == json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -437,10 +465,17 @@ def test_absurd_k_rejected_before_labels_are_built(capsys, monkeypatch, tmp_path
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"k": 5000, "mass": {"0" * 5000: 1.0}}))
 
-    def build(*args):
-        raise AssertionError("a label was built for an absurd k")
+    def guarded(fn):
+        # the label code must reject an absurd k itself, or never see it
+        def call(*args):
+            fn(*args)
+            raise AssertionError(f"a label was built for an absurd k: {fn.__name__}")
 
-    monkeypatch.setattr(InputLabel, "__post_init__", build)
+        return call
+
+    for module, name in [(measures, "canonical_labels"), (measures, "_row"),
+                         (optimize, "canonical_labels"), (optimize, "_row")]:
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
     code, out, err = run(capsys, *[str(big) if a == "BIG" else a for a in argv])
     assert code == 2
     assert out == ""

@@ -153,7 +153,7 @@ def per_label_tilts(mu, s, eps):
         for lab, m in zip(mu.labels, mu.vector):
             if m <= 0.0:
                 continue
-            if lab.bits[s - 1] == 0:
+            if lab[s - 1] == "0":
                 factor = 1.0 + eps * beta_s if plus_on_zero else 1.0 - eps * beta_s
             else:
                 factor = 1.0 - eps * zeta_s if plus_on_zero else 1.0 + eps * zeta_s
@@ -166,7 +166,7 @@ def per_label_same_average(pert):
     """Worst residual of the window-mass identity, one input at a time."""
 
     def window_probability(times, label, lo, hi):
-        zeros = np.array([b == 0 for b in label.bits], dtype=float)
+        zeros = np.array([c == "0" for c in label], dtype=float)
         tt = np.asarray(times)
 
         def survival(t):
@@ -309,7 +309,7 @@ class TestPerturbation:
 
 def mixtures(protocol, mu, ts):
     """f(t, m) = sum_x V[t, m, x] from the package's density builder."""
-    bits = np.array([lab.bits for lab in mu.labels])
+    bits = np.array([[int(c) for c in lab] for lab in mu.labels])
     times = np.asarray(protocol.player_times)
     with np.errstate(divide="ignore"):
         log_w = np.log(mu.vector)

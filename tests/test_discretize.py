@@ -8,7 +8,7 @@ import pytest
 from icand.buzzers import information_cost, start_times
 from icand.discretize import build, exact_ic
 from icand.errors import MalformedInputError, ResolutionError
-from icand.measures import InputDistribution
+from icand.measures import ZERO_MASS, InputDistribution
 
 MU_NO11 = InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0)
 MU_E2 = InputDistribution.uniform_basis(2)
@@ -17,6 +17,11 @@ MU_K3 = InputDistribution(3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4})
 MU_K4 = InputDistribution(
     4, {"0000": 0.1, "1000": 0.3, "0100": 0.15, "0010": 0.2, "0001": 0.05, "1111": 0.2}
 )
+
+
+def support(mu):
+    """The labels of the inputs a protocol's leaf columns stand for, in order."""
+    return [lab for lab, m in zip(mu.labels, mu.vector) if m > ZERO_MASS]
 
 
 def slot_by_slot(mu, delta, horizon):
@@ -29,7 +34,7 @@ def slot_by_slot(mu, delta, horizon):
     probabilities} and the per-input probability of reaching the reveal stage.
     """
     times = start_times(mu)
-    bits = np.array([lab.bits for lab in mu.support()])
+    bits = np.array([[int(c) for c in lab] for lab in support(mu)])
     reach = np.ones(len(bits))
     leaves = {}
     for r in range(math.ceil(horizon / delta)):
@@ -77,7 +82,7 @@ class TestBuild:
 
     def test_transcript_probabilities_normalize(self):
         proto = build(MU_NO11, 0.05, 25.0)
-        for j in range(len(proto.support)):
+        for j in range(len(support(proto.mu))):
             total = proto.leaf_prob[:, j].sum() + proto.silent_prob[j]
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -85,9 +90,7 @@ class TestBuild:
         # input e_2 = 01: only player 1 is active, so the finish time is
         # exponential; compare the protocol's CDF on a few horizons
         proto = build(MU_E2, 2.0**-8, 25.0)
-        j = proto.support.index(
-            next(lab for lab in proto.support if str(lab) == "01")
-        )
+        j = support(proto.mu).index("01")
         for tau in (0.5, 1.0, 2.0):
             mask = (proto.leaf_slot + 1) * proto.delta <= tau
             cdf = proto.leaf_prob[mask, j].sum()
@@ -112,7 +115,7 @@ class TestTree:
 
     def test_all_ones_reaches_reveal_with_output_one(self):
         proto = build(MU_WITH11, 0.25, 3.0)
-        ones = [str(lab) == "11" for lab in proto.support]
+        ones = [lab == "11" for lab in support(proto.mu)]
         assert proto.silent_prob[ones] == 1.0
 
     def test_zero_error_everywhere(self):
@@ -120,7 +123,7 @@ class TestTree:
         # reveal stage outputs the AND of the revealed input
         for mu in (MU_WITH11, MU_K4):
             proto = build(mu, 0.25, 5.0)
-            ones = [sum(lab.bits) == lab.k for lab in proto.support]
+            ones = ["0" not in lab for lab in support(proto.mu)]
             assert not proto.leaf_prob[:, ones].any()
 
     def test_martingale_at_every_node(self):
@@ -129,7 +132,7 @@ class TestTree:
         # of slots >= r and the reveal stage, must carry exactly that mass
         proto = build(MU_NO11, 0.5, 4.0)
         n_slots = 8
-        zeros = np.array([lab.k - sum(lab.bits) for lab in proto.support])
+        zeros = np.array([lab.count("0") for lab in support(proto.mu)])
         per_slot = np.zeros((n_slots, len(zeros)))
         np.add.at(per_slot, proto.leaf_slot, proto.leaf_prob)
         subtree = np.cumsum(per_slot[::-1], axis=0)[::-1] + proto.silent_prob

@@ -15,7 +15,6 @@ from icand.errors import (
 )
 from icand.measures import (
     InputDistribution,
-    InputLabel,
     binary_entropy,
     canonical_labels,
     entropy,
@@ -164,17 +163,18 @@ class TestInputDistribution:
 
     @pytest.mark.parametrize("mass", ['{"01": 0.5, "10": 0.5}', "{}"])
     def test_label_lengths_checked_before_labels_allocated(self, monkeypatch, mass):
-        def allocate(k):
-            raise AssertionError(f"canonical_labels({k}) called before validation")
+        def allocate(*args):
+            raise AssertionError(f"label code called with {args!r} before validation")
 
         monkeypatch.setattr(measures, "canonical_labels", allocate)
+        monkeypatch.setattr(measures, "_row", allocate)
         with pytest.raises(MalformedInputError):
             InputDistribution.from_json(f'{{"k": 100000, "mass": {mass}}}')
 
     @staticmethod
     def _given_player(mu, i):
         """H(X | X_i) in bits, from the prior entropies the costs use."""
-        bits = np.array([lab.bits for lab in mu.labels])
+        bits = np.array([[int(c) for c in lab] for lab in mu.labels])
         return measures._prior_entropies(bits, mu.vector)[i] / measures.LN2
 
     def test_entropy_given_player(self):
@@ -190,7 +190,7 @@ class TestInputDistribution:
         # the conditional entropies reach the reports (and so the JSON and
         # CSV output) as Python floats, not numpy scalars
         mu = InputDistribution.two_party(0.2, 0.5, 0.3, 0.0)
-        bits = np.array([lab.bits for lab in mu.labels])
+        bits = np.array([[int(c) for c in lab] for lab in mu.labels])
         report = ICReport.of(measures._prior_entropies(bits, mu.vector), 0.0, np.zeros(2), 0.0)
         h = report.concealed_internal_bits
         assert type(h) is float
@@ -209,9 +209,12 @@ class TestInputDistribution:
 
     @pytest.mark.parametrize("k", [2, 3, 6, 1000])
     def test_layout_is_the_labels_bits(self, k):
+        # label i spells row i of the layout, player 1 leftmost
         mu = InputDistribution.uniform_basis(k)
         labels = canonical_labels(k)
-        assert np.array_equal(mu.bits, np.array([lab.bits for lab in labels]))
+        assert all(type(lab) is str and len(lab) == k for lab in labels)
+        assert np.array_equal(mu.bits, np.array([[int(c) for c in lab] for lab in labels]))
+        assert labels[0] == "0" * k and labels[-1] == "1" * k
         assert mu.bits is InputDistribution(k, {labels[0]: 1.0}).bits  # cached per k
         with pytest.raises(ValueError):
             mu.bits[0, 0] = 1
@@ -219,16 +222,28 @@ class TestInputDistribution:
         for _ in range(3):
             mu = InputDistribution(k, dict(zip(labels, rng.dirichlet(np.ones(k + 2)))))
             by_label = {lab: m for lab, m in zip(labels, mu.vector)}
-            assert mu.mass_ones == by_label[InputLabel((1,) * k)]
+            assert mu.mass_ones == by_label["1" * k] == mu.mass("1" * k)
             for i in (1, 2, k):
-                e_i = InputLabel(tuple(int(j == i) for j in range(1, k + 1)))
+                e_i = "0" * (i - 1) + "1" + "0" * (k - i)
+                assert labels[i] == e_i
                 assert mu.e_mass(i) == by_label[e_i] == mu.mass(e_i)
-                assert mu.beta(i) == sum(m for lab, m in by_label.items() if lab.bits[i - 1])
+                assert mu.beta(i) == sum(m for lab, m in by_label.items() if lab[i - 1] == "1")
         with pytest.raises(MalformedInputError):
             mu.e_mass(k + 1)
 
     def test_label_parsing(self):
-        assert str(InputLabel.from_string("010")) == "010"
-        assert canonical_labels(3)[1].bits == (1, 0, 0)  # e_1, row 1 of the layout
-        with pytest.raises(MalformedInputError):
-            InputLabel.from_string("01x")
+        mu = InputDistribution(3, {"010": 1.0})
+        assert mu.mass("010") == 1.0 and mu.vector[2] == 1.0  # e_2, row 2 of the layout
+        assert mu.mass("110") == mu.mass("01") == 0.0  # off the family, or another k
+        for bad in ("01x", "", "0 1"):
+            with pytest.raises(MalformedInputError, match="not a bit string"):
+                mu.mass(bad)
+        with pytest.raises(MalformedInputError, match=r"^not a bit string: '1x'$"):
+            InputDistribution(2, {"1x": 1.0})
+        with pytest.raises(InvalidDistributionError, match="^label 0 has 1 bits, expected 2$"):
+            InputDistribution(2, {"0": 1.0})
+        with pytest.raises(
+            AssumptionViolationError,
+            match="^label 110 outside the allowed support family for k=3$",
+        ):
+            InputDistribution(3, {"110": 1.0})

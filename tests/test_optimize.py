@@ -18,7 +18,7 @@ class TestSupportPattern:
     def test_parse(self):
         pattern = SupportPattern.parse(2, "11")
         assert len(pattern.free_labels) == 3
-        assert all(str(lab) != "11" for lab in pattern.free_labels)
+        assert pattern.free_labels == ("00", "10", "01")
 
     def test_rejects_foreign_label(self):
         with pytest.raises(MalformedInputError):

@@ -275,7 +275,7 @@ def basis_family_walks(draw):
     return walk
 
 
-def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6, validate=True):
+def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
     """The per-step trace loop the array path replaced: each step goes
     through :func:`reference_step` and builds its own signal
     and measure, and is validated on its own.  Returns the trace's JSON."""
@@ -313,18 +313,17 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6, valida
         vec /= vec.sum()
         post = InputDistribution(mu.k, dict(zip(mu.labels, vec)))
 
-        if validate:
-            live = mu_c > ZERO_MASS
-            weakness = np.max(lam * np.abs(mu_c[live] - target[live]) / mu_c[live])
-            assert weakness <= eps * (1.0 + 1e-12)
-            prob0 = 0.5 * float((mu_c + lam * (target - mu_c)).sum() / mu_c.sum())
-            assert abs(prob0 - 0.5) <= 1e-12
-            gap = mu_c[walk.pair_b] - mu_c[walk.pair_a]
-            scale = np.maximum(mu_c[walk.pair_b], mu_c[walk.pair_a])
-            strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
-            for sign in (+1.0, -1.0):
-                post_c = mu_c + sign * lam * (target - mu_c)
-                assert not np.any(strict & (post_c[walk.pair_b] - post_c[walk.pair_a] < -1e-12))
+        live = mu_c > ZERO_MASS
+        weakness = np.max(lam * np.abs(mu_c[live] - target[live]) / mu_c[live])
+        assert weakness <= eps * (1.0 + 1e-12)
+        prob0 = 0.5 * float((mu_c + lam * (target - mu_c)).sum() / mu_c.sum())
+        assert abs(prob0 - 0.5) <= 1e-12
+        gap = mu_c[walk.pair_b] - mu_c[walk.pair_a]
+        scale = np.maximum(mu_c[walk.pair_b], mu_c[walk.pair_a])
+        strict = gap > SEGMENT_TOL * np.maximum(scale, ZERO_MASS)
+        for sign in (+1.0, -1.0):
+            post_c = mu_c + sign * lam * (target - mu_c)
+            assert not np.any(strict & (post_c[walk.pair_b] - post_c[walk.pair_a] < -1e-12))
 
         steps.append(
             {
@@ -516,9 +515,7 @@ class TestSimulation:
         rng = np.random.default_rng(11)
         terminals, lengths = [], []
         for _ in range(1000):
-            tr = simulate_signal(
-                MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4, validate=False
-            )
+            tr = simulate_signal(MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4)
             terminals.append(tr.terminal.mass("10") > 0.5)
             lengths.append(len(tr.bits))
         frac1 = np.mean(terminals)
@@ -604,16 +601,9 @@ class TestSimulation:
         ],
     )
     def test_trace_bytes_match_per_step_reference(self, mu, sig, eps, snap_tol, seeds):
-        runs = [(seed, True) for seed in seeds] + [(seeds[0], False)]
-        for seed, validate in runs:
-            trace = simulate_signal(
-                mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol,
-                validate=validate,
-            )
-            ref = reference_trace(
-                mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol,
-                validate=validate,
-            )
+        for seed in seeds:
+            trace = simulate_signal(mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol)
+            ref = reference_trace(mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol)
             assert len(ref["steps"]) > 1
             obj = trace.to_json_obj()
             assert obj == ref
@@ -710,7 +700,6 @@ class TestSimulation:
                 eps=0.01,
                 rng=np.random.default_rng(3),
                 max_steps=10,
-                validate=False,
             )
 
     def test_sampler_step_cap(self):
