@@ -25,7 +25,12 @@ from .discretize import build, exact_ic
 from .errors import IcandError, MalformedInputError
 from .measures import InputDistribution, _layout, binary_entropy
 from .optimize import SupportPattern, maximize_external, maximize_internal
-from .signals import Signal, sample_terminal_posteriors, simulate_signal
+from .signals import (
+    Signal,
+    SimulationTrace,
+    sample_terminal_posteriors,
+    simulate_signal,
+)
 
 
 def _read_measure(path: str) -> InputDistribution:
@@ -49,7 +54,11 @@ def _emit(text: str, output: str | None) -> None:
 
 def _dump(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, for str
-    keys, without the pure-Python encoder that ``indent`` selects on 3.11."""
+    keys, without the pure-Python encoder that ``indent`` selects on 3.11.
+
+    A :class:`SimulationTrace` is written as the object ``{"eps", "mu",
+    "steps", "terminal"}``, its steps formatted straight from its arrays
+    (:func:`_write_steps`)."""
     out: list[str] = []
     _write_json(obj, out, "\n")
     return "".join(out)
@@ -82,8 +91,53 @@ def _write_json(obj, out: list[str], newline: str) -> None:
             out.append(("," if j else "[") + inner)
             _write_json(value, out, inner)
         out.append(newline + "]")
+    elif isinstance(obj, SimulationTrace):
+        out.append("{" + inner + '"eps": ')
+        _write_json(obj.eps, out, inner)
+        out.append("," + inner + '"mu": ')
+        _write_json(obj.mu.to_json_obj(), out, inner)
+        out.append("," + inner + '"steps": ')
+        _write_steps(obj, out, inner)
+        out.append("," + inner + '"terminal": ')
+        _write_json(obj.terminal.to_json_obj(), out, inner)
+        out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_steps(trace: SimulationTrace, out: list[str], newline: str) -> None:
+    """Append a trace's steps as the JSON list of ``{"bit", "posterior":
+    {"k", "mass"}, "signal": {"p0_given_0", "p0_given_1", "sender"}}``, the
+    posterior's mass holding its live (> 0) coordinates by label.
+
+    Each run of steps with one set of live coordinates fills one text
+    template, built at this indent, with its numbers, taken a column at a
+    time from the arrays in sorted label order."""
+    if not trace.bits.size:
+        out.append("[]")
+        return
+    step, e2, e3, e4 = (newline + "  " * n for n in range(1, 5))
+    names = sorted(trace.mu.labels)
+    post = trace.posteriors[:, np.argsort(trace.mu.labels)]
+    live = post > 0.0
+    starts = np.flatnonzero(np.r_[True, (live[1:] != live[:-1]).any(axis=1)])
+    texts: list[str] = []
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(live)]):
+        cols = np.flatnonzero(live[a])
+        mass = ",".join(e4 + encode_basestring_ascii(names[j]) + ": %s" for j in cols)
+        template = (
+            "{" + e2 + '"bit": %s,'
+            + e2 + '"posterior": {' + e3 + f'"k": {int.__repr__(trace.mu.k)},'
+            + e3 + '"mass": ' + ("{" + mass + e3 + "}" if mass else "{}") + e2 + "},"
+            + e2 + '"signal": {' + e3 + '"p0_given_0": %s,' + e3 + '"p0_given_1": %s,'
+            + e3 + f'"sender": {int.__repr__(trace.sender)}' + e2 + "}" + step + "}"
+        )
+        numbers = np.c_[post[a:b, cols], trace.conditionals[a:b]]
+        columns = numbers.T.tolist()  # "%s" writes a finite float as its repr
+        if not np.isfinite(numbers).all():
+            columns = [[_dump(x) for x in column] for column in columns]
+        texts += map(template.__mod__, zip(trace.bits[a:b].tolist(), *columns))
+    out.append("[" + step + ("," + step).join(texts) + newline + "]")
 
 
 def _csv(rows: list[dict], columns: list[str]) -> list[str]:
@@ -243,7 +297,7 @@ def _cmd_simulate_signal(args) -> int:
             simulate_signal(
                 mu, sig, args.eps, rng2,
                 snap_tol=max(args.snap_tol, 1e-3), max_steps=args.max_steps,
-            ).to_json_obj()
+            )
             for _ in range(args.export_traces)
         ]
     _emit(_dump(result), args.output)

@@ -95,7 +95,9 @@ class CanonicalMeasure:
         if self.k < 2:
             raise MalformedInputError(f"k={self.k} < 2")
         if not 1 <= self.s <= self.k:
-            raise MalformedInputError(f"sender {self.s} outside 1..{self.k}")
+            # a sender above k is a grid cell without a measure, not a bad input
+            error = InvalidDistributionError if self.s > self.k else MalformedInputError
+            raise error(f"sender {self.s} outside 1..{self.k}")
         if not 0.0 < self.beta < 1.0 / self.k:
             raise InvalidDistributionError(
                 f"beta={self.beta} outside (0, 1/k) for k={self.k}"
@@ -520,15 +522,13 @@ def verify_grid(
 ) -> list[GridRow]:
     """Evaluate the concavity reports over a parameter grid.
 
-    Infeasible combinations (beta outside (0, 1/k), or negative all-zeros
-    mass at the requested weakness) are reported as skipped rows rather
-    than silently dropped.
+    Infeasible combinations (a sender above k, beta outside (0, 1/k), or
+    negative all-zeros mass at the requested weakness) are reported as
+    skipped rows rather than silently dropped.
     """
     rows = []
     for k in k_values:
         for s in senders if senders is not None else range(1, k + 1):
-            if s > k:
-                continue
             for beta in beta_values:
                 for eps in eps_values:
                     try:

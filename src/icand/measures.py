@@ -198,7 +198,7 @@ class InputDistribution:
         if isinstance(text_or_obj, (str, bytes)):
             try:
                 obj = json.loads(text_or_obj)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to read
                 raise MalformedInputError(f"bad measure JSON: {exc}") from exc
         else:
             obj = text_or_obj
@@ -209,10 +209,14 @@ class InputDistribution:
         k = obj["k"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise MalformedInputError(f'"k" must be an integer, got {k!r}')
+        mass = {}
         for key, val in obj["mass"].items():
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise MalformedInputError(f"mass of {key} must be a number, got {val!r}")
-        mass = {str(key): float(val) for key, val in obj["mass"].items()}
+            try:
+                mass[str(key)] = float(val)
+            except OverflowError as exc:
+                raise MalformedInputError(f"mass of {key} is beyond the float range") from exc
         # each label is k bits long: reject a mismatched k before any is read
         if not mass or any(len(key) != k for key in mass):
             raise MalformedInputError(f"measure labels must be {k} bits long")

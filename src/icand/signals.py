@@ -159,7 +159,9 @@ class SimulationTrace:
 
     Step ``j`` realized the splitting signal of ``sender`` with conditionals
     ``conditionals[j] = (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1])``, the bit
-    ``bits[j]`` and the posterior ``posteriors[j]`` in layout order.
+    ``bits[j]`` and the posterior ``posteriors[j]`` in layout order.  The
+    command line exports a trace by formatting these arrays directly (see
+    ``cli._dump``); no per-step object is built for it.
     """
 
     mu: InputDistribution
@@ -169,11 +171,6 @@ class SimulationTrace:
     bits: np.ndarray
     posteriors: np.ndarray
     terminal: InputDistribution
-
-    def _rows(self):
-        """Per step: the two conditionals, the bit and the posterior row, as
-        Python numbers."""
-        return zip(self.conditionals.tolist(), self.bits.tolist(), self.posteriors.tolist())
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -185,29 +182,10 @@ class SimulationTrace:
                 bit=bit,
                 posterior=InputDistribution._checked(k, np.array(row)),
             )
-            for (c0, c1), bit, row in self._rows()
+            for (c0, c1), bit, row in zip(
+                self.conditionals.tolist(), self.bits.tolist(), self.posteriors.tolist()
+            )
         )
-
-    def to_json_obj(self) -> dict:
-        """The JSON of ``Signal.to_json_obj`` and
-        ``InputDistribution.to_json_obj`` per step, formatted from the arrays."""
-        k, names = self.mu.k, self.mu.labels
-        return {
-            "mu": self.mu.to_json_obj(),
-            "eps": self.eps,
-            "steps": [
-                {
-                    "signal": {"sender": self.sender, "p0_given_0": c0, "p0_given_1": c1},
-                    "bit": bit,
-                    "posterior": {
-                        "k": k,
-                        "mass": {name: m for name, m in zip(names, row) if m > 0.0},
-                    },
-                }
-                for (c0, c1), bit, row in self._rows()
-            ],
-            "terminal": self.terminal.to_json_obj(),
-        }
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,19 @@ class TestIC:
         assert out == ""
         assert json.loads(err)["error"]["type"] == error
 
+    @pytest.mark.parametrize("zeros", [400, 5000])
+    def test_integer_mass_beyond_the_float_range_exit_2(self, capsys, tmp_path, zeros):
+        # 1 and 400 zeros overflows float(); 5000 zeros is past the digit
+        # limit at which json.loads stops reading an integer
+        path = tmp_path / "big.json"
+        path.write_text('{"k": 2, "mass": {"00": 1' + "0" * zeros + "}}")
+        code, out, err = run(capsys, "ic", "--measure", str(path))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "MalformedInputError"
+        assert error["exit_code"] == 2
+
     def test_assumption_violation_exit_3(self, capsys, tmp_path):
         path = tmp_path / "viol.json"
         path.write_text('{"k": 3, "mass": {"110": 0.5, "001": 0.5}}')
@@ -152,6 +165,31 @@ class TestVerifyConcavity:
         rows = json.loads(out)
         assert rows[0]["feasible"] == 0
         assert rows[0]["skip_reason"]
+
+    def test_sender_above_k_is_a_skipped_row(self, capsys):
+        code, out, _ = run(capsys, "verify-concavity", "--k", "2,3", "--s", "3,5",
+                           "--beta", "0.05", "--eps", "0.01,0.02")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [(r["k"], r["s"], r["eps"], r["feasible"], r["skip_reason"]) for r in rows] == [
+            ("2", "3", "0.01", "0", "sender 3 outside 1..2"),
+            ("2", "3", "0.02", "0", "sender 3 outside 1..2"),
+            ("2", "5", "0.01", "0", "sender 5 outside 1..2"),
+            ("2", "5", "0.02", "0", "sender 5 outside 1..2"),
+            ("3", "3", "0.01", "1", ""),
+            ("3", "3", "0.02", "1", ""),
+            ("3", "5", "0.01", "0", "sender 5 outside 1..3"),
+            ("3", "5", "0.02", "0", "sender 5 outside 1..3"),
+        ]
+        assert all(r["ext_deficit"] == "" for r in rows if r["feasible"] == "0")
+
+    @pytest.mark.parametrize("k, s", [("2", "0"), ("1", "5")])
+    def test_sender_below_one_or_k_below_two_exit_2(self, capsys, k, s):
+        code, out, err = run(capsys, "verify-concavity", "--k", k, "--s", s,
+                             "--beta", "0.05", "--eps", "0.01")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "MalformedInputError"
 
 
 class TestSimulateSignal:

@@ -16,7 +16,7 @@ from icand.errors import (
     MalformedInputError,
     NonTerminationError,
 )
-from icand import measures
+from icand import cli, measures
 from icand.measures import ZERO_MASS, InputDistribution, canonical_labels
 from icand.signals import (
     SEGMENT_TOL,
@@ -26,6 +26,7 @@ from icand.signals import (
     _skip_lengths,
     classify,
     posterior,
+    SimulationTrace,
     sample_terminal_posteriors,
     simulate_signal,
 )
@@ -336,6 +337,47 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
     raise NonTerminationError(f"simulation exceeded {max_steps} steps")
 
 
+def object_json(trace):
+    """A trace's JSON built one step at a time from its step objects, as
+    the signal and measure objects write themselves."""
+    return {
+        "mu": trace.mu.to_json_obj(),
+        "eps": trace.eps,
+        "steps": [
+            {
+                "signal": st.signal.to_json_obj(),
+                "bit": st.bit,
+                "posterior": st.posterior.to_json_obj(),
+            }
+            for st in trace.steps
+        ],
+        "terminal": trace.terminal.to_json_obj(),
+    }
+
+
+def array_json(trace):
+    """A trace's JSON built one step dict at a time straight from its
+    arrays, with the measure's rule for which masses it lists (> 0)."""
+    return {
+        "mu": trace.mu.to_json_obj(),
+        "eps": trace.eps,
+        "steps": [
+            {
+                "signal": {"sender": trace.sender, "p0_given_0": c0, "p0_given_1": c1},
+                "bit": bit,
+                "posterior": {
+                    "k": trace.mu.k,
+                    "mass": {name: m for name, m in zip(trace.mu.labels, row) if m > 0.0},
+                },
+            }
+            for (c0, c1), bit, row in zip(
+                trace.conditionals.tolist(), trace.bits.tolist(), trace.posteriors.tolist()
+            )
+        ],
+        "terminal": trace.terminal.to_json_obj(),
+    }
+
+
 def reference_sample(mu, sig, eps, rng, n_traces, snap_tol):
     """Step-by-step bulk sampler: every step of every walk goes through
     :func:`reference_step`.  Returns each walk's endpoint and step count."""
@@ -605,9 +647,14 @@ class TestSimulation:
             trace = simulate_signal(mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol)
             ref = reference_trace(mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol)
             assert len(ref["steps"]) > 1
-            obj = trace.to_json_obj()
-            assert obj == ref
-            assert json.dumps(obj, sort_keys=True) == json.dumps(ref, sort_keys=True)
+            text = cli._dump(trace)
+            assert json.loads(text) == ref
+            assert text == json.dumps(ref, sort_keys=True, indent=2)
+            # at the indent of the command line's output
+            result = {"eps": eps, "traces": [trace, trace]}
+            assert cli._dump(result) == json.dumps(
+                {"eps": eps, "traces": [ref, ref]}, sort_keys=True, indent=2
+            )
 
     def test_steps_are_built_from_the_arrays(self):
         trace = simulate_signal(
@@ -615,14 +662,7 @@ class TestSimulation:
         )
         steps = trace.steps
         assert type(steps) is tuple and steps is trace.steps
-        assert [
-            {
-                "signal": st.signal.to_json_obj(),
-                "bit": st.bit,
-                "posterior": st.posterior.to_json_obj(),
-            }
-            for st in steps
-        ] == trace.to_json_obj()["steps"]
+        assert cli._dump(trace) == json.dumps(object_json(trace), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "mu, sig, eps", [(MU_K3, WEAK_K3, 0.1), (MU_NO11, REVEALING, 0.3)]
@@ -738,11 +778,66 @@ class TestSimulation:
         trace = simulate_signal(MU_NO11, sig, eps=0.1, rng=np.random.default_rng(0))
         assert trace.steps == ()
         assert trace.terminal == MU_NO11
+        text = cli._dump({"traces": [trace]})
+        assert text == json.dumps({"traces": [array_json(trace)]}, sort_keys=True, indent=2)
+        assert json.loads(text)["traces"][0]["steps"] == []
 
     def test_trace_json(self):
         trace = simulate_signal(
             MU_NO11, REVEALING, eps=0.4, rng=np.random.default_rng(5), snap_tol=1e-2
         )
-        obj = trace.to_json_obj()
+        text = cli._dump(trace)
+        obj = json.loads(text)
         assert obj["eps"] == 0.4
         assert len(obj["steps"]) == len(trace.steps)
+        assert text == json.dumps(object_json(trace), sort_keys=True, indent=2)
+
+
+class TestTraceExport:
+    """The command line's trace text against ``json.dumps`` of the step
+    dicts, on traces no walk writes."""
+
+    @staticmethod
+    def hand_built(conditionals, posteriors):
+        return SimulationTrace(
+            mu=MU_K3,
+            eps=0.25,
+            sender=2,
+            conditionals=np.array(conditionals),
+            bits=np.arange(len(conditionals), dtype=np.int64) % 2,
+            posteriors=np.array(posteriors),
+            terminal=MU_K3,
+        )
+
+    def test_live_coordinates_that_change_from_row_to_row(self):
+        # layout (000, 100, 010, 001, 111); -0.0 and 0.0 masses are not listed
+        trace = self.hand_built(
+            [[0.5, -0.0], [0.0, 1.0], [0.25, 0.75], [1 / 3, 2 / 3], [-0.0, 0.0], [0.1, 0.2]],
+            [
+                [0.5, 0.5, 0.0, 0.0, 0.0],
+                [0.25, -0.0, 0.25, 0.5, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 1.0],
+                [-0.0, 0.0, 0.0, -0.0, 1.0],
+                [0.1, 0.2, 0.3, 0.4, 0.0],
+                [0.5, 0.5, 0.0, 0.0, 0.0],
+            ],
+        )
+        expected = array_json(trace)
+        assert expected == object_json(trace)
+        assert [len(st["posterior"]["mass"]) for st in expected["steps"]] == [2, 3, 1, 1, 4, 2]
+        assert cli._dump(trace) == json.dumps(expected, sort_keys=True, indent=2)
+        result = {"n_traces": 1, "traces": [trace, self.hand_built([], np.empty((0, 5)))]}
+        assert cli._dump(result) == json.dumps(
+            {"n_traces": 1, "traces": [expected, array_json(result["traces"][1])]},
+            sort_keys=True,
+            indent=2,
+        )
+
+    def test_non_finite_numbers_are_written_as_json_writes_them(self):
+        trace = self.hand_built(
+            [[math.nan, 0.5], [math.inf, -math.inf]],
+            [[0.5, 0.5, 0.0, 0.0, 0.0], [math.nan, math.inf, 0.25, 0.0, 0.0]],
+        )
+        text = cli._dump({"traces": [trace]})
+        assert text == json.dumps({"traces": [array_json(trace)]}, sort_keys=True, indent=2)
+        assert '"p0_given_0": NaN' in text and '"100": Infinity' in text
