@@ -12,10 +12,11 @@ Transcript densities factor per input as ``f_x(t, m) = exp(-Phi_x(t))`` for
 already spent by active players.  A cost is a prior entropy minus the
 conditional entropy of the input given the transcript, integrated stretch
 by stretch between start times: each finite stretch by Gauss-Legendre
-quadrature, the last one in closed form (``_tail``).  That closed form
-rests on one integral, ``int_0^1 u^(k-2) (g + a u) ln(g + a u) du``, which
-is also the whole cost on the player-symmetric line (``_symmetric_line``);
-one power series evaluates it for both (``_line_series``).
+quadrature of the gated-class kernel ``_entropy_densities`` (shared with the
+window integrals and the discrete leaf sums), the last one in closed form
+(``_tail``).  That rests on ``int_0^1 u^(k-2) (g + a u) ln(g + a u) du``,
+also the whole cost on the player-symmetric line (``_symmetric_line``); one
+power series evaluates it for both (``_line_series``).
 
 All-ones mass is conditioned away and the cost scaled by its complement:
 start times depend only on ratios of basis masses, so the conditioned
@@ -36,17 +37,8 @@ from .errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
 from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 from .quadrature import integrate
 
-__all__ = [
-    "BuzzersProtocol",
-    "ICReport",
-    "start_times",
-    "buzz_densities",
-    "player_classes",
-    "conditional_entropies",
-    "cost_under",
-    "information_cost",
-    "closed_form_uniform",
-]
+__all__ = ["BuzzersProtocol", "ICReport", "start_times", "cost_under", "information_cost",
+           "closed_form_uniform"]
 
 #: Start times closer than this (relative) collapse into one breakpoint.
 _TIME_DEDUPE = 1e-14
@@ -112,50 +104,29 @@ def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def buzz_densities(
-    times: np.ndarray, zeros: np.ndarray, log_w: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """V[t, m, x] = w_x e^{-Phi_x(t)} [x_m = 0] [t >= t_m].
-
-    ``times[m]`` is player m's start time, ``zeros[x, i]`` marks x_i == 0
-    and ``log_w`` holds the log input masses (-inf for a zero mass), or one
-    row of them per abscissa.  Within a stretch of constant active set the
-    density of a buzz does not depend on which player ``m`` buzzes; ``m``
-    only gates it.
-    """
-    active = np.maximum(t[:, None] - times[None, :], 0.0)
-    v = np.exp(log_w - active @ zeros.T)
-    started = t[:, None] >= times[None, :]
-    return v[:, None, :] * (started[:, :, None] * zeros.T[None, :, :])
-
-
-def player_classes(bits: np.ndarray) -> np.ndarray:
-    """(n_x, 2k) indicator; column ``2 i + b`` marks the inputs with x_i == b."""
-    return np.stack([bits == 0, bits == 1], axis=2).reshape(len(bits), -1).astype(float)
-
-
 def _xlogx(v: np.ndarray) -> np.ndarray:
     """x ln x counting every positive value; 0 ln 0 = 0."""
     return v * np.log(np.maximum(v, _TINY))
 
 
-def conditional_entropies(V: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Densities [H(X|T), H(X|T, X_1), ..., H(X|T, X_k)] in nats per abscissa.
+def _classes(zeros: np.ndarray) -> np.ndarray:
+    """The classes a buzz splits its inputs into: all, then x_i == 0 per i."""
+    return np.hstack([np.ones((len(zeros), 1)), zeros])
 
-    ``V[t, m, x]`` is the joint density of input ``x`` and transcript
-    ``(t, m)``; each entropy is ``sum xlogx(class sums) - sum xlogx(V)``,
-    summed over ``m``.  The difference is taken class by class, so a class
-    holding one input contributes exactly zero.  Every positive density
-    counts, however small, except subnormals: they carry no countable mass
-    and would slow the matrix products a hundredfold, so they become zero.
+
+def _class_entropies(U: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, M) per row of ``U``, the densities (at most 1) of the inputs that
+    can produce one buzz, and column of ``classes``: with ``S = U @ classes``
+    and ``X = xlogx(U) @ classes``, the entropy density ``h = xlogx(S) - X``
+    in nats and ``M = S + |xlogx(S)| + |X|``, the size of its terms.  The sums
+    add nonnegative terms, so none cancels; a one-input class gives exactly
+    0.  Subnormals count as zero: they carry no countable mass and would slow
+    the matrix products a hundredfold.
     """
-    V = np.where(V < _TINY, 0.0, V)
-    own = _xlogx(V)
-    ext = (_xlogx(V.sum(axis=2)) - own.sum(axis=2)).sum(axis=1)
-    rows = (-1, V.shape[2])  # one matrix product over every (t, m)
-    per_class = _xlogx(V.reshape(rows) @ classes) - own.reshape(rows) @ classes
-    per = per_class.reshape(*V.shape[:2], -1, 2).sum(axis=(1, 3))
-    return np.concatenate([ext[:, None], per], axis=1)
+    U = np.where(U < _TINY, 0.0, U)
+    S = U @ classes
+    A, X = _xlogx(S), _xlogx(U) @ classes
+    return A - X, S - A - X
 
 
 #: Most transcript densities the kernel holds at once.  Past about this many
@@ -163,16 +134,49 @@ def conditional_entropies(V: np.ndarray, classes: np.ndarray) -> np.ndarray:
 #: its memory grew with the batch.
 _KERNEL_BLOCK = 10_000
 
+#: Largest (n_x, k (k + 1)) gated-class matrix built per kernel call: up to
+#: k = 48 one product with it beat gating the densities; at k = 64 it was 2x.
+_GATED_CLASSES = 2**17
 
-def _entropy_densities(times, zeros, log_w, classes, ts: np.ndarray) -> np.ndarray:
-    """``conditional_entropies`` of the transcript densities at ``ts``, in
-    blocks of nearly equal length; one abscissa holds ``zeros.size`` densities."""
+
+def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
+    """Densities [H(X|T), H(X|T, X_1), ..., H(X|T, X_k)] in nats at ``ts``,
+    then a bound on the round-off of each in units of eps.
+
+    ``times`` (start times) and ``log_w`` (log input masses, -inf for none)
+    come once or in one row per abscissa; ``zeros[x, i]`` marks x_i == 0.  At
+    buzzer m only inputs with x_m = 0 buzz, with density ``w_x e^{-Phi_x(t)}``
+    once t >= t_m, so the posterior splits into the gated classes
+    {x_m = 0, x_i = 0} (i = m: the external class, also player m's) and
+    {x_m = 0, x_i = 1}, on the layout {e_i} or empty, adding exactly 0.  Each
+    entropy sums ``_class_entropies`` over the started m, in blocks of nearly
+    equal length; one abscissa holds ``zeros.size`` densities.  With
+    u = eps / 2, a class sum of n <= n_x terms rounds by (n - 1) u relative,
+    each x ln x by 2 u more, the difference by u and the sum over m by
+    (k - 1) u: a density is within (n_x + k + 1) u M of the entropy of the
+    computed v, M summed over the started m (an error of v moves a class's
+    h by at most its relative size times h).  The bound
+    ``(n_x + k + 3) / 2 * M`` spares one eps for the window integrand's sum.
+    """
+    n_x, k = zeros.shape
+    classes = _classes(zeros)
+    gated = n_x * k * (k + 1) <= _GATED_CLASSES
+    if gated:
+        classes = (zeros[:, :, None] * classes[:, None, :]).reshape(n_x, -1)
     blocks = min(len(ts), -(-len(ts) * zeros.size // _KERNEL_BLOCK))
     step = -(-len(ts) // blocks)
-    return np.concatenate([
-        conditional_entropies(buzz_densities(times, zeros, log_w, ts[j : j + step]), classes)
-        for j in range(0, len(ts), step)
-    ])
+    out = np.empty((len(ts), 2 * (k + 1)))
+    for j in range(0, len(ts), step):
+        t = ts[j : j + step]
+        t_m = times[j : j + step] if times.ndim == 2 else times
+        v = np.exp((log_w[j : j + step] if log_w.ndim == 2 else log_w)
+                   - np.maximum(t[:, None] - t_m, 0.0) @ zeros.T)
+        h, M = _class_entropies(v if gated else (v[:, None, :] * zeros.T).reshape(-1, n_x), classes)
+        started = (t[:, None] >= t_m).astype(float)
+        out[j : j + step, : k + 1] = np.einsum("tm,tmc->tc", started, h.reshape(len(t), k, -1))
+        out[j : j + step, k + 1 :] = np.einsum("tm,tmc->tc", started, M.reshape(len(t), k, -1))
+    out[:, k + 1 :] *= 0.5 * (n_x + k + 3)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +281,9 @@ def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
     bp = _dedupe_sorted(np.sort(times))
     cond, err = _tail(times, live, log_w, float(bp[-1]))
     if len(bp) > 1:
-        segment = partial(_entropy_densities, times, (live == 0).astype(float), log_w,
-                          player_classes(live))
+        segment = partial(_entropy_densities, times, (live == 0).astype(float), log_w)
         for lo, hi in zip(bp[:-1], bp[1:]):
-            vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol)
+            vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol, roundoff=True)
             cond, err = cond + vals, err + e
     prior = _prior_entropies(bits, masses)
     cost = (prior - cond) / LN2

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buzzers import BuzzersProtocol, _entropy_densities, player_classes, start_times
+from .buzzers import BuzzersProtocol, _entropy_densities, start_times
 from .errors import (
     AssumptionViolationError,
     InvalidDistributionError,
@@ -38,23 +38,10 @@ from .errors import (
 from .measures import LN2, ZERO_MASS, InputDistribution
 from .quadrature import integrate_segments
 
-__all__ = [
-    "CanonicalMeasure",
-    "Perturbation",
-    "ConcavityReport",
-    "OutsideWindowChecks",
-    "WindowDeficits",
-    "gamma0_of",
-    "gamma1_of",
-    "perturb",
-    "window_deficits",
-    "taylor_coefficient",
-    "outside_window_checks",
-    "merge_tail_players",
-    "concavity_report",
-    "verify_grid",
-    "GridRow",
-]
+__all__ = ["CanonicalMeasure", "Perturbation", "ConcavityReport", "OutsideWindowChecks",
+           "WindowDeficits", "gamma0_of", "gamma1_of", "perturb", "window_deficits",
+           "taylor_coefficient", "outside_window_checks", "merge_tail_players",
+           "concavity_report", "verify_grid", "GridRow"]
 
 _SAME_AVERAGE_TOL = 1e-11
 
@@ -180,8 +167,7 @@ def perturb(
         raise MalformedInputError(f"sender {s} outside 1..{mu.k}")
     beta_s = mu.beta(s)
     zeta_s = 1.0 - beta_s
-    g0 = gamma0_of(beta_s, eps)
-    g1 = gamma1_of(beta_s, eps)
+    g0, g1 = gamma0_of(beta_s, eps), gamma1_of(beta_s, eps)
 
     # the sender's zeros rows gain eps beta_s in mu0 and lose it in mu1, its
     # ones rows the reverse with eps zeta_s
@@ -220,30 +206,30 @@ def perturb(
 def _concavity_integrand(pert: Perturbation):
     """Vector integrand [external defect, per-player internal defects]:
     the conditional-entropy densities of the base protocol minus the average
-    over the two tilted ones.
-
-    Values are in nats; integrals are divided by ln 2 at the reporting
-    boundary.
+    over the two tilted ones, then their round-off bounds, added with the
+    same weights.  One kernel call takes the three protocols' abscissas
+    stacked.  Values are in nats; integrals are divided by ln 2 at the
+    reporting boundary.
     """
-    zeros = (pert.mu.bits == 0).astype(float)
-    classes = player_classes(pert.mu.bits)
-    with np.errstate(divide="ignore"):
-        runs = [
-            (np.asarray(p.player_times), np.log(m.vector))
-            for p, m in (
-                (pert.base_protocol, pert.mu),
-                (pert.protocol0, pert.mu0),
-                (pert.protocol1, pert.mu1),
-            )
-        ]
+    live = pert.mu.vector > 0.0  # the tilts keep every zero mass at zero
+    zeros = (pert.mu.bits[live] == 0).astype(float)
+    times = np.array([p.player_times for p in (pert.base_protocol, pert.protocol0, pert.protocol1)])
+    log_w = np.log(np.array([m.vector[live] for m in (pert.mu, pert.mu0, pert.mu1)]))
+    sign = np.repeat([-1.0, 1.0], pert.mu.k + 1)  # the defects, then their bounds
 
     def f(ts: np.ndarray) -> np.ndarray:
-        base, h0, h1 = (
-            _entropy_densities(times, zeros, log_w, classes, ts) for times, log_w in runs
-        )
-        return base - 0.5 * (h0 + h1)
+        rows = np.repeat(np.arange(3), len(ts))
+        out = _entropy_densities(times[rows], zeros, log_w[rows], np.tile(ts, 3))
+        return out[: len(ts)] + sign * 0.5 * (out[len(ts) : 2 * len(ts)] + out[2 * len(ts) :])
 
     return f
+
+
+def _perturbed(mu: InputDistribution, s: int, eps: float, protocol: BuzzersProtocol | None):
+    """A cell's perturbation and window integrand, which the window deficits
+    and the outside-window checks share."""
+    pert = perturb(mu, s, eps, protocol=protocol)
+    return pert, _concavity_integrand(pert)
 
 
 def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
@@ -259,7 +245,8 @@ def _window_integral(f, pert: Perturbation, lo: float, hi: float):
     """Integrals of ``f`` over [lo, hi] in bits, split at every start time
     inside, with their per-component error bounds; an empty window (no
     segment wider than the quadrature's 1e-14 cut) integrates to zeros."""
-    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL)
+    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL,
+                                   roundoff=True)
     zero = np.zeros(pert.mu.k + 1)
     return zero + vals / LN2, zero + err / LN2
 
@@ -310,22 +297,23 @@ def window_deficits(
     eps: float,
     *,
     protocol: BuzzersProtocol | None = None,
+    perturbed=None,
 ) -> WindowDeficits:
     """Integrate the external and internal concavity defects over the window.
 
     ``mu`` must put no mass on the all-ones input (remove it first; the
-    protocol does not change).
+    protocol does not change).  ``perturbed``: the cell's ``_perturbed``.
     """
     if mu.mass_ones > ZERO_MASS:
         raise AssumptionViolationError(
             "window deficits are defined for measures with no all-ones mass; "
             "condition it away first"
         )
-    pert = perturb(mu, s, eps, protocol=protocol)
+    pert, f = perturbed or _perturbed(mu, s, eps, protocol)
     residual = check_same_average(pert)
     t_s = pert.base_protocol.player_times[s - 1]
     lo, hi = t_s - pert.gamma0, t_s + pert.gamma1
-    vals, err = _window_integral(_concavity_integrand(pert), pert, lo, hi)
+    vals, err = _window_integral(f, pert, lo, hi)
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -378,6 +366,7 @@ def outside_window_checks(
     eps: float,
     *,
     protocol: BuzzersProtocol | None = None,
+    perturbed=None,
 ) -> OutsideWindowChecks:
     """Sign checks outside the window, plus the quadratic left-gap bound.
 
@@ -387,22 +376,17 @@ def outside_window_checks(
     identically.  When the sender has a positive start-time gap ``L`` to
     the previous player and ``gamma0 <= L/2``, the defect on that gap is
     at least ``(1 - e^{-(s-1)L/2}) m(0) m(e_s) eps^2 / (2(s-1))``.
+    ``perturbed`` is as in ``window_deficits``.
     """
     if mu.mass_ones > ZERO_MASS:
         raise AssumptionViolationError("remove the all-ones mass first")
-    pert = perturb(mu, s, eps, protocol=protocol)
-    f = _concavity_integrand(pert)
+    pert, f = perturbed or _perturbed(mu, s, eps, protocol)
     t_s = pert.base_protocol.player_times[s - 1]
-    lo_edge = t_s - pert.gamma0
-    hi_edge = t_s + pert.gamma1
+    lo_edge, hi_edge = t_s - pert.gamma0, t_s + pert.gamma1
 
     t_min = min(pert.base_protocol.player_times)
-    left = 0.0
-    if lo_edge > t_min:
-        vals, _ = _window_integral(f, pert, t_min, lo_edge)
-        left = float(vals[0])
-    right_vals, _ = _window_integral(f, pert, hi_edge, hi_edge + _RIGHT_WIDTH)
-    right = float(right_vals[0])
+    left = float(_window_integral(f, pert, t_min, max(lo_edge, t_min))[0][0])
+    right = float(_window_integral(f, pert, hi_edge, hi_edge + _RIGHT_WIDTH)[0][0])
 
     eps2_bound = eps2_gap = eps2_ok = None
     skip = None
@@ -475,16 +459,13 @@ def concavity_report(
 ) -> ConcavityReport:
     mu = canonical.measure(eps)
     proto = BuzzersProtocol(canonical.sender_times(eps))
-    deficits = window_deficits(mu, canonical.s, eps, protocol=proto)
-    g0 = canonical.gamma0(eps)
-    g1 = canonical.gamma1(eps)
+    perturbed = _perturbed(mu, canonical.s, eps, proto)
+    deficits = window_deficits(mu, canonical.s, eps, perturbed=perturbed)
+    g0, g1 = canonical.gamma0(eps), canonical.gamma1(eps)
     te = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "ext") * eps**3
     ti = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "int") * eps**3
-    outside = (
-        outside_window_checks(mu, canonical.s, eps, protocol=proto)
-        if with_outside
-        else None
-    )
+    outside = (outside_window_checks(mu, canonical.s, eps, perturbed=perturbed)
+               if with_outside else None)
     return ConcavityReport(
         k=canonical.k,
         s=canonical.s,
@@ -535,9 +516,7 @@ def verify_grid(
                         canonical = CanonicalMeasure(k=k, s=s, beta=beta)
                         report = concavity_report(canonical, eps, with_outside=with_outside)
                     except InvalidDistributionError as exc:
-                        rows.append(
-                            GridRow(k, s, beta, eps, False, str(exc), None)
-                        )
+                        rows.append(GridRow(k, s, beta, eps, False, str(exc), None))
                         continue
                     rows.append(GridRow(k, s, beta, eps, True, None, report))
     return rows

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buzzers import ICReport, conditional_entropies, player_classes, start_times
+from .buzzers import ICReport, _class_entropies, _classes, start_times
 from .errors import MalformedInputError, ResolutionError
 from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 
@@ -131,12 +131,13 @@ def exact_ic(proto: DiscreteProtocol) -> ICReport:
     """Exact internal/external information cost by leafwise summation.
 
     Reveal leaves are point posteriors and contribute nothing to the
-    conditional entropies; buzz leaves are summed exactly.  No quadrature
-    and no sampling anywhere, so the error estimate is zero.
+    conditional entropies; buzz leaves, which hold only inputs with x_m = 0
+    for their player m, are summed exactly by the continuous kernel's gated
+    classes.  No quadrature and no sampling, so the error estimate is zero.
     """
     live = proto.mu.vector > ZERO_MASS
     bits, w = proto.mu.bits[live], proto.mu.vector[live]
-    leaves = conditional_entropies((proto.leaf_prob * w)[:, None, :], player_classes(bits))
+    leaves, _ = _class_entropies(proto.leaf_prob * w, _classes((bits == 0).astype(float)))
     prior = _prior_entropies(bits, w)
     cost = (prior - leaves.sum(axis=0)) / LN2
     return ICReport.of(prior, cost[0], cost[1:], 0.0)

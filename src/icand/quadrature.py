@@ -23,6 +23,10 @@ from .errors import QuadratureError
 #: Points of the Gauss-Legendre rule on each panel.
 _ORDER = 15
 
+#: A panel's round-off floor in eps times its rule sums of the integrand's
+#: round-off bounds (``integrate``).
+_C_ROUNDOFF, _EPS = 10.0, float(np.finfo(float).eps)
+
 
 @lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,6 +54,7 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-13,
     max_panels: int = 4096,
+    roundoff: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over [a, b]; returns (component integrals, error bounds).
 
@@ -57,6 +62,15 @@ def integrate(
     error bound of a component is the sum over accepted panels of its
     coarse/fine disagreement, which overestimates the true quadrature error
     for smooth integrands.
+
+    With ``roundoff``, ``f`` returns 2n columns: n components, then a bound
+    r(t) >= |f(t)| on the round-off of each in units of eps; the n are
+    integrated.  To first order a rule sum carries eps R (R the rule sum of
+    r) from the integrand and 17 roundings of its own (15 products, their
+    sum, the half-width): 9.5 eps R_coarse for a panel, 10 eps R_fine for its
+    halves.  A disagreement within ``10 eps (R_coarse + R_fine)`` (c = 10) is
+    thus round-off: the panel is accepted whatever the tolerances, and adds
+    that floor to its disagreement in the error bound.
     """
     if not a < b:
         raise QuadratureError(f"empty or inverted interval [{a}, {b}]")
@@ -64,9 +78,9 @@ def integrate(
     width = b - a
     mid = 0.5 * (a + b)
     coarse, left, right = _panel_sums(f, [(a, b), (a, mid), (mid, b)], _ORDER)
+    n = len(coarse) // 2 if roundoff else len(coarse)
     stack = [(a, b, coarse, left, right)]
-    total = np.zeros_like(coarse)
-    err = np.zeros_like(coarse)
+    total, err = np.zeros(n), np.zeros(n)
     panels = 0
     while stack:
         lo, hi, rough, left, right = stack.pop()
@@ -77,11 +91,13 @@ def integrate(
                 f"residual interval [{lo}, {hi}]"
             )
         fine = left + right
-        disagree = np.abs(fine - rough)
-        budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine))))
-        if float(np.max(disagree)) <= budget or (hi - lo) < 1e-14 * width:
-            total += fine
-            err += disagree
+        disagree = np.abs(fine[:n] - rough[:n])
+        budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine[:n]))))
+        floor = _C_ROUNDOFF * _EPS * (rough[n:] + fine[n:]) if roundoff else 0.0
+        within = float(np.max(disagree)) <= budget
+        if within or (hi - lo) < 1e-14 * width or roundoff and np.all(disagree <= floor):
+            total += fine[:n]
+            err += disagree if within else disagree + floor
         else:
             mid = 0.5 * (lo + hi)
             q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
@@ -97,6 +113,7 @@ def integrate_segments(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-13,
+    roundoff: bool = False,
 ) -> tuple[np.ndarray | float, np.ndarray | float]:
     """Integrate over consecutive [b_j, b_{j+1}] segments and sum the pieces.
 
@@ -109,7 +126,7 @@ def integrate_segments(
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
             continue
-        vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol)
+        vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol, roundoff=roundoff)
         total = total + vals
         err = err + e
     return total, err

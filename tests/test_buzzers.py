@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import icand.buzzers as buzzers
+import icand.concavity as concavity
 from icand.buzzers import (
     BuzzersProtocol,
-    buzz_densities,
     closed_form_uniform,
-    conditional_entropies,
     cost_under,
     information_cost,
-    player_classes,
     start_times,
 )
 from icand.errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
@@ -28,6 +26,7 @@ from icand.measures import (
     entropy,
 )
 from icand.quadrature import integrate, integrate_segments
+from kernel_oracle import buzz_densities, conditional_entropies, entropy_densities, player_classes
 
 
 @st.composite
@@ -68,7 +67,7 @@ class TestStartTimes:
 
 
 def per_input_densities(mu, ts, protocol=None):
-    """f_x(t, m) from the package's density builder (unit masses)."""
+    """f_x(t, m) from the oracle's density builder (unit masses)."""
     proto = protocol or BuzzersProtocol.from_measure(mu)
     bits = np.array([list(map(int, lab)) for lab in mu.labels])
     times = np.asarray(proto.player_times)
@@ -174,39 +173,165 @@ class TestEntropyKernel:
         # 60 abscissas, a quadrature split's batch, in equal blocks of at most
         # _KERNEL_BLOCK densities (k (k + 1) per abscissa) or of one abscissa;
         # the rows agree with one kernel call to rounding (the matrix
-        # products may sum in another order)
+        # products may sum in another order), with the classes gated once
+        # (up to k = 24 here) and with the densities gated per block
         rng = np.random.default_rng(k)
         bits = np.array([list(map(int, lab)) for lab in canonical_labels(k)[: k + 1]])
-        zeros, classes = (bits == 0).astype(float), player_classes(bits)
+        zeros = (bits == 0).astype(float)
         log_w = np.log(rng.dirichlet(np.ones(k + 1)))
         times = np.sort(rng.uniform(0.0, 2.0, k))
         ts = np.linspace(0.3, 2.5, 60)
-        whole = conditional_entropies(buzz_densities(times, zeros, log_w, ts), classes)
-        held = []
+        plain = buzzers._class_entropies
+        for limit in ((buzzers._GATED_CLASSES, 0) if k < 100 else (buzzers._GATED_CLASSES,)):
+            monkeypatch.setattr(buzzers, "_GATED_CLASSES", limit)
+            monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10**9)
+            whole = buzzers._entropy_densities(times, zeros, log_w, ts)
+            monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10_000)
+            held = []
 
-        def counted(times, zeros, log_w, t):
-            held.append(len(t))
-            return buzz_densities(times, zeros, log_w, t)
+            def counted(U, classes):
+                held.append(block_abscissas(U, classes, k))
+                return plain(U, classes)
 
-        monkeypatch.setattr(buzzers, "buzz_densities", counted)
-        blocked = buzzers._entropy_densities(times, zeros, log_w, classes, ts)
-        assert held == rows
-        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
+            monkeypatch.setattr(buzzers, "_class_entropies", counted)
+            blocked = buzzers._entropy_densities(times, zeros, log_w, ts)
+            monkeypatch.setattr(buzzers, "_class_entropies", plain)
+            assert held == rows
+            np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
 
     def test_cost_takes_quadrature_batches_in_blocks(self, monkeypatch):
         # at k = 24 (600 densities per abscissa) the 45 abscissas of an
         # interval and its halves, and the 60 of a split, come as blocks of 15
         held = []
+        plain = buzzers._class_entropies
 
-        def counted(times, zeros, log_w, t):
-            held.append((len(t), zeros.size))
-            return buzz_densities(times, zeros, log_w, t)
+        def counted(U, classes):
+            held.append((block_abscissas(U, classes, 24), U.shape[1]))
+            return plain(U, classes)
 
-        monkeypatch.setattr(buzzers, "buzz_densities", counted)
+        monkeypatch.setattr(buzzers, "_class_entropies", counted)
         rng = np.random.default_rng(24)
         mass = rng.dirichlet(np.ones(25))
         information_cost(InputDistribution(24, dict(zip(canonical_labels(24), mass))))
-        assert held and set(held) == {(15, 24 * 25)}
+        assert held and set(held) == {(15, 25)}
+
+
+def block_abscissas(U, classes, k):
+    """Abscissas in one kernel block: with the gated classes (k (k + 1)
+    columns) a row of ``U`` is one abscissa, else one (abscissa, buzzer)."""
+    return len(U) if classes.shape[1] == k * (k + 1) else len(U) // k
+
+
+def protocol_rows(mu, times=None):
+    """(times, bits, log masses) of the live inputs of ``mu`` under its own
+    protocol, or under the start times given."""
+    live = mu.vector > 0.0
+    bits = mu.bits[live]
+    times = np.asarray(start_times(mu) if times is None else times, dtype=float)
+    return times, bits, np.log(mu.vector[live])
+
+
+def kernel_gap(times, bits, log_w, ts):
+    """Largest gap between the package kernel's densities and the oracle's,
+    relative to the oracle's largest; also checks the round-off bounds."""
+    got = buzzers._entropy_densities(times, (bits == 0).astype(float), log_w, ts)
+    want = entropy_densities(times, bits, log_w, ts)
+    n = want.shape[1]
+    assert got.shape == (len(ts), 2 * n)
+    assert np.all(got[:, n:] >= np.abs(got[:, :n]))
+    assert np.all(np.abs(got[:, :n] - want) <= np.finfo(float).eps * got[:, n:])
+    return float(np.max(np.abs(got[:, :n] - want)) / np.max(np.abs(want)))
+
+
+class TestGatedKernel:
+    """The package kernel against the V-tensor oracle in ``kernel_oracle``,
+    with the classes gated once per call and with the densities gated per
+    block (``_GATED_CLASSES`` 0)."""
+
+    @pytest.fixture(params=[True, False], ids=["gated-classes", "gated-densities"])
+    def path(self, request, monkeypatch):
+        if not request.param:
+            monkeypatch.setattr(buzzers, "_GATED_CLASSES", 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 24])
+    def test_matches_oracle_on_protocol_densities(self, k, path):
+        # a random basis measure's own protocol, with all-zeros mass, before,
+        # across and after its start times
+        rng = np.random.default_rng(100 + k)
+        mu = InputDistribution(k, dict(zip(canonical_labels(k), rng.dirichlet(np.ones(k + 1)))))
+        times, bits, log_w = protocol_rows(mu)
+        ts = np.linspace(-0.5, times.max() + 3.0, 45)
+        assert kernel_gap(times, bits, log_w, ts) <= 1e-13
+
+    def test_matches_oracle_at_k100_one_abscissa_per_block(self, monkeypatch):
+        assert 102 * 100 * 101 > buzzers._GATED_CLASSES
+        rng = np.random.default_rng(7)
+        mu = InputDistribution(100, dict(zip(canonical_labels(100), rng.dirichlet(np.ones(101)))))
+        times, bits, log_w = protocol_rows(mu)
+        held = []
+        plain = buzzers._class_entropies
+
+        def counted(U, classes):
+            held.append(block_abscissas(U, classes, 100))
+            return plain(U, classes)
+
+        monkeypatch.setattr(buzzers, "_class_entropies", counted)
+        ts = np.linspace(0.0, times.max() + 1.0, 15)
+        assert kernel_gap(times, bits, log_w, ts) <= 1e-13
+        assert held == [1] * 15
+
+    def test_zero_basis_mass_all_ones_row_and_subnormals(self, path):
+        # cost_under keeps the all-ones row (it never buzzes) and a protocol
+        # may be run on a measure with a zero basis mass; from t = 240 on the
+        # densities run from normal through subnormal to zero
+        mu = InputDistribution(3, {"000": 0.3, "010": 0.3, "001": 0.2, "111": 0.2})
+        times, bits, log_w = protocol_rows(mu, times=(0.0, 0.5, 1.25))
+        assert bits.tolist()[-1] == [1, 1, 1]
+        ts = np.array([0.2, 0.9, 2.0, 240.0, 245.0, 360.0, 370.0, 800.0])
+        assert kernel_gap(times, bits, log_w, ts) <= 1e-13
+        v = np.exp(log_w - np.maximum(ts[:, None] - times, 0.0) @ (bits == 0).T)
+        assert np.any((v > 0.0) & (v < np.finfo(float).tiny))
+
+    def test_single_input_classes_give_exactly_zero(self):
+        # every class of a buzz that one input can produce is a point
+        # posterior, at any scale
+        # columns: every input, x_1 == 0, x_2 == 0, for the inputs 01 and 10
+        classes = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        U = np.array([[1e-200, 0.0], [0.0, 0.7]])
+        h, M = buzzers._class_entropies(U, classes)
+        assert np.all(h == 0.0)
+        assert np.array_equal(M > 0.0, U @ classes > 0.0)
+
+    def test_tiny_densities_counted(self):
+        # no 1e-15 cut: two equal tiny densities still carry ln 2 per unit mass
+        classes = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])  # inputs 10 and 01
+        h, _ = buzzers._class_entropies(np.full((1, 2), 1e-17), classes)
+        assert h[0, 0] == pytest.approx(2e-17 * math.log(2), rel=1e-12)
+        assert h[0, 1] == 0.0 and h[0, 2] == 0.0
+
+    def test_three_protocols_stacked_in_one_call(self, path):
+        # the window integrand's call: one row of start times and log masses
+        # per abscissa, each row as if costed alone
+        c = concavity.CanonicalMeasure(k=5, s=3, beta=0.05)
+        eps = 0.05
+        mu = c.measure(eps)
+        pert = concavity.perturb(mu, 3, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        ts = np.linspace(-pert.gamma0 - 0.1, pert.gamma1 + 2.0, 30)
+        runs = [protocol_rows(m, p.player_times) for p, m in (
+            (pert.base_protocol, mu), (pert.protocol0, pert.mu0), (pert.protocol1, pert.mu1))]
+        rows = np.repeat(np.arange(3), len(ts))
+        times = np.array([r[0] for r in runs])[rows]
+        log_w = np.array([r[2] for r in runs])[rows]
+        zeros = (runs[0][1] == 0).astype(float)
+        got = buzzers._entropy_densities(times, zeros, log_w, np.tile(ts, 3))
+        want = np.vstack([entropy_densities(t, b, w, ts) for t, b, w in runs])
+        n = want.shape[1]
+        assert float(np.max(np.abs(got[:, :n] - want))) <= 1e-13 * float(np.max(np.abs(want)))
+        # the integrand is the same difference of the oracle's densities
+        f = concavity._concavity_integrand(pert)(ts)
+        base, h0, h1 = want.reshape(3, len(ts), n)
+        np.testing.assert_allclose(f[:, :n], base - 0.5 * (h0 + h1), rtol=0.0,
+                                   atol=1e-13 * float(np.max(np.abs(want))))
 
 
 class TestClosedFormUniform:

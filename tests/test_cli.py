@@ -15,7 +15,8 @@ import pytest
 from icand import cli, concavity, measures, optimize, signals
 from icand.buzzers import cost_under
 from icand.cli import main
-from icand.measures import binary_entropy
+from icand.measures import InputDistribution, binary_entropy
+from test_buzzers import mp_information_cost
 
 
 @pytest.fixture
@@ -49,6 +50,21 @@ class TestIC:
         report = json.loads(out)
         assert report["external_bits"] == pytest.approx(1.0, abs=1e-9)
         assert report["internal_bits"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_tight_tolerances_stop_at_the_roundoff_floor(self, capsys, tmp_path):
+        # at rtol 1e-13 the finite stretch [0, ln 1e6] is round-off limited:
+        # without the floor it ran out of panels (exit 4); the floor's
+        # panels carry their round-off bound into the estimate
+        mass = {"00": 1 - 1e-6 - 1e-12, "01": 1e-6, "10": 1e-12}
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps({"k": 2, "mass": mass}))
+        code, out, _ = run(capsys, "ic", "--measure", str(path), "--rtol", "1e-13",
+                           "--atol", "1e-30")
+        assert code == 0
+        report = json.loads(out)
+        ext, internal = mp_information_cost(InputDistribution(2, mass))
+        gap = max(abs(report["external_bits"] - ext), abs(report["internal_bits"] - internal))
+        assert gap <= report["quadrature_error_estimate"] <= 1e-12
 
     def test_point_mass(self, capsys, tmp_path):
         path = tmp_path / "point.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icand import concavity
-from icand.buzzers import BuzzersProtocol, buzz_densities
+from icand.buzzers import BuzzersProtocol
 from icand.concavity import (
     CanonicalMeasure,
     check_same_average,
@@ -23,6 +23,8 @@ from icand.concavity import (
 )
 from icand.errors import InvalidDistributionError, MalformedInputError, ToleranceError
 from icand.measures import InputDistribution, canonical_labels
+from icand.quadrature import integrate
+from kernel_oracle import buzz_densities, entropy_densities
 
 LN2 = math.log(2.0)
 
@@ -308,7 +310,7 @@ class TestPerturbation:
 
 
 def mixtures(protocol, mu, ts):
-    """f(t, m) = sum_x V[t, m, x] from the package's density builder."""
+    """f(t, m) = sum_x V[t, m, x] from the oracle's density builder."""
     bits = np.array([[int(c) for c in lab] for lab in mu.labels])
     times = np.asarray(protocol.player_times)
     with np.errstate(divide="ignore"):
@@ -428,9 +430,9 @@ class TestDeficits:
         solve = len(calls)
         calls.clear()
         concavity_report(CanonicalMeasure(k=4, s=3, beta=0.05), eps, with_outside=True)
-        # one fixed-point solve, and one window edge for each of the two
-        # perturbations (window deficits and outside checks)
-        assert solve > 2 and len(calls) == solve + 2
+        # one fixed-point solve, and one window edge for the one perturbation
+        # that the window deficits and the outside checks share
+        assert solve > 2 and len(calls) == solve + 1
 
     def test_richardson_residual_order(self):
         # residual of deficit/eps^3 should roughly halve per eps halving
@@ -587,3 +589,96 @@ class TestGridRunner:
             report.ext_deficit - report.taylor_ext, abs=1e-15
         )
         assert report.outside.right_ok
+
+    def test_grid_perturbs_once_per_cell(self, monkeypatch):
+        # the window deficits and the outside checks share the cell's
+        # perturbation and integrand; both are still called once per cell
+        calls = {"perturb": 0, "window_deficits": 0, "outside_window_checks": 0}
+        for name in calls:
+            plain = getattr(concavity, name)
+
+            def counted(*args, plain=plain, name=name, **kwargs):
+                calls[name] += 1
+                return plain(*args, **kwargs)
+
+            monkeypatch.setattr(concavity, name, counted)
+        rows = verify_grid([2, 3], [0.05, 0.4], [1e-2, 0.2], with_outside=True)
+        feasible = sum(r.feasible for r in rows)
+        assert 0 < feasible < len(rows)
+        assert calls == dict.fromkeys(calls, feasible)
+
+
+class TestRoundoffFloor:
+    """The right tail of k=8, s=3, beta=0.05, eps=0.005 vanishes up to
+    round-off: its first panel disagrees with its halves by about the 1e-15
+    budget, which only the round-off floor can accept for certain."""
+
+    @staticmethod
+    def cell():
+        c = CanonicalMeasure(k=8, s=3, beta=0.05)
+        eps = 0.005
+        pert = perturb(c.measure(eps), 3, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        lo = pert.base_protocol.player_times[2] + pert.gamma1
+        return pert, concavity._concavity_integrand(pert), lo, lo + concavity._RIGHT_WIDTH
+
+    @staticmethod
+    def oracle_integrand(pert, f):
+        # the V-tensor kernel's defect, with the package's round-off bounds
+        live = pert.mu.vector > 0.0
+        bits = pert.mu.bits[live]
+        runs = [(p.player_times, np.log(m.vector[live])) for p, m in (
+            (pert.base_protocol, pert.mu), (pert.protocol0, pert.mu0), (pert.protocol1, pert.mu1))]
+
+        def g(ts):
+            base, h0, h1 = (entropy_densities(t, bits, w, ts) for t, w in runs)
+            return np.hstack([base - 0.5 * (h0 + h1), f(ts)[:, base.shape[1]:]])
+
+        return g
+
+    @pytest.mark.parametrize("kernel", ["package", "oracle"])
+    def test_right_tail_accepted_without_splitting(self, kernel):
+        pert, f, lo, hi = self.cell()
+        g = f if kernel == "package" else self.oracle_integrand(pert, f)
+        calls = []
+
+        def counted(ts):
+            calls.append(len(ts))
+            return g(ts)
+
+        vals, err = integrate(counted, lo, hi, rtol=concavity._RTOL, atol=concavity._ATOL,
+                              roundoff=True)
+        assert calls == [45]
+        assert abs(vals[0]) / LN2 <= 1e-12
+
+    def test_cell_passes_its_outside_checks(self):
+        c = CanonicalMeasure(k=8, s=3, beta=0.05)
+        report = concavity_report(c, 0.005)
+        assert report.outside.right_ok and report.outside.left_ok
+        assert abs(report.outside.right_value) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noise_of_a_few_ulps_on_the_right_tail(self, monkeypatch, seed):
+        # 4 ulps of the terms the defect is a difference of, at every abscissa;
+        # the terms are the round-off bounds over the kernel's factor
+        # (n_x + k + 3) / 2 = 10 at k = 8 (9 live inputs)
+        rng = np.random.default_rng(seed)
+        plain = concavity._concavity_integrand
+        eps = np.finfo(float).eps
+
+        def noisy(pert):
+            f = plain(pert)
+
+            def g(ts):
+                out = f(ts)
+                n = out.shape[1] // 2
+                terms = out[:, n:] / 10.0
+                out[:, :n] += 4.0 * eps * terms * rng.uniform(-1.0, 1.0, terms.shape)
+                return out
+
+            return g
+
+        monkeypatch.setattr(concavity, "_concavity_integrand", noisy)
+        c = CanonicalMeasure(k=8, s=3, beta=0.05)
+        checks = outside_window_checks(c.measure(0.005), 3, 0.005,
+                                       protocol=BuzzersProtocol(c.sender_times(0.005)))
+        assert abs(checks.right_value) <= 1e-12 and checks.right_ok

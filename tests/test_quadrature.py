@@ -146,3 +146,54 @@ def test_max_panels_error_matches_per_panel_loop():
         integrate(kinked, 0.0, 1.0, max_panels=9)
     assert str(got.value) == str(ref.value)
     assert "residual interval" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# the round-off floor
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def noisy_zero(ulps, seed=0):
+    """An integrand that is exactly 0 up to round-off: noise of up to
+    ``ulps`` ulps of terms of size ``r(t) = 1 + t``, with r as its bound."""
+    rng = np.random.default_rng(seed)
+
+    def f(t):
+        r = 1.0 + t
+        noise = ulps * EPS * r * rng.uniform(-1.0, 1.0, len(t))
+        return np.stack([noise, 0.5 * noise, r, r], axis=1)
+
+    return f
+
+
+def test_roundoff_floor_accepts_noise_at_once():
+    # a panel rule sum of |noise| <= 4 eps r stays within the floor; tolerances
+    # far below the noise do not send the panel into bisection
+    f = Counted(noisy_zero(4))
+    vals, err = integrate(f, 0.0, 5.0, rtol=1e-13, atol=1e-30, roundoff=True)
+    assert f.calls == 1
+    assert vals.shape == err.shape == (2,)
+    assert np.all(np.abs(vals) <= err)
+    # the floor of the whole panel enters the bound: 10 eps (R_coarse + R_fine)
+    assert err[0] >= 10 * EPS * 2 * 17.5
+
+
+def test_noise_without_the_floor_exhausts_the_panels():
+    f = noisy_zero(4)
+    with pytest.raises(QuadratureError):
+        integrate(lambda t: f(t)[:, :2], 0.0, 5.0, rtol=1e-13, atol=1e-30)
+
+
+def test_zero_roundoff_bounds_change_nothing():
+    # with r = 0 no panel is accepted as round-off: the values and bounds are
+    # those of the plain integrand, and a kink still splits as deeply
+    for g, tol in ((smooth, {}), (kinked, {"rtol": 1e-11, "atol": 1e-14})):
+        plain = integrate(g, 0.0, 1.0, **tol)
+
+        def padded(t, g=g):
+            return np.hstack([g(t), np.zeros((len(t), 3))])
+
+        floored = integrate(padded, 0.0, 1.0, roundoff=True, **tol)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, floored))
