@@ -37,8 +37,14 @@ from .errors import MalformedInputError, TrivialInstanceError, ZeroEMassError
 from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 from .quadrature import integrate
 
-__all__ = ["BuzzersProtocol", "ICReport", "start_times", "cost_under", "information_cost",
-           "closed_form_uniform"]
+__all__ = [
+    "BuzzersProtocol",
+    "ICReport",
+    "start_times",
+    "cost_under",
+    "information_cost",
+    "closed_form_uniform",
+]
 
 #: Start times closer than this (relative) collapse into one breakpoint.
 _TIME_DEDUPE = 1e-14
@@ -134,10 +140,6 @@ def _class_entropies(U: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np
 #: its memory grew with the batch.
 _KERNEL_BLOCK = 10_000
 
-#: Largest (n_x, k (k + 1)) gated-class matrix built per kernel call: up to
-#: k = 48 one product with it beat gating the densities; at k = 64 it was 2x.
-_GATED_CLASSES = 2**17
-
 
 def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
     """Densities [H(X|T), H(X|T, X_1), ..., H(X|T, X_k)] in nats at ``ts``,
@@ -149,8 +151,9 @@ def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
     once t >= t_m, so the posterior splits into the gated classes
     {x_m = 0, x_i = 0} (i = m: the external class, also player m's) and
     {x_m = 0, x_i = 1}, on the layout {e_i} or empty, adding exactly 0.  Each
-    entropy sums ``_class_entropies`` over the started m, in blocks of nearly
-    equal length; one abscissa holds ``zeros.size`` densities.  With
+    block of nearly equal length gates the densities into one row per
+    (abscissa, m), so one abscissa holds ``zeros.size`` densities, and each
+    entropy sums ``_class_entropies`` of the rows over the started m.  With
     u = eps / 2, a class sum of n <= n_x terms rounds by (n - 1) u relative,
     each x ln x by 2 u more, the difference by u and the sum over m by
     (k - 1) u: a density is within (n_x + k + 1) u M of the entropy of the
@@ -159,10 +162,7 @@ def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
     ``(n_x + k + 3) / 2 * M`` spares one eps for the window integrand's sum.
     """
     n_x, k = zeros.shape
-    classes = _classes(zeros)
-    gated = n_x * k * (k + 1) <= _GATED_CLASSES
-    if gated:
-        classes = (zeros[:, :, None] * classes[:, None, :]).reshape(n_x, -1)
+    classes, gate = _classes(zeros), np.ascontiguousarray(zeros.T)
     blocks = min(len(ts), -(-len(ts) * zeros.size // _KERNEL_BLOCK))
     step = -(-len(ts) // blocks)
     out = np.empty((len(ts), 2 * (k + 1)))
@@ -171,7 +171,7 @@ def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
         t_m = times[j : j + step] if times.ndim == 2 else times
         v = np.exp((log_w[j : j + step] if log_w.ndim == 2 else log_w)
                    - np.maximum(t[:, None] - t_m, 0.0) @ zeros.T)
-        h, M = _class_entropies(v if gated else (v[:, None, :] * zeros.T).reshape(-1, n_x), classes)
+        h, M = _class_entropies((v[:, None, :] * gate).reshape(-1, n_x), classes)
         started = (t[:, None] >= t_m).astype(float)
         out[j : j + step, : k + 1] = np.einsum("tm,tmc->tc", started, h.reshape(len(t), k, -1))
         out[j : j + step, k + 1 :] = np.einsum("tm,tmc->tc", started, M.reshape(len(t), k, -1))
@@ -283,7 +283,7 @@ def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
     if len(bp) > 1:
         segment = partial(_entropy_densities, times, (live == 0).astype(float), log_w)
         for lo, hi in zip(bp[:-1], bp[1:]):
-            vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol, roundoff=True)
+            vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol)
             cond, err = cond + vals, err + e
     prior = _prior_entropies(bits, masses)
     cost = (prior - cond) / LN2

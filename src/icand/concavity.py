@@ -38,10 +38,23 @@ from .errors import (
 from .measures import LN2, ZERO_MASS, InputDistribution
 from .quadrature import integrate_segments
 
-__all__ = ["CanonicalMeasure", "Perturbation", "ConcavityReport", "OutsideWindowChecks",
-           "WindowDeficits", "gamma0_of", "gamma1_of", "perturb", "window_deficits",
-           "taylor_coefficient", "outside_window_checks", "merge_tail_players",
-           "concavity_report", "verify_grid", "GridRow"]
+__all__ = [
+    "CanonicalMeasure",
+    "Perturbation",
+    "ConcavityReport",
+    "OutsideWindowChecks",
+    "WindowDeficits",
+    "gamma0_of",
+    "gamma1_of",
+    "perturb",
+    "window_deficits",
+    "taylor_coefficient",
+    "outside_window_checks",
+    "merge_tail_players",
+    "concavity_report",
+    "verify_grid",
+    "GridRow",
+]
 
 _SAME_AVERAGE_TOL = 1e-11
 
@@ -142,6 +155,7 @@ class Perturbation:
     """
 
     sender: int
+    eps: float
     gamma0: float
     gamma1: float
     mu: InputDistribution
@@ -167,7 +181,8 @@ def perturb(
         raise MalformedInputError(f"sender {s} outside 1..{mu.k}")
     beta_s = mu.beta(s)
     zeta_s = 1.0 - beta_s
-    g0, g1 = gamma0_of(beta_s, eps), gamma1_of(beta_s, eps)
+    g0 = gamma0_of(beta_s, eps)
+    g1 = gamma1_of(beta_s, eps)
 
     # the sender's zeros rows gain eps beta_s in mu0 and lose it in mu1, its
     # ones rows the reverse with eps zeta_s
@@ -187,6 +202,7 @@ def perturb(
     t1[s - 1] += g1
     return Perturbation(
         sender=s,
+        eps=eps,
         gamma0=g0,
         gamma1=g1,
         mu=mu,
@@ -225,11 +241,16 @@ def _concavity_integrand(pert: Perturbation):
     return f
 
 
-def _perturbed(mu: InputDistribution, s: int, eps: float, protocol: BuzzersProtocol | None):
-    """A cell's perturbation and window integrand, which the window deficits
-    and the outside-window checks share."""
-    pert = perturb(mu, s, eps, protocol=protocol)
-    return pert, _concavity_integrand(pert)
+def _cell_perturbation(mu, s, eps, protocol, pert: Perturbation | None) -> Perturbation:
+    """``perturb(mu, s, eps, protocol=protocol)``, or ``pert`` if it was built
+    from this measure, sender and weakness (and this protocol, if one is
+    given); any other ``pert`` is a ``MalformedInputError``."""
+    if pert is None:
+        return perturb(mu, s, eps, protocol=protocol)
+    same = pert.mu is mu and (pert.sender, pert.eps) == (s, eps)
+    if not same or protocol not in (None, pert.base_protocol):
+        raise MalformedInputError("pert is not the perturbation of this cell")
+    return pert
 
 
 def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
@@ -245,8 +266,7 @@ def _window_integral(f, pert: Perturbation, lo: float, hi: float):
     """Integrals of ``f`` over [lo, hi] in bits, split at every start time
     inside, with their per-component error bounds; an empty window (no
     segment wider than the quadrature's 1e-14 cut) integrates to zeros."""
-    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL,
-                                   roundoff=True)
+    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL)
     zero = np.zeros(pert.mu.k + 1)
     return zero + vals / LN2, zero + err / LN2
 
@@ -297,23 +317,24 @@ def window_deficits(
     eps: float,
     *,
     protocol: BuzzersProtocol | None = None,
-    perturbed=None,
+    pert: Perturbation | None = None,
 ) -> WindowDeficits:
     """Integrate the external and internal concavity defects over the window.
 
     ``mu`` must put no mass on the all-ones input (remove it first; the
-    protocol does not change).  ``perturbed``: the cell's ``_perturbed``.
+    protocol does not change).  ``pert``, if given, must be the cell's
+    ``perturb(mu, s, eps, protocol=protocol)``; it is not built again.
     """
     if mu.mass_ones > ZERO_MASS:
         raise AssumptionViolationError(
             "window deficits are defined for measures with no all-ones mass; "
             "condition it away first"
         )
-    pert, f = perturbed or _perturbed(mu, s, eps, protocol)
+    pert = _cell_perturbation(mu, s, eps, protocol, pert)
     residual = check_same_average(pert)
     t_s = pert.base_protocol.player_times[s - 1]
     lo, hi = t_s - pert.gamma0, t_s + pert.gamma1
-    vals, err = _window_integral(f, pert, lo, hi)
+    vals, err = _window_integral(_concavity_integrand(pert), pert, lo, hi)
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -366,7 +387,7 @@ def outside_window_checks(
     eps: float,
     *,
     protocol: BuzzersProtocol | None = None,
-    perturbed=None,
+    pert: Perturbation | None = None,
 ) -> OutsideWindowChecks:
     """Sign checks outside the window, plus the quadratic left-gap bound.
 
@@ -376,17 +397,23 @@ def outside_window_checks(
     identically.  When the sender has a positive start-time gap ``L`` to
     the previous player and ``gamma0 <= L/2``, the defect on that gap is
     at least ``(1 - e^{-(s-1)L/2}) m(0) m(e_s) eps^2 / (2(s-1))``.
-    ``perturbed`` is as in ``window_deficits``.
+    ``pert`` is as in ``window_deficits``.
     """
     if mu.mass_ones > ZERO_MASS:
         raise AssumptionViolationError("remove the all-ones mass first")
-    pert, f = perturbed or _perturbed(mu, s, eps, protocol)
+    pert = _cell_perturbation(mu, s, eps, protocol, pert)
+    f = _concavity_integrand(pert)
     t_s = pert.base_protocol.player_times[s - 1]
-    lo_edge, hi_edge = t_s - pert.gamma0, t_s + pert.gamma1
+    lo_edge = t_s - pert.gamma0
+    hi_edge = t_s + pert.gamma1
 
     t_min = min(pert.base_protocol.player_times)
-    left = float(_window_integral(f, pert, t_min, max(lo_edge, t_min))[0][0])
-    right = float(_window_integral(f, pert, hi_edge, hi_edge + _RIGHT_WIDTH)[0][0])
+    left = 0.0
+    if lo_edge > t_min:
+        vals, _ = _window_integral(f, pert, t_min, lo_edge)
+        left = float(vals[0])
+    right_vals, _ = _window_integral(f, pert, hi_edge, hi_edge + _RIGHT_WIDTH)
+    right = float(right_vals[0])
 
     eps2_bound = eps2_gap = eps2_ok = None
     skip = None
@@ -459,13 +486,17 @@ def concavity_report(
 ) -> ConcavityReport:
     mu = canonical.measure(eps)
     proto = BuzzersProtocol(canonical.sender_times(eps))
-    perturbed = _perturbed(mu, canonical.s, eps, proto)
-    deficits = window_deficits(mu, canonical.s, eps, perturbed=perturbed)
-    g0, g1 = canonical.gamma0(eps), canonical.gamma1(eps)
+    pert = perturb(mu, canonical.s, eps, protocol=proto)
+    deficits = window_deficits(mu, canonical.s, eps, protocol=proto, pert=pert)
+    g0 = canonical.gamma0(eps)
+    g1 = canonical.gamma1(eps)
     te = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "ext") * eps**3
     ti = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "int") * eps**3
-    outside = (outside_window_checks(mu, canonical.s, eps, perturbed=perturbed)
-               if with_outside else None)
+    outside = (
+        outside_window_checks(mu, canonical.s, eps, protocol=proto, pert=pert)
+        if with_outside
+        else None
+    )
     return ConcavityReport(
         k=canonical.k,
         s=canonical.s,
@@ -516,7 +547,9 @@ def verify_grid(
                         canonical = CanonicalMeasure(k=k, s=s, beta=beta)
                         report = concavity_report(canonical, eps, with_outside=with_outside)
                     except InvalidDistributionError as exc:
-                        rows.append(GridRow(k, s, beta, eps, False, str(exc), None))
+                        rows.append(
+                            GridRow(k, s, beta, eps, False, str(exc), None)
+                        )
                         continue
                     rows.append(GridRow(k, s, beta, eps, True, None, report))
     return rows

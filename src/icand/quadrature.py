@@ -4,11 +4,13 @@ The integrands in this package are piecewise-analytic (sums of exponentials
 and their logarithms), so a fixed-order panel rule converges spectrally; the
 adaptive driver bisects a panel whenever one rule application disagrees with
 the sum over its halves.  All integrand evaluations are batched: ``f`` takes
-an array of abscissas and returns an array of shape ``(len(t), n_components)``.
-One call covers a whole bisection: the first evaluates the interval and both
+an array of abscissas and returns an array of shape ``(len(t), 2 n)``: n
+components, then a bound on the round-off of each in units of eps.  One
+call covers a whole bisection: the first evaluates the interval and both
 its halves, and each split evaluates the four quarter panels at once, so an
 integral makes 1 + (number of splits) calls.  A panel is accepted on its
-worst component; the error bound is kept per component.
+worst component, or on the round-off floor of every component; the error
+bound is kept per component.
 """
 
 from __future__ import annotations
@@ -54,23 +56,23 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-13,
     max_panels: int = 4096,
-    roundoff: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over [a, b]; returns (component integrals, error bounds).
 
-    ``f(t_array) -> (n_t, n_components)`` must accept vector input.  The
-    error bound of a component is the sum over accepted panels of its
-    coarse/fine disagreement, which overestimates the true quadrature error
-    for smooth integrands.
+    ``f(t_array) -> (n_t, 2 n)`` must accept vector input: n components,
+    then a bound r(t) on the round-off of each in units of eps (zeros for
+    an integrand exact to rounding); the n are integrated.  The error bound
+    of a component is the sum over accepted panels of its coarse/fine
+    disagreement, which overestimates the true quadrature error for smooth
+    integrands.
 
-    With ``roundoff``, ``f`` returns 2n columns: n components, then a bound
-    r(t) >= |f(t)| on the round-off of each in units of eps; the n are
-    integrated.  To first order a rule sum carries eps R (R the rule sum of
-    r) from the integrand and 17 roundings of its own (15 products, their
-    sum, the half-width): 9.5 eps R_coarse for a panel, 10 eps R_fine for its
+    To first order a rule sum carries eps R (R the rule sum of r) from the
+    integrand and 17 roundings of its own (15 products, their sum, the
+    half-width): 9.5 eps R_coarse for a panel, 10 eps R_fine for its
     halves.  A disagreement within ``10 eps (R_coarse + R_fine)`` (c = 10) is
     thus round-off: the panel is accepted whatever the tolerances, and adds
-    that floor to its disagreement in the error bound.
+    that floor to its disagreement in the error bound.  Zero bounds accept
+    no panel the tolerances would not.
     """
     if not a < b:
         raise QuadratureError(f"empty or inverted interval [{a}, {b}]")
@@ -78,7 +80,7 @@ def integrate(
     width = b - a
     mid = 0.5 * (a + b)
     coarse, left, right = _panel_sums(f, [(a, b), (a, mid), (mid, b)], _ORDER)
-    n = len(coarse) // 2 if roundoff else len(coarse)
+    n = len(coarse) // 2
     stack = [(a, b, coarse, left, right)]
     total, err = np.zeros(n), np.zeros(n)
     panels = 0
@@ -93,9 +95,9 @@ def integrate(
         fine = left + right
         disagree = np.abs(fine[:n] - rough[:n])
         budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine[:n]))))
-        floor = _C_ROUNDOFF * _EPS * (rough[n:] + fine[n:]) if roundoff else 0.0
+        floor = _C_ROUNDOFF * _EPS * (rough[n:] + fine[n:])
         within = float(np.max(disagree)) <= budget
-        if within or (hi - lo) < 1e-14 * width or roundoff and np.all(disagree <= floor):
+        if within or (hi - lo) < 1e-14 * width or np.all(disagree <= floor):
             total += fine[:n]
             err += disagree if within else disagree + floor
         else:
@@ -113,7 +115,6 @@ def integrate_segments(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-13,
-    roundoff: bool = False,
 ) -> tuple[np.ndarray | float, np.ndarray | float]:
     """Integrate over consecutive [b_j, b_{j+1}] segments and sum the pieces.
 
@@ -126,7 +127,7 @@ def integrate_segments(
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
             continue
-        vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol, roundoff=roundoff)
+        vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol)
         total = total + vals
         err = err + e
     return total, err

@@ -60,3 +60,13 @@ def entropy_densities(times, bits, log_w, ts) -> np.ndarray:
     ``ts`` for one protocol, inputs given as rows of ``bits``."""
     V = buzz_densities(np.asarray(times, dtype=float), (bits == 0).astype(float), log_w, ts)
     return conditional_entropies(V, player_classes(bits))
+
+
+def zero_bounds(g):
+    """``g`` for ``quadrature.integrate``: its columns, then a zero round-off
+    bound for each, so that only the tolerances accept a panel."""
+    def f(t):
+        vals = np.asarray(g(t), dtype=float)
+        return np.hstack([vals, np.zeros_like(vals)])
+
+    return f

@@ -26,7 +26,13 @@ from icand.measures import (
     entropy,
 )
 from icand.quadrature import integrate, integrate_segments
-from kernel_oracle import buzz_densities, conditional_entropies, entropy_densities, player_classes
+from kernel_oracle import (
+    buzz_densities,
+    conditional_entropies,
+    entropy_densities,
+    player_classes,
+    zero_bounds,
+)
 
 
 @st.composite
@@ -79,7 +85,7 @@ def buzz_mass_per_input(mu):
     units past the last start (the remaining tail is below e^-60)."""
     times = BuzzersProtocol.from_measure(mu).player_times
     vals, _ = integrate_segments(
-        lambda ts: per_input_densities(mu, ts).sum(axis=1),
+        zero_bounds(lambda ts: per_input_densities(mu, ts).sum(axis=1)),
         [*times, max(times) + 60.0],
         rtol=1e-12,
         atol=1e-13,
@@ -173,31 +179,27 @@ class TestEntropyKernel:
         # 60 abscissas, a quadrature split's batch, in equal blocks of at most
         # _KERNEL_BLOCK densities (k (k + 1) per abscissa) or of one abscissa;
         # the rows agree with one kernel call to rounding (the matrix
-        # products may sum in another order), with the classes gated once
-        # (up to k = 24 here) and with the densities gated per block
+        # products may sum in another order)
         rng = np.random.default_rng(k)
         bits = np.array([list(map(int, lab)) for lab in canonical_labels(k)[: k + 1]])
         zeros = (bits == 0).astype(float)
         log_w = np.log(rng.dirichlet(np.ones(k + 1)))
         times = np.sort(rng.uniform(0.0, 2.0, k))
         ts = np.linspace(0.3, 2.5, 60)
+        monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10**9)
+        whole = buzzers._entropy_densities(times, zeros, log_w, ts)
+        monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10_000)
+        held = []
         plain = buzzers._class_entropies
-        for limit in ((buzzers._GATED_CLASSES, 0) if k < 100 else (buzzers._GATED_CLASSES,)):
-            monkeypatch.setattr(buzzers, "_GATED_CLASSES", limit)
-            monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10**9)
-            whole = buzzers._entropy_densities(times, zeros, log_w, ts)
-            monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10_000)
-            held = []
 
-            def counted(U, classes):
-                held.append(block_abscissas(U, classes, k))
-                return plain(U, classes)
+        def counted(U, classes):
+            held.append(len(U) // k)  # a row of U is one (abscissa, buzzer)
+            return plain(U, classes)
 
-            monkeypatch.setattr(buzzers, "_class_entropies", counted)
-            blocked = buzzers._entropy_densities(times, zeros, log_w, ts)
-            monkeypatch.setattr(buzzers, "_class_entropies", plain)
-            assert held == rows
-            np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
+        monkeypatch.setattr(buzzers, "_class_entropies", counted)
+        blocked = buzzers._entropy_densities(times, zeros, log_w, ts)
+        assert held == rows
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
 
     def test_cost_takes_quadrature_batches_in_blocks(self, monkeypatch):
         # at k = 24 (600 densities per abscissa) the 45 abscissas of an
@@ -206,7 +208,7 @@ class TestEntropyKernel:
         plain = buzzers._class_entropies
 
         def counted(U, classes):
-            held.append((block_abscissas(U, classes, 24), U.shape[1]))
+            held.append((len(U) // 24, U.shape[1]))
             return plain(U, classes)
 
         monkeypatch.setattr(buzzers, "_class_entropies", counted)
@@ -214,12 +216,6 @@ class TestEntropyKernel:
         mass = rng.dirichlet(np.ones(25))
         information_cost(InputDistribution(24, dict(zip(canonical_labels(24), mass))))
         assert held and set(held) == {(15, 25)}
-
-
-def block_abscissas(U, classes, k):
-    """Abscissas in one kernel block: with the gated classes (k (k + 1)
-    columns) a row of ``U`` is one abscissa, else one (abscissa, buzzer)."""
-    return len(U) if classes.shape[1] == k * (k + 1) else len(U) // k
 
 
 def protocol_rows(mu, times=None):
@@ -244,17 +240,11 @@ def kernel_gap(times, bits, log_w, ts):
 
 
 class TestGatedKernel:
-    """The package kernel against the V-tensor oracle in ``kernel_oracle``,
-    with the classes gated once per call and with the densities gated per
-    block (``_GATED_CLASSES`` 0)."""
-
-    @pytest.fixture(params=[True, False], ids=["gated-classes", "gated-densities"])
-    def path(self, request, monkeypatch):
-        if not request.param:
-            monkeypatch.setattr(buzzers, "_GATED_CLASSES", 0)
+    """The package kernel, which gates the densities per block, against the
+    V-tensor oracle in ``kernel_oracle``."""
 
     @pytest.mark.parametrize("k", [2, 3, 8, 24])
-    def test_matches_oracle_on_protocol_densities(self, k, path):
+    def test_matches_oracle_on_protocol_densities(self, k):
         # a random basis measure's own protocol, with all-zeros mass, before,
         # across and after its start times
         rng = np.random.default_rng(100 + k)
@@ -264,7 +254,6 @@ class TestGatedKernel:
         assert kernel_gap(times, bits, log_w, ts) <= 1e-13
 
     def test_matches_oracle_at_k100_one_abscissa_per_block(self, monkeypatch):
-        assert 102 * 100 * 101 > buzzers._GATED_CLASSES
         rng = np.random.default_rng(7)
         mu = InputDistribution(100, dict(zip(canonical_labels(100), rng.dirichlet(np.ones(101)))))
         times, bits, log_w = protocol_rows(mu)
@@ -272,7 +261,7 @@ class TestGatedKernel:
         plain = buzzers._class_entropies
 
         def counted(U, classes):
-            held.append(block_abscissas(U, classes, 100))
+            held.append(len(U) // 100)
             return plain(U, classes)
 
         monkeypatch.setattr(buzzers, "_class_entropies", counted)
@@ -280,7 +269,7 @@ class TestGatedKernel:
         assert kernel_gap(times, bits, log_w, ts) <= 1e-13
         assert held == [1] * 15
 
-    def test_zero_basis_mass_all_ones_row_and_subnormals(self, path):
+    def test_zero_basis_mass_all_ones_row_and_subnormals(self):
         # cost_under keeps the all-ones row (it never buzzes) and a protocol
         # may be run on a measure with a zero basis mass; from t = 240 on the
         # densities run from normal through subnormal to zero
@@ -309,7 +298,7 @@ class TestGatedKernel:
         assert h[0, 0] == pytest.approx(2e-17 * math.log(2), rel=1e-12)
         assert h[0, 1] == 0.0 and h[0, 2] == 0.0
 
-    def test_three_protocols_stacked_in_one_call(self, path):
+    def test_three_protocols_stacked_in_one_call(self):
         # the window integrand's call: one row of start times and log masses
         # per abscissa, each row as if costed alone
         c = concavity.CanonicalMeasure(k=5, s=3, beta=0.05)
@@ -672,8 +661,8 @@ def graded_tail_cost(mu, rtol=1e-10, atol=1e-12):
         log_wv = log_w + np.log(g) - ln_v[:, None]
         return conditional_entropies(buzz_densities(times, zeros, log_wv, times.max() - g * ln_v), classes)
 
-    total, err = integrate_segments(segment, times, rtol=rtol, atol=atol)
-    vals, e = integrate(tail, 0.0, 1.0, rtol=rtol, atol=atol)
+    total, err = integrate_segments(zero_bounds(segment), times, rtol=rtol, atol=atol)
+    vals, e = integrate(zero_bounds(tail), 0.0, 1.0, rtol=rtol, atol=atol)
     prior = _prior_entropies(bits, mu.vector[live])
     cost = (prior - total - vals) / LN2
     roundoff = 32.0 * np.finfo(float).eps * prior.sum()

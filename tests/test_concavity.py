@@ -607,6 +607,20 @@ class TestGridRunner:
         assert 0 < feasible < len(rows)
         assert calls == dict.fromkeys(calls, feasible)
 
+    @pytest.mark.parametrize("fn", [window_deficits, outside_window_checks])
+    def test_a_shared_perturbation_must_be_the_cells(self, fn):
+        c = CanonicalMeasure(k=4, s=3, beta=0.05)
+        eps = 5e-3
+        mu, proto = c.measure(eps), BuzzersProtocol(c.sender_times(eps))
+        pert = perturb(mu, 3, eps, protocol=proto)
+        assert fn(mu, 3, eps, pert=pert) == fn(mu, 3, eps, protocol=proto)
+        assert fn(mu, 3, eps, protocol=proto, pert=pert) == fn(mu, 3, eps, protocol=proto)
+        other = BuzzersProtocol(c.sender_times(2 * eps))
+        for args, kwargs in (((c.measure(eps), 3, eps), {}), ((mu, 2, eps), {}),
+                             ((mu, 3, 2 * eps), {}), ((mu, 3, eps), {"protocol": other})):
+            with pytest.raises(MalformedInputError):
+                fn(*args, pert=pert, **kwargs)
+
 
 class TestRoundoffFloor:
     """The right tail of k=8, s=3, beta=0.05, eps=0.005 vanishes up to
@@ -645,8 +659,7 @@ class TestRoundoffFloor:
             calls.append(len(ts))
             return g(ts)
 
-        vals, err = integrate(counted, lo, hi, rtol=concavity._RTOL, atol=concavity._ATOL,
-                              roundoff=True)
+        vals, err = integrate(counted, lo, hi, rtol=concavity._RTOL, atol=concavity._ATOL)
         assert calls == [45]
         assert abs(vals[0]) / LN2 <= 1e-12
 

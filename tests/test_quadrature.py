@@ -8,13 +8,14 @@ import pytest
 
 from icand.errors import QuadratureError
 from icand.quadrature import integrate, integrate_segments
+from kernel_oracle import zero_bounds
 
 
 def test_error_bound_per_component():
     # panels are accepted on the worst component, but each component keeps
     # its own bound: a component a million times smaller gets a far smaller
     # bound instead of sharing the larger one
-    f = lambda t: np.stack([np.sqrt(t), 1e-6 * np.sqrt(t)], axis=1)  # noqa: E731
+    f = zero_bounds(lambda t: np.stack([np.sqrt(t), 1e-6 * np.sqrt(t)], axis=1))
     vals, err = integrate(f, 0.0, 1.0, rtol=1e-10, atol=1e-13)
     np.testing.assert_allclose(vals, [2 / 3, 2e-6 / 3], rtol=1e-14)
     assert err.shape == (2,)
@@ -22,7 +23,7 @@ def test_error_bound_per_component():
 
 
 def test_segments_sorted_and_summed():
-    f = lambda t: np.stack([np.ones_like(t), t], axis=1)  # noqa: E731
+    f = zero_bounds(lambda t: np.stack([np.ones_like(t), t], axis=1))
     vals, err = integrate_segments(f, [2.0, 0.0, 1.0])
     np.testing.assert_allclose(vals, [2.0, 2.0], atol=1e-15)
     assert err.shape == (2,)
@@ -40,7 +41,7 @@ def test_no_segment_calls_nothing(breakpoints):
 def test_empty_interval_is_rejected():
     # the package integrates only stretches of positive width
     with pytest.raises(QuadratureError):
-        integrate(lambda t: np.ones((len(t), 1)), 1.0, 1.0)
+        integrate(lambda t: np.ones((len(t), 2)), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,8 @@ class Counted:
     ],
 )
 def test_bit_identical_to_per_panel_loop(f, a, b, tol):
-    counted = Counted(f)
+    # zero round-off bounds accept no panel the tolerances would not
+    counted = Counted(zero_bounds(f))
     vals, err = integrate(counted, a, b, **tol)
     ref_vals, ref_err, splits = per_panel_integrate(f, a, b, **tol)
     assert vals.tobytes() == ref_vals.tobytes()
@@ -134,7 +136,7 @@ def test_kinked_integrand_splits_deeply():
 
 
 def test_smooth_integrand_needs_no_split():
-    counted = Counted(smooth)
+    counted = Counted(zero_bounds(smooth))
     integrate(counted, 0.0, 1.0)
     assert counted.calls == 1
 
@@ -143,7 +145,7 @@ def test_max_panels_error_matches_per_panel_loop():
     with pytest.raises(QuadratureError) as ref:
         per_panel_integrate(kinked, 0.0, 1.0, max_panels=9)
     with pytest.raises(QuadratureError) as got:
-        integrate(kinked, 0.0, 1.0, max_panels=9)
+        integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
     assert str(got.value) == str(ref.value)
     assert "residual interval" in str(got.value)
 
@@ -172,7 +174,7 @@ def test_roundoff_floor_accepts_noise_at_once():
     # a panel rule sum of |noise| <= 4 eps r stays within the floor; tolerances
     # far below the noise do not send the panel into bisection
     f = Counted(noisy_zero(4))
-    vals, err = integrate(f, 0.0, 5.0, rtol=1e-13, atol=1e-30, roundoff=True)
+    vals, err = integrate(f, 0.0, 5.0, rtol=1e-13, atol=1e-30)
     assert f.calls == 1
     assert vals.shape == err.shape == (2,)
     assert np.all(np.abs(vals) <= err)
@@ -183,17 +185,5 @@ def test_roundoff_floor_accepts_noise_at_once():
 def test_noise_without_the_floor_exhausts_the_panels():
     f = noisy_zero(4)
     with pytest.raises(QuadratureError):
-        integrate(lambda t: f(t)[:, :2], 0.0, 5.0, rtol=1e-13, atol=1e-30)
+        integrate(zero_bounds(lambda t: f(t)[:, :2]), 0.0, 5.0, rtol=1e-13, atol=1e-30)
 
-
-def test_zero_roundoff_bounds_change_nothing():
-    # with r = 0 no panel is accepted as round-off: the values and bounds are
-    # those of the plain integrand, and a kink still splits as deeply
-    for g, tol in ((smooth, {}), (kinked, {"rtol": 1e-11, "atol": 1e-14})):
-        plain = integrate(g, 0.0, 1.0, **tol)
-
-        def padded(t, g=g):
-            return np.hstack([g(t), np.zeros((len(t), 3))])
-
-        floored = integrate(padded, 0.0, 1.0, roundoff=True, **tol)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, floored))
