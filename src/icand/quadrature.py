@@ -63,16 +63,18 @@ def integrate(
     then a bound r(t) on the round-off of each in units of eps (zeros for
     an integrand exact to rounding); the n are integrated.  The error bound
     of a component is the sum over accepted panels of its coarse/fine
-    disagreement, which overestimates the true quadrature error for smooth
-    integrands.
+    disagreement plus its round-off floor (below); the disagreement
+    overestimates the true quadrature error for smooth integrands.
 
     To first order a rule sum carries eps R (R the rule sum of r) from the
     integrand and 17 roundings of its own (15 products, their sum, the
     half-width): 9.5 eps R_coarse for a panel, 10 eps R_fine for its
     halves.  A disagreement within ``10 eps (R_coarse + R_fine)`` (c = 10) is
-    thus round-off: the panel is accepted whatever the tolerances, and adds
-    that floor to its disagreement in the error bound.  Zero bounds accept
-    no panel the tolerances would not.
+    thus round-off: the panel is accepted whatever the tolerances.  Every
+    accepted panel adds that floor to its disagreement in the error bound,
+    since the fine sum it returns carries that round-off however it was
+    accepted.  Zero bounds accept no panel the tolerances would not and add
+    nothing.
     """
     if not a < b:
         raise QuadratureError(f"empty or inverted interval [{a}, {b}]")
@@ -99,7 +101,7 @@ def integrate(
         within = float(np.max(disagree)) <= budget
         if within or (hi - lo) < 1e-14 * width or np.all(disagree <= floor):
             total += fine[:n]
-            err += disagree if within else disagree + floor
+            err += disagree + floor
         else:
             mid = 0.5 * (lo + hi)
             q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)

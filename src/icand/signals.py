@@ -20,10 +20,13 @@ coordinate (the walk only contracts it geometrically), so a trace snaps to
 an endpoint once within ``snap_tol`` total-variation distance; the snap
 biases the terminal law by at most ``snap_tol``.  Away from the branch
 point, steps toward a coordinate-killing target reduce to a fixed-step
-random walk in log coordinates.  The bulk sampler advances it by exact
-skips (as many steps as cannot reach either barrier, binomially many toward
-the target, counted as the ones among that many raw random bits) and reads
-every other step from a table of lines in 1 / dist.
+random walk in log coordinates.  The bulk sampler holds every walk as its
+log distance to the target, advances it there by exact skips (as many
+steps as cannot reach either barrier, binomially many toward the target,
+counted as the ones among that many raw random bits of the walk's own),
+and reads every other step from a table of lines in 1 / dist.  A trace
+draws its bits in blocks that give the bits, and leave the generator, as
+one draw per step would.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ _UNBIASED_TOL = 1e-12
 #: ``_LOW_BITS[m]`` has the lowest m of 64 bits set.
 _LOW_BITS = np.array([(1 << m) - 1 for m in range(65)], dtype=np.uint64)
 _MAX_SKIP = 512  # steps per pure-region skip: at most eight raw words per walk
+_BIT_BLOCK = 1024  # bits a trace draws at a time
 
 
 @dataclass(frozen=True)
@@ -363,23 +367,34 @@ class _SegmentWalk:
     # -- one trace, step by step -----------------------------------------------
 
     def trace(self, rng: np.random.Generator, max_steps: int):
-        """One walk from the branch point, with one ``rng.integers(0, 2)``
-        per step.
+        """One walk from the branch point, with the bits of one
+        ``rng.integers(0, 2)`` per step.
 
-        Each step recomputes every bound on Python floats.  Returns the
-        alphas before the first step and after every step, the step sizes,
-        the bits, and the endpoint snapped to (None if not snapped within
-        ``max_steps``).
+        The bits are drawn in blocks: ``rng.integers(0, 2, size=m)`` (int64)
+        gives the bits of m single draws and leaves the generator where they
+        would.  When the walk ends, the generator is set back to its state
+        before the last block and draws again only the bits used, so it ends
+        where one draw per step leaves it.  Each step recomputes every bound
+        on Python floats.  Returns the alphas before the first step and after
+        every step, the step sizes, the bits, and the endpoint snapped to
+        (None if not snapped within ``max_steps``).
         """
         alpha_mu, eps, tv01, snap_tol = self.alpha_mu, self.eps, self.tv01, self.snap_tol
         alpha = alpha_mu
         path, lams, bits = [alpha], [], []
+        block, used, snapped = [], 0, None
         for _ in range(max_steps):
             if alpha * tv01 <= snap_tol:
-                return path, lams, bits, 0
+                snapped = 0
+                break
             if (1.0 - alpha) * tv01 <= snap_tol:
-                return path, lams, bits, 1
-            bit = int(rng.integers(0, 2))
+                snapped = 1
+                break
+            if used == len(block):
+                state = rng.bit_generator.state
+                block, used = rng.integers(0, 2, size=_BIT_BLOCK).tolist(), 0
+            bit = block[used]
+            used += 1
             side1 = alpha > alpha_mu
             dist = (1.0 - alpha) if side1 else alpha
             target, direction, abs_dir, pairs = self.scalar_branches[side1]
@@ -400,7 +415,10 @@ class _SegmentWalk:
             path.append(alpha)
             lams.append(lam)
             bits.append(bit)
-        return path, lams, bits, None
+        if used < len(block):  # rewind to just past the bits used
+            rng.bit_generator.state = state
+            rng.integers(0, 2, size=used)
+        return path, lams, bits, snapped
 
     # -- whole traces as arrays --------------------------------------------------
 
@@ -563,11 +581,16 @@ def _skip_lengths(
 
 def _binomial_half(rng: np.random.Generator, n: np.ndarray) -> np.ndarray:
     """Binomial(n, 1/2) per entry of ``n`` >= 1: the ones among the lowest n
-    bits of ceil(max n / 64) raw 64-bit words per entry, word 0 first."""
-    words = -(-int(n.max()) // 64)
-    raw = rng.bit_generator.random_raw((words, n.size))
-    raw &= _LOW_BITS[np.clip(n - 64 * np.arange(words)[:, None], 0, 64)]
-    return np.bitwise_count(raw).sum(axis=0, dtype=np.int64)
+    bits of ceil(n / 64) raw 64-bit words of the entry's own.  Every entry
+    draws one word for its first 64 bits, then the entries with bits left
+    draw for the rest the same way."""
+    raw = rng.bit_generator.random_raw(n.size)
+    raw &= _LOW_BITS[np.minimum(n, 64)]
+    ones = np.bitwise_count(raw).astype(np.int64)
+    more = np.flatnonzero(n > 64)
+    if more.size:
+        ones[more] += _binomial_half(rng, n[more] - 64)
+    return ones
 
 
 def sample_terminal_posteriors(
@@ -583,18 +606,22 @@ def sample_terminal_posteriors(
     """Terminal-posterior law of ``n_traces`` independent simulation walks.
 
     Dynamics are those of :func:`simulate_signal`, run for all walks at once
-    in rounds.  A walk in the general region takes one step per round, read
-    from :meth:`_SegmentWalk.lam_table`, and asserts its weakness bound.  In
-    the pure region the step size is exactly ``eps``, so the log distance to
-    the target moves by ``ln(1 - eps)`` or ``ln(1 + eps)``; a walk there
-    takes ``n`` steps per round (:func:`_skip_lengths`), moving to
+    in rounds.  A walk is held as its side of the branch point and its log
+    distance ``L`` to that side's target; it is finished once ``L`` is at or
+    below the log snap distance.  In the pure region the step size is
+    exactly ``eps``, so ``L`` moves by ``ln(1 - eps)`` or ``ln(1 + eps)``; a
+    walk there takes ``n`` steps per round (:func:`_skip_lengths`), moving to
     ``L + K ln(1 - eps) + (n - K) ln(1 + eps)`` with ``K ~ Binomial(n, 1/2)``
-    counted as the ones among n raw random bits (:func:`_binomial_half`).
-    Those ``n`` steps cannot cross the snap barrier or the region's upper end
-    unless ``n = 1``, which is tested as one plain step, so the skip is exact
-    in law and keeps the step count.  Pure-region steps have weakness ``eps``
-    by construction.  Only unfinished walks are held; a walk that snaps has
-    its label and step count written back and is dropped.
+    counted as the ones among n raw random bits of its own
+    (:func:`_binomial_half`).  Those ``n`` steps cannot cross the snap
+    barrier or the region's upper end unless ``n = 1``, which is tested as
+    one plain step, so the skip is exact in law and keeps the step count.
+    Pure-region steps have weakness ``eps`` by construction.  A walk in the
+    general region takes one step per round: its alpha reads
+    :meth:`_SegmentWalk.lam_table`, the step asserts its weakness bound, and
+    the new alpha gives the side and ``L`` again; a step that lands at or
+    past an endpoint finishes there.  Only unfinished walks are held; a walk
+    that snaps has its label and step count written back and is dropped.
     """
     _check_walk_args(eps, snap_tol, max_steps)
     if not n_traces >= 1:
@@ -612,67 +639,74 @@ def sample_terminal_posteriors(
     c_tow = float(np.log1p(-eps))  # toward-target log step (negative)
     c_away = float(np.log1p(eps))
     reach = max(-c_tow, c_away)
-    snap_d = snap_tol / walk.tv01  # snap distance, the same on both sides
-    log_snap = np.log(snap_d)
-    edges, coef, pure_hi = walk.lam_table()  # pure_hi is read with side1 as an index
+    log_snap = math.log(snap_tol / walk.tv01)  # snap distance, the same on both sides
+    edges, coef, pure_hi = walk.lam_table()
+    rows = np.ascontiguousarray(coef.T)
     with np.errstate(divide="ignore"):
-        log_hi = np.log(pure_hi)
+        log_hi = np.log(pure_hi)  # read with a walk's side as the index
 
     # the branch point may lie within snap distance of the far end; past it
     # a walk can only snap to the end of its own side
     far = (1.0 - walk.alpha_mu) * walk.tv01 <= snap_tol < walk.alpha_mu * walk.tv01
     label = np.full(n_traces, 1 if far else -1, dtype=np.int8)
     total = np.zeros(n_traces, dtype=np.int64)  # step counts of finished walks
-    ids = np.arange(0 if far else n_traces)  # unfinished walks: index, alpha, steps
-    alpha = np.full(ids.size, walk.alpha_mu)
+    # unfinished walks: index, side (1 above the branch point), log distance
+    # to the side's target, steps
+    ids = np.arange(0 if far else n_traces)
+    side = np.zeros(ids.size, dtype=np.uint8)
+    L = np.full(ids.size, math.log(walk.alpha_mu))
     steps = np.zeros(ids.size, dtype=np.int64)
     max_weakness = 0.0
     pure_steps = general_steps = rounds = 0
 
-    while ids.size:
-        side1 = alpha > walk.alpha_mu
-        dist = np.where(side1, 1.0 - alpha, alpha)
-        done = dist * walk.tv01 <= snap_tol
-        pure = (dist < np.take(pure_hi, side1.view(np.uint8))) & ~done
-        p, g = np.flatnonzero(pure), np.flatnonzero(~(pure | done))
-        rounds += bool(p.size or g.size)
+    while True:
+        done = L <= log_snap
+        if done.any():
+            label[ids[done]] = side[done]
+            total[ids[done]] = steps[done]
+            keep = ~done
+            ids, side, L, steps = ids[keep], side[keep], L[keep], steps[keep]
+        if not ids.size:
+            break
+        rounds += 1
+        hi = np.take(log_hi, side)
+        pure = L < hi
+        p, g = np.flatnonzero(pure), np.flatnonzero(~pure)
 
         if p.size:
-            s1 = side1[p]
-            L = np.log(dist[p])
-            n = _skip_lengths(L, log_snap, np.take(log_hi, s1.view(np.uint8)), reach)
+            Lp = L[p]
+            n = _skip_lengths(Lp, log_snap, hi[p], reach)
             n = np.minimum(n, _MAX_SKIP)  # a shorter skip stays inside as well
             toward = _binomial_half(rng, n)
-            newL = L + toward * c_tow + (n - toward) * c_away
-            new_dist = np.exp(newL)
-            alpha[p] = np.where(s1, 1.0 - new_dist, new_dist)
-            steps[p] += n
+            L[p] = Lp + toward * c_tow + (n - toward) * c_away
+            steps[p] += n - 1
             pure_steps += int(n.sum())
-            done[p[newL <= log_snap]] = True
             max_weakness = max(max_weakness, eps)
 
         if g.size:
             bits = rng.integers(0, 2, size=g.size, dtype=np.uint8)
-            d = dist[g]
-            A, B, C, D = np.take(coef, np.searchsorted(edges, alpha[g], side="right"), axis=1)
+            s = side[g]
+            sign = 1.0 - 2.0 * s  # alpha = s + sign * dist on either side, exactly
+            d = np.exp(L[g])
+            piece = np.searchsorted(edges, s + sign * d, side="right")
+            A, B, C, D = np.take(rows, piece, axis=0).T
             lam = np.minimum(1.0, A / d + B)
             w = float(np.max(lam * (eps / (C / d + D))))
             if not w <= eps * (1.0 + 1e-12):
                 raise IcandError("walk step exceeded its weakness bound")
             max_weakness = max(max_weakness, w)
-            new_dist = d * (1.0 + lam * (2.0 * bits - 1.0))  # bit 0 steps toward
-            alpha[g] = np.where(side1[g], 1.0 - new_dist, new_dist)
-            steps[g] += 1
+            alpha = s + sign * (d * (1.0 + lam * (2.0 * bits - 1.0)))  # bit 0 steps toward
+            s = alpha > walk.alpha_mu
+            side[g] = s
+            # a step that lands at or past an endpoint finishes on its side
+            with np.errstate(divide="ignore"):
+                L[g] = np.log(np.maximum(s + (1.0 - 2.0 * s) * alpha, 0.0))
             general_steps += g.size
+        steps += 1
 
-        over = int((steps > max_steps).sum())
-        if over:
+        if steps.max() > max_steps:
+            over = int((steps > max_steps).sum())
             raise NonTerminationError(f"{over} traces exceeded {max_steps} steps")
-        if done.any():
-            label[ids[done]] = side1[done]
-            total[ids[done]] = steps[done]
-            keep = ~done
-            ids, alpha, steps = ids[keep], alpha[keep], steps[keep]
 
     return TerminalSample(
         n_traces=n_traces,

@@ -571,6 +571,18 @@ class TestGradedTail:
         assert gap <= 1e-14
         assert report.quadrature_error_estimate >= gap
 
+    def test_estimate_carries_every_panels_roundoff(self):
+        # the finite stretch's entropy densities are tiny parts of their
+        # terms, so the kernel's round-off dominates panels that the
+        # tolerances accept; their coarse/fine disagreement alone read
+        # 3.0e-17 bits against a gap of 2.7e-17
+        mu = InputDistribution(2, {"00": 1 - 1e-6 - 1e-12, "01": 1e-6, "10": 1e-12})
+        report = information_cost(mu)
+        ext, internal = mp_information_cost(mu)
+        gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
+        assert gap > 0.0
+        assert report.quadrature_error_estimate >= 2.0 * gap
+
     def test_silent_atom_matches_mpmath(self):
         # cost_under keeps the all-ones input, whose silence reveals it
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)

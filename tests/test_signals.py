@@ -20,6 +20,7 @@ from icand import cli, measures
 from icand.measures import ZERO_MASS, InputDistribution, canonical_labels
 from icand.signals import (
     SEGMENT_TOL,
+    _BIT_BLOCK,
     Signal,
     _SegmentWalk,
     _binomial_half,
@@ -337,6 +338,40 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
     raise NonTerminationError(f"simulation exceeded {max_steps} steps")
 
 
+def scalar_trace(walk, rng, max_steps):
+    """The trace loop of :meth:`_SegmentWalk.trace` with one scalar
+    ``int(rng.integers(0, 2))`` per step: the reference for its bits drawn
+    in blocks.  Returns the same (path, lams, bits, snapped)."""
+    alpha_mu, eps, tv01, snap_tol = walk.alpha_mu, walk.eps, walk.tv01, walk.snap_tol
+    alpha = alpha_mu
+    path, lams, bits = [alpha], [], []
+    for _ in range(max_steps):
+        if alpha * tv01 <= snap_tol:
+            return path, lams, bits, 0
+        if (1.0 - alpha) * tv01 <= snap_tol:
+            return path, lams, bits, 1
+        bit = int(rng.integers(0, 2))
+        side1 = alpha > alpha_mu
+        dist = (1.0 - alpha) if side1 else alpha
+        target, direction, abs_dir, pairs = walk.scalar_branches[side1]
+        mu_c = [t + dist * e for t, e in zip(target, direction)]
+        ratio = max([dist * s / m if m > ZERO_MASS else 0.0 for s, m in zip(abs_dir, mu_c)])
+        lam = 1.0
+        for i, j, diff in pairs:
+            gap = mu_c[j] - mu_c[i]
+            denom = dist * diff
+            if gap > SEGMENT_TOL * max(mu_c[j], mu_c[i], ZERO_MASS) and denom > 0.0:
+                lam = min(lam, gap / denom)
+        if ratio > 0.0:
+            lam = min(lam, eps / ratio)
+        new_dist = dist * (1.0 - lam) if bit == 0 else dist * (1.0 + lam)
+        alpha = (1.0 - new_dist) if side1 else new_dist
+        path.append(alpha)
+        lams.append(lam)
+        bits.append(bit)
+    return path, lams, bits, None
+
+
 def object_json(trace):
     """A trace's JSON built one step at a time from its step objects, as
     the signal and measure objects write themselves."""
@@ -398,6 +433,23 @@ def reference_sample(mu, sig, eps, rng, n_traces, snap_tol):
         )[0]
         steps[active] += 1
     return label, steps
+
+
+def assert_sampler_matches_reference(mu, sig, eps, snap_tol, n):
+    """The sampler and :func:`reference_sample`, on n walks each, agree on
+    the share of walks ending at mu_0 and on the mean step count within
+    4 sigma of the difference of two independent samples.  Returns the
+    sample."""
+    label, steps = reference_sample(mu, sig, eps, np.random.default_rng(1), n, snap_tol)
+    sample = sample_terminal_posteriors(
+        mu, sig, eps, np.random.default_rng(2), n, snap_tol=snap_tol
+    )
+    assert sample.count0 + sample.count1 == n
+    scale = math.sqrt(2 / n)
+    p0 = np.mean(label == 0)
+    assert abs(sample.count0 / n - p0) <= 4 * math.sqrt(p0 * (1 - p0)) * scale
+    assert abs(sample.mean_steps - steps.mean()) <= 4 * steps.std() * scale
+    return sample
 
 
 class TestLamTable:
@@ -472,29 +524,39 @@ class TestLamTable:
         assert sample.tv_distance() <= 4 * math.sqrt(p0 * (1 - p0) / n) + 1e-4
 
 
-POPCOUNT_NS = (1, 63, 64, 65, 127, 128, 200)
+POPCOUNT_NS = (1, 63, 64, 65, 127, 128, 200, 511, 512)
+ALL_LENGTHS = np.arange(1, 513)  # every skip length, in one call
 
 
 class TestPopcountBinomial:
     @pytest.mark.parametrize("word", [2**64 - 1, 0x5555555555555555, 1, 2**63])
     def test_masks_keep_the_lowest_n_bits(self, word):
         # a generator whose raw words are all ``word``: the count is the ones
-        # among the lowest n bits of as many copies of it as n needs
+        # among the lowest n bits of as many copies of it as n needs, and an
+        # entry draws no more words than that
+        drawn = []
+
+        def random_raw(size):
+            drawn.append(size)
+            return np.full(size, word, dtype=np.uint64)
+
         class Fixed:
-            bit_generator = SimpleNamespace(
-                random_raw=lambda size: np.full(size, word, dtype=np.uint64)
-            )
+            bit_generator = SimpleNamespace(random_raw=random_raw)
 
         bits = [(word >> j) & 1 for j in range(64)]
-        for ns in [np.array([n]) for n in POPCOUNT_NS] + [np.array(POPCOUNT_NS)]:
+        for ns in [np.array([n]) for n in POPCOUNT_NS] + [np.array(POPCOUNT_NS), ALL_LENGTHS]:
+            drawn.clear()
             expected = [sum(bits[j % 64] for j in range(n)) for n in ns]
             assert _binomial_half(Fixed(), ns).tolist() == expected
+            assert sum(drawn) == sum(-(-int(n) // 64) for n in ns)
 
     @pytest.mark.parametrize("n", POPCOUNT_NS)
     def test_law_matches_the_binomial_pmf(self, n):
-        # alone, and among longer draws that take more words per entry
+        # alone, and beside every other length, which draw other numbers of
+        # words in the same call
         m = 40_000
-        for ns in (np.full(m, n), np.tile([n, 200], m // 2)):
+        among = np.c_[np.full(m // 2, n), np.resize(ALL_LENGTHS, m // 2)].ravel()
+        for ns in (np.full(m, n), among):
             draws = _binomial_half(np.random.default_rng(n), ns)[ns == n]
             count = np.bincount(draws, minlength=n + 1)
             pmf = np.array([math.comb(n, j) / 2**n for j in range(n + 1)])
@@ -505,6 +567,18 @@ class TestPopcountBinomial:
             prob = np.r_[pmf[cells], pmf[~cells].sum()]
             assert np.all(np.abs(freq - prob) <= 4.0 * np.sqrt(prob * (1.0 - prob) / draws.size))
             assert abs(draws.mean() - n / 2) <= 4.0 * math.sqrt(n / 4 / draws.size)
+
+    def test_every_length_in_one_call(self):
+        # 400 calls with n = 1..512 each: per length the standardized mean
+        # and variance of the draws are those of Binomial(n, 1/2)
+        rng, reps = np.random.default_rng(512), 400
+        draws = np.array([_binomial_half(rng, ALL_LENGTHS) for _ in range(reps)])
+        assert np.all((draws >= 0) & (draws <= ALL_LENGTHS))
+        z = (draws.mean(axis=0) - ALL_LENGTHS / 2) / np.sqrt(ALL_LENGTHS / 4 / reps)
+        assert np.all(np.abs(z) <= 5.0)
+        assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+        ratio = draws.var(axis=0, ddof=1) / (ALL_LENGTHS / 4)
+        assert abs(ratio.mean() - 1.0) <= 5.0 * math.sqrt(2.0 / (reps - 1) / z.size)
 
 
 class TestSimulation:
@@ -588,6 +662,29 @@ class TestSimulation:
         assert abs(sample.count0 / n - p0) <= 4 * math.sqrt(p0 * (1 - p0)) * scale
         assert abs(sample.mean_steps - steps.mean()) <= 4 * steps.std() * scale
 
+    def test_step_past_the_far_end_matches_reference(self):
+        # both posteriors have full support, so no bound keeps a step on the
+        # segment: from the branch point a step away from mu_0 lands past
+        # mu_1 and finishes there, in the sampler as in the reference
+        mu = InputDistribution.two_party(0.2, 0.3, 0.2, 0.3)
+        sig = Signal(sender=1, p0_given_0=0.05, p0_given_1=0.1)
+        walk = _SegmentWalk(mu, sig, 0.3, 1e-4)
+        assert walk.mu1.vector.min() > 0.0
+        first = reference_step(walk, np.full(2, walk.alpha_mu), np.array([0, 1]))[0]
+        assert first[1] > 1.0
+        assert_sampler_matches_reference(mu, sig, 0.3, 1e-4, 4000)
+
+    @pytest.mark.parametrize("p0_given_0, far", [(1e-7, True), (1e-4, False)])
+    def test_branch_point_near_the_far_end_matches_reference(self, p0_given_0, far):
+        # Pr[B=0] = p0_given_0 / 2: within snap distance of mu_1 every walk
+        # ends there at once; just outside it the walks start next to mu_1
+        mu = InputDistribution.two_party(0.2, 0.3, 0.5, 0.0)
+        sig = Signal(sender=1, p0_given_0=p0_given_0, p0_given_1=0.0)
+        walk = _SegmentWalk(mu, sig, 0.2, 1e-6)
+        assert ((1.0 - walk.alpha_mu) * walk.tv01 <= 1e-6) == far
+        sample = assert_sampler_matches_reference(mu, sig, 0.2, 1e-6, 2000)
+        assert (sample.count1 == 2000 and sample.rounds == 0) == far
+
     @given(
         st.floats(0.01, 0.9),
         st.floats(1e-12, 1e-2),
@@ -655,6 +752,44 @@ class TestSimulation:
             assert cli._dump(result) == json.dumps(
                 {"eps": eps, "traces": [ref, ref]}, sort_keys=True, indent=2
             )
+
+    @pytest.mark.parametrize("block", [1, 7, _BIT_BLOCK])
+    @pytest.mark.parametrize(
+        "mu, sig, eps, snap_tol, max_steps",
+        [
+            (MU_NO11, REVEALING, 0.05, 1e-3, 10**6),  # about 4,000 steps a trace
+            (MU_NO11, REVEALING, 0.3, 1e-4, 10**6),
+            (MU_K3, WEAK_K3, 0.1, 1e-4, 10**6),
+            (MU_NO11, REVEALING, 0.05, 1e-3, 9),  # stopped by the step cap
+        ],
+    )
+    def test_block_bits_equal_one_draw_per_step(
+        self, monkeypatch, block, mu, sig, eps, snap_tol, max_steps
+    ):
+        monkeypatch.setattr("icand.signals._BIT_BLOCK", block)
+        walk = _SegmentWalk(mu, sig, eps, snap_tol)
+        for seed in (0, 1, 2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # consecutive traces of one generator
+                got = walk.trace(rng, max_steps)
+                assert got == scalar_trace(walk, ref_rng, max_steps)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (got[3] is None) == (max_steps == 9)
+
+    @pytest.mark.parametrize(
+        "mu, sig, eps, snap_tol",
+        [(MU_NO11, REVEALING, 0.05, 1e-3), (MU_K3, WEAK_K3, 0.1, 1e-4)],
+    )
+    def test_simulated_bits_and_generator_state(self, mu, sig, eps, snap_tol):
+        walk = _SegmentWalk(mu, sig, eps, snap_tol)
+        for seed in (3, 4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                trace = simulate_signal(mu, sig, eps, rng, snap_tol=snap_tol)
+                _, lams, bits, _ = scalar_trace(walk, ref_rng, 10**6)
+                assert trace.bits.tolist() == bits and len(lams) == len(bits) > 1
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.random() == ref_rng.random()
 
     def test_steps_are_built_from_the_arrays(self):
         trace = simulate_signal(
