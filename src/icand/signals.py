@@ -608,7 +608,9 @@ def sample_terminal_posteriors(
     Dynamics are those of :func:`simulate_signal`, run for all walks at once
     in rounds.  A walk is held as its side of the branch point and its log
     distance ``L`` to that side's target; it is finished once ``L`` is at or
-    below the log snap distance.  In the pure region the step size is
+    below ``ln(snap_tol / tv01)``.  A trace tests ``dist * tv01 <= snap_tol``
+    on the distance it forms from alpha instead, so the two can differ in
+    the last bit near the barrier.  In the pure region the step size is
     exactly ``eps``, so ``L`` moves by ``ln(1 - eps)`` or ``ln(1 + eps)``; a
     walk there takes ``n`` steps per round (:func:`_skip_lengths`), moving to
     ``L + K ln(1 - eps) + (n - K) ln(1 + eps)`` with ``K ~ Binomial(n, 1/2)``
@@ -616,12 +618,15 @@ def sample_terminal_posteriors(
     (:func:`_binomial_half`).  Those ``n`` steps cannot cross the snap
     barrier or the region's upper end unless ``n = 1``, which is tested as
     one plain step, so the skip is exact in law and keeps the step count.
-    Pure-region steps have weakness ``eps`` by construction.  A walk in the
-    general region takes one step per round: its alpha reads
-    :meth:`_SegmentWalk.lam_table`, the step asserts its weakness bound, and
-    the new alpha gives the side and ``L`` again; a step that lands at or
-    past an endpoint finishes there.  Only unfinished walks are held; a walk
-    that snaps has its label and step count written back and is dropped.
+    The region ends one step away short of the branch point, so no skip
+    passes it.  Pure-region steps have weakness ``eps`` by construction.  A
+    walk in the general region takes one step per round: its alpha reads
+    :meth:`_SegmentWalk.lam_table` among the pieces of the walk's own side
+    (rounding can put alpha a few floats across the branch point), the step
+    asserts its weakness bound, and the new alpha gives the side and ``L``
+    again; a step that lands at or past an endpoint finishes there.  Only
+    unfinished walks are held; a walk that snaps has its label and step
+    count written back and is dropped.
     """
     _check_walk_args(eps, snap_tol, max_steps)
     if not n_traces >= 1:
@@ -642,8 +647,12 @@ def sample_terminal_posteriors(
     log_snap = math.log(snap_tol / walk.tv01)  # snap distance, the same on both sides
     edges, coef, pure_hi = walk.lam_table()
     rows = np.ascontiguousarray(coef.T)
+    last0 = int(np.searchsorted(edges, walk.alpha_mu, side="right"))  # side 0's last piece
+    # the pure region ends one step away short of the branch point, so that
+    # only a general step, which reads its side from alpha, can pass it
+    branch = np.array([walk.alpha_mu, 1.0 - walk.alpha_mu])
     with np.errstate(divide="ignore"):
-        log_hi = np.log(pure_hi)  # read with a walk's side as the index
+        log_hi = np.minimum(np.log(pure_hi), np.log(branch) - c_away)  # read by side
 
     # the branch point may lie within snap distance of the far end; past it
     # a walk can only snap to the end of its own side
@@ -689,6 +698,9 @@ def sample_terminal_posteriors(
             sign = 1.0 - 2.0 * s  # alpha = s + sign * dist on either side, exactly
             d = np.exp(L[g])
             piece = np.searchsorted(edges, s + sign * d, side="right")
+            # within rounding of the branch point alpha can fall on the other
+            # side; the walk reads the piece of its own side
+            piece = np.where(s, np.maximum(piece, last0 + 1), np.minimum(piece, last0))
             A, B, C, D = np.take(rows, piece, axis=0).T
             lam = np.minimum(1.0, A / d + B)
             w = float(np.max(lam * (eps / (C / d + D))))

@@ -338,40 +338,6 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
     raise NonTerminationError(f"simulation exceeded {max_steps} steps")
 
 
-def scalar_trace(walk, rng, max_steps):
-    """The trace loop of :meth:`_SegmentWalk.trace` with one scalar
-    ``int(rng.integers(0, 2))`` per step: the reference for its bits drawn
-    in blocks.  Returns the same (path, lams, bits, snapped)."""
-    alpha_mu, eps, tv01, snap_tol = walk.alpha_mu, walk.eps, walk.tv01, walk.snap_tol
-    alpha = alpha_mu
-    path, lams, bits = [alpha], [], []
-    for _ in range(max_steps):
-        if alpha * tv01 <= snap_tol:
-            return path, lams, bits, 0
-        if (1.0 - alpha) * tv01 <= snap_tol:
-            return path, lams, bits, 1
-        bit = int(rng.integers(0, 2))
-        side1 = alpha > alpha_mu
-        dist = (1.0 - alpha) if side1 else alpha
-        target, direction, abs_dir, pairs = walk.scalar_branches[side1]
-        mu_c = [t + dist * e for t, e in zip(target, direction)]
-        ratio = max([dist * s / m if m > ZERO_MASS else 0.0 for s, m in zip(abs_dir, mu_c)])
-        lam = 1.0
-        for i, j, diff in pairs:
-            gap = mu_c[j] - mu_c[i]
-            denom = dist * diff
-            if gap > SEGMENT_TOL * max(mu_c[j], mu_c[i], ZERO_MASS) and denom > 0.0:
-                lam = min(lam, gap / denom)
-        if ratio > 0.0:
-            lam = min(lam, eps / ratio)
-        new_dist = dist * (1.0 - lam) if bit == 0 else dist * (1.0 + lam)
-        alpha = (1.0 - new_dist) if side1 else new_dist
-        path.append(alpha)
-        lams.append(lam)
-        bits.append(bit)
-    return path, lams, bits, None
-
-
 def object_json(trace):
     """A trace's JSON built one step at a time from its step objects, as
     the signal and measure objects write themselves."""
@@ -685,6 +651,52 @@ class TestSimulation:
         sample = assert_sampler_matches_reference(mu, sig, 0.2, 1e-6, 2000)
         assert (sample.count1 == 2000 and sample.rounds == 0) == far
 
+    @pytest.mark.parametrize("eps", [0.2, 0.5])
+    def test_pure_step_across_the_branch_point_matches_reference(self, eps):
+        # mu_1 has no mass where x_1 = 0 and nothing ties on its side, so
+        # its pure region reaches the branch point (eps = 0.2) or ends
+        # within one step of it (eps = 0.5): a step away from there lands on
+        # the side of mu_0, and the next step is read there at its own distance
+        mu = InputDistribution.two_party(0.1, 0.2, 0.3, 0.4)
+        sig = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.5)
+        walk = _SegmentWalk(mu, sig, eps, 1e-3)
+        branch = 1.0 - walk.alpha_mu
+        assert branch / (1.0 + eps) < walk.lam_table()[2][1] <= branch
+        sample = assert_sampler_matches_reference(mu, sig, eps, 1e-3, 4000)
+        assert sample.general_steps > 0
+        assert eps <= sample.max_weakness <= eps * (1.0 + 1e-12)
+
+    def test_skips_end_one_step_short_of_the_branch_point(self, monkeypatch):
+        # the walk above of eps = 0.2 skips on side 1 only: every skip's
+        # upper barrier is one step away below the branch point, so a skip
+        # never passes it and only a general step, which reads its side
+        # from alpha, can
+        mu = InputDistribution.two_party(0.1, 0.2, 0.3, 0.4)
+        sig = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.5)
+        barriers = []
+
+        def spy(log_dist, log_lo, log_hi, reach):
+            barriers.append(log_hi.max())
+            return _skip_lengths(log_dist, log_lo, log_hi, reach)
+
+        monkeypatch.setattr("icand.signals._skip_lengths", spy)
+        sample_terminal_posteriors(mu, sig, 0.2, np.random.default_rng(0), 200, snap_tol=1e-3)
+        walk = _SegmentWalk(mu, sig, 0.2, 1e-3)
+        assert barriers
+        assert max(barriers) + math.log1p(0.2) <= math.log(1.0 - walk.alpha_mu) + 1e-15
+
+    def test_start_rounded_across_the_branch_point_matches_reference(self):
+        # the walks start below the branch point, at log distance
+        # ln(alpha_mu), and e to that power rounds to above it, where the
+        # step from alpha_mu has another size (0.57 below it, -2.4 read off
+        # the first piece above): the sampler reads its own side's piece
+        mu = InputDistribution.two_party(0.1, 0.4, 0.2, 0.3)
+        sig = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.6)
+        walk = _SegmentWalk(mu, sig, 0.2, 1e-4)
+        assert math.exp(math.log(walk.alpha_mu)) > walk.alpha_mu
+        sample = assert_sampler_matches_reference(mu, sig, 0.2, 1e-4, 4000)
+        assert sample.max_weakness <= 0.2 * (1.0 + 1e-12)
+
     @given(
         st.floats(0.01, 0.9),
         st.floats(1e-12, 1e-2),
@@ -741,12 +753,15 @@ class TestSimulation:
     )
     def test_trace_bytes_match_per_step_reference(self, mu, sig, eps, snap_tol, seeds):
         for seed in seeds:
-            trace = simulate_signal(mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol)
-            ref = reference_trace(mu, sig, eps, np.random.default_rng(seed), snap_tol=snap_tol)
-            assert len(ref["steps"]) > 1
-            text = cli._dump(trace)
-            assert json.loads(text) == ref
-            assert text == json.dumps(ref, sort_keys=True, indent=2)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # consecutive traces of one generator
+                trace = simulate_signal(mu, sig, eps, rng, snap_tol=snap_tol)
+                ref = reference_trace(mu, sig, eps, ref_rng, snap_tol=snap_tol)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert len(ref["steps"]) > 1
+                text = cli._dump(trace)
+                assert json.loads(text) == ref
+                assert text == json.dumps(ref, sort_keys=True, indent=2)
             # at the indent of the command line's output
             result = {"eps": eps, "traces": [trace, trace]}
             assert cli._dump(result) == json.dumps(
@@ -755,41 +770,28 @@ class TestSimulation:
 
     @pytest.mark.parametrize("block", [1, 7, _BIT_BLOCK])
     @pytest.mark.parametrize(
-        "mu, sig, eps, snap_tol, max_steps",
-        [
-            (MU_NO11, REVEALING, 0.05, 1e-3, 10**6),  # about 4,000 steps a trace
-            (MU_NO11, REVEALING, 0.3, 1e-4, 10**6),
-            (MU_K3, WEAK_K3, 0.1, 1e-4, 10**6),
-            (MU_NO11, REVEALING, 0.05, 1e-3, 9),  # stopped by the step cap
-        ],
+        "mu, sig, eps, snap_tol",
+        [(MU_NO11, REVEALING, 0.2, 1e-4), (MU_K3, WEAK_K3, 0.1, 1e-4)],
     )
-    def test_block_bits_equal_one_draw_per_step(
-        self, monkeypatch, block, mu, sig, eps, snap_tol, max_steps
+    def test_bits_in_blocks_of_any_size_match_per_step_reference(
+        self, monkeypatch, block, mu, sig, eps, snap_tol
     ):
         monkeypatch.setattr("icand.signals._BIT_BLOCK", block)
-        walk = _SegmentWalk(mu, sig, eps, snap_tol)
-        for seed in (0, 1, 2):
+        for seed in (0, 1):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(3):  # consecutive traces of one generator
-                got = walk.trace(rng, max_steps)
-                assert got == scalar_trace(walk, ref_rng, max_steps)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert (got[3] is None) == (max_steps == 9)
-
-    @pytest.mark.parametrize(
-        "mu, sig, eps, snap_tol",
-        [(MU_NO11, REVEALING, 0.05, 1e-3), (MU_K3, WEAK_K3, 0.1, 1e-4)],
-    )
-    def test_simulated_bits_and_generator_state(self, mu, sig, eps, snap_tol):
-        walk = _SegmentWalk(mu, sig, eps, snap_tol)
-        for seed in (3, 4):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(2):
+            # a trace stopped by the step cap leaves the generator where its
+            # steps' single draws would
+            with pytest.raises(NonTerminationError):
+                simulate_signal(mu, sig, eps, rng, max_steps=9, snap_tol=snap_tol)
+            with pytest.raises(NonTerminationError):
+                reference_trace(mu, sig, eps, ref_rng, max_steps=9, snap_tol=snap_tol)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for _ in range(3):
                 trace = simulate_signal(mu, sig, eps, rng, snap_tol=snap_tol)
-                _, lams, bits, _ = scalar_trace(walk, ref_rng, 10**6)
-                assert trace.bits.tolist() == bits and len(lams) == len(bits) > 1
+                ref = reference_trace(mu, sig, eps, ref_rng, snap_tol=snap_tol)
+                assert trace.bits.tolist() == [step["bit"] for step in ref["steps"]]
+                assert json.loads(cli._dump(trace)) == ref
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert rng.random() == ref_rng.random()
 
     def test_steps_are_built_from_the_arrays(self):
         trace = simulate_signal(
