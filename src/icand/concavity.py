@@ -11,6 +11,13 @@ Outside the window ``[-gamma0, gamma1]`` (sender's start time at 0) the
 defect integrates to a nonnegative left part and an exactly-zero right
 tail, so the window carries all the content.
 
+The check works cell by cell.  A cell is one measure, one sender and one
+weakness; :func:`perturb` builds it as a :class:`Perturbation` (the tilted
+pair, the shifted start times and the window) and is the one place that
+refuses a measure with all-ones mass.  :func:`window_deficits`,
+:func:`check_same_average` and :func:`outside_window_checks` take only the
+cell, and its window integrand is built once and shared by all of them.
+
 The canonical family reduces the general verification to three parameters:
 ``k`` players, sender ``s``, and a base mass ``beta``.  Its sender-block
 masses satisfy ``mass(e_s) = exp(gamma0) * beta`` with ``gamma0`` itself
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +113,7 @@ class CanonicalMeasure:
 
     def gamma0(self, eps: float) -> float:
         """Fixed point of g = gamma0_of(exp(g) beta, eps), solved once per
-        ``eps``: the measure, the start times and ``gamma1`` all read it."""
+        ``eps``: the measure and the start times both read it."""
         if eps in self._gamma0:
             return self._gamma0[eps]
         g, seen = 0.0, set()
@@ -122,9 +130,6 @@ class CanonicalMeasure:
 
     def beta_s(self, eps: float) -> float:
         return math.exp(self.gamma0(eps)) * self.beta
-
-    def gamma1(self, eps: float) -> float:
-        return gamma1_of(self.beta_s(eps), eps)
 
     def measure(self, eps: float) -> InputDistribution:
         bs = self.beta_s(eps)
@@ -146,24 +151,33 @@ class CanonicalMeasure:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A sender's unbiased weak signal as a pair of tilted measures.
+    """One concavity cell: a sender's unbiased weak signal of weakness
+    ``eps`` as a pair of tilted measures.
 
     Conditioning on the signal multiplies masses by ``1 +/- eps beta_s`` /
     ``1 -/+ eps (1 - beta_s)`` (zeros/ones rows of the sender), with
-    ``beta_s = Pr[X_s = 1]``, which moves the sender's start time to
-    ``-gamma0`` or ``+gamma1`` while every other start time stays put.
+    ``beta_s = Pr[X_s = 1]``, which moves the sender's start time ``t_s`` to
+    ``t_s - gamma0`` or ``t_s + gamma1`` while every other start time stays
+    put.  ``window`` is ``(t_s - gamma0, t_s + gamma1)``.
     """
 
     sender: int
     eps: float
     gamma0: float
     gamma1: float
+    window: tuple[float, float]
     mu: InputDistribution
     mu0: InputDistribution
     mu1: InputDistribution
     base_protocol: BuzzersProtocol
     protocol0: BuzzersProtocol
     protocol1: BuzzersProtocol
+
+    @cached_property
+    def integrand(self):
+        """The cell's window integrand (:func:`_concavity_integrand`), built
+        on first use and shared by every integral of the cell."""
+        return _concavity_integrand(self)
 
 
 def perturb(
@@ -174,9 +188,15 @@ def perturb(
 ) -> Perturbation:
     """Tilt ``mu`` by the weakness-``eps`` unbiased signal of player ``s``.
 
-    ``protocol`` defaults to the measure's own buzzers protocol shifted so
-    that player ``s`` starts at time zero.
+    ``mu`` must put no mass on the all-ones input (remove it first; the
+    protocol does not change).  ``protocol`` defaults to the measure's own
+    buzzers protocol shifted so that player ``s`` starts at time zero.
     """
+    if mu.mass_ones > ZERO_MASS:
+        raise AssumptionViolationError(
+            "a concavity cell is defined for measures with no all-ones mass; "
+            "condition it away first"
+        )
     if not 1 <= s <= mu.k:
         raise MalformedInputError(f"sender {s} outside 1..{mu.k}")
     beta_s = mu.beta(s)
@@ -197,14 +217,16 @@ def perturb(
         base = BuzzersProtocol(tuple(t - times[s - 1] for t in times))
     else:
         base = protocol
+    t_s = base.player_times[s - 1]
+    window = (t_s - g0, t_s + g1)
     t0, t1 = list(base.player_times), list(base.player_times)
-    t0[s - 1] -= g0
-    t1[s - 1] += g1
+    t0[s - 1], t1[s - 1] = window
     return Perturbation(
         sender=s,
         eps=eps,
         gamma0=g0,
         gamma1=g1,
+        window=window,
         mu=mu,
         mu0=mu0,
         mu1=mu1,
@@ -241,18 +263,6 @@ def _concavity_integrand(pert: Perturbation):
     return f
 
 
-def _cell_perturbation(mu, s, eps, protocol, pert: Perturbation | None) -> Perturbation:
-    """``perturb(mu, s, eps, protocol=protocol)``, or ``pert`` if it was built
-    from this measure, sender and weakness (and this protocol, if one is
-    given); any other ``pert`` is a ``MalformedInputError``."""
-    if pert is None:
-        return perturb(mu, s, eps, protocol=protocol)
-    same = pert.mu is mu and (pert.sender, pert.eps) == (s, eps)
-    if not same or protocol not in (None, pert.base_protocol):
-        raise MalformedInputError("pert is not the perturbation of this cell")
-    return pert
-
-
 def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
     pts = {lo, hi}
     for proto in (pert.base_protocol, pert.protocol0, pert.protocol1):
@@ -262,11 +272,14 @@ def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
     return sorted(pts)
 
 
-def _window_integral(f, pert: Perturbation, lo: float, hi: float):
-    """Integrals of ``f`` over [lo, hi] in bits, split at every start time
-    inside, with their per-component error bounds; an empty window (no
-    segment wider than the quadrature's 1e-14 cut) integrates to zeros."""
-    vals, err = integrate_segments(f, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL)
+def _window_integral(pert: Perturbation, lo: float, hi: float):
+    """Integrals of the cell's integrand over [lo, hi] in bits, split at
+    every start time inside, with their per-component error bounds; an empty
+    window (no segment wider than the quadrature's 1e-14 cut) integrates to
+    zeros."""
+    vals, err = integrate_segments(
+        pert.integrand, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL
+    )
     zero = np.zeros(pert.mu.k + 1)
     return zero + vals / LN2, zero + err / LN2
 
@@ -279,8 +292,7 @@ def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> fl
     An input's window mass is its mass times the drop of its survival
     ``exp(-sum_{i: x_i = 0} (t - t_i)^+)`` across the window.
     """
-    t_s = pert.base_protocol.player_times[pert.sender - 1]
-    edges = np.array([t_s - pert.gamma0, t_s + pert.gamma1])
+    edges = np.array(pert.window)
     zeros = (pert.mu.bits == 0).astype(float)
     protocols = (pert.base_protocol, pert.protocol0, pert.protocol1)
     times = np.array([p.player_times for p in protocols])
@@ -311,30 +323,11 @@ class WindowDeficits:
     quadrature_error: float
 
 
-def window_deficits(
-    mu: InputDistribution,
-    s: int,
-    eps: float,
-    *,
-    protocol: BuzzersProtocol | None = None,
-    pert: Perturbation | None = None,
-) -> WindowDeficits:
-    """Integrate the external and internal concavity defects over the window.
-
-    ``mu`` must put no mass on the all-ones input (remove it first; the
-    protocol does not change).  ``pert``, if given, must be the cell's
-    ``perturb(mu, s, eps, protocol=protocol)``; it is not built again.
-    """
-    if mu.mass_ones > ZERO_MASS:
-        raise AssumptionViolationError(
-            "window deficits are defined for measures with no all-ones mass; "
-            "condition it away first"
-        )
-    pert = _cell_perturbation(mu, s, eps, protocol, pert)
+def window_deficits(pert: Perturbation) -> WindowDeficits:
+    """Integrate the cell's external and internal concavity defects over its
+    window, after checking the window-mass identity."""
     residual = check_same_average(pert)
-    t_s = pert.base_protocol.player_times[s - 1]
-    lo, hi = t_s - pert.gamma0, t_s + pert.gamma1
-    vals, err = _window_integral(_concavity_integrand(pert), pert, lo, hi)
+    vals, err = _window_integral(pert, *pert.window)
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -381,38 +374,27 @@ class OutsideWindowChecks:
     eps2_skip_reason: str | None
 
 
-def outside_window_checks(
-    mu: InputDistribution,
-    s: int,
-    eps: float,
-    *,
-    protocol: BuzzersProtocol | None = None,
-    pert: Perturbation | None = None,
-) -> OutsideWindowChecks:
-    """Sign checks outside the window, plus the quadratic left-gap bound.
+def outside_window_checks(pert: Perturbation) -> OutsideWindowChecks:
+    """Sign checks outside the cell's window, plus the quadratic left-gap
+    bound.
 
     The left part integrates the external defect from the earliest start
-    time to ``-gamma0`` (below the earliest start everything is zero) and
-    must be nonnegative.  The right tail beyond ``gamma1`` vanishes
-    identically.  When the sender has a positive start-time gap ``L`` to
-    the previous player and ``gamma0 <= L/2``, the defect on that gap is
-    at least ``(1 - e^{-(s-1)L/2}) m(0) m(e_s) eps^2 / (2(s-1))``.
-    ``pert`` is as in ``window_deficits``.
+    time to the window's left edge (below the earliest start everything is
+    zero) and must be nonnegative.  The right tail beyond the window
+    vanishes identically.  When the sender has a positive start-time gap
+    ``L`` to the previous player and ``gamma0 <= L/2``, the defect on that
+    gap is at least ``(1 - e^{-(s-1)L/2}) m(0) m(e_s) eps^2 / (2(s-1))``.
     """
-    if mu.mass_ones > ZERO_MASS:
-        raise AssumptionViolationError("remove the all-ones mass first")
-    pert = _cell_perturbation(mu, s, eps, protocol, pert)
-    f = _concavity_integrand(pert)
+    s, mu = pert.sender, pert.mu
     t_s = pert.base_protocol.player_times[s - 1]
-    lo_edge = t_s - pert.gamma0
-    hi_edge = t_s + pert.gamma1
+    lo_edge, hi_edge = pert.window
 
     t_min = min(pert.base_protocol.player_times)
     left = 0.0
     if lo_edge > t_min:
-        vals, _ = _window_integral(f, pert, t_min, lo_edge)
+        vals, _ = _window_integral(pert, t_min, lo_edge)
         left = float(vals[0])
-    right_vals, _ = _window_integral(f, pert, hi_edge, hi_edge + _RIGHT_WIDTH)
+    right_vals, _ = _window_integral(pert, hi_edge, hi_edge + _RIGHT_WIDTH)
     right = float(right_vals[0])
 
     eps2_bound = eps2_gap = eps2_ok = None
@@ -428,8 +410,8 @@ def outside_window_checks(
         else:
             n_before = len(earlier)
             eps2_bound = ((1.0 - math.exp(-n_before * gap_len / 2.0)) * mu.mass_zeros
-                          * mu.e_mass(s) / (2.0 * n_before) * eps**2)
-            vals, _ = _window_integral(f, pert, t_prev, lo_edge)
+                          * mu.e_mass(s) / (2.0 * n_before) * pert.eps**2)
+            vals, _ = _window_integral(pert, t_prev, lo_edge)
             eps2_gap = float(vals[0])
             eps2_ok = eps2_gap >= eps2_bound - 1e-10
 
@@ -481,28 +463,24 @@ class ConcavityReport:
     residual_int: float
     outside: OutsideWindowChecks | None
 
+
 def concavity_report(
     canonical: CanonicalMeasure, eps: float, *, with_outside: bool = True
 ) -> ConcavityReport:
-    mu = canonical.measure(eps)
-    proto = BuzzersProtocol(canonical.sender_times(eps))
-    pert = perturb(mu, canonical.s, eps, protocol=proto)
-    deficits = window_deficits(mu, canonical.s, eps, protocol=proto, pert=pert)
-    g0 = canonical.gamma0(eps)
-    g1 = canonical.gamma1(eps)
+    pert = perturb(
+        canonical.measure(eps), canonical.s, eps,
+        protocol=BuzzersProtocol(canonical.sender_times(eps)),
+    )
+    deficits = window_deficits(pert)
     te = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "ext") * eps**3
     ti = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "int") * eps**3
-    outside = (
-        outside_window_checks(mu, canonical.s, eps, protocol=proto, pert=pert)
-        if with_outside
-        else None
-    )
+    outside = outside_window_checks(pert) if with_outside else None
     return ConcavityReport(
         k=canonical.k,
         s=canonical.s,
         beta=canonical.beta,
         eps=eps,
-        window=(-g0, g1),
+        window=pert.window,
         ext_deficit=deficits.external,
         int_deficit=deficits.internal,
         taylor_ext=te,

@@ -12,8 +12,9 @@ non-crossing, ``eps``-weak steps along the posterior segment
 ``(1 - lam) mu_c + lam T`` and ``(1 + lam) mu_c - lam T``, each with
 probability one half, where ``T`` is the endpoint of the current branch and
 ``lam`` is the largest value in [0, 1] such that the step stays ``eps``-weak
-and order-preserving.  The terminal posterior then carries the same
-two-point law as the original signal.
+and order-preserving and its step away does not pass the far end of the
+segment.  The terminal posterior then carries the same two-point law as the
+original signal.
 
 Exact termination has probability zero whenever a target posterior kills a
 coordinate (the walk only contracts it geometrically), so a trace snaps to
@@ -304,11 +305,13 @@ class _SegmentWalk:
         """Step size and ratio of a step from ``alpha``, as pieces.
 
         With u = 1/dist a live coordinate bounds lam by eps (base_i u + dir_i)
-        / |dir_i|, a strict pair by (g0 u + gd) / |gd|; between the floats where
-        a step's tests flip, lam is the lower envelope of those lines.  Returns
-        ``edges``, the first float of every piece but the first; per piece (A,
-        B, C, D), with lam = min(1, A u + B) and ratio = eps / (C u + D); and
-        per side the distance below which lam = eps and ratio = 1 (pure region).
+        / |dir_i|, a strict pair by (g0 u + gd) / |gd|, and the far end of the
+        segment, which a step away must not pass, by u - 1; between the floats
+        where a step's tests flip, lam is the lower envelope of those lines.
+        Returns ``edges``, the first float of every piece but the first; per
+        piece (A, B, C, D), with lam = min(1, A u + B) and ratio = eps / (C u
+        + D); and per side the distance below which lam = eps and ratio = 1
+        (pure region).
         """
         pa, pb, eps, n, tol = self.pair_a, self.pair_b, self.eps, self.v0.size, SEGMENT_TOL
         u_hi, m = self.tv01 / self.snap_tol, self.pair_a.size
@@ -343,7 +346,8 @@ class _SegmentWalk:
             starts, rows = [], []
             for a0, a1, live in zip(bounds, np.r_[bounds[1:], a_last], on & (absd > 0.0)):
                 u0, u1 = np.sort(1.0 / flip(np.array([a0, a1])))
-                ls, la, lb = _lower_envelope(slope[live], icpt[live], u0, u1)
+                ls, la, lb = _lower_envelope(np.r_[slope[live], 1.0], np.r_[icpt[live], -1.0],
+                                             u0, u1)
                 rs, ra, rb = _lower_envelope(slope[:n][live[:n]], icpt[:n][live[:n]], u0, u1)
                 s = np.union1d(ls, rs)
                 li, ri = np.searchsorted(ls, s, "right") - 1, np.searchsorted(rs, s, "right") - 1
@@ -402,7 +406,7 @@ class _SegmentWalk:
             ratio = max(
                 [dist * s / m if m > ZERO_MASS else 0.0 for s, m in zip(abs_dir, mu_c)]
             )
-            lam = 1.0
+            lam = min(1.0, 1.0 / dist - 1.0)  # a step away stays on the segment
             for i, j, diff in pairs:
                 gap = mu_c[j] - mu_c[i]
                 denom = dist * diff
@@ -459,14 +463,22 @@ class _SegmentWalk:
         return conds
 
     def validate_steps(self, alpha: np.ndarray, lam: np.ndarray) -> None:
-        """Check every step against the three signal conditions.
+        """Check every step against the three signal conditions, and that
+        both of its outcomes stay on the segment.
 
         Weakness and order preservation are checked on the raw support
         vectors with the walk's tie tolerance; bias is checked from the
-        realized conditionals.  Violations raise, they never pass silently,
-        and a NaN fails every check.
+        realized conditionals; each outcome's alpha must lie in [0, 1] up to
+        rounding.  Violations raise, they never pass silently, and a NaN
+        fails every check.
         """
-        _, _, target, _, mu_c = self._frame(alpha)
+        _, dist, target, _, mu_c = self._frame(alpha)
+        # the distance to the target after a step toward it and after one away
+        reach = dist[:, None] * (1.0 + np.outer(lam, [-1.0, 1.0]))
+        j = _first(~((reach >= -1e-12) & (reach <= 1.0 + 1e-12)).all(axis=1))
+        if j is not None:
+            raise IcandError(f"step {j} leaves the segment [mu_0, mu_1]")
+
         lam = lam[:, None]
         live = mu_c > ZERO_MASS
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -506,7 +518,8 @@ def simulate_signal(
     Every step's splitting signal and posterior are then computed as arrays,
     with the checks the signal and measure constructors make; the trace's
     ``steps`` objects are built only when read.  Every step is also checked
-    for weakness, bias and order preservation before the function returns.
+    for weakness, bias, order preservation and staying on the segment before
+    the function returns.
     Use :func:`sample_terminal_posteriors` for bulk statistics.  Raises
     :class:`NonTerminationError` past ``max_steps`` (the walk terminates
     with probability one, so the cap is diagnostic).

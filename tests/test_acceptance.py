@@ -117,10 +117,10 @@ def cubic_law_rows():
                 per_eps = {}
                 for eps in GRID_EPS:
                     mu = canonical.measure(eps)
-                    deficits = window_deficits(
+                    deficits = window_deficits(perturb(
                         mu, s, eps,
                         protocol=BuzzersProtocol(canonical.sender_times(eps)),
-                    )
+                    ))
                     per_eps[eps] = deficits
                 rows.append((k, s, beta, per_eps))
     return rows, skipped
@@ -191,7 +191,7 @@ def test_criterion_5_window_structure():
         },
     )
     eps = 0.05
-    checks = outside_window_checks(mu, 2, eps)
+    checks = outside_window_checks(perturb(mu, 2, eps))
     bound = (1 - math.exp(-0.5)) * mu.mass_zeros * mu.e_mass(2) / 2.0 * eps**2
     same_avg = check_same_average(perturb(mu, 2, eps))
     right_ok = abs(checks.right_value) <= 1e-12
@@ -334,8 +334,8 @@ def test_criterion_10_merge_invariance():
         # eligibility: the window must end before the folded players start
         t_next = sorted(pert.base_protocol.player_times)[keep]
         assert pert.gamma1 <= t_next
-        a = window_deficits(mu, s, eps)
-        b = window_deficits(merged, s, eps)
+        a = window_deficits(pert)
+        b = window_deficits(perturb(merged, s, eps))
         worst = max(worst, abs(a.external - b.external))
     ok = worst <= 1e-11
     report(10, ok, f"three k=4 merges: worst external-deficit change "

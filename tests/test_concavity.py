@@ -21,7 +21,12 @@ from icand.concavity import (
     verify_grid,
     window_deficits,
 )
-from icand.errors import InvalidDistributionError, MalformedInputError, ToleranceError
+from icand.errors import (
+    AssumptionViolationError,
+    InvalidDistributionError,
+    MalformedInputError,
+    ToleranceError,
+)
 from icand.measures import InputDistribution, canonical_labels
 from icand.quadrature import integrate
 from kernel_oracle import buzz_densities, entropy_densities
@@ -132,7 +137,7 @@ def canonical_window_forms(canonical: CanonicalMeasure, eps: float) -> WindowDen
         beta=canonical.beta,
         eps=eps,
         gamma0=canonical.gamma0(eps),
-        gamma1=canonical.gamma1(eps),
+        gamma1=gamma1_of(canonical.beta_s(eps), eps),
     )
 
 
@@ -252,7 +257,7 @@ class TestGammas:
         for eps in (1e-2, 5e-3):
             g0o, g1o = canonical_gamma_pair(4, 3, 0.05, eps)
             assert c.gamma0(eps) == pytest.approx(g0o, abs=1e-15)
-            assert c.gamma1(eps) == pytest.approx(g1o, abs=1e-15)
+            assert gamma1_of(c.beta_s(eps), eps) == pytest.approx(g1o, abs=1e-15)
 
 
 class TestCanonicalMeasure:
@@ -293,6 +298,12 @@ class TestPerturbation:
         assert pert.protocol0.player_times[1] == pytest.approx(-pert.gamma0)
         assert pert.protocol1.player_times[1] == pytest.approx(pert.gamma1)
         assert pert.protocol0.player_times[0] == pert.base_protocol.player_times[0]
+
+    def test_all_ones_mass_is_refused(self):
+        # the one check a cell makes for window deficits and outside checks
+        mu = InputDistribution(3, {"000": 0.4, "100": 0.15, "010": 0.15, "001": 0.2, "111": 0.1})
+        with pytest.raises(AssumptionViolationError, match="no all-ones mass"):
+            perturb(mu, 2, 0.05)
 
     def test_eps_out_of_range(self):
         mu = InputDistribution.two_party(0.4, 0.3, 0.3, 0.0)
@@ -503,14 +514,14 @@ def staggered_instance(gap=1.0, m=0.18):
 class TestOutsideWindow:
     def test_right_tail_vanishes(self):
         mu = staggered_instance()
-        checks = outside_window_checks(mu, 2, 0.05)
+        checks = outside_window_checks(perturb(mu, 2, 0.05))
         assert abs(checks.right_value) <= 1e-12
         assert checks.right_ok
 
     def test_left_and_quadratic_bound(self):
         mu = staggered_instance(gap=1.0)
         eps = 0.05
-        checks = outside_window_checks(mu, 2, eps)
+        checks = outside_window_checks(perturb(mu, 2, eps))
         assert checks.left_ok
         assert checks.eps2_skip_reason is None
         expected_bound = (
@@ -522,12 +533,11 @@ class TestOutsideWindow:
 
     def test_shifted_integrand_fails_both_sign_checks(self, monkeypatch):
         mu = staggered_instance(gap=1.0)
-        base = outside_window_checks(mu, 2, 0.05)
+        pert = perturb(mu, 2, 0.05)
+        base = outside_window_checks(pert)
         assert base.left_ok and base.right_ok
         # the left check integrates from the earliest start to the window
-        pert = perturb(mu, 2, 0.05)
-        times = pert.base_protocol.player_times
-        shift = 2.0 * base.left_value / (times[1] - pert.gamma0 - min(times))
+        shift = 2.0 * base.left_value / (pert.window[0] - min(pert.base_protocol.player_times))
         plain = concavity._concavity_integrand
 
         def shifted(pert):
@@ -535,7 +545,7 @@ class TestOutsideWindow:
             return lambda ts: f(ts) - shift
 
         monkeypatch.setattr(concavity, "_concavity_integrand", shifted)
-        checks = outside_window_checks(mu, 2, 0.05)
+        checks = outside_window_checks(perturb(mu, 2, 0.05))
         assert not checks.left_ok
         assert not checks.right_ok
 
@@ -543,14 +553,14 @@ class TestOutsideWindow:
         c = CanonicalMeasure(k=3, s=1, beta=0.1)
         eps = 0.01
         checks = outside_window_checks(
-            c.measure(eps), 1, eps, protocol=BuzzersProtocol(c.sender_times(eps))
+            perturb(c.measure(eps), 1, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
         )
         assert checks.eps2_ok is None
         assert "no earlier start" in checks.eps2_skip_reason
 
     def test_skipped_when_window_spans_gap(self):
         mu = staggered_instance(gap=0.02)
-        checks = outside_window_checks(mu, 2, 0.05)
+        checks = outside_window_checks(perturb(mu, 2, 0.05))
         assert checks.eps2_ok is None
         assert "exceeds half the gap" in checks.eps2_skip_reason
 
@@ -562,8 +572,8 @@ class TestMergeInvariance:
         )
         eps = 4e-3
         merged = merge_tail_players(mu, 3)
-        a = window_deficits(mu, 2, eps)
-        b = window_deficits(merged, 2, eps)
+        a = window_deficits(perturb(mu, 2, eps))
+        b = window_deficits(perturb(merged, 2, eps))
         assert abs(a.external - b.external) <= 1e-11
 
     def test_merged_measure_shape(self):
@@ -592,8 +602,10 @@ class TestGridRunner:
 
     def test_grid_perturbs_once_per_cell(self, monkeypatch):
         # the window deficits and the outside checks share the cell's
-        # perturbation and integrand; both are still called once per cell
-        calls = {"perturb": 0, "window_deficits": 0, "outside_window_checks": 0}
+        # perturbation and its one integrand; each is called once per cell
+        calls = dict.fromkeys(
+            ["perturb", "_concavity_integrand", "window_deficits", "outside_window_checks"], 0
+        )
         for name in calls:
             plain = getattr(concavity, name)
 
@@ -607,20 +619,6 @@ class TestGridRunner:
         assert 0 < feasible < len(rows)
         assert calls == dict.fromkeys(calls, feasible)
 
-    @pytest.mark.parametrize("fn", [window_deficits, outside_window_checks])
-    def test_a_shared_perturbation_must_be_the_cells(self, fn):
-        c = CanonicalMeasure(k=4, s=3, beta=0.05)
-        eps = 5e-3
-        mu, proto = c.measure(eps), BuzzersProtocol(c.sender_times(eps))
-        pert = perturb(mu, 3, eps, protocol=proto)
-        assert fn(mu, 3, eps, pert=pert) == fn(mu, 3, eps, protocol=proto)
-        assert fn(mu, 3, eps, protocol=proto, pert=pert) == fn(mu, 3, eps, protocol=proto)
-        other = BuzzersProtocol(c.sender_times(2 * eps))
-        for args, kwargs in (((c.measure(eps), 3, eps), {}), ((mu, 2, eps), {}),
-                             ((mu, 3, 2 * eps), {}), ((mu, 3, eps), {"protocol": other})):
-            with pytest.raises(MalformedInputError):
-                fn(*args, pert=pert, **kwargs)
-
 
 class TestRoundoffFloor:
     """The right tail of k=8, s=3, beta=0.05, eps=0.005 vanishes up to
@@ -632,7 +630,7 @@ class TestRoundoffFloor:
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
         eps = 0.005
         pert = perturb(c.measure(eps), 3, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
-        lo = pert.base_protocol.player_times[2] + pert.gamma1
+        lo = pert.window[1]
         return pert, concavity._concavity_integrand(pert), lo, lo + concavity._RIGHT_WIDTH
 
     @staticmethod
@@ -692,6 +690,7 @@ class TestRoundoffFloor:
 
         monkeypatch.setattr(concavity, "_concavity_integrand", noisy)
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
-        checks = outside_window_checks(c.measure(0.005), 3, 0.005,
-                                       protocol=BuzzersProtocol(c.sender_times(0.005)))
+        checks = outside_window_checks(
+            perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
+        )
         assert abs(checks.right_value) <= 1e-12 and checks.right_ok

@@ -153,16 +153,22 @@ class TestClassify:
 
 REVEALING = Signal(sender=1, p0_given_0=1.0, p0_given_1=0.0)
 
+#: A signal whose posteriors both have full support: only the far-end bound
+#: keeps a step away from the branch point on the segment.
+MU_FAR = InputDistribution.two_party(0.2, 0.3, 0.2, 0.3)
+SIG_FAR = Signal(sender=1, p0_given_0=0.05, p0_given_1=0.1)
+
 MU_K3 = InputDistribution(3, {"000": 0.3, "100": 0.25, "010": 0.2, "001": 0.15, "111": 0.1})
 WEAK_K3 = WeakSignal(sender=2, eps=0.6).to_signal(MU_K3)
 
 
-def reference_step(walk, alpha, bits):
+def reference_step(walk, alpha, bits, far_end=True):
     """One exact walk step for every entry of ``alpha``, every constraint
     recomputed per walk on (N, n) and (N, n(n - 1)) arrays: the reference
     for the sampler's lam table and the traces' scalar step.  Returns (new
     alpha, lam, ratio); ``bits = 0`` moves toward the current branch
-    target."""
+    target.  ``far_end=False`` drops the bound that keeps a step away on
+    the segment."""
     side1, dist, base, direction, mu_c = walk._frame(alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         comp = np.where(
@@ -179,6 +185,8 @@ def reference_step(walk, alpha, bits):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam2 = np.where(strict & (denom > 0), gap / np.where(denom > 0, denom, 1.0), np.inf)
     lam = np.minimum(1.0, lam2.min(axis=1))
+    if far_end:
+        lam = np.minimum(lam, 1.0 / dist - 1.0)  # a step away stays on the segment
     with np.errstate(divide="ignore"):
         lam = np.minimum(
             lam, np.where(ratio > 0, walk.eps / np.where(ratio > 0, ratio, 1.0), 1.0)
@@ -214,7 +222,7 @@ def exact_step(walk, alpha):
         e = [Fraction(x) for x in direction[r]]
         m = [Fraction(b) + t * x for b, x in zip(base[r], e)]
         ratio = max([t * abs(e[i]) / m[i] for i in np.flatnonzero(live[r])], default=0)
-        bounds = [Fraction(1)] + ([eps / ratio] if ratio > 0 else [])
+        bounds = [Fraction(1), 1 / t - 1] + ([eps / ratio] if ratio > 0 else [])
         bounds += [
             (m[j] - m[i]) / (t * abs(e[j] - e[i]))
             for i, j in zip(walk.pair_a[strict[r]], walk.pair_b[strict[r]])
@@ -629,16 +637,40 @@ class TestSimulation:
         assert abs(sample.mean_steps - steps.mean()) <= 4 * steps.std() * scale
 
     def test_step_past_the_far_end_matches_reference(self):
-        # both posteriors have full support, so no bound keeps a step on the
-        # segment: from the branch point a step away from mu_0 lands past
-        # mu_1 and finishes there, in the sampler as in the reference
-        mu = InputDistribution.two_party(0.2, 0.3, 0.2, 0.3)
-        sig = Signal(sender=1, p0_given_0=0.05, p0_given_1=0.1)
-        walk = _SegmentWalk(mu, sig, 0.3, 1e-4)
+        # both posteriors have full support, so only the far-end bound keeps
+        # a step on the segment: from the branch point a step away from mu_0
+        # would pass mu_1 (to alpha 1.48) and stops at mu_1 instead, in the
+        # sampler as in the reference, and the terminal law is the signal's
+        walk = _SegmentWalk(MU_FAR, SIG_FAR, 0.3, 1e-4)
         assert walk.mu1.vector.min() > 0.0
+        first = reference_step(walk, np.full(2, walk.alpha_mu), np.array([1, 1]),
+                               far_end=False)[0]
+        assert first[1] == pytest.approx(1.48, rel=1e-12)
         first = reference_step(walk, np.full(2, walk.alpha_mu), np.array([0, 1]))[0]
-        assert first[1] > 1.0
-        assert_sampler_matches_reference(mu, sig, 0.3, 1e-4, 4000)
+        assert first[1] == pytest.approx(1.0, abs=1e-15)
+        assert_table_matches_step(walk, table_alphas(walk, 20001))
+        sample = assert_sampler_matches_reference(MU_FAR, SIG_FAR, 0.3, 1e-4, 4000)
+        p0 = sample.prob0_exact
+        assert sample.tv_distance() <= 4 * math.sqrt(p0 * (1 - p0) / 4000)
+
+    def test_a_step_past_the_far_end_is_refused(self, monkeypatch):
+        # with the bound, seed 0 walks to an end; without it (the walk
+        # below, through the reference step) its first bit, 1, steps away
+        # from mu_0 and past mu_1
+        simulate_signal(MU_FAR, SIG_FAR, 0.3, np.random.default_rng(0), snap_tol=1e-4)
+
+        def unbounded(walk, rng, max_steps):
+            path, lams, bits = [walk.alpha_mu], [], []
+            while min(path[-1], 1.0 - path[-1]) * walk.tv01 > walk.snap_tol:
+                bit = int(rng.integers(0, 2))
+                alpha, lam, _ = reference_step(walk, np.array(path[-1:]), np.array([bit]),
+                                               far_end=False)
+                path, lams, bits = path + [float(alpha[0])], lams + [float(lam[0])], bits + [bit]
+            return path, lams, bits, int(path[-1] > walk.alpha_mu)
+
+        monkeypatch.setattr(_SegmentWalk, "trace", unbounded)
+        with pytest.raises(IcandError, match="step 0 leaves the segment"):
+            simulate_signal(MU_FAR, SIG_FAR, 0.3, np.random.default_rng(0), snap_tol=1e-4)
 
     @pytest.mark.parametrize("p0_given_0, far", [(1e-7, True), (1e-4, False)])
     def test_branch_point_near_the_far_end_matches_reference(self, p0_given_0, far):
