@@ -28,7 +28,7 @@ time undefined; the limit of vanishing mass (the player starts first, holds
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -209,9 +209,6 @@ class ICReport:
             concealed_external_bits=float(prior[0] - external),
             quadrature_error_estimate=float(error),
         )
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def _tail(times: np.ndarray, bits: np.ndarray, log_w: np.ndarray, t_last: float) -> np.ndarray:

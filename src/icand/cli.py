@@ -8,8 +8,9 @@ for a fixed seed: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,57 +53,40 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
+_STEPS = "\x00steps"  # dumped as "\u0000steps": no printed value holds a control character
+
+
 def _dump(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, for str
-    keys, without the pure-Python encoder that ``indent`` selects on 3.11.
+    """``json.dumps(obj, sort_keys=True, indent=2)`` with the package's objects.
 
-    A :class:`SimulationTrace` is written as the object ``{"eps", "mu",
-    "steps", "terminal"}``, its steps formatted straight from its arrays
-    (:func:`_write_steps`)."""
-    out: list[str] = []
-    _write_json(obj, out, "\n")
+    An :class:`InputDistribution` is written in the file format that
+    ``from_json`` reads, any other dataclass by its fields.  A
+    :class:`SimulationTrace` is the object ``{"eps", "mu", "steps",
+    "terminal"}``; its steps are formatted straight from its arrays
+    (:func:`_write_steps`) and spliced in where the dump holds a marker."""
+    traces: list[SimulationTrace] = []
+
+    def default(value):
+        if isinstance(value, InputDistribution):
+            return value.to_json_obj()
+        if isinstance(value, SimulationTrace):
+            traces.append(value)
+            return {"eps": value.eps, "mu": value.mu, "steps": _STEPS,
+                    "terminal": value.terminal}
+        if dataclasses.is_dataclass(value):
+            return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    parts = json.dumps(obj, sort_keys=True, indent=2, default=default).split(json.dumps(_STEPS))
+    if len(parts) != len(traces) + 1:
+        raise ValueError(f"{len(parts) - 1} step markers for {len(traces)} traces")
+    out = [parts[0]]
+    for trace, before, after in zip(traces, parts, parts[1:]):
+        line = before[before.rfind("\n"):]  # the newline and indent of '"steps": '
+        _write_steps(trace, out, line[: line.index('"')])
+        out.append(after)
+    traces.clear()  # json's encoder holds ``default`` in a reference cycle until gc runs
     return "".join(out)
-
-
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _write_json(obj, out: list[str], newline: str) -> None:
-    """Append the JSON of ``obj``; ``newline`` carries the current indent."""
-    inner = newline + "  "
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(_JSON_FLOATS.get(text, text))
-    elif isinstance(obj, (list, tuple, dict)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, dict):
-        for j, (key, value) in enumerate(sorted(obj.items())):
-            out.append(("," if j else "{") + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(value, out, inner)
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        for j, value in enumerate(obj):
-            out.append(("," if j else "[") + inner)
-            _write_json(value, out, inner)
-        out.append(newline + "]")
-    elif isinstance(obj, SimulationTrace):
-        out.append("{" + inner + '"eps": ')
-        _write_json(obj.eps, out, inner)
-        out.append("," + inner + '"mu": ')
-        _write_json(obj.mu.to_json_obj(), out, inner)
-        out.append("," + inner + '"steps": ')
-        _write_steps(obj, out, inner)
-        out.append("," + inner + '"terminal": ')
-        _write_json(obj.terminal.to_json_obj(), out, inner)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_steps(trace: SimulationTrace, out: list[str], newline: str) -> None:
@@ -124,7 +108,7 @@ def _write_steps(trace: SimulationTrace, out: list[str], newline: str) -> None:
     texts: list[str] = []
     for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(live)]):
         cols = np.flatnonzero(live[a])
-        mass = ",".join(e4 + encode_basestring_ascii(names[j]) + ": %s" for j in cols)
+        mass = ",".join(e4 + json.dumps(names[j]) + ": %s" for j in cols)
         template = (
             "{" + e2 + '"bit": %s,'
             + e2 + '"posterior": {' + e3 + f'"k": {int.__repr__(trace.mu.k)},'
@@ -135,13 +119,13 @@ def _write_steps(trace: SimulationTrace, out: list[str], newline: str) -> None:
         numbers = np.c_[post[a:b, cols], trace.conditionals[a:b]]
         columns = numbers.T.tolist()  # "%s" writes a finite float as its repr
         if not np.isfinite(numbers).all():
-            columns = [[_dump(x) for x in column] for column in columns]
+            columns = [[json.dumps(x) for x in column] for column in columns]
         texts += map(template.__mod__, zip(trace.bits[a:b].tolist(), *columns))
     out.append("[" + step + ("," + step).join(texts) + newline + "]")
 
 
-def _csv(rows: list[dict], columns: list[str]) -> list[str]:
-    """CSV lines: a header, then one line per row with floats through repr,
+def _csv(rows: list[dict], columns: list[str]) -> str:
+    """CSV text: a header, then one line per row with floats through repr,
     everything else through str and a missing column as ""."""
 
     def cell(row: dict, col: str) -> str:
@@ -150,27 +134,30 @@ def _csv(rows: list[dict], columns: list[str]) -> list[str]:
         value = row[col]
         return repr(value) if isinstance(value, float) else str(value)
 
-    return [",".join(columns)] + [",".join(cell(r, c) for c in columns) for r in rows]
+    lines = [",".join(columns)] + [",".join(cell(r, c) for c in columns) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _floats(spec: str) -> list[float]:
+def _numbers(spec: str, kind=float) -> list:
+    """A comma-separated list of ``kind`` values, at least one."""
+    noun = "integer" if kind is int else "numeric"
     try:
-        values = [float(s) for s in spec.split(",") if s.strip()]
+        values = [kind(s) for s in spec.split(",") if s.strip()]
     except ValueError as exc:
-        raise MalformedInputError(f"bad numeric list {spec!r}") from exc
+        raise MalformedInputError(f"bad {noun} list {spec!r}") from exc
     if not values:
-        raise MalformedInputError(f"empty numeric list {spec!r}")
+        raise MalformedInputError(f"empty {noun} list {spec!r}")
     return values
 
 
-def _ints(spec: str) -> list[int]:
-    try:
-        values = [int(s) for s in spec.split(",") if s.strip()]
-    except ValueError as exc:
-        raise MalformedInputError(f"bad integer list {spec!r}") from exc
-    if not values:
-        raise MalformedInputError(f"empty integer list {spec!r}")
-    return values
+def _player_counts(spec: str) -> list[int]:
+    """A ``--k`` list, every count checked (2 <= k <= MAX_K) before any cost."""
+    k_values = _numbers(spec, int)
+    for k in k_values:
+        if k < 2:
+            raise MalformedInputError(f"need at least two players, got k={k}")
+        _layout(k)  # rejects k > MAX_K
+    return k_values
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +168,13 @@ def _ints(spec: str) -> list[int]:
 def _cmd_ic(args) -> int:
     mu = _read_measure(args.measure)
     report = information_cost(mu, rtol=args.rtol, atol=args.atol)
-    _emit(_dump(report.to_json_obj()), args.output)
+    _emit(_dump(report), args.output)
     return 0
 
 
 def _cmd_uniform(args) -> int:
     rows = []
-    for k in _ints(args.k):
+    for k in _player_counts(args.k):
         ext_cf, int_cf = closed_form_uniform(k)
         report = information_cost(InputDistribution.uniform_basis(k))
         rows.append(
@@ -202,7 +189,7 @@ def _cmd_uniform(args) -> int:
             }
         )
     if args.format == "csv":
-        _emit("\n".join(_csv(rows, list(rows[0]))) + "\n", args.output)
+        _emit(_csv(rows, list(rows[0])), args.output)
     else:
         _emit(_dump(rows), args.output)
     return 0
@@ -214,14 +201,7 @@ def _grid_row(row: GridRow) -> dict:
     report = row.report
     if report is None:
         return out
-    out.update(
-        ext_deficit=report.ext_deficit,
-        int_deficit=report.int_deficit,
-        taylor_ext=report.taylor_ext,
-        taylor_int=report.taylor_int,
-        residual_ext=report.residual_ext,
-        residual_int=report.residual_int,
-    )
+    out.update((col, getattr(report, col)) for col in _REPORT_COLUMNS)
     if report.outside is not None:
         out.update(
             left_ok=int(report.outside.left_ok),
@@ -230,26 +210,27 @@ def _grid_row(row: GridRow) -> dict:
     return out
 
 
+_REPORT_COLUMNS = [
+    "ext_deficit", "int_deficit", "taylor_ext", "taylor_int", "residual_ext", "residual_int",
+]
 _GRID_COLUMNS = [
-    "k", "s", "beta", "eps", "feasible", "ext_deficit", "int_deficit",
-    "taylor_ext", "taylor_int", "residual_ext", "residual_int",
-    "left_ok", "right_ok", "skip_reason",
+    "k", "s", "beta", "eps", "feasible", *_REPORT_COLUMNS, "left_ok", "right_ok", "skip_reason",
 ]
 
 
 def _cmd_verify_concavity(args) -> int:
     grid = verify_grid(
-        _ints(args.k),
-        _floats(args.beta),
-        _floats(args.eps),
-        senders=_ints(args.s) if args.s else None,
+        _player_counts(args.k),
+        _numbers(args.beta),
+        _numbers(args.eps),
+        senders=_numbers(args.s, int) if args.s else None,
         with_outside=args.outside,
     )
     rows = [_grid_row(row) for row in grid]
     if args.format == "json":
         _emit(_dump(rows), args.output)
     else:
-        _emit("\n".join(_csv(rows, _GRID_COLUMNS)) + "\n", args.output)
+        _emit(_csv(rows, _GRID_COLUMNS), args.output)
     return 0
 
 
@@ -280,7 +261,7 @@ def _cmd_simulate_signal(args) -> int:
         snap_tol=args.snap_tol, max_steps=args.max_steps,
     )
     result = {
-        "signal": sig.to_json_obj(),
+        "signal": sig,
         "eps": args.eps,
         "n_traces": sample.n_traces,
         "count0": sample.count0,
@@ -308,7 +289,7 @@ def _cmd_discretize(args) -> int:
     mu = _read_measure(args.measure)
     reference = information_cost(mu)
     rows = []
-    for delta in _floats(args.delta):
+    for delta in _numbers(args.delta):
         report = exact_ic(build(mu, delta, args.horizon))
         rows.append(
             {
@@ -321,9 +302,9 @@ def _cmd_discretize(args) -> int:
             }
         )
     if args.format == "json":
-        _emit(_dump({"reference": reference.to_json_obj(), "rows": rows}), args.output)
+        _emit(_dump({"reference": reference, "rows": rows}), args.output)
     else:
-        _emit("\n".join(_csv(rows, list(rows[0]))) + "\n", args.output)
+        _emit(_csv(rows, list(rows[0])), args.output)
     return 0
 
 
@@ -333,18 +314,16 @@ def _cmd_maximize(args) -> int:
     result = runner(
         pattern, args.budget, grid_step=args.grid_step, coord_tol=args.tol
     )
-    _emit(_dump(result.to_json_obj()), args.output)
+    _emit(_dump(result), args.output)
     if args.trace_csv:
-        lines = ["evaluations,best_value_bits"]
-        lines += [f"{n},{v!r}" for n, v in result.trace]
-        with open(args.trace_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = [{"evaluations": n, "best_value_bits": v} for n, v in result.trace]
+        _emit(_csv(rows, ["evaluations", "best_value_bits"]), args.trace_csv)
     return 0
 
 
 def _random_measure(rng, k: int) -> InputDistribution:
-    rows = len(_layout(k))  # rejects a k out of range before the draw
-    return InputDistribution._from_vector(k, rng.dirichlet(np.ones(rows)))
+    """Dirichlet(1) masses on the k + 2 rows of the layout."""
+    return InputDistribution._from_vector(k, rng.dirichlet(np.ones(k + 2)))
 
 
 def _cmd_continuity_check(args) -> int:
@@ -355,7 +334,7 @@ def _cmd_continuity_check(args) -> int:
     if not args.seed >= 0:
         raise MalformedInputError(f"seed {args.seed} must be >= 0")
     rng = np.random.default_rng(args.seed)
-    k_values = _ints(args.k)
+    k_values = _player_counts(args.k)
     rows = []
     violations = 0
     for j in range(args.pairs):
@@ -381,8 +360,7 @@ def _cmd_continuity_check(args) -> int:
     if args.format == "json":
         _emit(_dump({"summary": summary, "pairs": rows}), args.output)
     else:
-        lines = _csv(rows, list(rows[0])) + ["", f"# violations={violations}"]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(_csv(rows, list(rows[0])) + f"\n# violations={violations}\n", args.output)
     return 0 if violations == 0 else 4
 
 

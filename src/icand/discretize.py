@@ -62,27 +62,30 @@ def build(
     ``horizon`` must leave at least one time unit past the last start time.
     The construction is exact; nothing is sampled.
     """
-    if not delta > 0.0:
-        raise MalformedInputError(f"slot length {delta} must be positive")
+    if not 0.0 < delta < math.inf:
+        raise MalformedInputError(f"slot length {delta} must be finite and > 0")
     times = np.asarray(start_times(mu))
     if not times.max() + 1.0 <= horizon < math.inf:
         raise MalformedInputError(
             f"horizon {horizon} must be finite and at least {times.max() + 1.0}"
         )
-    n_slots = int(math.ceil(horizon / delta))
+    n_slots = np.ceil(horizon / delta)  # inf if the quotient overflows
 
     bits = mu.bits[mu.vector > ZERO_MASS]
     zeros = (bits == 0).astype(float)  # (n_x, k)
 
-    # slot r admits players whose start time is at most r * delta
-    join_slot = np.ceil(np.maximum(times, 0.0) / delta - 1e-12).astype(int)
-    # one leaf per (slot, active player); counted before anything is built
-    n_leaves = sum(max(0, n_slots - int(j)) for j in join_slot)
-    if n_leaves > max_leaves:
+    # slot r admits players whose start time is at most r * delta; start
+    # times lie below the horizon, so these quotients overflow only with it
+    join_slot = np.ceil(np.maximum(times, 0.0) / delta - 1e-12) if n_slots < math.inf else 0.0
+    # one leaf per (slot, active player); counted in floats, exact below
+    # 2**53, before any cast and before anything is built
+    n_leaves = float(np.maximum(n_slots - join_slot, 0.0).sum())
+    if not n_leaves <= max_leaves:
         raise ResolutionError(
-            f"{n_leaves} transcript classes exceed the cap {max_leaves}; "
+            f"{n_leaves:.15g} transcript classes exceed the cap {max_leaves}; "
             "increase delta or lower the horizon"
         )
+    n_slots, join_slot, n_leaves = int(n_slots), join_slot.astype(int), int(n_leaves)
 
     q = math.exp(-delta)
     log_q = -delta

@@ -91,17 +91,6 @@ class OptResult:
     status: str
     trace: tuple[tuple[int, float], ...]  # (evaluation count, best so far)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "objective": self.objective,
-            "argmax": self.argmax.to_json_obj(),
-            "value_bits": self.value_bits,
-            "value_error_bits": self.value_error_bits,
-            "evaluations": self.evaluations,
-            "status": self.status,
-            "trace": [[n, v] for n, v in self.trace],
-        }
-
 
 def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: float,
               coord_tol: float) -> OptResult:

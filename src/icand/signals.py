@@ -97,13 +97,6 @@ class Signal:
         """Pr[B = 0] under ``mu``, summed left to right."""
         return float(sum(mu.vector * self._p0_rows(mu)))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "sender": self.sender,
-            "p0_given_0": self.p0_given_0,
-            "p0_given_1": self.p0_given_1,
-        }
-
 
 def posterior(mu: InputDistribution, sig: Signal, bit: int) -> InputDistribution:
     """Input measure conditioned on the signal value: a row-multiplied ``mu``.
@@ -165,8 +158,9 @@ class SimulationTrace:
     Step ``j`` realized the splitting signal of ``sender`` with conditionals
     ``conditionals[j] = (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1])``, the bit
     ``bits[j]`` and the posterior ``posteriors[j]`` in layout order.  The
-    command line exports a trace by formatting these arrays directly (see
-    ``cli._dump``); no per-step object is built for it.
+    command line writes a trace with ``json.dumps`` and splices in its steps,
+    formatted straight from these arrays (see ``cli._dump`` and
+    ``cli._write_steps``); no per-step object is built for it.
     """
 
     mu: InputDistribution

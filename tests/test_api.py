@@ -108,14 +108,20 @@ def test_every_package_function_is_reached(tmp_path, capsys):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
-    codes = []
+    codes, runs = [], _cli_runs(tmp_path)
     sys.setprofile(profile)
     try:
-        for argv in _cli_runs(tmp_path):
+        for argv in runs:
             codes.append(cli.main(argv))
     finally:
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [0] * 9 + [2]
+    # every JSON file a subcommand writes is the standard library's text
+    outputs = [argv[-1] for argv in runs if argv[-2] == "--output" and argv[-1].endswith(".json")]
+    assert len(outputs) == 7
+    for path in outputs:
+        text = Path(path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2), path
     unreached = {name for key, name in _defined_functions().items() if key not in reached}
     assert unreached == set(UNREACHED)

@@ -339,6 +339,22 @@ class TestDiscretize:
         gaps = [float(line.split(",")[5]) for line in lines[1:]]
         assert gaps[1] < gaps[0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["--delta", "1e-300"], "5e+301"),
+            (["--delta", "0.25", "--horizon", "1e300"], "8e+300"),
+            (["--delta", "5e-324"], "inf"),
+        ],
+    )
+    def test_leaf_count_past_every_int_is_one_json_error(self, capsys, no11_file, argv, count):
+        code, out, err = run(capsys, "discretize", "--measure", no11_file, *argv)
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ResolutionError"
+        assert error["message"].startswith(f"{count} transcript classes exceed the cap")
+
 
 class TestMaximize:
     def test_quick_run(self, capsys, tmp_path):
@@ -473,6 +489,7 @@ class TestContinuityCheck:
         ["simulate-signal", "--measure", "NO11", "--reveal", "1", "--eps", "0.05",
          "--traces", "10", "--seed", "-1"],
         ["continuity-check", "--seed", "-5"],
+        ["discretize", "--measure", "NO11", "--delta", "inf"],
     ],
 )
 def test_malformed_number_exit_2(capsys, no11_file, argv):
@@ -534,6 +551,27 @@ def test_absurd_k_rejected_before_labels_are_built(capsys, monkeypatch, tmp_path
     assert code == 2
     assert out == ""
     assert "exceeds the limit 1000" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-concavity", "--k", "0"],
+        ["verify-concavity", "--k", "-3", "--format", "json"],
+        ["uniform", "--k", "1000,0"],
+        ["uniform", "--k", "2,1001", "--format", "csv"],
+        ["continuity-check", "--k", "2,0", "--pairs", "1"],
+    ],
+)
+def test_every_k_of_a_list_is_checked_before_any_cost(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cost was run before every k was checked")
+
+    for name in ("information_cost", "cost_under", "verify_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "MalformedInputError"
 
 
 def _json_runs(tmp):

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -337,7 +337,7 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
 
         steps.append(
             {
-                "signal": Signal(sig.sender, conds[0], conds[1]).to_json_obj(),
+                "signal": asdict(Signal(sig.sender, conds[0], conds[1])),
                 "bit": bit,
                 "posterior": post.to_json_obj(),
             }
@@ -354,7 +354,7 @@ def object_json(trace):
         "eps": trace.eps,
         "steps": [
             {
-                "signal": st.signal.to_json_obj(),
+                "signal": asdict(st.signal),
                 "bit": st.bit,
                 "posterior": st.posterior.to_json_obj(),
             }
@@ -960,6 +960,23 @@ class TestSimulation:
         assert obj["eps"] == 0.4
         assert len(obj["steps"]) == len(trace.steps)
         assert text == json.dumps(object_json(trace), sort_keys=True, indent=2)
+
+    def test_traces_in_a_list_nested_and_bare(self):
+        first = simulate_signal(MU_K3, WEAK_K3, 0.1, np.random.default_rng(5), snap_tol=1e-4)
+        second = simulate_signal(MU_NO11, REVEALING, 0.3, np.random.default_rng(6))
+        a, b = object_json(first), object_json(second)
+        assert a["steps"] and b["steps"] and a != b
+        for value, expected in [
+            ([first, second], [a, b]),
+            ({"n": 2, "outer": {"inner": [second, first]}}, {"n": 2, "outer": {"inner": [b, a]}}),
+            (second, b),
+        ]:
+            assert cli._dump(value) == json.dumps(expected, sort_keys=True, indent=2)
+
+    def test_a_printed_step_marker_is_refused(self):
+        trace = simulate_signal(MU_NO11, REVEALING, 0.3, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="2 step markers for 1 traces"):
+            cli._dump({"note": cli._STEPS, "trace": trace})
 
 
 class TestTraceExport:
