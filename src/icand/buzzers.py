@@ -11,7 +11,7 @@ Transcript densities factor per input as ``f_x(t, m) = exp(-Phi_x(t))`` for
 ``t >= t_m`` and ``x_m = 0`` (zero otherwise), with ``Phi_x`` the total time
 already spent by active players.  A cost is a prior entropy minus the
 conditional entropy of the input given the transcript, integrated stretch
-by stretch between start times: each finite stretch by Gauss-Legendre
+by stretch between start times: each finite stretch by Gauss-Kronrod
 quadrature of the gated-class kernel ``_entropy_densities`` (shared with the
 window integrals and the discrete leaf sums), the last one in closed form
 (``_tail``).  That rests on ``int_0^1 u^(k-2) (g + a u) ln(g + a u) du``,

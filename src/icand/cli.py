@@ -219,11 +219,17 @@ _GRID_COLUMNS = [
 
 
 def _cmd_verify_concavity(args) -> int:
+    k_values = _player_counts(args.k)
+    senders = _numbers(args.s, int) if args.s else None
+    for s in senders or ():
+        # a sender above a k is a skipped row of the grid, not a bad input
+        if s < 1:
+            raise MalformedInputError(f"need senders >= 1, got s={s}")
     grid = verify_grid(
-        _player_counts(args.k),
+        k_values,
         _numbers(args.beta),
         _numbers(args.eps),
-        senders=_numbers(args.s, int) if args.s else None,
+        senders=senders,
         with_outside=args.outside,
     )
     rows = [_grid_row(row) for row in grid]

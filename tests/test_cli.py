@@ -574,6 +574,18 @@ def test_every_k_of_a_list_is_checked_before_any_cost(capsys, monkeypatch, argv)
     assert json.loads(err)["error"]["type"] == "MalformedInputError"
 
 
+@pytest.mark.parametrize("senders", ["1,0", "2,-1"])
+def test_every_sender_is_checked_before_any_cost(capsys, monkeypatch, senders):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was costed before every sender was checked")
+
+    monkeypatch.setattr(concavity, "perturb", refuse)
+    code, out, err = run(capsys, "verify-concavity", "--k", "2,3", "--s", senders,
+                         "--beta", "0.05", "--eps", "1e-2", "--outside")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "MalformedInputError"
+
+
 def _json_runs(tmp):
     no11 = tmp / "no11.json"
     no11.write_text(json.dumps({"k": 2, "mass": {"00": 1 / 3, "01": 1 / 3, "10": 1 / 3}}))

@@ -1,14 +1,22 @@
-"""Adaptive Gauss-Legendre quadrature: per-component errors, empty sums, and
-agreement with a per-panel oracle."""
+"""Adaptive Gauss-Kronrod quadrature: the rule's constants, per-component
+errors, empty sums, agreement with a per-panel oracle, and with the 15-point
+Gauss-Legendre rule it replaced."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from icand import buzzers, quadrature
+from icand.buzzers import information_cost
+from icand.concavity import verify_grid
 from icand.errors import QuadratureError
-from icand.quadrature import integrate, integrate_segments
+from icand.measures import InputDistribution, canonical_labels
+from icand.quadrature import _NODES, _W_GAUSS, _W_KRONROD, integrate, integrate_segments
 from kernel_oracle import zero_bounds
+
+EPS = np.finfo(float).eps
 
 
 def test_error_bound_per_component():
@@ -45,48 +53,110 @@ def test_empty_interval_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the per-panel loop as an oracle: one integrand call per 15-abscissa panel
+# the rule's constants
 # ---------------------------------------------------------------------------
 
 
-def _oracle_panel(f, a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.atleast_2d(np.asarray(f(mid + half * x), dtype=float))
-    return half * (w[:, None] * vals).sum(axis=0)
+@pytest.mark.parametrize("nodes, weights, degree", [
+    (_NODES, _W_KRONROD, 31),
+    (_NODES[1::2], _W_GAUSS, 19),
+])
+def test_rule_is_exact_to_its_degree(nodes, weights, degree):
+    # K21 integrates polynomials of degree 3 * 10 + 1 exactly, G10 of 2 * 10 - 1
+    for j in range(degree + 2):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        gap = abs(float(weights @ nodes**j) - exact)
+        if j <= degree:
+            assert gap <= 4e-16, j
+        else:
+            assert gap > 1e-13  # even degree + 1 is not integrated exactly
 
 
-def per_panel_integrate(f, a, b, *, rtol=1e-10, atol=1e-13, order=15, max_panels=4096):
-    """Adaptive Gauss-Legendre with one integrand call per panel; returns
+def test_gauss_points_are_every_other_kronrod_node():
+    x, _ = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_array_max_ulp(_NODES[1::2], x, maxulp=2)
+    assert np.all(np.diff(_NODES) > 0.0) and np.all(_NODES == -_NODES[::-1])
+
+
+def test_gauss_weights_to_full_precision():
+    # against 40-digit weights 2 / ((1 - x^2) P_10'(x)^2); numpy's leggauss(10)
+    # has weights up to 7 ulps off, so it cannot be the reference here
+    want = []
+    with mp.workdps(40):
+        for x in _NODES[1::2]:
+            root = mp.findroot(lambda t: mp.legendre(10, t), mp.mpf(float(x)))
+            want.append(float(2 / ((1 - root**2) * mp.diff(lambda t: mp.legendre(10, t), root) ** 2)))
+    np.testing.assert_array_max_ulp(_W_GAUSS, np.array(want), maxulp=2)
+    assert math.isclose(float(_W_KRONROD.sum()), 2.0, rel_tol=0.0, abs_tol=4e-16)
+
+
+# ---------------------------------------------------------------------------
+# per-panel loops as oracles: one integrand call per rule application
+# ---------------------------------------------------------------------------
+
+
+def _values(f, lo, hi, nodes):
+    """Half the panel's width and ``f`` at the nodes mapped onto [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    return half, np.atleast_2d(np.asarray(f(0.5 * (lo + hi) + half * nodes), dtype=float))
+
+
+def kronrod_panel(f, lo, hi):
+    """(K21 sum, G10 sum) of one panel, from one call at the 21 Kronrod nodes."""
+    half, vals = _values(f, lo, hi, _NODES)
+    return (half * (_W_KRONROD[:, None] * vals).sum(axis=0),
+            half * (_W_GAUSS[:, None] * vals[1::2]).sum(axis=0))
+
+
+def gauss_legendre_panel(f, lo, hi):
+    """(sum over both halves, whole-panel sum) of the 15-point Gauss-Legendre
+    rule the package used before the Kronrod pair."""
+    x, w = np.polynomial.legendre.leggauss(15)
+
+    def rule(lo, hi):
+        half, vals = _values(f, lo, hi, x)
+        return half * (w[:, None] * vals).sum(axis=0)
+
+    mid = 0.5 * (lo + hi)
+    return rule(lo, mid) + rule(mid, hi), rule(lo, hi)
+
+
+#: (panel, round-off floor from the rule sums of the bounds) of the package's
+#: rule and of the old one.
+KRONROD = (kronrod_panel, lambda k21, g10: EPS * (12.5 * k21 + 7.0 * g10))
+OLD_GAUSS_LEGENDRE = (gauss_legendre_panel, lambda fine, coarse: 10.0 * EPS * (coarse + fine))
+
+
+def per_panel_integrate(f, a, b, *, rule=KRONROD, rtol=1e-10, atol=1e-13, max_panels=4096):
+    """The adaptive driver with one panel per step; ``f`` returns components,
+    then their round-off bounds in eps, as for ``integrate``.  Returns
     (integrals, error bounds, number of splits)."""
+    panel, roundoff = rule
     width = b - a
-    coarse = _oracle_panel(f, a, b, order)
-    stack = [(a, b, coarse)]
-    total = np.zeros_like(coarse)
-    err = np.zeros_like(coarse)
+    stack = [(a, b)]
+    total = err = 0.0
     panels = splits = 0
     while stack:
-        lo, hi, rough = stack.pop()
+        lo, hi = stack.pop()
         panels += 1
         if panels > max_panels:
             raise QuadratureError(
                 f"exceeded {max_panels} panels on [{a}, {b}]; "
                 f"residual interval [{lo}, {hi}]"
             )
-        mid = 0.5 * (lo + hi)
-        left = _oracle_panel(f, lo, mid, order)
-        right = _oracle_panel(f, mid, hi, order)
-        fine = left + right
-        disagree = np.abs(fine - rough)
-        budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(fine))))
-        if float(np.max(disagree)) <= budget or (hi - lo) < 1e-14 * width:
-            total += fine
-            err += disagree
+        got, other = panel(f, lo, hi)
+        n = len(got) // 2
+        disagree = np.abs(got[:n] - other[:n])
+        budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(got[:n]))))
+        floor = roundoff(got[n:], other[n:])
+        if float(np.max(disagree)) <= budget or (hi - lo) < 1e-14 * width or np.all(disagree <= floor):
+            total = total + got[:n]
+            err = err + (disagree + floor)
         else:
             splits += 1
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, right))
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid))
+            stack.append((mid, hi))
     return total, err, splits
 
 
@@ -122,17 +192,29 @@ def test_bit_identical_to_per_panel_loop(f, a, b, tol):
     # zero round-off bounds accept no panel the tolerances would not
     counted = Counted(zero_bounds(f))
     vals, err = integrate(counted, a, b, **tol)
-    ref_vals, ref_err, splits = per_panel_integrate(f, a, b, **tol)
+    ref_vals, ref_err, splits = per_panel_integrate(zero_bounds(f), a, b, **tol)
     assert vals.tobytes() == ref_vals.tobytes()
     assert err.tobytes() == ref_err.tobytes()
-    # one call for the interval and its halves, then one per split
+    # one call for the interval, then one for both halves of each split
     assert counted.calls == 1 + splits
 
 
 def test_kinked_integrand_splits_deeply():
     # the oracle comparison above must cover a deep bisection, not a few splits
-    _, _, splits = per_panel_integrate(kinked, 0.0, 1.0)
+    _, _, splits = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
     assert splits >= 30
+
+
+def test_abscissas_per_call():
+    # 21 for the interval as one panel, 42 for both halves of a split
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return zero_bounds(kinked)(t)
+
+    integrate(f, 0.0, 1.0)
+    assert sizes[0] == 21 and len(sizes) > 1 and set(sizes[1:]) == {42}
 
 
 def test_smooth_integrand_needs_no_split():
@@ -143,7 +225,7 @@ def test_smooth_integrand_needs_no_split():
 
 def test_max_panels_error_matches_per_panel_loop():
     with pytest.raises(QuadratureError) as ref:
-        per_panel_integrate(kinked, 0.0, 1.0, max_panels=9)
+        per_panel_integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
     with pytest.raises(QuadratureError) as got:
         integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
     assert str(got.value) == str(ref.value)
@@ -151,10 +233,52 @@ def test_max_panels_error_matches_per_panel_loop():
 
 
 # ---------------------------------------------------------------------------
-# the round-off floor
+# against the 15-point Gauss-Legendre rule the package used before
 # ---------------------------------------------------------------------------
 
-EPS = np.finfo(float).eps
+
+@pytest.fixture
+def against_old_rule(monkeypatch):
+    """Runs every integral the package takes also through the old rule's
+    per-panel driver; records (package integrals, their bounds, old integrals)."""
+    seen = []
+
+    def both(f, a, b, **tol):
+        vals, err = integrate(f, a, b, **tol)
+        old, _, _ = per_panel_integrate(f, a, b, rule=OLD_GAUSS_LEGENDRE, **tol)
+        seen.append((vals, err, old))
+        return vals, err
+
+    monkeypatch.setattr(quadrature, "integrate", both)  # integrate_segments
+    monkeypatch.setattr(buzzers, "integrate", both)
+    return seen
+
+
+def within_bounds(seen):
+    """The largest |new - old| per component over its new error bound."""
+    return max(float(np.max(np.abs(vals - old) / err)) for vals, err, old in seen)
+
+
+def test_bench_grid_within_bounds_of_the_old_rule(against_old_rule):
+    rows = verify_grid([2, 3, 4, 5, 6, 8], [0.01, 0.02, 0.05, 0.1],
+                       [1e-2, 5e-3, 2.5e-3, 1.25e-3], with_outside=True)
+    assert sum(r.feasible for r in rows) == 448
+    assert len(against_old_rule) >= 448
+    assert within_bounds(against_old_rule) <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_k24_costs_within_bounds_of_the_old_rule(against_old_rule, seed):
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.5, 1.5, 25)
+    information_cost(InputDistribution(24, dict(zip(canonical_labels(24), mass / mass.sum()))))
+    assert against_old_rule
+    assert within_bounds(against_old_rule) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the round-off floor
+# ---------------------------------------------------------------------------
 
 
 def noisy_zero(ulps, seed=0):
@@ -178,8 +302,8 @@ def test_roundoff_floor_accepts_noise_at_once():
     assert f.calls == 1
     assert vals.shape == err.shape == (2,)
     assert np.all(np.abs(vals) <= err)
-    # the floor of the whole panel enters the bound: 10 eps (R_coarse + R_fine)
-    assert err[0] >= 10 * EPS * 2 * 17.5
+    # the floor of the whole panel enters the bound: eps (12.5 R_K + 7 R_G)
+    assert err[0] >= 19.5 * EPS * 17.5
 
 
 def test_noise_without_the_floor_exhausts_the_panels():
