@@ -115,11 +115,6 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     return v * np.log(np.maximum(v, _TINY))
 
 
-def _classes(zeros: np.ndarray) -> np.ndarray:
-    """The classes a buzz splits its inputs into: all, then x_i == 0 per i."""
-    return np.hstack([np.ones((len(zeros), 1)), zeros])
-
-
 def _class_entropies(U: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h, M) per row of ``U``, the densities (at most 1) of the inputs that
     can produce one buzz, and column of ``classes``: with ``S = U @ classes``
@@ -141,12 +136,19 @@ def _class_entropies(U: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np
 _KERNEL_BLOCK = 10_000
 
 
-def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
+def _layout(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``zeros[x, i]`` (x_i == 0); the classes a buzz splits the inputs
+    into, all and then x_i == 0 per i; the buzzer gate ``zeros.T``."""
+    return zeros, np.hstack([np.ones((len(zeros), 1)), zeros]), np.ascontiguousarray(zeros.T)
+
+
+def _entropy_densities(times, layout, log_w, ts: np.ndarray) -> np.ndarray:
     """Densities [H(X|T), H(X|T, X_1), ..., H(X|T, X_k)] in nats at ``ts``,
     then a bound on the round-off of each in units of eps.
 
     ``times`` (start times) and ``log_w`` (log input masses, -inf for none)
-    come once or in one row per abscissa; ``zeros[x, i]`` marks x_i == 0.  At
+    come once or in one row per abscissa; ``layout`` is ``_layout(zeros)``,
+    ``zeros[x, i]`` marking x_i == 0.  At
     buzzer m only inputs with x_m = 0 buzz, with density ``w_x e^{-Phi_x(t)}``
     once t >= t_m, so the posterior splits into the gated classes
     {x_m = 0, x_i = 0} (i = m: the external class, also player m's) and
@@ -161,8 +163,8 @@ def _entropy_densities(times, zeros, log_w, ts: np.ndarray) -> np.ndarray:
     h by at most its relative size times h).  The bound
     ``(n_x + k + 3) / 2 * M`` spares one eps for the window integrand's sum.
     """
+    zeros, classes, gate = layout
     n_x, k = zeros.shape
-    classes, gate = _classes(zeros), np.ascontiguousarray(zeros.T)
     blocks = min(len(ts), -(-len(ts) * zeros.size // _KERNEL_BLOCK))
     step = -(-len(ts) // blocks)
     out = np.empty((len(ts), 2 * (k + 1)))
@@ -266,21 +268,21 @@ def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
     estimate), the last three in bits.
 
     The conditional entropies of the input given a buzz integrate stretch by
-    stretch, by quadrature between start times and then ``_tail``; the
-    silent atom is a point posterior and adds nothing.  The estimate sums
-    their error bounds over all k + 1 components and adds ``_ROUNDOFF * eps
-    * (H(X) + sum_i H(X|X_i))`` for the cancellation between the priors and
-    the integrals, so it bounds the error of the external cost, of the
-    internal cost (a sum of k differences) and of each per-player term.
+    stretch, in one quadrature pass between start times and then by
+    ``_tail``; the silent atom is a point posterior and adds nothing.  The
+    estimate sums their error bounds over all k + 1 components and adds
+    ``_ROUNDOFF * eps * (H(X) + sum_i H(X|X_i))`` for the cancellation
+    between the priors and the integrals, so it bounds the error of the
+    external cost, of the internal cost (a sum of k differences) and of each
+    per-player term.
     """
     keep = masses > ZERO_MASS
     live, log_w = bits[keep], np.log(masses[keep])
     bp = _dedupe_sorted(np.sort(times))
     cond, err = _tail(times, live, log_w, float(bp[-1]))
     if len(bp) > 1:
-        segment = partial(_entropy_densities, times, (live == 0).astype(float), log_w)
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            vals, e = integrate(segment, float(lo), float(hi), rtol=rtol, atol=atol)
+        segment = partial(_entropy_densities, times, _layout((live == 0).astype(float)), log_w)
+        for vals, e in zip(*integrate(segment, bp[:-1], bp[1:], rtol=rtol, atol=atol)):
             cond, err = cond + vals, err + e
     prior = _prior_entropies(bits, masses)
     cost = (prior - cond) / LN2

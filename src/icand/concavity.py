@@ -16,7 +16,8 @@ weakness; :func:`perturb` builds it as a :class:`Perturbation` (the tilted
 pair, the shifted start times and the window) and is the one place that
 refuses a measure with all-ones mass.  :func:`window_deficits`,
 :func:`check_same_average` and :func:`outside_window_checks` take only the
-cell, and its window integrand is built once and shared by all of them.
+cell; :attr:`Perturbation.integrals` takes all its integrals in one
+quadrature pass, one integrand call per bisection level.
 
 The canonical family reduces the general verification to three parameters:
 ``k`` players, sender ``s``, and a base mass ``beta``.  Its sender-block
@@ -36,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .buzzers import BuzzersProtocol, _entropy_densities, start_times
+from .buzzers import BuzzersProtocol, _entropy_densities, _layout, start_times
 from .errors import (
     AssumptionViolationError,
     InvalidDistributionError,
@@ -174,10 +175,41 @@ class Perturbation:
     protocol1: BuzzersProtocol
 
     @cached_property
-    def integrand(self):
-        """The cell's window integrand (:func:`_concavity_integrand`), built
-        on first use and shared by every integral of the cell."""
-        return _concavity_integrand(self)
+    def gap(self) -> tuple[float, int, float] | str:
+        """(previous start time, players starting before the sender, gap
+        length) when the quadratic left-gap bound applies: some player
+        starts earlier and ``gamma0`` is at most half the gap.  Otherwise
+        the reason it does not apply."""
+        t_s = self.base_protocol.player_times[self.sender - 1]
+        earlier = [t for t in self.base_protocol.player_times if t < t_s - ZERO_MASS]
+        if self.sender < 2 or not earlier:
+            return "no earlier start time (s = 1 or no gap)"
+        gap_len = t_s - max(earlier)
+        if self.gamma0 > gap_len / 2.0:
+            return f"gamma0 = {self.gamma0:.3e} exceeds half the gap {gap_len:.3e}"
+        return max(earlier), len(earlier), gap_len
+
+    @cached_property
+    def integrals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The cell's integrals in bits and their per-component error bounds,
+        from one quadrature pass, split at every start time: ``"window"``;
+        ``"right"``, the ``_RIGHT_WIDTH`` past it; ``"left"``, from the
+        earliest start time (below it everything is zero) to the window,
+        when that opens later; ``"gap"``, from the previous start time to the
+        window, when :attr:`gap` applies.  A part with no segment wider than
+        the quadrature's 1e-14 cut integrates to zeros."""
+        lo, hi = self.window
+        t_min = min(self.base_protocol.player_times)
+        parts = {"window": (lo, hi), "right": (hi, hi + _RIGHT_WIDTH)}
+        if lo > t_min:
+            parts["left"] = (t_min, lo)
+        if not isinstance(self.gap, str):
+            parts["gap"] = (self.gap[0], lo)
+        starts = {t for p in (self.base_protocol, self.protocol0, self.protocol1) for t in p.player_times}
+        groups = [[a, b, *(t for t in starts if a < t < b)] for a, b in parts.values()]
+        sums = integrate_segments(_concavity_integrand(self), groups, rtol=_RTOL, atol=_ATOL)
+        zero = np.zeros(self.mu.k + 1)
+        return {name: (zero + vals / LN2, zero + err / LN2) for name, (vals, err) in zip(parts, sums)}
 
 
 def perturb(
@@ -250,38 +282,17 @@ def _concavity_integrand(pert: Perturbation):
     reporting boundary.
     """
     live = pert.mu.vector > 0.0  # the tilts keep every zero mass at zero
-    zeros = (pert.mu.bits[live] == 0).astype(float)
+    layout = _layout((pert.mu.bits[live] == 0).astype(float))
     times = np.array([p.player_times for p in (pert.base_protocol, pert.protocol0, pert.protocol1)])
     log_w = np.log(np.array([m.vector[live] for m in (pert.mu, pert.mu0, pert.mu1)]))
     sign = np.repeat([-1.0, 1.0], pert.mu.k + 1)  # the defects, then their bounds
 
     def f(ts: np.ndarray) -> np.ndarray:
         rows = np.repeat(np.arange(3), len(ts))
-        out = _entropy_densities(times[rows], zeros, log_w[rows], np.tile(ts, 3))
+        out = _entropy_densities(times[rows], layout, log_w[rows], np.tile(ts, 3))
         return out[: len(ts)] + sign * 0.5 * (out[len(ts) : 2 * len(ts)] + out[2 * len(ts) :])
 
     return f
-
-
-def _breakpoints_in(pert: Perturbation, lo: float, hi: float) -> list[float]:
-    pts = {lo, hi}
-    for proto in (pert.base_protocol, pert.protocol0, pert.protocol1):
-        for t in proto.player_times:
-            if lo < t < hi:
-                pts.add(float(t))
-    return sorted(pts)
-
-
-def _window_integral(pert: Perturbation, lo: float, hi: float):
-    """Integrals of the cell's integrand over [lo, hi] in bits, split at
-    every start time inside, with their per-component error bounds; an empty
-    window (no segment wider than the quadrature's 1e-14 cut) integrates to
-    zeros."""
-    vals, err = integrate_segments(
-        pert.integrand, _breakpoints_in(pert, lo, hi), rtol=_RTOL, atol=_ATOL
-    )
-    zero = np.zeros(pert.mu.k + 1)
-    return zero + vals / LN2, zero + err / LN2
 
 
 def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> float:
@@ -325,9 +336,11 @@ class WindowDeficits:
 
 def window_deficits(pert: Perturbation) -> WindowDeficits:
     """Integrate the cell's external and internal concavity defects over its
-    window, after checking the window-mass identity."""
+    window, after checking the window-mass identity.  The cell's one
+    quadrature pass (:attr:`Perturbation.integrals`) also takes its outside
+    integrals."""
     residual = check_same_average(pert)
-    vals, err = _window_integral(pert, *pert.window)
+    vals, err = pert.integrals["window"]
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -385,35 +398,19 @@ def outside_window_checks(pert: Perturbation) -> OutsideWindowChecks:
     ``L`` to the previous player and ``gamma0 <= L/2``, the defect on that
     gap is at least ``(1 - e^{-(s-1)L/2}) m(0) m(e_s) eps^2 / (2(s-1))``.
     """
-    s, mu = pert.sender, pert.mu
-    t_s = pert.base_protocol.player_times[s - 1]
-    lo_edge, hi_edge = pert.window
+    integrals = pert.integrals
+    left = float(integrals["left"][0][0]) if "left" in integrals else 0.0
+    right = float(integrals["right"][0][0])
 
-    t_min = min(pert.base_protocol.player_times)
-    left = 0.0
-    if lo_edge > t_min:
-        vals, _ = _window_integral(pert, t_min, lo_edge)
-        left = float(vals[0])
-    right_vals, _ = _window_integral(pert, hi_edge, hi_edge + _RIGHT_WIDTH)
-    right = float(right_vals[0])
-
-    eps2_bound = eps2_gap = eps2_ok = None
-    skip = None
-    earlier = [t for t in pert.base_protocol.player_times if t < t_s - ZERO_MASS]
-    if s < 2 or not earlier:
-        skip = "no earlier start time (s = 1 or no gap)"
+    eps2_bound = eps2_gap = eps2_ok = skip = None
+    if isinstance(pert.gap, str):
+        skip = pert.gap
     else:
-        t_prev = max(earlier)
-        gap_len = t_s - t_prev
-        if pert.gamma0 > gap_len / 2.0:
-            skip = f"gamma0 = {pert.gamma0:.3e} exceeds half the gap {gap_len:.3e}"
-        else:
-            n_before = len(earlier)
-            eps2_bound = ((1.0 - math.exp(-n_before * gap_len / 2.0)) * mu.mass_zeros
-                          * mu.e_mass(s) / (2.0 * n_before) * pert.eps**2)
-            vals, _ = _window_integral(pert, t_prev, lo_edge)
-            eps2_gap = float(vals[0])
-            eps2_ok = eps2_gap >= eps2_bound - 1e-10
+        (_, n_before, gap_len), mu = pert.gap, pert.mu
+        eps2_bound = ((1.0 - math.exp(-n_before * gap_len / 2.0)) * mu.mass_zeros
+                      * mu.e_mass(pert.sender) / (2.0 * n_before) * pert.eps**2)
+        eps2_gap = float(integrals["gap"][0][0])
+        eps2_ok = eps2_gap >= eps2_bound - 1e-10
 
     return OutsideWindowChecks(
         left_value=left,

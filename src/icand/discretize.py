@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buzzers import ICReport, _class_entropies, _classes, start_times
+from .buzzers import ICReport, _class_entropies, _layout, start_times
 from .errors import MalformedInputError, ResolutionError
 from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 
@@ -140,7 +140,7 @@ def exact_ic(proto: DiscreteProtocol) -> ICReport:
     """
     live = proto.mu.vector > ZERO_MASS
     bits, w = proto.mu.bits[live], proto.mu.vector[live]
-    leaves, _ = _class_entropies(proto.leaf_prob * w, _classes((bits == 0).astype(float)))
+    leaves, _ = _class_entropies(proto.leaf_prob * w, _layout((bits == 0).astype(float))[1])
     prior = _prior_entropies(bits, w)
     cost = (prior - leaves.sum(axis=0)) / LN2
     return ICReport.of(prior, cost[0], cost[1:], 0.0)

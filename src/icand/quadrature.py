@@ -5,14 +5,14 @@ and their logarithms), so a fixed-order panel rule converges spectrally.
 Each panel is one application of QUADPACK's embedded pair (Piessens et al.,
 *QUADPACK*, 1983): the 21-point Kronrod rule K21, and the 10-point Gauss
 rule G10 on the Gauss points among its nodes.  The adaptive driver bisects
-a panel whenever the two sums disagree.  All integrand evaluations are
-batched: ``f`` takes an array of abscissas and returns an array of shape
-``(len(t), 2 n)``: n components, then a bound on the round-off of each in
-units of eps.  The first call evaluates the interval as one panel (21
-abscissas) and each split evaluates both halves at once (42), so an
-integral makes 1 + (number of splits) calls.  A panel is accepted on its
-worst component, or on the round-off floor of every component; the error
-bound is kept per component.
+a panel whenever the two sums disagree.  It runs breadth-first over any
+number of intervals: ``f`` takes an array of abscissas and returns an
+array of shape ``(len(t), 2 n)`` (n components, then a bound on the
+round-off of each in units of eps), and each round is one call of ``f`` at
+the 21 nodes of every pending panel of every interval.  A pass makes
+1 + (deepest bisection level) calls.  A panel is accepted on its worst
+component, or on the round-off floor of every component; the error bound
+is kept per component.
 """
 
 from __future__ import annotations
@@ -51,40 +51,27 @@ _W_GAUSS = np.concatenate([_WG, _WG[::-1]])
 _C_KRONROD, _C_GAUSS, _EPS = 12.5, 7.0, float(np.finfo(float).eps)
 
 
-def _panel_sums(f, bounds) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(K21, G10) sums over the panels ``[lo, hi]`` in ``bounds``, from one call of ``f``."""
-    n = len(_NODES)
-    ts = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES for lo, hi in bounds])
-    vals = np.atleast_2d(np.asarray(f(ts), dtype=float))
-    if vals.shape[0] != len(ts):
-        raise QuadratureError("integrand must return one row per abscissa")
-    sums = []
-    for j, (lo, hi) in enumerate(bounds):
-        panel, half = vals[j * n : (j + 1) * n], 0.5 * (hi - lo)
-        sums.append((half * (_W_KRONROD[:, None] * panel).sum(axis=0),
-                     half * (_W_GAUSS[:, None] * panel[1::2]).sum(axis=0)))
-    return sums
-
-
-def integrate(
-    f,
-    a: float,
-    b: float,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-    max_panels: int = 4096,
-) -> tuple[np.ndarray, np.ndarray]:
+def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
+              max_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over [a, b]; returns (component integrals, error bounds).
 
-    ``f(t_array) -> (n_t, 2 n)`` must accept vector input: n components,
-    then a bound r(t) on the round-off of each in units of eps (zeros for
-    an integrand exact to rounding); the n are integrated.  Each accepted
-    panel returns its K21 sum.  The error bound of a component is the sum
-    over accepted panels of its disagreement |K21 - G10| plus its round-off
-    floor (below).  The disagreement measures the error of the G10 sum, so
-    for smooth integrands it overestimates the error of the K21 sum
-    returned: K21 is exact for polynomials of degree 31, G10 for degree 19.
+    ``a`` and ``b`` are numbers, or equal-length arrays of endpoints; then
+    row j of both results belongs to [a[j], b[j]].  Every interval is
+    checked before ``f`` is first called.  ``f(t_array) -> (n_t, 2 n)``
+    returns n components, then a bound r(t) on the round-off of each in
+    units of eps (zeros for an integrand exact to rounding).
+
+    A panel of [a, b] is accepted when its worst disagreement |K21 - G10|
+    is within ``max(atol (hi - lo) / (b - a), rtol max |K21|)``, when it is
+    narrower than 1e-14 (b - a), or when every disagreement is within its
+    round-off floor (below); otherwise it is bisected.  More than
+    ``max_panels`` panels examined on one interval is an error.  An
+    interval's integral sums the K21 sums of its accepted panels in
+    descending ``lo`` (the order of a depth-first stack that pops the right
+    half first), and its error bound their disagreements plus floors.  The
+    disagreement measures the error of the G10 sum, so for smooth
+    integrands it overestimates the error of the K21 sum returned: K21 is
+    exact for polynomials of degree 31, G10 for degree 19.
 
     To first order a rule sum carries eps R (R the rule sum of r) from the
     integrand and m + 2 roundings of its own for m points (the products,
@@ -97,57 +84,84 @@ def integrate(
     accepted.  Zero bounds accept no panel the tolerances would not and add
     nothing.
     """
-    if not a < b:
-        raise QuadratureError(f"empty or inverted interval [{a}, {b}]")
+    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scalar = a_arr.ndim == b_arr.ndim == 0
+    a_arr, b_arr = (a_arr.reshape(1), b_arr.reshape(1)) if scalar else (a_arr, b_arr)
+    if a_arr.ndim != 1 or a_arr.shape != b_arr.shape or not len(a_arr):
+        raise QuadratureError(f"endpoints must be numbers or equal-length 1-d arrays, "
+                              f"got shapes {np.shape(a)} and {np.shape(b)}")
+    for lo, hi in zip(a_arr.tolist(), b_arr.tolist()):
+        if not lo < hi:
+            raise QuadratureError(f"empty or inverted interval [{lo}, {hi}]")
 
-    width = b - a
-    ((kronrod, gauss),) = _panel_sums(f, [(a, b)])
-    n = len(kronrod) // 2
-    stack = [(a, b, kronrod, gauss)]
-    total, err = np.zeros(n), np.zeros(n)
-    panels = 0
-    while stack:
-        lo, hi, kronrod, gauss = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            raise QuadratureError(
-                f"exceeded {max_panels} panels on [{a}, {b}]; "
-                f"residual interval [{lo}, {hi}]"
-            )
-        disagree = np.abs(kronrod[:n] - gauss[:n])
-        budget = max(atol * (hi - lo) / width, rtol * float(np.max(np.abs(kronrod[:n]))))
-        floor = _EPS * (_C_KRONROD * kronrod[n:] + _C_GAUSS * gauss[n:])
-        within = float(np.max(disagree)) <= budget
-        if within or (hi - lo) < 1e-14 * width or np.all(disagree <= floor):
-            total += kronrod[:n]
-            err += disagree + floor
-        else:
-            mid = 0.5 * (lo + hi)
-            left, right = _panel_sums(f, [(lo, mid), (mid, hi)])
-            stack.append((lo, mid, *left))
-            stack.append((mid, hi, *right))
-    return total, err
+    m, width = len(a_arr), b_arr - a_arr
+    # the pending panels: their interval, then their endpoints
+    owner, lo, hi = np.arange(m), a_arr, b_arr
+    examined = np.zeros(m, dtype=int)
+    done = []  # per round: (interval, lo, K21, error bound) of its accepted panels
+    while True:  # one call of f at the nodes of every pending panel
+        half = (0.5 * (hi - lo))[:, None]
+        ts = ((0.5 * (lo + hi))[:, None] + half * _NODES).ravel()
+        rows = np.asarray(f(ts), dtype=float)
+        if rows.ndim != 2 or rows.shape[0] != len(ts):
+            raise QuadratureError("integrand must return one row per abscissa")
+        rows = rows.reshape(len(lo), len(_NODES), -1)
+        kronrod = half * (_W_KRONROD[:, None] * rows).sum(axis=1)
+        gauss = half * (_W_GAUSS[:, None] * rows[:, 1::2]).sum(axis=1)
+        examined += np.bincount(owner, minlength=m)
+        if examined.max() > max_panels:
+            j = int(np.argmax(examined > max_panels))
+            p = np.flatnonzero(owner == j)[max_panels - examined[j]]  # < 0: from the round's end
+            raise QuadratureError(f"exceeded {max_panels} panels on [{a_arr[j]}, {b_arr[j]}]; "
+                                  f"residual interval [{lo[p]}, {hi[p]}]")
+        n = kronrod.shape[1] // 2
+        vals = kronrod[:, :n]
+        disagree = abs(vals - gauss[:, :n])
+        floor = _EPS * (_C_KRONROD * kronrod[:, n:] + _C_GAUSS * gauss[:, n:])
+        bound = disagree + floor
+        span, scale = hi - lo, width[owner]
+        accept = disagree.max(axis=1) <= np.maximum(atol * span / scale, rtol * abs(vals).max(axis=1))
+        if not accept.all():
+            accept |= span < 1e-14 * scale
+            accept |= (disagree <= floor).all(axis=1)
+        if accept.all():
+            done.append((owner, lo, vals, bound))
+            break
+        done.append((owner[accept], lo[accept], vals[accept], bound[accept]))
+        split = ~accept
+        owner, lo, hi = owner[split], lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        owner, lo, hi = np.concatenate([owner, owner]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+    if len(done) == 1:  # one panel per interval
+        total, err = 0.0 + done[0][2], 0.0 + done[0][3]
+    else:
+        owner, lo, vals, errs = (np.concatenate(parts) for parts in zip(*done))
+        order = np.lexsort((-lo, owner))
+        total, err = np.zeros((m, n)), np.zeros((m, n))
+        np.add.at(total, owner[order], vals[order])
+        np.add.at(err, owner[order], errs[order])
+    return (total[0], err[0]) if scalar else (total, err)
 
 
-def integrate_segments(
-    f,
-    breakpoints,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Integrate over consecutive [b_j, b_{j+1}] segments and sum the pieces.
-
-    Segments no wider than 1e-14 (relative) are skipped.  With no segment
-    left the sums are empty: both come back as the scalar 0.0, which
-    broadcasts against any component vector, and ``f`` is never called.
+def integrate_segments(f, groups, *, rtol: float = 1e-10, atol: float = 1e-13
+                       ) -> list[tuple[np.ndarray | float, np.ndarray | float]]:
+    """One (integrals, error bounds) per list of breakpoints in ``groups``,
+    summed in order over its consecutive segments, from one ``integrate``
+    pass.  Segments no wider than 1e-14 (relative) are skipped; a group
+    with none left gets the scalar 0.0 for both, which broadcasts against
+    any component vector.  Without any segment ``f`` is never called.
     """
-    pts = np.asarray(sorted(breakpoints), dtype=float)
-    total, err = 0.0, 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            continue
-        vals, e = integrate(f, float(lo), float(hi), rtol=rtol, atol=atol)
-        total = total + vals
-        err = err + e
-    return total, err
+    spans = []  # (group, lo, hi)
+    for g, breakpoints in enumerate(groups):
+        pts = sorted(float(t) for t in breakpoints)
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            if not hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+                spans.append((g, lo, hi))
+    out = [(0.0, 0.0)] * len(groups)
+    if spans:
+        owner, lo, hi = zip(*spans)
+        vals, err = integrate(f, np.array(lo), np.array(hi), rtol=rtol, atol=atol)
+        for g, v, e in zip(owner, vals, err):
+            out[g] = (out[g][0] + v, out[g][1] + e)
+    return out

@@ -84,9 +84,9 @@ def buzz_mass_per_input(mu):
     """sum_m int f_x(t, m) dt for every input, by quadrature up to 60 time
     units past the last start (the remaining tail is below e^-60)."""
     times = BuzzersProtocol.from_measure(mu).player_times
-    vals, _ = integrate_segments(
+    ((vals, _),) = integrate_segments(
         zero_bounds(lambda ts: per_input_densities(mu, ts).sum(axis=1)),
-        [*times, max(times) + 60.0],
+        [[*times, max(times) + 60.0]],
         rtol=1e-12,
         atol=1e-13,
     )
@@ -187,7 +187,7 @@ class TestEntropyKernel:
         times = np.sort(rng.uniform(0.0, 2.0, k))
         ts = np.linspace(0.3, 2.5, 60)
         monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10**9)
-        whole = buzzers._entropy_densities(times, zeros, log_w, ts)
+        whole = buzzers._entropy_densities(times, buzzers._layout(zeros), log_w, ts)
         monkeypatch.setattr(buzzers, "_KERNEL_BLOCK", 10_000)
         held = []
         plain = buzzers._class_entropies
@@ -197,13 +197,14 @@ class TestEntropyKernel:
             return plain(U, classes)
 
         monkeypatch.setattr(buzzers, "_class_entropies", counted)
-        blocked = buzzers._entropy_densities(times, zeros, log_w, ts)
+        blocked = buzzers._entropy_densities(times, buzzers._layout(zeros), log_w, ts)
         assert held == rows
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
 
     def test_cost_takes_quadrature_batches_in_blocks(self, monkeypatch):
-        # at k = 24 (600 densities per abscissa) the 21 abscissas of an
-        # interval come as blocks of 11 and 10
+        # at k = 24 (600 densities per abscissa) the 21 abscissas of each of
+        # the 23 finite stretches come in one call of 483, as 29 blocks: 28 of
+        # 17 and the rest
         held = []
         plain = buzzers._class_entropies
 
@@ -215,7 +216,7 @@ class TestEntropyKernel:
         rng = np.random.default_rng(24)
         mass = rng.dirichlet(np.ones(25))
         information_cost(InputDistribution(24, dict(zip(canonical_labels(24), mass))))
-        assert held and set(held) == {(11, 25), (10, 25)}
+        assert held == [(17, 25)] * 28 + [(7, 25)]
 
 
 def protocol_rows(mu, times=None):
@@ -230,7 +231,7 @@ def protocol_rows(mu, times=None):
 def kernel_gap(times, bits, log_w, ts):
     """Largest gap between the package kernel's densities and the oracle's,
     relative to the oracle's largest; also checks the round-off bounds."""
-    got = buzzers._entropy_densities(times, (bits == 0).astype(float), log_w, ts)
+    got = buzzers._entropy_densities(times, buzzers._layout((bits == 0).astype(float)), log_w, ts)
     want = entropy_densities(times, bits, log_w, ts)
     n = want.shape[1]
     assert got.shape == (len(ts), 2 * n)
@@ -312,7 +313,7 @@ class TestGatedKernel:
         times = np.array([r[0] for r in runs])[rows]
         log_w = np.array([r[2] for r in runs])[rows]
         zeros = (runs[0][1] == 0).astype(float)
-        got = buzzers._entropy_densities(times, zeros, log_w, np.tile(ts, 3))
+        got = buzzers._entropy_densities(times, buzzers._layout(zeros), log_w, np.tile(ts, 3))
         want = np.vstack([entropy_densities(t, b, w, ts) for t, b, w in runs])
         n = want.shape[1]
         assert float(np.max(np.abs(got[:, :n] - want))) <= 1e-13 * float(np.max(np.abs(want)))
@@ -624,6 +625,34 @@ class TestGradedTail:
         information_cost(InputDistribution.two_party(0.2, 0.5, 0.3, 0.0))
         assert count[0] > 0
 
+    def test_finite_stretches_share_integrand_calls(self, monkeypatch):
+        # every finite stretch in one quadrature pass: each round of the pass
+        # is one integrand call for all stretches
+        calls = []
+        plain = buzzers._entropy_densities
+
+        def counted(*args):
+            calls.append(len(args[-1]))
+            return plain(*args)
+
+        monkeypatch.setattr(buzzers, "_entropy_densities", counted)
+        rng = np.random.default_rng(24)
+        mu = InputDistribution(24, dict(zip(canonical_labels(24), rng.dirichlet(np.ones(25)))))
+        information_cost(mu)
+        stretches = len(set(start_times(mu))) - 1
+        assert stretches == 23
+        assert 0 < len(calls) < stretches
+        assert calls[0] == 21 * stretches
+
+    @pytest.mark.parametrize("k", [2, 3, 32])
+    def test_uniform_makes_no_integrand_call(self, monkeypatch, k):
+        def forbidden(*args):
+            raise AssertionError("integrand called")
+
+        monkeypatch.setattr(buzzers, "_entropy_densities", forbidden)
+        monkeypatch.setattr(buzzers, "integrate", forbidden)
+        information_cost(InputDistribution.uniform_basis(k))
+
     @pytest.mark.parametrize("k", [8, 16, 32, 64, 96, 100, 400, 1000])
     def test_error_estimate_bounds_uniform_gap(self, k):
         # k = 200 is checked in test_uniform_closed_form_at_k200
@@ -673,7 +702,7 @@ def graded_tail_cost(mu, rtol=1e-10, atol=1e-12):
         log_wv = log_w + np.log(g) - ln_v[:, None]
         return conditional_entropies(buzz_densities(times, zeros, log_wv, times.max() - g * ln_v), classes)
 
-    total, err = integrate_segments(zero_bounds(segment), times, rtol=rtol, atol=atol)
+    ((total, err),) = integrate_segments(zero_bounds(segment), [times], rtol=rtol, atol=atol)
     vals, e = integrate(zero_bounds(tail), 0.0, 1.0, rtol=rtol, atol=atol)
     prior = _prior_entropies(bits, mu.vector[live])
     cost = (prior - total - vals) / LN2

@@ -565,6 +565,56 @@ class TestOutsideWindow:
         assert "exceeds half the gap" in checks.eps2_skip_reason
 
 
+def counted_integrands(monkeypatch):
+    """Abscissas per call of every cell integrand built from now on."""
+    calls = []
+    plain = concavity._concavity_integrand
+
+    def counted(pert):
+        f = plain(pert)
+
+        def g(ts):
+            calls.append(len(ts))
+            return f(ts)
+
+        return g
+
+    monkeypatch.setattr(concavity, "_concavity_integrand", counted)
+    return calls
+
+
+class TestOnePassPerCell:
+    def test_canonical_cell_makes_one_integrand_call(self, monkeypatch):
+        # the two window segments and the right stretch, one panel each
+        calls = counted_integrands(monkeypatch)
+        c = CanonicalMeasure(k=8, s=3, beta=0.05)
+        pert = perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
+        window_deficits(pert)
+        outside_window_checks(pert)
+        assert calls == [63]
+        assert list(pert.integrals) == ["window", "right"]
+
+    def test_left_part_and_gap_join_the_pass(self, monkeypatch):
+        calls = counted_integrands(monkeypatch)
+        pert = perturb(staggered_instance(gap=1.0), 2, 0.05)
+        checks = outside_window_checks(pert)
+        window_deficits(pert)
+        assert len(calls) == 1
+        assert list(pert.integrals) == ["window", "right", "left", "gap"]
+        assert checks.left_value == float(pert.integrals["left"][0][0])
+        assert checks.eps2_gap_value == float(pert.integrals["gap"][0][0])
+
+    def test_window_mass_identity_is_checked_before_any_integral(self, monkeypatch):
+        calls = counted_integrands(monkeypatch)
+        pert = perturb(staggered_instance(gap=1.0), 2, 0.05)
+        with pytest.raises(ToleranceError):
+            check_same_average(pert, tol=-1.0)
+        monkeypatch.setattr(concavity, "check_same_average", lambda pert: check_same_average(pert, tol=-1.0))
+        with pytest.raises(ToleranceError):
+            window_deficits(pert)
+        assert calls == []
+
+
 class TestMergeInvariance:
     def test_external_window_deficit_unchanged(self):
         mu = InputDistribution(

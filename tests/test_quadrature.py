@@ -1,6 +1,6 @@
 """Adaptive Gauss-Kronrod quadrature: the rule's constants, per-component
-errors, empty sums, agreement with a per-panel oracle, and with the 15-point
-Gauss-Legendre rule it replaced."""
+errors, empty sums, agreement of the breadth-first pass with a depth-first
+per-panel oracle, and with the 15-point Gauss-Legendre rule it replaced."""
 
 import math
 
@@ -32,9 +32,26 @@ def test_error_bound_per_component():
 
 def test_segments_sorted_and_summed():
     f = zero_bounds(lambda t: np.stack([np.ones_like(t), t], axis=1))
-    vals, err = integrate_segments(f, [2.0, 0.0, 1.0])
+    ((vals, err),) = integrate_segments(f, [[2.0, 0.0, 1.0]])
     np.testing.assert_allclose(vals, [2.0, 2.0], atol=1e-15)
     assert err.shape == (2,)
+
+
+def test_segment_groups_from_one_pass():
+    # every segment of every group in one integrand call; each group sums its
+    # own segments in order, and a group without a segment sums to 0.0
+    f = Counted(zero_bounds(lambda t: np.stack([np.ones_like(t), t], axis=1)))
+    groups = [[0.0, 1.0, 2.0], [0.5], [3.0, -1.0], [1.0, 1.0 + 1e-16]]
+    got = integrate_segments(f, groups)
+    assert f.calls == 1 and len(got) == 4
+    assert got[1] == got[3] == (0.0, 0.0)
+    for (vals, err), bps in zip([got[0], got[2]], [groups[0], groups[2]]):
+        pts = sorted(bps)
+        want, want_err = 0.0, 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            v, e = integrate(zero_bounds(lambda t: np.stack([np.ones_like(t), t], axis=1)), lo, hi)
+            want, want_err = want + v, want_err + e
+        assert vals.tobytes() == want.tobytes() and err.tobytes() == want_err.tobytes()
 
 
 @pytest.mark.parametrize("breakpoints", [[0.5], [1.0, 1.0 + 1e-16]])
@@ -43,7 +60,7 @@ def test_no_segment_calls_nothing(breakpoints):
     def f(t):
         raise AssertionError("integrand called")
 
-    assert integrate_segments(f, breakpoints) == (0.0, 0.0)
+    assert integrate_segments(f, [breakpoints, []]) == [(0.0, 0.0), (0.0, 0.0)]
 
 
 def test_empty_interval_is_rejected():
@@ -91,7 +108,8 @@ def test_gauss_weights_to_full_precision():
 
 
 # ---------------------------------------------------------------------------
-# per-panel loops as oracles: one integrand call per rule application
+# a depth-first per-panel loop as oracle: one integrand call per rule
+# application
 # ---------------------------------------------------------------------------
 
 
@@ -128,16 +146,20 @@ OLD_GAUSS_LEGENDRE = (gauss_legendre_panel, lambda fine, coarse: 10.0 * EPS * (c
 
 
 def per_panel_integrate(f, a, b, *, rule=KRONROD, rtol=1e-10, atol=1e-13, max_panels=4096):
-    """The adaptive driver with one panel per step; ``f`` returns components,
-    then their round-off bounds in eps, as for ``integrate``.  Returns
-    (integrals, error bounds, number of splits)."""
+    """The adaptive driver as a depth-first stack, one panel per step, as
+    the package ran it before its breadth-first pass; ``f`` returns
+    components, then their round-off bounds in eps, as for ``integrate``.
+    Popping the right half first accepts the panels in descending ``lo``.
+    Returns (integrals, error bounds, number of splits, number of levels of
+    the bisection tree)."""
     panel, roundoff = rule
     width = b - a
-    stack = [(a, b)]
+    stack = [(a, b, 1)]
     total = err = 0.0
-    panels = splits = 0
+    panels = splits = levels = 0
     while stack:
-        lo, hi = stack.pop()
+        lo, hi, level = stack.pop()
+        levels = max(levels, level)
         panels += 1
         if panels > max_panels:
             raise QuadratureError(
@@ -155,9 +177,9 @@ def per_panel_integrate(f, a, b, *, rule=KRONROD, rtol=1e-10, atol=1e-13, max_pa
         else:
             splits += 1
             mid = 0.5 * (lo + hi)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total, err, splits
+            stack.append((lo, mid, level + 1))
+            stack.append((mid, hi, level + 1))
+    return total, err, splits, levels
 
 
 def smooth(t):
@@ -170,11 +192,27 @@ def kinked(t):
     return np.stack([np.sqrt(d), d * np.log(d + 1e-300), 1e-6 * d], axis=1)
 
 
+def floored_kink(t):
+    """A small kink with a round-off bound of 1: near the kink the panels
+    split until their disagreement drops within the round-off floor, far
+    above the tolerances used with it."""
+    d = np.abs(t - 1.0 / math.pi)
+    return np.stack([1e-8 * np.sqrt(d), np.ones_like(t)], axis=1)
+
+
+def deterministic_noise(t):
+    """Exactly 0 up to 4 ulps of ``r(t) = 1 + t``, with r as its bound; the
+    noise is a function of t, so any order of calls sees the same values."""
+    r = 1.0 + t
+    return np.stack([4.0 * EPS * r * np.sin(1e5 * t), r], axis=1)
+
+
 class Counted:
     def __init__(self, f):
         self.f, self.calls = f, 0
 
     def __call__(self, t):
+        assert len(t), "integrand called without abscissas"
         self.calls += 1
         return self.f(t)
 
@@ -192,21 +230,66 @@ def test_bit_identical_to_per_panel_loop(f, a, b, tol):
     # zero round-off bounds accept no panel the tolerances would not
     counted = Counted(zero_bounds(f))
     vals, err = integrate(counted, a, b, **tol)
-    ref_vals, ref_err, splits = per_panel_integrate(zero_bounds(f), a, b, **tol)
+    ref_vals, ref_err, _, levels = per_panel_integrate(zero_bounds(f), a, b, **tol)
     assert vals.tobytes() == ref_vals.tobytes()
     assert err.tobytes() == ref_err.tobytes()
-    # one call for the interval, then one for both halves of each split
-    assert counted.calls == 1 + splits
+    # one call per level of the bisection tree
+    assert counted.calls == levels
+
+
+#: (integrand, intervals, tolerances): smooth, kinked (deep splitting), zero
+#: round-off bounds and round-off floors, each batch mixing intervals that
+#: split with intervals that do not.
+MIXED = [
+    (zero_bounds(smooth), [(0.0, 5.0), (-1.0, 40.0), (2.0, 2.5), (-3.0, -2.999)],
+     {"rtol": 1e-13, "atol": 1e-16}),
+    (zero_bounds(kinked), [(0.0, 1.0), (0.5, 1.0), (0.3, 0.32), (-2.0, 3.0), (0.0, 1.0)], {}),
+    (zero_bounds(kinked), [(0.25, 0.5), (0.0, 1.0)], {"rtol": 1e-11, "atol": 1e-14}),
+    (floored_kink, [(0.0, 1.0), (0.5, 2.0), (0.3, 0.4)], {"rtol": 1e-14, "atol": 1e-30}),
+    (deterministic_noise, [(0.0, 5.0), (-0.5, 0.5), (1.0, 1.0 + 1e-9)], {"rtol": 1e-13, "atol": 1e-30}),
+]
+
+
+@pytest.mark.parametrize("f, intervals, tol", MIXED)
+def test_batched_intervals_bit_identical_to_per_panel_loop(f, intervals, tol):
+    a, b = (np.array(v) for v in zip(*intervals))
+    counted = Counted(f)
+    vals, err = integrate(counted, a, b, **tol)
+    assert vals.shape == err.shape == (len(intervals), f(np.zeros(1)).shape[1] // 2)
+    levels = 0
+    for row, (lo, hi) in enumerate(intervals):
+        ref_vals, ref_err, _, depth = per_panel_integrate(f, lo, hi, **tol)
+        assert vals[row].tobytes() == ref_vals.tobytes(), row
+        assert err[row].tobytes() == ref_err.tobytes(), row
+        levels = max(levels, depth)
+    # one call per level of the deepest interval's bisection tree
+    assert counted.calls == levels
+
+
+def test_mixed_batches_reach_the_round_off_floor():
+    # panels that the round-off floor accepts where the tolerances would not,
+    # after splitting and at once (test_kinked_integrand_splits_deeply covers
+    # the deep bisection)
+    _, _, _, levels = per_panel_integrate(floored_kink, 0.0, 1.0, rtol=1e-14, atol=1e-30)
+    assert 10 <= levels < 40
+    with pytest.raises(QuadratureError):  # without the floor
+        per_panel_integrate(zero_bounds(lambda t: floored_kink(t)[:, :1]), 0.0, 1.0,
+                            rtol=1e-14, atol=1e-30)
+    assert per_panel_integrate(deterministic_noise, 0.0, 5.0, rtol=1e-13, atol=1e-30)[2] == 0
+    with pytest.raises(QuadratureError):
+        per_panel_integrate(zero_bounds(lambda t: deterministic_noise(t)[:, :1]), 0.0, 5.0,
+                            rtol=1e-13, atol=1e-30, max_panels=200)
 
 
 def test_kinked_integrand_splits_deeply():
     # the oracle comparison above must cover a deep bisection, not a few splits
-    _, _, splits = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
+    _, _, splits, _ = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
     assert splits >= 30
 
 
 def test_abscissas_per_call():
-    # 21 for the interval as one panel, 42 for both halves of a split
+    # 21 for the interval as one panel, then 42 for both halves of each panel
+    # split in the round before
     sizes = []
 
     def f(t):
@@ -214,7 +297,10 @@ def test_abscissas_per_call():
         return zero_bounds(kinked)(t)
 
     integrate(f, 0.0, 1.0)
-    assert sizes[0] == 21 and len(sizes) > 1 and set(sizes[1:]) == {42}
+    _, _, splits, levels = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
+    assert sizes[0] == 21 and len(sizes) == levels
+    assert all(n % 42 == 0 for n in sizes[1:])
+    assert sum(sizes) == 21 * (1 + 2 * splits)
 
 
 def test_smooth_integrand_needs_no_split():
@@ -224,12 +310,45 @@ def test_smooth_integrand_needs_no_split():
 
 
 def test_max_panels_error_matches_per_panel_loop():
+    # both count the panels they examine; the breadth-first pass stops in the
+    # round that passes the limit, so its residual panel is one of that level
     with pytest.raises(QuadratureError) as ref:
         per_panel_integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
     with pytest.raises(QuadratureError) as got:
         integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
-    assert str(got.value) == str(ref.value)
-    assert "residual interval" in str(got.value)
+    prefix = "exceeded 9 panels on [0.0, 1.0]; residual interval ["
+    assert str(ref.value).startswith(prefix) and str(got.value).startswith(prefix)
+    lo, hi = map(float, str(got.value)[len(prefix) : -1].split(", "))
+    assert 0.0 <= lo < hi <= 1.0 and math.log2(1.0 / (hi - lo)).is_integer()
+
+
+def test_max_panels_is_per_interval():
+    _, _, splits, _ = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
+    panels = 1 + 2 * splits
+    a, b = np.array([0.0, 0.0, 0.5]), np.array([1.0, 1.0, 1.0])
+    # three intervals examine over twice the limit between them, each within it
+    vals, _ = integrate(zero_bounds(kinked), a, b, max_panels=panels)
+    assert vals.shape == (3, 3)
+    with pytest.raises(QuadratureError, match=f"exceeded {panels - 1} panels on \\[0.0, 1.0\\]"):
+        integrate(zero_bounds(kinked), a, b, max_panels=panels - 1)
+    # the interval that needs few panels passes alone at that limit
+    integrate(zero_bounds(kinked), 0.5, 1.0, max_panels=panels - 1)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0.0, 2.0, 1.0], [1.0, 3.0, 0.5]),  # inverted
+    ([0.0, 1.0], [1.0, 1.0]),  # empty
+    ([0.0, math.nan], [1.0, 2.0]),  # NaN endpoint
+    ([0.0, 1.0], [math.nan, 2.0]),
+    ([0.0, 1.0], [1.0, 2.0, 3.0]),  # unequal lengths
+    ([], []),
+])
+def test_every_interval_is_checked_before_the_first_call(a, b):
+    def f(t):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(QuadratureError):
+        integrate(f, np.array(a), np.array(b))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +359,16 @@ def test_max_panels_error_matches_per_panel_loop():
 @pytest.fixture
 def against_old_rule(monkeypatch):
     """Runs every integral the package takes also through the old rule's
-    per-panel driver; records (package integrals, their bounds, old integrals)."""
+    per-panel driver, interval by interval; records (package integrals,
+    their bounds, old integrals) per interval."""
     seen = []
 
     def both(f, a, b, **tol):
         vals, err = integrate(f, a, b, **tol)
-        old, _, _ = per_panel_integrate(f, a, b, rule=OLD_GAUSS_LEGENDRE, **tol)
-        seen.append((vals, err, old))
+        for lo, hi, v, e in zip(np.atleast_1d(a), np.atleast_1d(b),
+                                np.atleast_2d(vals), np.atleast_2d(err)):
+            old, _, _, _ = per_panel_integrate(f, float(lo), float(hi), rule=OLD_GAUSS_LEGENDRE, **tol)
+            seen.append((v, e, old))
         return vals, err
 
     monkeypatch.setattr(quadrature, "integrate", both)  # integrate_segments
@@ -263,7 +385,8 @@ def test_bench_grid_within_bounds_of_the_old_rule(against_old_rule):
     rows = verify_grid([2, 3, 4, 5, 6, 8], [0.01, 0.02, 0.05, 0.1],
                        [1e-2, 5e-3, 2.5e-3, 1.25e-3], with_outside=True)
     assert sum(r.feasible for r in rows) == 448
-    assert len(against_old_rule) >= 448
+    # the two window segments and the right stretch of every cell
+    assert len(against_old_rule) >= 3 * 448
     assert within_bounds(against_old_rule) <= 1.0
 
 
@@ -272,7 +395,8 @@ def test_k24_costs_within_bounds_of_the_old_rule(against_old_rule, seed):
     rng = np.random.default_rng(seed)
     mass = rng.uniform(0.5, 1.5, 25)
     information_cost(InputDistribution(24, dict(zip(canonical_labels(24), mass / mass.sum()))))
-    assert against_old_rule
+    # every finite stretch between the 24 distinct start times
+    assert len(against_old_rule) == 23
     assert within_bounds(against_old_rule) <= 1.0
 
 
