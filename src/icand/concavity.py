@@ -16,8 +16,9 @@ weakness; :func:`perturb` builds it as a :class:`Perturbation` (the tilted
 pair, the shifted start times and the window) and is the one place that
 refuses a measure with all-ones mass.  :func:`window_deficits`,
 :func:`check_same_average` and :func:`outside_window_checks` take only the
-cell; :attr:`Perturbation.integrals` takes all its integrals in one
-quadrature pass, one integrand call per bisection level.
+cell; :meth:`Perturbation.integrals` takes the window integrals, and the
+outside ones when they are checked, in one quadrature pass, one integrand
+call per bisection level.
 
 The canonical family reduces the general verification to three parameters:
 ``k`` players, sender ``s``, and a base mass ``beta``.  Its sender-block
@@ -173,6 +174,7 @@ class Perturbation:
     base_protocol: BuzzersProtocol
     protocol0: BuzzersProtocol
     protocol1: BuzzersProtocol
+    _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def gap(self) -> tuple[float, int, float] | str:
@@ -189,27 +191,33 @@ class Perturbation:
             return f"gamma0 = {self.gamma0:.3e} exceeds half the gap {gap_len:.3e}"
         return max(earlier), len(earlier), gap_len
 
-    @cached_property
-    def integrals(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    def integrals(self, outside: bool = True) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """The cell's integrals in bits and their per-component error bounds,
         from one quadrature pass, split at every start time: ``"window"``;
-        ``"right"``, the ``_RIGHT_WIDTH`` past it; ``"left"``, from the
-        earliest start time (below it everything is zero) to the window,
-        when that opens later; ``"gap"``, from the previous start time to the
-        window, when :attr:`gap` applies.  A part with no segment wider than
-        the quadrature's 1e-14 cut integrates to zeros."""
+        with ``outside``, also ``"right"``, the ``_RIGHT_WIDTH`` past it;
+        ``"left"``, from the earliest start time (below it everything is
+        zero) to the window, when that opens later; ``"gap"``, from the
+        previous start time to the window, when :attr:`gap` applies.  A part
+        with no segment wider than the quadrature's 1e-14 cut integrates to
+        zeros.  The pass is kept; one with the outside parts serves both."""
+        if "right" in self._integrals or (not outside and self._integrals):
+            return self._integrals
         lo, hi = self.window
-        t_min = min(self.base_protocol.player_times)
-        parts = {"window": (lo, hi), "right": (hi, hi + _RIGHT_WIDTH)}
-        if lo > t_min:
-            parts["left"] = (t_min, lo)
-        if not isinstance(self.gap, str):
-            parts["gap"] = (self.gap[0], lo)
+        parts = {"window": (lo, hi)}
+        if outside:
+            parts["right"] = (hi, hi + _RIGHT_WIDTH)
+            t_min = min(self.base_protocol.player_times)
+            if lo > t_min:
+                parts["left"] = (t_min, lo)
+            if not isinstance(self.gap, str):
+                parts["gap"] = (self.gap[0], lo)
         starts = {t for p in (self.base_protocol, self.protocol0, self.protocol1) for t in p.player_times}
         groups = [[a, b, *(t for t in starts if a < t < b)] for a, b in parts.values()]
         sums = integrate_segments(_concavity_integrand(self), groups, rtol=_RTOL, atol=_ATOL)
         zero = np.zeros(self.mu.k + 1)
-        return {name: (zero + vals / LN2, zero + err / LN2) for name, (vals, err) in zip(parts, sums)}
+        for name, (vals, err) in zip(parts, sums):
+            self._integrals[name] = (zero + vals / LN2, zero + err / LN2)
+        return self._integrals
 
 
 def perturb(
@@ -334,13 +342,13 @@ class WindowDeficits:
     quadrature_error: float
 
 
-def window_deficits(pert: Perturbation) -> WindowDeficits:
+def window_deficits(pert: Perturbation, *, with_outside: bool = False) -> WindowDeficits:
     """Integrate the cell's external and internal concavity defects over its
-    window, after checking the window-mass identity.  The cell's one
-    quadrature pass (:attr:`Perturbation.integrals`) also takes its outside
-    integrals."""
+    window, after checking the window-mass identity.  ``with_outside`` takes
+    the integrals :func:`outside_window_checks` reads in the same quadrature
+    pass (:meth:`Perturbation.integrals`)."""
     residual = check_same_average(pert)
-    vals, err = pert.integrals["window"]
+    vals, err = pert.integrals(with_outside)["window"]
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -398,7 +406,7 @@ def outside_window_checks(pert: Perturbation) -> OutsideWindowChecks:
     ``L`` to the previous player and ``gamma0 <= L/2``, the defect on that
     gap is at least ``(1 - e^{-(s-1)L/2}) m(0) m(e_s) eps^2 / (2(s-1))``.
     """
-    integrals = pert.integrals
+    integrals = pert.integrals()
     left = float(integrals["left"][0][0]) if "left" in integrals else 0.0
     right = float(integrals["right"][0][0])
 
@@ -468,7 +476,7 @@ def concavity_report(
         canonical.measure(eps), canonical.s, eps,
         protocol=BuzzersProtocol(canonical.sender_times(eps)),
     )
-    deficits = window_deficits(pert)
+    deficits = window_deficits(pert, with_outside=with_outside)
     te = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "ext") * eps**3
     ti = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "int") * eps**3
     outside = outside_window_checks(pert) if with_outside else None

@@ -8,11 +8,12 @@ rule G10 on the Gauss points among its nodes.  The adaptive driver bisects
 a panel whenever the two sums disagree.  It runs breadth-first over any
 number of intervals: ``f`` takes an array of abscissas and returns an
 array of shape ``(len(t), 2 n)`` (n components, then a bound on the
-round-off of each in units of eps), and each round is one call of ``f`` at
-the 21 nodes of every pending panel of every interval.  A pass makes
-1 + (deepest bisection level) calls.  A panel is accepted on its worst
-component, or on the round-off floor of every component; the error bound
-is kept per component.
+round-off of each in units of eps), and each round calls ``f`` at the 21
+nodes of every pending panel of every interval, 48 panels per call at most
+so that a call's memory does not grow with the number of intervals.  A
+pass of up to 48 panels per level makes 1 + (deepest bisection level)
+calls.  A panel is accepted on its worst component, or on the round-off
+floor of every component; the error bound is kept per component.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ _W_GAUSS = np.concatenate([_WG, _WG[::-1]])
 #: integrand's round-off bounds (``integrate``).
 _C_KRONROD, _C_GAUSS, _EPS = 12.5, 7.0, float(np.finfo(float).eps)
 
+#: Panels per call of the integrand: a call holds at most 1,008 rows of
+#: 2 n values, however many panels a round has pending.
+_CALL_PANELS = 48
+
 
 def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
               max_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +62,8 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
 
     ``a`` and ``b`` are numbers, or equal-length arrays of endpoints; then
     row j of both results belongs to [a[j], b[j]].  Every interval is
-    checked before ``f`` is first called.  ``f(t_array) -> (n_t, 2 n)``
+    checked before ``f`` is first called, which takes the nodes of at most
+    ``_CALL_PANELS`` panels at a time.  ``f(t_array) -> (n_t, 2 n)``
     returns n components, then a bound r(t) on the round-off of each in
     units of eps (zeros for an integrand exact to rounding).
 
@@ -99,15 +105,10 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
     owner, lo, hi = np.arange(m), a_arr, b_arr
     examined = np.zeros(m, dtype=int)
     done = []  # per round: (interval, lo, K21, error bound) of its accepted panels
-    while True:  # one call of f at the nodes of every pending panel
-        half = (0.5 * (hi - lo))[:, None]
-        ts = ((0.5 * (lo + hi))[:, None] + half * _NODES).ravel()
-        rows = np.asarray(f(ts), dtype=float)
-        if rows.ndim != 2 or rows.shape[0] != len(ts):
-            raise QuadratureError("integrand must return one row per abscissa")
-        rows = rows.reshape(len(lo), len(_NODES), -1)
-        kronrod = half * (_W_KRONROD[:, None] * rows).sum(axis=1)
-        gauss = half * (_W_GAUSS[:, None] * rows[:, 1::2]).sum(axis=1)
+    while True:
+        sums = [_panel_sums(f, lo[i : i + _CALL_PANELS], hi[i : i + _CALL_PANELS])
+                for i in range(0, len(lo), _CALL_PANELS)]
+        kronrod, gauss = (np.concatenate(parts) for parts in zip(*sums))
         examined += np.bincount(owner, minlength=m)
         if examined.max() > max_panels:
             j = int(np.argmax(examined > max_panels))
@@ -118,30 +119,36 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
         vals = kronrod[:, :n]
         disagree = abs(vals - gauss[:, :n])
         floor = _EPS * (_C_KRONROD * kronrod[:, n:] + _C_GAUSS * gauss[:, n:])
-        bound = disagree + floor
         span, scale = hi - lo, width[owner]
         accept = disagree.max(axis=1) <= np.maximum(atol * span / scale, rtol * abs(vals).max(axis=1))
-        if not accept.all():
-            accept |= span < 1e-14 * scale
-            accept |= (disagree <= floor).all(axis=1)
+        accept |= span < 1e-14 * scale
+        accept |= (disagree <= floor).all(axis=1)
+        done.append((owner[accept], lo[accept], vals[accept], (disagree + floor)[accept]))
         if accept.all():
-            done.append((owner, lo, vals, bound))
             break
-        done.append((owner[accept], lo[accept], vals[accept], bound[accept]))
-        split = ~accept
-        owner, lo, hi = owner[split], lo[split], hi[split]
+        owner, lo, hi = owner[~accept], lo[~accept], hi[~accept]
         mid = 0.5 * (lo + hi)
         owner, lo, hi = np.concatenate([owner, owner]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
-    if len(done) == 1:  # one panel per interval
-        total, err = 0.0 + done[0][2], 0.0 + done[0][3]
-    else:
-        owner, lo, vals, errs = (np.concatenate(parts) for parts in zip(*done))
-        order = np.lexsort((-lo, owner))
-        total, err = np.zeros((m, n)), np.zeros((m, n))
-        np.add.at(total, owner[order], vals[order])
-        np.add.at(err, owner[order], errs[order])
+    owner, lo, vals, errs = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((-lo, owner))
+    total, err = np.zeros((m, n)), np.zeros((m, n))
+    np.add.at(total, owner[order], vals[order])
+    np.add.at(err, owner[order], errs[order])
     return (total[0], err[0]) if scalar else (total, err)
+
+
+def _panel_sums(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """K21 and G10 sums of the panels [lo[j], hi[j]], one row each, from one
+    call of ``f``."""
+    half = (0.5 * (hi - lo))[:, None]
+    ts = ((0.5 * (lo + hi))[:, None] + half * _NODES).ravel()
+    rows = np.asarray(f(ts), dtype=float)
+    if rows.ndim != 2 or rows.shape[0] != len(ts):
+        raise QuadratureError("integrand must return one row per abscissa")
+    rows = rows.reshape(len(lo), len(_NODES), -1)
+    return (half * (_W_KRONROD[:, None] * rows).sum(axis=1),
+            half * (_W_GAUSS[:, None] * rows[:, 1::2]).sum(axis=1))
 
 
 def integrate_segments(f, groups, *, rtol: float = 1e-10, atol: float = 1e-13

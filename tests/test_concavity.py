@@ -589,10 +589,31 @@ class TestOnePassPerCell:
         calls = counted_integrands(monkeypatch)
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
         pert = perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
-        window_deficits(pert)
+        window_deficits(pert, with_outside=True)
         outside_window_checks(pert)
         assert calls == [63]
-        assert list(pert.integrals) == ["window", "right"]
+        assert list(pert.integrals()) == ["window", "right"]
+
+    def test_window_alone_without_outside(self, monkeypatch):
+        # the two window segments only; a later outside check takes its own
+        # pass, with window values equal to the first pass's
+        calls = counted_integrands(monkeypatch)
+        c = CanonicalMeasure(k=8, s=3, beta=0.05)
+        pert = perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
+        deficits = window_deficits(pert)
+        assert calls == [42] and list(pert.integrals(outside=False)) == ["window"]
+        vals, err = pert.integrals(outside=False)["window"]
+        outside_window_checks(pert)
+        assert calls == [42, 63] and list(pert.integrals()) == ["window", "right"]
+        assert pert.integrals()["window"][0].tobytes() == vals.tobytes()
+        assert pert.integrals()["window"][1].tobytes() == err.tobytes()
+        assert window_deficits(pert) == deficits and calls == [42, 63]
+
+    def test_grid_without_outside_integrates_windows_only(self, monkeypatch):
+        calls = counted_integrands(monkeypatch)
+        rows = verify_grid([2, 3], [0.05], [1e-2], with_outside=False)
+        assert len(calls) == sum(r.feasible for r in rows) == 5
+        assert set(calls) == {42}
 
     def test_left_part_and_gap_join_the_pass(self, monkeypatch):
         calls = counted_integrands(monkeypatch)
@@ -600,9 +621,9 @@ class TestOnePassPerCell:
         checks = outside_window_checks(pert)
         window_deficits(pert)
         assert len(calls) == 1
-        assert list(pert.integrals) == ["window", "right", "left", "gap"]
-        assert checks.left_value == float(pert.integrals["left"][0][0])
-        assert checks.eps2_gap_value == float(pert.integrals["gap"][0][0])
+        assert list(pert.integrals()) == ["window", "right", "left", "gap"]
+        assert checks.left_value == float(pert.integrals()["left"][0][0])
+        assert checks.eps2_gap_value == float(pert.integrals()["gap"][0][0])
 
     def test_window_mass_identity_is_checked_before_any_integral(self, monkeypatch):
         calls = counted_integrands(monkeypatch)

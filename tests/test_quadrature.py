@@ -2,6 +2,7 @@
 errors, empty sums, agreement of the breadth-first pass with a depth-first
 per-panel oracle, and with the 15-point Gauss-Legendre rule it replaced."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -13,7 +14,7 @@ from icand.buzzers import information_cost
 from icand.concavity import verify_grid
 from icand.errors import QuadratureError
 from icand.measures import InputDistribution, canonical_labels
-from icand.quadrature import _NODES, _W_GAUSS, _W_KRONROD, integrate, integrate_segments
+from icand.quadrature import _CALL_PANELS, _NODES, _W_GAUSS, _W_KRONROD, integrate, integrate_segments
 from kernel_oracle import zero_bounds
 
 EPS = np.finfo(float).eps
@@ -150,16 +151,18 @@ def per_panel_integrate(f, a, b, *, rule=KRONROD, rtol=1e-10, atol=1e-13, max_pa
     the package ran it before its breadth-first pass; ``f`` returns
     components, then their round-off bounds in eps, as for ``integrate``.
     Popping the right half first accepts the panels in descending ``lo``.
-    Returns (integrals, error bounds, number of splits, number of levels of
-    the bisection tree)."""
+    Returns (integrals, error bounds, number of splits, panels on each level
+    of the bisection tree)."""
     panel, roundoff = rule
     width = b - a
-    stack = [(a, b, 1)]
+    stack = [(a, b, 0)]
     total = err = 0.0
-    panels = splits = levels = 0
+    panels = splits = 0
+    per_level = []
     while stack:
         lo, hi, level = stack.pop()
-        levels = max(levels, level)
+        per_level += [0] * (level + 1 - len(per_level))
+        per_level[level] += 1
         panels += 1
         if panels > max_panels:
             raise QuadratureError(
@@ -179,7 +182,13 @@ def per_panel_integrate(f, a, b, *, rule=KRONROD, rtol=1e-10, atol=1e-13, max_pa
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid, level + 1))
             stack.append((mid, hi, level + 1))
-    return total, err, splits, levels
+    return total, err, splits, per_level
+
+
+def calls_for(per_level):
+    """Integrand calls of the breadth-first pass: each level's panels in
+    calls of at most ``_CALL_PANELS``."""
+    return sum(-(-n // _CALL_PANELS) for n in per_level)
 
 
 def smooth(t):
@@ -230,11 +239,11 @@ def test_bit_identical_to_per_panel_loop(f, a, b, tol):
     # zero round-off bounds accept no panel the tolerances would not
     counted = Counted(zero_bounds(f))
     vals, err = integrate(counted, a, b, **tol)
-    ref_vals, ref_err, _, levels = per_panel_integrate(zero_bounds(f), a, b, **tol)
+    ref_vals, ref_err, _, per_level = per_panel_integrate(zero_bounds(f), a, b, **tol)
     assert vals.tobytes() == ref_vals.tobytes()
     assert err.tobytes() == ref_err.tobytes()
-    # one call per level of the bisection tree
-    assert counted.calls == levels
+    # one call per level of the bisection tree, or per 48 panels of a level
+    assert counted.calls == calls_for(per_level)
 
 
 #: (integrand, intervals, tolerances): smooth, kinked (deep splitting), zero
@@ -256,22 +265,40 @@ def test_batched_intervals_bit_identical_to_per_panel_loop(f, intervals, tol):
     counted = Counted(f)
     vals, err = integrate(counted, a, b, **tol)
     assert vals.shape == err.shape == (len(intervals), f(np.zeros(1)).shape[1] // 2)
-    levels = 0
+    pending = []  # panels of all intervals per level
     for row, (lo, hi) in enumerate(intervals):
-        ref_vals, ref_err, _, depth = per_panel_integrate(f, lo, hi, **tol)
+        ref_vals, ref_err, _, per_level = per_panel_integrate(f, lo, hi, **tol)
         assert vals[row].tobytes() == ref_vals.tobytes(), row
         assert err[row].tobytes() == ref_err.tobytes(), row
-        levels = max(levels, depth)
-    # one call per level of the deepest interval's bisection tree
-    assert counted.calls == levels
+        pending = [sum(n) for n in itertools.zip_longest(pending, per_level, fillvalue=0)]
+    # one call per level of the deepest interval's bisection tree, or per 48
+    # panels of a level
+    assert counted.calls == calls_for(pending)
+
+
+def test_calls_take_at_most_48_panels():
+    # 100 intervals of one panel each in calls of 48, 48 and 4 panels, with
+    # the values of one interval at a time
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return zero_bounds(smooth)(t)
+
+    a = np.linspace(0.0, 5.0, 101)
+    vals, err = integrate(f, a[:-1], a[1:])
+    assert _CALL_PANELS == 48 and sizes == [21 * 48, 21 * 48, 21 * 4]
+    for row in (0, 47, 48, 99):
+        ref_vals, ref_err, _, _ = per_panel_integrate(zero_bounds(smooth), a[row], a[row + 1])
+        assert vals[row].tobytes() == ref_vals.tobytes() and err[row].tobytes() == ref_err.tobytes()
 
 
 def test_mixed_batches_reach_the_round_off_floor():
     # panels that the round-off floor accepts where the tolerances would not,
     # after splitting and at once (test_kinked_integrand_splits_deeply covers
     # the deep bisection)
-    _, _, _, levels = per_panel_integrate(floored_kink, 0.0, 1.0, rtol=1e-14, atol=1e-30)
-    assert 10 <= levels < 40
+    _, _, _, per_level = per_panel_integrate(floored_kink, 0.0, 1.0, rtol=1e-14, atol=1e-30)
+    assert 10 <= len(per_level) < 40
     with pytest.raises(QuadratureError):  # without the floor
         per_panel_integrate(zero_bounds(lambda t: floored_kink(t)[:, :1]), 0.0, 1.0,
                             rtol=1e-14, atol=1e-30)
@@ -289,7 +316,7 @@ def test_kinked_integrand_splits_deeply():
 
 def test_abscissas_per_call():
     # 21 for the interval as one panel, then 42 for both halves of each panel
-    # split in the round before
+    # split in the round before, 48 panels per call at most
     sizes = []
 
     def f(t):
@@ -297,9 +324,9 @@ def test_abscissas_per_call():
         return zero_bounds(kinked)(t)
 
     integrate(f, 0.0, 1.0)
-    _, _, splits, levels = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
-    assert sizes[0] == 21 and len(sizes) == levels
-    assert all(n % 42 == 0 for n in sizes[1:])
+    _, _, splits, per_level = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
+    assert sizes[0] == 21 and all(n % 2 == 0 for n in per_level[1:])
+    assert sizes == [21 * min(_CALL_PANELS, n - i) for n in per_level for i in range(0, n, _CALL_PANELS)]
     assert sum(sizes) == 21 * (1 + 2 * splits)
 
 
@@ -310,16 +337,18 @@ def test_smooth_integrand_needs_no_split():
 
 
 def test_max_panels_error_matches_per_panel_loop():
-    # both count the panels they examine; the breadth-first pass stops in the
-    # round that passes the limit, so its residual panel is one of that level
+    # both count the panels they examine and name the interval in the same
+    # words; the breadth-first pass stops in the round that passes the limit
+    # (1 + 2 + 2 + 2 + 2 = 9 panels before the sixth, of 4) and reports that
+    # round's panel at index 9 - 13 = -4, its first: [1/4, 9/32]
+    _, _, _, per_level = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
+    assert per_level[:6] == [1, 2, 2, 2, 2, 4]
     with pytest.raises(QuadratureError) as ref:
         per_panel_integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
     with pytest.raises(QuadratureError) as got:
         integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
-    prefix = "exceeded 9 panels on [0.0, 1.0]; residual interval ["
-    assert str(ref.value).startswith(prefix) and str(got.value).startswith(prefix)
-    lo, hi = map(float, str(got.value)[len(prefix) : -1].split(", "))
-    assert 0.0 <= lo < hi <= 1.0 and math.log2(1.0 / (hi - lo)).is_integer()
+    assert str(ref.value) == "exceeded 9 panels on [0.0, 1.0]; residual interval [0.328125, 0.34375]"
+    assert str(got.value) == "exceeded 9 panels on [0.0, 1.0]; residual interval [0.25, 0.28125]"
 
 
 def test_max_panels_is_per_interval():
