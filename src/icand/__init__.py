@@ -22,7 +22,7 @@ from .discretize import build, exact_ic
 from .errors import IcandError
 from .measures import InputDistribution, binary_entropy, canonical_labels
 from .optimize import SupportPattern, maximize_external, maximize_internal
-from .signals import Signal, classify, sample_terminal_posteriors, simulate_signal
+from .signals import Signal, sample_terminal_posteriors, simulate_signal
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "binary_entropy",
     "build",
     "canonical_labels",
-    "classify",
     "closed_form_uniform",
     "cost_under",
     "exact_ic",

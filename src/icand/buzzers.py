@@ -130,9 +130,13 @@ def _class_entropies(U: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np
     return A - X, S - A - X
 
 
-#: Most transcript densities the kernel holds at once.  Past about this many
-#: its cost per abscissa rose with the block (k = 16, 24, 32), and at large k
-#: its memory grew with the batch.
+#: Transcript densities per kernel block, which a block can pass by less than
+#: one abscissa's ``zeros.size``: a call of n abscissas is split into
+#: ceil(n zeros.size / _KERNEL_BLOCK) blocks of ceil(n / blocks) abscissas,
+#: the last one shorter, and one abscissa is never split (the k = 24 cost's
+#: call of 483 abscissas runs as 28 blocks of 17, 10,200 densities each, and
+#: one of 7).  Past about this many its cost per abscissa rose with the block
+#: (k = 16, 24, 32), and at large k its memory grew with the batch.
 _KERNEL_BLOCK = 10_000
 
 

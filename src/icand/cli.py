@@ -29,6 +29,7 @@ from .optimize import SupportPattern, maximize_external, maximize_internal
 from .signals import (
     Signal,
     SimulationTrace,
+    _SegmentWalk,
     sample_terminal_posteriors,
     simulate_signal,
 )
@@ -280,10 +281,12 @@ def _cmd_simulate_signal(args) -> int:
     }
     if args.export_traces:
         rng2 = np.random.default_rng(args.seed + 1)
+        snap_tol = max(args.snap_tol, 1e-3)
+        walk = _SegmentWalk(mu, sig, args.eps, snap_tol)  # one table for every trace
         result["traces"] = [
             simulate_signal(
                 mu, sig, args.eps, rng2,
-                snap_tol=max(args.snap_tol, 1e-3), max_steps=args.max_steps,
+                snap_tol=snap_tol, max_steps=args.max_steps, walk=walk,
             )
             for _ in range(args.export_traces)
         ]

@@ -1,4 +1,4 @@
-"""Single-bit signals: posteriors, classification, and the simulation walk.
+"""Single-bit signals: posteriors and the simulation walk.
 
 A signal is one randomized bit ``B`` sent by player ``s`` whose law depends
 on the input only through ``x_s``.  Observing ``B = b`` moves the input
@@ -19,20 +19,22 @@ original signal.
 Exact termination has probability zero whenever a target posterior kills a
 coordinate (the walk only contracts it geometrically), so a trace snaps to
 an endpoint once within ``snap_tol`` total-variation distance; the snap
-biases the terminal law by at most ``snap_tol``.  Away from the branch
-point, steps toward a coordinate-killing target reduce to a fixed-step
-random walk in log coordinates.  The bulk sampler holds every walk as its
-log distance to the target, advances it there by exact skips (as many
-steps as cannot reach either barrier, binomially many toward the target,
-counted as the ones among that many raw random bits of the walk's own),
-and reads every other step from a table of lines in 1 / dist.  A trace
-draws its bits in blocks that give the bits, and leave the generator, as
-one draw per step would.
+biases the terminal law by at most ``snap_tol``.  Every step reads ``lam``
+from one table of lines in 1 / dist, built once per walk.  Away from the
+branch point, steps toward a coordinate-killing target reduce to a
+fixed-step random walk in log coordinates.  The bulk sampler holds every
+walk as its log distance to the target, advances it there by exact skips
+(as many steps as cannot reach either barrier, binomially many toward the
+target, counted as the ones among that many raw random bits of the walk's
+own), and reads every other step from the table.  A trace reads every step
+from it, and draws its bits in blocks that give the bits, and leave the
+generator, as one draw per step would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,12 +51,10 @@ from .measures import SUM_TOL, ZERO_MASS, InputDistribution
 
 __all__ = [
     "Signal",
-    "SignalProfile",
     "TraceStep",
     "SimulationTrace",
     "TerminalSample",
     "posterior",
-    "classify",
     "simulate_signal",
     "sample_terminal_posteriors",
 ]
@@ -110,33 +110,6 @@ def posterior(mu: InputDistribution, sig: Signal, bit: int) -> InputDistribution
     if pb <= ZERO_MASS:
         raise ConditioningError(f"branch B={bit} has probability {pb}")
     return InputDistribution._from_vector(mu.k, mass / pb)
-
-
-@dataclass(frozen=True)
-class SignalProfile:
-    unbiased: bool
-    noncrossing: bool
-    weakness: float
-
-
-def classify(mu: InputDistribution, sig: Signal) -> SignalProfile:
-    """Weakness (max conditional bias over the support), unbiasedness, and
-    whether both posteriors preserve the measure's support ordering."""
-    live = mu.vector > ZERO_MASS
-    weakness = np.abs(2.0 * sig._p0_rows(mu)[live] - 1.0).max()
-    p0 = sig.prob0(mu)
-    unbiased = abs(p0 - 0.5) <= _UNBIASED_TOL
-
-    noncrossing = True
-    m = mu.vector[live]
-    lighter = m[:, None] < m[None, :] - 1e-15  # [a, b]: x_a lighter than x_b
-    for bit, pb in ((0, p0), (1, 1.0 - p0)):
-        if pb <= ZERO_MASS:
-            continue
-        post = posterior(mu, sig, bit).vector[live]
-        if np.any(lighter & (post[:, None] > post[None, :] + 1e-12)):
-            noncrossing = False
-    return SignalProfile(unbiased=unbiased, noncrossing=noncrossing, weakness=float(weakness))
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +241,6 @@ class _SegmentWalk:
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         self.pair_a = np.array([p[0] for p in pairs], dtype=int)
         self.pair_b = np.array([p[1] for p in pairs], dtype=int)
-        # what the scalar walk needs per branch (below, above the branch
-        # point), as Python floats: the target, the direction, its absolute
-        # value, and (a, b, |direction_b - direction_a|) per ordered pair
-        self.scalar_branches = tuple(
-            (
-                base.tolist(),
-                direction.tolist(),
-                np.abs(direction).tolist(),
-                list(zip(
-                    self.pair_a.tolist(),
-                    self.pair_b.tolist(),
-                    np.abs(direction[self.pair_b] - direction[self.pair_a]).tolist(),
-                )),
-            )
-            for base, direction in ((self.v0, self.d), (self.v1, -self.d))
-        )
 
     def _frame(self, alpha: np.ndarray):
         """Per entry of ``alpha``: whether it is above the branch point, its
@@ -364,6 +321,13 @@ class _SegmentWalk:
 
     # -- one trace, step by step -----------------------------------------------
 
+    @cached_property
+    def _trace_table(self) -> tuple[list[float], list[float], list[float]]:
+        """The edges of :meth:`lam_table` and each piece's (A, B), as Python
+        floats; built on a walk's first trace and shared by the rest."""
+        edges, coef, _ = self.lam_table()
+        return edges.tolist(), coef[0].tolist(), coef[1].tolist()
+
     def trace(self, rng: np.random.Generator, max_steps: int):
         """One walk from the branch point, with the bits of one
         ``rng.integers(0, 2)`` per step.
@@ -372,12 +336,14 @@ class _SegmentWalk:
         gives the bits of m single draws and leaves the generator where they
         would.  When the walk ends, the generator is set back to its state
         before the last block and draws again only the bits used, so it ends
-        where one draw per step leaves it.  Each step recomputes every bound
-        on Python floats.  Returns the alphas before the first step and after
-        every step, the step sizes, the bits, and the endpoint snapped to
-        (None if not snapped within ``max_steps``).
+        where one draw per step leaves it.  Each step reads ``lam = min(1, A
+        / dist + B)`` off the piece of the lam table its alpha falls in, on
+        Python floats, as the bulk sampler does.  Returns the alphas before
+        the first step and after every step, the step sizes, the bits, and
+        the endpoint snapped to (None if not snapped within ``max_steps``).
         """
-        alpha_mu, eps, tv01, snap_tol = self.alpha_mu, self.eps, self.tv01, self.snap_tol
+        edges, slope, icpt = self._trace_table
+        alpha_mu, tv01, snap_tol = self.alpha_mu, self.tv01, self.snap_tol
         alpha = alpha_mu
         path, lams, bits = [alpha], [], []
         block, used, snapped = [], 0, None
@@ -395,19 +361,8 @@ class _SegmentWalk:
             used += 1
             side1 = alpha > alpha_mu
             dist = (1.0 - alpha) if side1 else alpha
-            target, direction, abs_dir, pairs = self.scalar_branches[side1]
-            mu_c = [t + dist * e for t, e in zip(target, direction)]
-            ratio = max(
-                [dist * s / m if m > ZERO_MASS else 0.0 for s, m in zip(abs_dir, mu_c)]
-            )
-            lam = min(1.0, 1.0 / dist - 1.0)  # a step away stays on the segment
-            for i, j, diff in pairs:
-                gap = mu_c[j] - mu_c[i]
-                denom = dist * diff
-                if gap > SEGMENT_TOL * max(mu_c[j], mu_c[i], ZERO_MASS) and denom > 0.0:
-                    lam = min(lam, gap / denom)
-            if ratio > 0.0:
-                lam = min(lam, eps / ratio)
+            piece = bisect_right(edges, alpha)
+            lam = min(1.0, slope[piece] / dist + icpt[piece])
             new_dist = dist * (1.0 - lam) if bit == 0 else dist * (1.0 + lam)
             alpha = (1.0 - new_dist) if side1 else new_dist
             path.append(alpha)
@@ -505,21 +460,26 @@ def simulate_signal(
     *,
     max_steps: int = 10**6,
     snap_tol: float = 1e-6,
+    walk: _SegmentWalk | None = None,
 ) -> SimulationTrace:
     """Simulate one signal by a full trace of eps-weak steps.
 
-    The walk runs step by step on Python floats, one random bit per step.
+    The walk runs step by step on Python floats, one random bit per step,
+    each step's size read off the same lam table the bulk sampler reads.
     Every step's splitting signal and posterior are then computed as arrays,
     with the checks the signal and measure constructors make; the trace's
     ``steps`` objects are built only when read.  Every step is also checked
     for weakness, bias, order preservation and staying on the segment before
-    the function returns.
+    the function returns.  Traces of one signal can share ``walk``, the
+    ``_SegmentWalk`` of the same ``mu``, ``sig``, ``eps`` and ``snap_tol``,
+    and with it one table; by default each call builds its own.
     Use :func:`sample_terminal_posteriors` for bulk statistics.  Raises
     :class:`NonTerminationError` past ``max_steps`` (the walk terminates
     with probability one, so the cap is diagnostic).
     """
     _check_walk_args(eps, snap_tol, max_steps)
-    walk = _SegmentWalk(mu, sig, eps, snap_tol)
+    if walk is None:
+        walk = _SegmentWalk(mu, sig, eps, snap_tol)
     if walk.degenerate:
         return SimulationTrace(
             mu=mu,
@@ -566,12 +526,19 @@ def _lower_envelope(A, B, u0, u1):
 
 
 def _first_float(lo, hi, holds):
-    """Per entry, the first float >= 0 in (lo, hi] where ``holds``, true at hi, not at lo."""
+    """Per entry, the first float >= 0 in (lo, hi] where ``holds``, true at hi, not at lo.
+
+    A bisection on the float bits of at most 64 halvings; it stops at the
+    first halving that moves no bracket, since every later one would repeat it.
+    """
     lo, hi = np.asarray(lo, float).view(np.int64), np.asarray(hi, float).view(np.int64)
     for _ in range(64):
         mid = lo + (hi - lo) // 2
         at = holds(mid.view(float))
-        lo, hi = np.where(at, lo, mid), np.where(at, mid, hi)
+        new_lo, new_hi = np.where(at, lo, mid), np.where(at, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return hi.view(float)
 
 
@@ -592,9 +559,9 @@ def _binomial_half(rng: np.random.Generator, n: np.ndarray) -> np.ndarray:
     draws one word for its first 64 bits, then the entries with bits left
     draw for the rest the same way."""
     raw = rng.bit_generator.random_raw(n.size)
-    raw &= _LOW_BITS[np.minimum(n, 64)]
+    raw &= _LOW_BITS.take(n, mode="clip")  # from 64 bits on, the whole word
     ones = np.bitwise_count(raw).astype(np.int64)
-    more = np.flatnonzero(n > 64)
+    more = (n > 64).nonzero()[0]
     if more.size:
         ones[more] += _binomial_half(rng, n[more] - 64)
     return ones
@@ -653,8 +620,10 @@ def sample_terminal_posteriors(
     reach = max(-c_tow, c_away)
     log_snap = math.log(snap_tol / walk.tv01)  # snap distance, the same on both sides
     edges, coef, pure_hi = walk.lam_table()
-    rows = np.ascontiguousarray(coef.T)
     last0 = int(np.searchsorted(edges, walk.alpha_mu, side="right"))  # side 0's last piece
+    # within rounding of the branch point alpha can fall on the other side;
+    # a walk reads the pieces of its own side, from these bounds (by side)
+    first_piece, last_piece = np.array([0, last0 + 1]), np.array([last0, edges.size])
     # the pure region ends one step away short of the branch point, so that
     # only a general step, which reads its side from alpha, can pass it
     branch = np.array([walk.alpha_mu, 1.0 - walk.alpha_mu])
@@ -675,53 +644,55 @@ def sample_terminal_posteriors(
     max_weakness = 0.0
     pure_steps = general_steps = rounds = 0
 
+    sign_of = np.array([1.0, -1.0])  # 1 - 2 b, read by side or bit b
     while True:
         done = L <= log_snap
         if done.any():
-            label[ids[done]] = side[done]
-            total[ids[done]] = steps[done]
+            end = ids[done]
+            label[end] = side[done]
+            total[end] = steps[done]
             keep = ~done
             ids, side, L, steps = ids[keep], side[keep], L[keep], steps[keep]
         if not ids.size:
             break
         rounds += 1
-        hi = np.take(log_hi, side)
+        hi = log_hi.take(side)
         pure = L < hi
-        p, g = np.flatnonzero(pure), np.flatnonzero(~pure)
+        p = pure.nonzero()[0]
+        g = (~pure).nonzero()[0] if p.size < ids.size else p[:0]
 
         if p.size:
-            Lp = L[p]
-            n = _skip_lengths(Lp, log_snap, hi[p], reach)
-            n = np.minimum(n, _MAX_SKIP)  # a shorter skip stays inside as well
+            Lp = L.take(p)
+            n = _skip_lengths(Lp, log_snap, hi.take(p), reach)
+            np.minimum(n, _MAX_SKIP, out=n)  # a shorter skip stays inside as well
             toward = _binomial_half(rng, n)
             L[p] = Lp + toward * c_tow + (n - toward) * c_away
-            steps[p] += n - 1
+            steps[p] += n
             pure_steps += int(n.sum())
             max_weakness = max(max_weakness, eps)
 
         if g.size:
             bits = rng.integers(0, 2, size=g.size, dtype=np.uint8)
-            s = side[g]
-            sign = 1.0 - 2.0 * s  # alpha = s + sign * dist on either side, exactly
-            d = np.exp(L[g])
-            piece = np.searchsorted(edges, s + sign * d, side="right")
-            # within rounding of the branch point alpha can fall on the other
-            # side; the walk reads the piece of its own side
-            piece = np.where(s, np.maximum(piece, last0 + 1), np.minimum(piece, last0))
-            A, B, C, D = np.take(rows, piece, axis=0).T
+            s = side.take(g)
+            sign = sign_of.take(s)  # alpha = s + sign * dist on either side, exactly
+            d = np.exp(L.take(g))
+            piece = edges.searchsorted(s + sign * d, side="right")
+            piece.clip(first_piece.take(s), last_piece.take(s), out=piece)
+            A, B, C, D = (row.take(piece) for row in coef)
             lam = np.minimum(1.0, A / d + B)
-            w = float(np.max(lam * (eps / (C / d + D))))
+            w = float((lam * (eps / (C / d + D))).max())
             if not w <= eps * (1.0 + 1e-12):
                 raise IcandError("walk step exceeded its weakness bound")
             max_weakness = max(max_weakness, w)
-            alpha = s + sign * (d * (1.0 + lam * (2.0 * bits - 1.0)))  # bit 0 steps toward
+            # bit 0 steps toward the target: 1 - lam (1 - 2 b) = 1 + lam (2 b - 1)
+            alpha = s + sign * (d * (1.0 - lam * sign_of.take(bits)))
             s = alpha > walk.alpha_mu
             side[g] = s
             # a step that lands at or past an endpoint finishes on its side
             with np.errstate(divide="ignore"):
-                L[g] = np.log(np.maximum(s + (1.0 - 2.0 * s) * alpha, 0.0))
+                L[g] = np.log(np.maximum(s + sign_of.take(s) * alpha, 0.0))
+            steps[g] += 1
             general_steps += g.size
-        steps += 1
 
         if steps.max() > max_steps:
             over = int((steps > max_steps).sum())

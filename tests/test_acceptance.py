@@ -43,7 +43,8 @@ from icand.discretize import build, exact_ic
 from icand.errors import InvalidDistributionError
 from icand.measures import InputDistribution, canonical_labels
 from icand.optimize import SupportPattern, maximize_internal
-from icand.signals import Signal, classify, sample_terminal_posteriors, simulate_signal
+from icand.signals import Signal, sample_terminal_posteriors, simulate_signal
+from signal_oracle import classify
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -14,7 +14,6 @@ PACKAGE = Path(icand.__file__).parent
 
 #: Functions no small CLI run reaches, each with the reason it stays.
 UNREACHED = {
-    "classify": "acceptance: criterion 6 classifies every walk step",
     "merge_tail_players": "acceptance: criterion 10, merge invariance",
     "SimulationTrace.steps": "acceptance: criterion 6 reads the step objects",
     "InputDistribution.two_party": "acceptance: the no-11 measure of criteria 6 and 7",

@@ -25,12 +25,13 @@ from icand.signals import (
     _SegmentWalk,
     _binomial_half,
     _skip_lengths,
-    classify,
     posterior,
     SimulationTrace,
+    TerminalSample,
     sample_terminal_posteriors,
     simulate_signal,
 )
+from signal_oracle import classify
 
 MU_NO11 = InputDistribution.two_party(1 / 3, 1 / 3, 1 / 3, 0.0)
 
@@ -165,7 +166,7 @@ WEAK_K3 = WeakSignal(sender=2, eps=0.6).to_signal(MU_K3)
 def reference_step(walk, alpha, bits, far_end=True):
     """One exact walk step for every entry of ``alpha``, every constraint
     recomputed per walk on (N, n) and (N, n(n - 1)) arrays: the reference
-    for the sampler's lam table and the traces' scalar step.  Returns (new
+    for the lam table that the sampler and the traces read.  Returns (new
     alpha, lam, ratio); ``bits = 0`` moves toward the current branch
     target.  ``far_end=False`` drops the bound that keeps a step away on
     the segment."""
@@ -198,10 +199,10 @@ def reference_step(walk, alpha, bits, far_end=True):
     return new_alpha, lam, ratio
 
 
-def table_step(walk, alpha):
-    """lam and ratio of a step from each ``alpha`` read off
-    ``walk.lam_table()`` as the bulk sampler reads them."""
-    edges, coef, _ = walk.lam_table()
+def table_step(walk, table, alpha):
+    """lam and ratio of a step from each ``alpha`` read off ``table``, the
+    walk's ``lam_table()``, as the bulk sampler and the traces read them."""
+    edges, coef, _ = table
     dist = np.where(alpha > walk.alpha_mu, 1.0 - alpha, alpha)
     A, B, C, D = coef[:, np.searchsorted(edges, alpha, side="right")]
     return np.minimum(1.0, A / dist + B), walk.eps / (C / dist + D)
@@ -241,7 +242,8 @@ def assert_table_matches_step(walk, alpha):
     give lam = eps and ratio = 1."""
     stepping = (alpha * walk.tv01 > walk.snap_tol) & ((1.0 - alpha) * walk.tv01 > walk.snap_tol)
     alpha = alpha[stepping]
-    lam, ratio = table_step(walk, alpha)
+    table = walk.lam_table()
+    lam, ratio = table_step(walk, table, alpha)
     _, ref_lam, ref_ratio = reference_step(walk, alpha, np.zeros(alpha.size, dtype=int))
     off = ~(np.abs(lam - ref_lam) <= 1e-15) | ~(np.abs(ratio - ref_ratio) <= 1e-14 * ref_ratio)
     exact_lam, exact_ratio = exact_step(walk, alpha[off])
@@ -249,7 +251,7 @@ def assert_table_matches_step(walk, alpha):
     assert np.all(np.abs(ratio[off] - exact_ratio) <= 1e-14 * exact_ratio)
 
     side1 = alpha > walk.alpha_mu
-    pure0, pure1 = walk.lam_table()[2]
+    pure0, pure1 = table[2]
     pure = np.where(side1, 1.0 - alpha, alpha) < np.where(side1, pure1, pure0)
     for got_lam, got_ratio in ((lam, ratio), (ref_lam, ref_ratio)):
         assert np.all(np.abs(got_lam[pure] - walk.eps) <= 1e-15)
@@ -259,11 +261,12 @@ def assert_table_matches_step(walk, alpha):
 
 def table_alphas(walk, n_grid):
     """A uniform alpha grid, every table edge and the floats either side of
-    it, and the branch point."""
-    edges = walk.lam_table()[0]
+    it, and the branch point and the floats either side of it, where masses
+    can tie."""
+    edges = np.r_[walk.lam_table()[0], walk.alpha_mu]
     return np.r_[
         np.linspace(0.0, 1.0, n_grid), edges, np.nextafter(edges, 0.0),
-        np.nextafter(edges, 1.0), walk.alpha_mu,
+        np.nextafter(edges, 1.0),
     ]
 
 
@@ -286,10 +289,12 @@ def basis_family_walks(draw):
 
 
 def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
-    """The per-step trace loop the array path replaced: each step goes
-    through :func:`reference_step` and builds its own signal
-    and measure, and is validated on its own.  Returns the trace's JSON."""
+    """The per-step trace loop the array path replaced: each step reads its
+    lam through :func:`table_step` (which :func:`assert_table_matches_step`
+    holds to :func:`reference_step`), builds its own signal and measure,
+    and is validated on its own.  Returns the trace's JSON."""
     walk = _SegmentWalk(mu, sig, eps, snap_tol)
+    table = walk.lam_table()
     steps = []
     alpha = walk.alpha_mu
     for _ in range(max_steps):
@@ -302,10 +307,11 @@ def reference_trace(mu, sig, eps, rng, *, max_steps=10**6, snap_tol=1e-6):
                     "terminal": snapped.to_json_obj(),
                 }
         bit = int(rng.integers(0, 2))
-        new_alpha, lam, _ = reference_step(walk, np.array([alpha]), np.array([bit]))
-        new_alpha, lam = float(new_alpha[0]), float(lam[0])
+        lam = float(table_step(walk, table, np.array([alpha]))[0][0])
         side1 = alpha > walk.alpha_mu
         dist = (1.0 - alpha) if side1 else alpha
+        new_dist = dist * (1.0 - lam) if bit == 0 else dist * (1.0 + lam)
+        new_alpha = (1.0 - new_dist) if side1 else new_dist
         target = walk.v1 if side1 else walk.v0
         mu_c = target + dist * (-walk.d if side1 else walk.d)
 
@@ -603,9 +609,10 @@ class TestSimulation:
         # on the terminal label frequency and the mean step count within 4
         # sigma of the difference of two independent samples
         rng = np.random.default_rng(11)
+        walk = _SegmentWalk(MU_NO11, REVEALING, 0.25, 1e-4)  # one lam table for every trace
         terminals, lengths = [], []
         for _ in range(1000):
-            tr = simulate_signal(MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4)
+            tr = simulate_signal(MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4, walk=walk)
             terminals.append(tr.terminal.mass("10") > 0.5)
             lengths.append(len(tr.bits))
         frac1 = np.mean(terminals)
@@ -776,6 +783,41 @@ class TestSimulation:
         assert (degenerate.pure_steps, degenerate.general_steps, degenerate.rounds) == (0, 0, 0)
 
     @pytest.mark.parametrize(
+        "mu, sig, eps, snap_tol, n, seed, expected",
+        [
+            # the benchmark's walk: the revealing signal on the no-11 measure
+            (MU_NO11, REVEALING, 0.05, 1e-6, 2000, 1, TerminalSample(
+                n_traces=2000, count0=1356, count1=644, prob0_exact=0.6666666666666666,
+                max_weakness=0.05000000000000001, max_steps_observed=28188,
+                mean_steps=9748.4205, pure_steps=19086812, general_steps=410029,
+                rounds=2527)),
+            (MU_K3, WEAK_K3, 0.1, 1e-4, 2000, 1, TerminalSample(
+                n_traces=2000, count0=999, count1=1001, prob0_exact=0.5,
+                max_weakness=0.10000000000000002, max_steps_observed=165, mean_steps=29.865,
+                pure_steps=0, general_steps=59730, rounds=165)),
+            (MU_FAR, SIG_FAR, 0.3, 1e-4, 2000, 1, TerminalSample(
+                n_traces=2000, count0=129, count1=1871, prob0_exact=0.07500000000000001,
+                max_weakness=0.1666666666666668, max_steps_observed=38, mean_steps=4.094,
+                pure_steps=0, general_steps=8188, rounds=38)),
+            (MU_NO11, REVEALING, 0.25, 1e-4, 1, 4, TerminalSample(
+                n_traces=1, count0=1, count1=0, prob0_exact=0.6666666666666666,
+                max_weakness=0.25, max_steps_observed=146, mean_steps=146.0, pure_steps=145,
+                general_steps=1, rounds=38)),
+            # the branch point within snap distance of mu_1: no round runs
+            (InputDistribution.two_party(0.2, 0.3, 0.5, 0.0), Signal(1, 1e-7, 0.0), 0.2, 1e-6,
+             2000, 1, TerminalSample(
+                 n_traces=2000, count0=0, count1=2000, prob0_exact=5e-08, rounds=0)),
+        ],
+    )
+    def test_sample_is_pinned(self, mu, sig, eps, snap_tol, n, seed, expected):
+        # every field to the bit: a round that changes a draw, the order of
+        # the draws or the arithmetic of a step changes some field here
+        sample = sample_terminal_posteriors(
+            mu, sig, eps, np.random.default_rng(seed), n, snap_tol=snap_tol
+        )
+        assert sample == expected
+
+    @pytest.mark.parametrize(
         "mu, sig, eps, snap_tol, seeds",
         [
             (MU_NO11, REVEALING, 0.05, 1e-3, (0, 1)),
@@ -799,6 +841,22 @@ class TestSimulation:
             assert cli._dump(result) == json.dumps(
                 {"eps": eps, "traces": [ref, ref]}, sort_keys=True, indent=2
             )
+
+    @pytest.mark.parametrize(
+        "mu, sig, eps, snap_tol",
+        [(MU_NO11, REVEALING, 0.05, 1e-3), (MU_K3, WEAK_K3, 0.1, 1e-4)],
+    )
+    def test_traces_sharing_a_walk_equal_traces_with_their_own(self, mu, sig, eps, snap_tol):
+        # the walk's table is built on its first trace and read by the rest
+        walk = _SegmentWalk(mu, sig, eps, snap_tol)
+        shared_rng, own_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            shared = simulate_signal(mu, sig, eps, shared_rng, snap_tol=snap_tol, walk=walk)
+            own = simulate_signal(mu, sig, eps, own_rng, snap_tol=snap_tol)
+            assert shared.bits.size > 1
+            assert cli._dump(shared) == cli._dump(own)
+            assert shared_rng.bit_generator.state == own_rng.bit_generator.state
+        assert "_trace_table" in vars(walk)
 
     @pytest.mark.parametrize("block", [1, 7, _BIT_BLOCK])
     @pytest.mark.parametrize(
