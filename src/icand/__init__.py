@@ -11,7 +11,6 @@ maximizing the two-party cost.
 from .buzzers import BuzzersProtocol, closed_form_uniform, cost_under, information_cost
 from .concavity import (
     CanonicalMeasure,
-    merge_tail_players,
     outside_window_checks,
     perturb,
     taylor_coefficient,
@@ -43,7 +42,6 @@ __all__ = [
     "information_cost",
     "maximize_external",
     "maximize_internal",
-    "merge_tail_players",
     "outside_window_checks",
     "perturb",
     "sample_terminal_posteriors",

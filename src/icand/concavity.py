@@ -23,7 +23,9 @@ call per bisection level.
 The canonical family reduces the general verification to three parameters:
 ``k`` players, sender ``s``, and a base mass ``beta``.  Its sender-block
 masses satisfy ``mass(e_s) = exp(gamma0) * beta`` with ``gamma0`` itself
-depending on that mass, a fixed point solved here by iteration.  The window
+depending on that mass; ``y = exp(gamma0)`` is the positive root of a
+quadratic, taken here in closed form, and a cell is built from the measure
+alone, its earlier block starting ``ln(y)`` before the sender.  The window
 deficits of the family obey cubic laws in ``eps`` whose coefficients are
 evaluated by :func:`taylor_coefficient`; the deficits themselves are always
 computed from exact densities and the cubic laws serve only as predictions
@@ -60,7 +62,6 @@ __all__ = [
     "window_deficits",
     "taylor_coefficient",
     "outside_window_checks",
-    "merge_tail_players",
     "concavity_report",
     "verify_grid",
     "GridRow",
@@ -92,14 +93,14 @@ def gamma1_of(beta_s: float, eps: float) -> float:
 @dataclass(frozen=True)
 class CanonicalMeasure:
     """Three-parameter reduced family: first ``s-1`` basis masses ``beta``,
-    remaining ones ``exp(gamma0(eps)) * beta``, rest of the mass on
-    all-zeros.  ``gamma0`` is tied to the sender's own mass, so the family
-    is implicitly parameterized by the signal weakness ``eps``."""
+    remaining ones ``beta_s(eps)``, rest of the mass on all-zeros.  The
+    sender's mass is ``exp(gamma0) * beta`` with ``gamma0`` its own left
+    window edge, so the family is implicitly parameterized by the signal
+    weakness ``eps``."""
 
     k: int
     s: int
     beta: float
-    _gamma0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -108,30 +109,21 @@ class CanonicalMeasure:
             # a sender above k is a grid cell without a measure, not a bad input
             error = InvalidDistributionError if self.s > self.k else MalformedInputError
             raise error(f"sender {self.s} outside 1..{self.k}")
-        if not 0.0 < self.beta < 1.0 / self.k:
+        if not ZERO_MASS < self.beta < 1.0 / self.k:
             raise InvalidDistributionError(
-                f"beta={self.beta} outside (0, 1/k) for k={self.k}"
+                f"beta={self.beta} outside ({ZERO_MASS:g}, 1/k) for k={self.k}"
             )
 
-    def gamma0(self, eps: float) -> float:
-        """Fixed point of g = gamma0_of(exp(g) beta, eps), solved once per
-        ``eps``: the measure and the start times both read it."""
-        if eps in self._gamma0:
-            return self._gamma0[eps]
-        g, seen = 0.0, set()
-        for _ in range(200):
-            g_new = gamma0_of(math.exp(g) * self.beta, eps)
-            # a repeated iterate is a cycle between neighbouring floats,
-            # which no further step can leave
-            if abs(g_new - g) <= 1e-16 * max(1.0, abs(g_new)) or g_new in seen:
-                self._gamma0[eps] = g_new
-                return g_new
-            seen.add(g)
-            g = g_new
-        raise MalformedInputError("gamma0 fixed point did not converge")
-
     def beta_s(self, eps: float) -> float:
-        return math.exp(self.gamma0(eps)) * self.beta
+        """The sender-block mass ``y beta``, where ``y = exp(gamma0)`` solves
+        ``gamma0 = gamma0_of(y beta, eps)``: the positive root of
+        ``eps beta y^2 + c y - 1 = 0`` with ``c = 1 - eps - eps beta``, as
+        ``2 / (c + sqrt(c^2 + 4 eps beta))``, which cancels nothing."""
+        if not 0.0 <= eps < 1.0:
+            raise MalformedInputError(f"eps={eps} outside [0, 1)")
+        # 1 - eps (1 + beta) would lose the digits of beta as eps nears 1
+        c = (1.0 - eps) - eps * self.beta
+        return 2.0 * self.beta / (c + math.sqrt(c * c + 4.0 * eps * self.beta))
 
     def measure(self, eps: float) -> InputDistribution:
         bs = self.beta_s(eps)
@@ -145,11 +137,6 @@ class CanonicalMeasure:
         vec = [max(mass_zeros, 0.0)] + [self.beta] * (self.s - 1) + [bs] * (self.k - self.s + 1)
         return InputDistribution._from_vector(self.k, np.array(vec + [0.0]))
 
-    def sender_times(self, eps: float) -> tuple[float, ...]:
-        """Start times shifted so the sender block sits at zero."""
-        g0 = self.gamma0(eps)
-        return tuple(-g0 if i < self.s else 0.0 for i in range(1, self.k + 1))
-
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -158,9 +145,9 @@ class Perturbation:
 
     Conditioning on the signal multiplies masses by ``1 +/- eps beta_s`` /
     ``1 -/+ eps (1 - beta_s)`` (zeros/ones rows of the sender), with
-    ``beta_s = Pr[X_s = 1]``, which moves the sender's start time ``t_s`` to
-    ``t_s - gamma0`` or ``t_s + gamma1`` while every other start time stays
-    put.  ``window`` is ``(t_s - gamma0, t_s + gamma1)``.
+    ``beta_s = Pr[X_s = 1]``, which moves the sender's start time, zero
+    under the base protocol, to ``-gamma0`` or ``+gamma1`` while every other
+    start time stays put.  ``window`` is ``(-gamma0, gamma1)``.
     """
 
     sender: int
@@ -182,11 +169,10 @@ class Perturbation:
         length) when the quadratic left-gap bound applies: some player
         starts earlier and ``gamma0`` is at most half the gap.  Otherwise
         the reason it does not apply."""
-        t_s = self.base_protocol.player_times[self.sender - 1]
-        earlier = [t for t in self.base_protocol.player_times if t < t_s - ZERO_MASS]
+        earlier = [t for t in self.base_protocol.player_times if t < -ZERO_MASS]
         if self.sender < 2 or not earlier:
             return "no earlier start time (s = 1 or no gap)"
-        gap_len = t_s - max(earlier)
+        gap_len = -max(earlier)
         if self.gamma0 > gap_len / 2.0:
             return f"gamma0 = {self.gamma0:.3e} exceeds half the gap {gap_len:.3e}"
         return max(earlier), len(earlier), gap_len
@@ -220,17 +206,13 @@ class Perturbation:
         return self._integrals
 
 
-def perturb(
-    mu: InputDistribution,
-    s: int,
-    eps: float,
-    protocol: BuzzersProtocol | None = None,
-) -> Perturbation:
-    """Tilt ``mu`` by the weakness-``eps`` unbiased signal of player ``s``.
+def perturb(mu: InputDistribution, s: int, eps: float) -> Perturbation:
+    """Tilt ``mu`` by the weakness-``eps`` unbiased signal of player ``s``,
+    under the measure's own buzzers protocol shifted so that player ``s``
+    starts at time zero.
 
     ``mu`` must put no mass on the all-ones input (remove it first; the
-    protocol does not change).  ``protocol`` defaults to the measure's own
-    buzzers protocol shifted so that player ``s`` starts at time zero.
+    protocol does not change).
     """
     if mu.mass_ones > ZERO_MASS:
         raise AssumptionViolationError(
@@ -252,13 +234,9 @@ def perturb(
         for row in mu.vector * np.stack([1.0 + shift, 1.0 - shift])
     )
 
-    if protocol is None:
-        times = start_times(mu)
-        base = BuzzersProtocol(tuple(t - times[s - 1] for t in times))
-    else:
-        base = protocol
-    t_s = base.player_times[s - 1]
-    window = (t_s - g0, t_s + g1)
+    times = start_times(mu)
+    base = BuzzersProtocol(tuple(t - times[s - 1] for t in times))
+    window = (-g0, g1)
     t0, t1 = list(base.player_times), list(base.player_times)
     t0[s - 1], t1[s - 1] = window
     return Perturbation(
@@ -432,22 +410,6 @@ def outside_window_checks(pert: Perturbation) -> OutsideWindowChecks:
     )
 
 
-def merge_tail_players(mu: InputDistribution, keep: int) -> InputDistribution:
-    """Fold players ``keep+1 .. k`` into the all-zeros mass.
-
-    Used for the merge-invariance check: when the dropped players' basis
-    masses all exceed the kept sender block and the window ends before
-    their start times, the external window deficit is unchanged.
-    """
-    if not 2 <= keep < mu.k:
-        raise MalformedInputError(f"keep={keep} outside 2..{mu.k - 1}")
-    if mu.mass_ones > ZERO_MASS:
-        raise AssumptionViolationError("remove the all-ones mass first")
-    e = mu.vector[1 : mu.k + 1]
-    zeros = mu.mass_zeros + sum(e[keep:].tolist())
-    return InputDistribution._from_vector(keep, np.concatenate([[zeros], e[:keep], [0.0]]))
-
-
 # ---------------------------------------------------------------------------
 # reports and grid runs
 # ---------------------------------------------------------------------------
@@ -455,11 +417,6 @@ def merge_tail_players(mu: InputDistribution, keep: int) -> InputDistribution:
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    k: int
-    s: int
-    beta: float
-    eps: float
-    window: tuple[float, float]
     ext_deficit: float
     int_deficit: float
     taylor_ext: float
@@ -472,20 +429,12 @@ class ConcavityReport:
 def concavity_report(
     canonical: CanonicalMeasure, eps: float, *, with_outside: bool = True
 ) -> ConcavityReport:
-    pert = perturb(
-        canonical.measure(eps), canonical.s, eps,
-        protocol=BuzzersProtocol(canonical.sender_times(eps)),
-    )
+    pert = perturb(canonical.measure(eps), canonical.s, eps)
     deficits = window_deficits(pert, with_outside=with_outside)
     te = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "ext") * eps**3
     ti = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "int") * eps**3
     outside = outside_window_checks(pert) if with_outside else None
     return ConcavityReport(
-        k=canonical.k,
-        s=canonical.s,
-        beta=canonical.beta,
-        eps=eps,
-        window=pert.window,
         ext_deficit=deficits.external,
         int_deficit=deficits.internal,
         taylor_ext=te,
@@ -502,9 +451,12 @@ class GridRow:
     s: int
     beta: float
     eps: float
-    feasible: bool
     skip_reason: str | None
     report: ConcavityReport | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.report is not None
 
 
 def verify_grid(
@@ -517,7 +469,7 @@ def verify_grid(
 ) -> list[GridRow]:
     """Evaluate the concavity reports over a parameter grid.
 
-    Infeasible combinations (a sender above k, beta outside (0, 1/k), or
+    Infeasible combinations (a sender above k, beta outside (1e-15, 1/k), or
     negative all-zeros mass at the requested weakness) are reported as
     skipped rows rather than silently dropped.
     """
@@ -530,9 +482,7 @@ def verify_grid(
                         canonical = CanonicalMeasure(k=k, s=s, beta=beta)
                         report = concavity_report(canonical, eps, with_outside=with_outside)
                     except InvalidDistributionError as exc:
-                        rows.append(
-                            GridRow(k, s, beta, eps, False, str(exc), None)
-                        )
+                        rows.append(GridRow(k, s, beta, eps, str(exc), None))
                         continue
-                    rows.append(GridRow(k, s, beta, eps, True, None, report))
+                    rows.append(GridRow(k, s, beta, eps, None, report))
     return rows

@@ -24,16 +24,11 @@ import time
 import numpy as np
 import pytest
 
-from icand.buzzers import (
-    BuzzersProtocol,
-    closed_form_uniform,
-    information_cost,
-)
+from icand.buzzers import closed_form_uniform, information_cost
 from icand.cli import main as cli_main
 from icand.concavity import (
     CanonicalMeasure,
     check_same_average,
-    merge_tail_players,
     outside_window_checks,
     perturb,
     taylor_coefficient,
@@ -44,6 +39,7 @@ from icand.errors import InvalidDistributionError
 from icand.measures import InputDistribution, canonical_labels
 from icand.optimize import SupportPattern, maximize_internal
 from icand.signals import Signal, sample_terminal_posteriors, simulate_signal
+from merge_oracle import merge_tail_players
 from signal_oracle import classify
 
 
@@ -118,10 +114,7 @@ def cubic_law_rows():
                 per_eps = {}
                 for eps in GRID_EPS:
                     mu = canonical.measure(eps)
-                    deficits = window_deficits(perturb(
-                        mu, s, eps,
-                        protocol=BuzzersProtocol(canonical.sender_times(eps)),
-                    ))
+                    deficits = window_deficits(perturb(mu, s, eps))
                     per_eps[eps] = deficits
                 rows.append((k, s, beta, per_eps))
     return rows, skipped

@@ -14,12 +14,11 @@ PACKAGE = Path(icand.__file__).parent
 
 #: Functions no small CLI run reaches, each with the reason it stays.
 UNREACHED = {
-    "merge_tail_players": "acceptance: criterion 10, merge invariance",
     "SimulationTrace.steps": "acceptance: criterion 6 reads the step objects",
     "InputDistribution.two_party": "acceptance: the no-11 measure of criteria 6 and 7",
     "InputDistribution.to_json": "acceptance: criterion 1 writes its measure files",
     "InputDistribution.mass": "acceptance: criterion 2 compares the argmax masses of 01 and 10",
-    "InputDistribution.mass_zeros": "acceptance: the eps^2 bound of criterion 5 and merge_tail_players",
+    "InputDistribution.mass_zeros": "acceptance: the eps^2 bound of criterion 5",
     "ZeroEMassError.__init__": "exception constructor",
     "InputDistribution.__setattr__": "dunder: raises on mutation",
     "InputDistribution.__repr__": "dunder",

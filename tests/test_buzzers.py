@@ -305,7 +305,7 @@ class TestGatedKernel:
         c = concavity.CanonicalMeasure(k=5, s=3, beta=0.05)
         eps = 0.05
         mu = c.measure(eps)
-        pert = concavity.perturb(mu, 3, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        pert = concavity.perturb(mu, 3, eps)
         ts = np.linspace(-pert.gamma0 - 0.1, pert.gamma1 + 2.0, 30)
         runs = [protocol_rows(m, p.player_times) for p, m in (
             (pert.base_protocol, mu), (pert.protocol0, pert.mu0), (pert.protocol1, pert.mu1))]

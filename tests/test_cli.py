@@ -182,6 +182,25 @@ class TestVerifyConcavity:
         assert rows[0]["feasible"] == 0
         assert rows[0]["skip_reason"]
 
+    @pytest.mark.parametrize("beta", ["1e-16", "1e-300"])
+    def test_beta_at_or_below_zero_mass_is_a_skipped_row(self, capsys, beta):
+        # a basis mass the package counts as zero has no start time
+        code, out, _ = run(capsys, "verify-concavity", "--k", "2,3", "--beta", beta,
+                           "--eps", "0.01", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 5
+        assert all(r["feasible"] == 0 and "outside (1e-15, 1/k)" in r["skip_reason"] for r in rows)
+
+    def test_eps_near_one_is_feasible(self, capsys):
+        # beta_s is the root of a quadratic, with no iteration to diverge
+        code, out, _ = run(capsys, "verify-concavity", "--k", "2", "--beta", "0.01",
+                           "--eps", "0.999", "--outside")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [(r["s"], r["feasible"], r["left_ok"], r["right_ok"]) for r in rows] == [
+            ("1", "1", "1", "1"), ("2", "1", "1", "1")]
+
     def test_sender_above_k_is_a_skipped_row(self, capsys):
         code, out, _ = run(capsys, "verify-concavity", "--k", "2,3", "--s", "3,5",
                            "--beta", "0.05", "--eps", "0.01,0.02")

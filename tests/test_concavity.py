@@ -1,20 +1,21 @@
 """Window deficits, cubic laws, and the outside-window structure."""
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from icand import concavity
-from icand.buzzers import BuzzersProtocol
+from icand.buzzers import information_cost
 from icand.concavity import (
     CanonicalMeasure,
     check_same_average,
     concavity_report,
     gamma0_of,
     gamma1_of,
-    merge_tail_players,
     outside_window_checks,
     perturb,
     taylor_coefficient,
@@ -27,9 +28,10 @@ from icand.errors import (
     MalformedInputError,
     ToleranceError,
 )
-from icand.measures import InputDistribution, canonical_labels
+from icand.measures import InputDistribution, binary_entropy, canonical_labels, entropy
 from icand.quadrature import integrate
 from kernel_oracle import buzz_densities, entropy_densities
+from merge_oracle import merge_tail_players
 
 LN2 = math.log(2.0)
 
@@ -136,7 +138,7 @@ def canonical_window_forms(canonical: CanonicalMeasure, eps: float) -> WindowDen
         s=canonical.s,
         beta=canonical.beta,
         eps=eps,
-        gamma0=canonical.gamma0(eps),
+        gamma0=gamma0_of(canonical.beta_s(eps), eps),
         gamma1=gamma1_of(canonical.beta_s(eps), eps),
     )
 
@@ -221,19 +223,20 @@ class TestGammas:
     def test_fixed_point_consistency(self):
         c = CanonicalMeasure(k=3, s=2, beta=0.1)
         eps = 0.05
-        g0 = c.gamma0(eps)
+        g0 = math.log(c.beta_s(eps) / c.beta)
         mu = c.measure(eps)
         assert mu.e_mass(2) / mu.e_mass(1) == pytest.approx(math.exp(g0), rel=1e-12)
         assert g0 == pytest.approx(gamma0_of(mu.beta(2), eps), abs=1e-14)
 
     @pytest.mark.parametrize("k, beta, eps", [(2, 0.318, 2.5e-3), (2, 0.2, 0.2), (3, 0.1, 0.9)])
     def test_fixed_point_that_cycles_between_floats(self, k, beta, eps):
-        # the iterates alternate between two floats farther apart than the
-        # stop test allows; the solver returns at the repeat.  gamma0_of is a
-        # log of a ratio near one, so its round-off is a few ulps of one
-        # (times max(1, g)) however small g is
-        g = CanonicalMeasure(k=k, s=1, beta=beta).gamma0(eps)
-        gap = abs(g - gamma0_of(math.exp(g) * beta, eps))
+        # inputs where iterating g -> gamma0_of(exp(g) beta, eps) alternates
+        # between two floats; the root is the fixed point to round-off.
+        # gamma0_of is a log of a ratio near one, so its round-off is a few
+        # ulps of one (times max(1, g)) however small g is
+        beta_s = CanonicalMeasure(k=k, s=1, beta=beta).beta_s(eps)
+        g = gamma0_of(beta_s, eps)
+        gap = abs(math.log(beta_s / beta) - g)
         assert gap <= 4.0 * np.finfo(float).eps * max(1.0, g)
 
     @pytest.mark.parametrize("beta", [0.1, 0.25])
@@ -252,11 +255,33 @@ class TestGammas:
         assert d2 == pytest.approx(1.0 - 2 * beta, abs=1e-4)
         assert d2_1 == pytest.approx(2 * beta - 1.0, abs=1e-4)
 
+    def test_root_within_ulps_of_40_digit_root(self):
+        # seeded beta log-uniform on [1e-14, 0.4999], eps uniform on [0, 1)
+        # or within 10^-U(0, 12) of 1, plus the edges.  The denominator
+        # c + sqrt(c^2 + 4 eps beta) carries about two roundings, which the
+        # division passes on scaled by the mantissa of the result (up to 2)
+        # and adds half an ulp; the worst seen is 2.45 ulps over 30,000
+        # points, 2.33 on these
+        rng = np.random.default_rng(0)
+        n = 4000
+        betas = [1e-14, 0.4999, *np.exp(rng.uniform(math.log(1e-14), math.log(0.4999), n)).tolist()]
+        near_one = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0, n)
+        epss = [0.0, 1.0 - 1e-12, *np.where(rng.uniform(size=n) < 0.5, rng.uniform(size=n), near_one).tolist()]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for beta, eps in [*itertools.product(betas[:2], epss[:2]), *zip(betas, epss)]:
+                got = CanonicalMeasure(k=2, s=1, beta=beta).beta_s(eps)
+                b, e = mpmath.mpf(beta), mpmath.mpf(eps)
+                c = (1 - e) - e * b
+                exact = 2 * b / (c + mpmath.sqrt(c * c + 4 * e * b))
+                worst = max(worst, float(abs(got - exact)) / math.ulp(float(exact)))
+        assert worst <= 3.0
+
     def test_library_gamma_matches_oracle(self):
         c = CanonicalMeasure(k=4, s=3, beta=0.05)
         for eps in (1e-2, 5e-3):
             g0o, g1o = canonical_gamma_pair(4, 3, 0.05, eps)
-            assert c.gamma0(eps) == pytest.approx(g0o, abs=1e-15)
+            assert math.log(c.beta_s(eps) / 0.05) == pytest.approx(g0o, abs=1e-15)
             assert gamma1_of(c.beta_s(eps), eps) == pytest.approx(g1o, abs=1e-15)
 
 
@@ -294,7 +319,7 @@ class TestPerturbation:
     def test_shifted_start_times(self):
         c = CanonicalMeasure(k=3, s=2, beta=0.1)
         eps = 0.02
-        pert = perturb(c.measure(eps), 2, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        pert = perturb(c.measure(eps), 2, eps)
         assert pert.protocol0.player_times[1] == pytest.approx(-pert.gamma0)
         assert pert.protocol1.player_times[1] == pytest.approx(pert.gamma1)
         assert pert.protocol0.player_times[0] == pert.base_protocol.player_times[0]
@@ -335,11 +360,10 @@ class TestPerturbedDensities:
         eps = 0.01
         c = CanonicalMeasure(k=k, s=s, beta=beta)
         mu = c.measure(eps)
-        proto = BuzzersProtocol(c.sender_times(eps))
-        pert = perturb(mu, s, eps, protocol=proto)
+        pert = perturb(mu, s, eps)
         forms = canonical_window_forms(c, eps)
         ts = np.linspace(-pert.gamma0 + 1e-9, pert.gamma1 - 1e-9, 1000)
-        base = mixtures(proto, mu, ts)
+        base = mixtures(pert.base_protocol, mu, ts)
         f0 = mixtures(pert.protocol0, pert.mu0, ts)
         f1 = mixtures(pert.protocol1, pert.mu1, ts)
         for m in range(1, k + 1):
@@ -354,13 +378,13 @@ class TestPerturbedDensities:
         forms = canonical_window_forms(c, eps)
         ts = np.linspace(-forms.gamma0 + 1e-9, forms.gamma1 - 1e-9, 100)
         assert np.all(forms.tilted1(2, ts) == 0.0)
-        pert = perturb(c.measure(eps), 2, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        pert = perturb(c.measure(eps), 2, eps)
         assert np.all(mixtures(pert.protocol1, pert.mu1, ts)[:, 1] == 0.0)
 
     def test_zero_eps_all_equal(self):
         c = CanonicalMeasure(k=3, s=1, beta=0.12)
         mu = c.measure(0.0)
-        pert = perturb(mu, 1, 0.0, protocol=BuzzersProtocol(c.sender_times(0.0)))
+        pert = perturb(mu, 1, 0.0)
         ts = np.linspace(0.0, 3.0, 50)
         base = mixtures(pert.base_protocol, mu, ts)
         np.testing.assert_allclose(mixtures(pert.protocol0, pert.mu0, ts), base, atol=1e-14)
@@ -399,9 +423,7 @@ class TestDeficits:
     def test_same_average_checked(self):
         c = CanonicalMeasure(k=4, s=2, beta=0.05)
         eps = 0.01
-        pert = perturb(
-            c.measure(eps), 2, eps, protocol=BuzzersProtocol(c.sender_times(eps))
-        )
+        pert = perturb(c.measure(eps), 2, eps)
         assert check_same_average(pert) <= 1e-11
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01])
@@ -426,24 +448,6 @@ class TestDeficits:
         assert check_same_average(pert) <= 1e-15
         with pytest.raises(ToleranceError, match="window-mass average identity"):
             check_same_average(with_scaled_mu0(pert, 1.0 + 1e-9))
-
-    def test_gamma0_solved_once_per_report(self, monkeypatch):
-        calls = []
-        original = concavity.gamma0_of
-
-        def counted(beta_s, eps):
-            calls.append(beta_s)
-            return original(beta_s, eps)
-
-        monkeypatch.setattr(concavity, "gamma0_of", counted)
-        eps = 5e-3
-        CanonicalMeasure(k=4, s=3, beta=0.05).gamma0(eps)
-        solve = len(calls)
-        calls.clear()
-        concavity_report(CanonicalMeasure(k=4, s=3, beta=0.05), eps, with_outside=True)
-        # one fixed-point solve, and one window edge for the one perturbation
-        # that the window deficits and the outside checks share
-        assert solve > 2 and len(calls) == solve + 1
 
     def test_richardson_residual_order(self):
         # residual of deficit/eps^3 should roughly halve per eps halving
@@ -553,7 +557,7 @@ class TestOutsideWindow:
         c = CanonicalMeasure(k=3, s=1, beta=0.1)
         eps = 0.01
         checks = outside_window_checks(
-            perturb(c.measure(eps), 1, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+            perturb(c.measure(eps), 1, eps)
         )
         assert checks.eps2_ok is None
         assert "no earlier start" in checks.eps2_skip_reason
@@ -588,7 +592,7 @@ class TestOnePassPerCell:
         # the two window segments and the right stretch, one panel each
         calls = counted_integrands(monkeypatch)
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
-        pert = perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
+        pert = perturb(c.measure(0.005), 3, 0.005)
         window_deficits(pert, with_outside=True)
         outside_window_checks(pert)
         assert calls == [63]
@@ -599,7 +603,7 @@ class TestOnePassPerCell:
         # pass, with window values equal to the first pass's
         calls = counted_integrands(monkeypatch)
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
-        pert = perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
+        pert = perturb(c.measure(0.005), 3, 0.005)
         deficits = window_deficits(pert)
         assert calls == [42] and list(pert.integrals(outside=False)) == ["window"]
         vals, err = pert.integrals(outside=False)["window"]
@@ -636,6 +640,68 @@ class TestOnePassPerCell:
         assert calls == []
 
 
+def concealed_bits(mu):
+    """Concealed information in bits, prior entropy minus the buzzers cost,
+    as [external, player 1, ..., player k], and the cost's error estimate."""
+    ic = information_cost(mu)
+    h = entropy(mu.vector)
+    prior = np.array([h] + [h - binary_entropy(mu.beta(i)) for i in range(1, mu.k + 1)])
+    return prior - np.array([ic.external_bits, *ic.per_player_bits]), ic.quadrature_error_estimate
+
+
+def three_cost_gaps(pert):
+    """Per component ([external, internal, player 1, ..., player k]) the gap
+    between the cell's window + left + right integrals and
+    Conc(mu) - (Conc(mu0) + Conc(mu1)) / 2 from three costs, and the error
+    allowed: the window's quadrature error plus the cost estimates, weighted
+    1/2 on each tilt."""
+    parts = pert.integrals()
+    whole = sum(parts[name][0] for name in ("window", "left", "right") if name in parts)
+    (c, e), (c0, e0), (c1, e1) = (concealed_bits(m) for m in (pert.mu, pert.mu0, pert.mu1))
+    three = c - 0.5 * (c0 + c1)
+    gaps = np.abs(np.insert(whole - three, 1, whole[1:].sum() - three[1:].sum()))
+    return gaps, window_deficits(pert).quadrature_error + e + 0.5 * (e0 + e1)
+
+
+def identity_cells(group):
+    """The cells of one group: the bench grid's corners, the two eps = 0.999
+    cells, every sender of 49 seeded measures with k <= 8, or one seeded
+    measure each at k = 16 and 32."""
+    rng = np.random.default_rng(24)
+    if group == "corners":
+        for k in (2, 8):
+            for s, beta, eps in itertools.product((1, k), (0.01, 0.1), (1e-2, 1.25e-3)):
+                yield perturb(CanonicalMeasure(k=k, s=s, beta=beta).measure(eps), s, eps)
+    elif group == "eps 0.999":
+        for s in (1, 2):
+            yield perturb(CanonicalMeasure(k=2, s=s, beta=0.01).measure(0.999), s, 0.999)
+    elif group == "random":
+        for mu in random_measures(seed=24, count=7, k_max=8):
+            eps = float(rng.choice([0.2, 0.05, 0.01]))
+            for s in range(1, mu.k + 1):
+                yield perturb(mu, s, eps)
+    else:
+        for k in (16, 32):
+            labels = canonical_labels(k)[: k + 1]
+            mu = InputDistribution(k, dict(zip(labels, rng.dirichlet(np.ones(k + 1)))))
+            yield perturb(mu, k // 2, 0.05)
+
+
+class TestThreeCostIdentity:
+    """A cell's window, left and right integrals sum to its whole deficit,
+    the concealed information of the measure minus the average of its
+    tilts', which three ``information_cost`` calls give independently."""
+
+    @pytest.mark.parametrize("group", ["corners", "eps 0.999", "random", "wide"])
+    def test_window_left_right_equal_three_costs(self, group):
+        cells = 0
+        for pert in identity_cells(group):
+            gaps, tol = three_cost_gaps(pert)
+            assert np.all(gaps <= tol), (pert.mu, pert.sender, pert.eps, gaps.max(), tol)
+            cells += 1
+        assert cells == {"corners": 16, "eps 0.999": 2, "random": 245, "wide": 2}[group]
+
+
 class TestMergeInvariance:
     def test_external_window_deficit_unchanged(self):
         mu = InputDistribution(
@@ -664,8 +730,10 @@ class TestGridRunner:
         assert all("beta" in r.skip_reason or "infeasible" in r.skip_reason for r in rows)
 
     def test_report_fields(self):
-        report = concavity_report(CanonicalMeasure(k=2, s=1, beta=0.1), 1e-2)
-        assert report.window[0] < 0 < report.window[1]
+        c = CanonicalMeasure(k=2, s=1, beta=0.1)
+        report = concavity_report(c, 1e-2)
+        pert = perturb(c.measure(1e-2), 1, 1e-2)
+        assert pert.window[0] < 0 < pert.window[1]
         assert report.residual_ext == pytest.approx(
             report.ext_deficit - report.taylor_ext, abs=1e-15
         )
@@ -701,7 +769,7 @@ class TestRoundoffFloor:
     def cell():
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
         eps = 0.005
-        pert = perturb(c.measure(eps), 3, eps, protocol=BuzzersProtocol(c.sender_times(eps)))
+        pert = perturb(c.measure(eps), 3, eps)
         lo = pert.window[1]
         return pert, concavity._concavity_integrand(pert), lo, lo + concavity._RIGHT_WIDTH
 
@@ -763,6 +831,6 @@ class TestRoundoffFloor:
         monkeypatch.setattr(concavity, "_concavity_integrand", noisy)
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
         checks = outside_window_checks(
-            perturb(c.measure(0.005), 3, 0.005, protocol=BuzzersProtocol(c.sender_times(0.005)))
+            perturb(c.measure(0.005), 3, 0.005)
         )
         assert abs(checks.right_value) <= 1e-12 and checks.right_ok
