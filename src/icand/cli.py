@@ -29,7 +29,6 @@ from .optimize import SupportPattern, maximize_external, maximize_internal
 from .signals import (
     Signal,
     SimulationTrace,
-    _SegmentWalk,
     sample_terminal_posteriors,
     simulate_signal,
 )
@@ -282,11 +281,10 @@ def _cmd_simulate_signal(args) -> int:
     if args.export_traces:
         rng2 = np.random.default_rng(args.seed + 1)
         snap_tol = max(args.snap_tol, 1e-3)
-        walk = _SegmentWalk(mu, sig, args.eps, snap_tol)  # one table for every trace
         result["traces"] = [
             simulate_signal(
                 mu, sig, args.eps, rng2,
-                snap_tol=snap_tol, max_steps=args.max_steps, walk=walk,
+                snap_tol=snap_tol, max_steps=args.max_steps,
             )
             for _ in range(args.export_traces)
         ]

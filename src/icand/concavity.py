@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .buzzers import BuzzersProtocol, _entropy_densities, _layout, start_times
+from .buzzers import _entropy_densities, _layout, start_times
 from .errors import (
     AssumptionViolationError,
     InvalidDistributionError,
@@ -147,20 +147,20 @@ class Perturbation:
     ``1 -/+ eps (1 - beta_s)`` (zeros/ones rows of the sender), with
     ``beta_s = Pr[X_s = 1]``, which moves the sender's start time, zero
     under the base protocol, to ``-gamma0`` or ``+gamma1`` while every other
-    start time stays put.  ``window`` is ``(-gamma0, gamma1)``.
+    start time stays put.  ``window`` is ``(-gamma0, gamma1)``.  ``times``
+    holds the start times of the three protocols, read-only, one row each:
+    the base protocol, tilt 0 and tilt 1, which agree except in column
+    ``sender - 1``, holding 0, ``-gamma0`` and ``gamma1``.
     """
 
     sender: int
     eps: float
-    gamma0: float
-    gamma1: float
     window: tuple[float, float]
     mu: InputDistribution
     mu0: InputDistribution
     mu1: InputDistribution
-    base_protocol: BuzzersProtocol
-    protocol0: BuzzersProtocol
-    protocol1: BuzzersProtocol
+    # derived from the fields above, and left out of == and hash, which an array breaks
+    times: np.ndarray = field(compare=False)
     _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -169,13 +169,13 @@ class Perturbation:
         length) when the quadratic left-gap bound applies: some player
         starts earlier and ``gamma0`` is at most half the gap.  Otherwise
         the reason it does not apply."""
-        earlier = [t for t in self.base_protocol.player_times if t < -ZERO_MASS]
-        if self.sender < 2 or not earlier:
+        earlier = self.times[0][self.times[0] < -ZERO_MASS]
+        if self.sender < 2 or not earlier.size:
             return "no earlier start time (s = 1 or no gap)"
-        gap_len = -max(earlier)
-        if self.gamma0 > gap_len / 2.0:
-            return f"gamma0 = {self.gamma0:.3e} exceeds half the gap {gap_len:.3e}"
-        return max(earlier), len(earlier), gap_len
+        previous, gamma0 = float(earlier.max()), -self.window[0]
+        if gamma0 > -previous / 2.0:
+            return f"gamma0 = {gamma0:.3e} exceeds half the gap {-previous:.3e}"
+        return previous, earlier.size, -previous
 
     def integrals(self, outside: bool = True) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """The cell's integrals in bits and their per-component error bounds,
@@ -183,25 +183,32 @@ class Perturbation:
         with ``outside``, also ``"right"``, the ``_RIGHT_WIDTH`` past it;
         ``"left"``, from the earliest start time (below it everything is
         zero) to the window, when that opens later; ``"gap"``, from the
-        previous start time to the window, when :attr:`gap` applies.  A part
-        with no segment wider than the quadrature's 1e-14 cut integrates to
-        zeros.  The pass is kept; one with the outside parts serves both."""
+        previous start time to the window, when :attr:`gap` applies.  The
+        left part then integrates only up to the gap and adds its sums, so
+        each segment is integrated once; a part sums its segments in order
+        either way.  A part with no segment wider than the quadrature's
+        1e-14 cut integrates to zeros.  The pass is kept; one with the
+        outside parts serves both."""
         if "right" in self._integrals or (not outside and self._integrals):
             return self._integrals
         lo, hi = self.window
         parts = {"window": (lo, hi)}
         if outside:
             parts["right"] = (hi, hi + _RIGHT_WIDTH)
-            t_min = min(self.base_protocol.player_times)
-            if lo > t_min:
-                parts["left"] = (t_min, lo)
-            if not isinstance(self.gap, str):
+            t_min = float(self.times[0].min())
+            if not isinstance(self.gap, str):  # the left part adds the gap's sums below
+                parts["left"] = (t_min, self.gap[0])
                 parts["gap"] = (self.gap[0], lo)
-        starts = {t for p in (self.base_protocol, self.protocol0, self.protocol1) for t in p.player_times}
+            elif lo > t_min:
+                parts["left"] = (t_min, lo)
+        starts = set(self.times.ravel().tolist())
         groups = [[a, b, *(t for t in starts if a < t < b)] for a, b in parts.values()]
-        sums = integrate_segments(_concavity_integrand(self), groups, rtol=_RTOL, atol=_ATOL)
+        sums = dict(zip(parts, integrate_segments(_concavity_integrand(self), groups,
+                                                  rtol=_RTOL, atol=_ATOL)))
+        if "gap" in sums:
+            sums["left"] = tuple(a + b for a, b in zip(sums["left"], sums["gap"]))
         zero = np.zeros(self.mu.k + 1)
-        for name, (vals, err) in zip(parts, sums):
+        for name, (vals, err) in sums.items():
             self._integrals[name] = (zero + vals / LN2, zero + err / LN2)
         return self._integrals
 
@@ -234,23 +241,18 @@ def perturb(mu: InputDistribution, s: int, eps: float) -> Perturbation:
         for row in mu.vector * np.stack([1.0 + shift, 1.0 - shift])
     )
 
-    times = start_times(mu)
-    base = BuzzersProtocol(tuple(t - times[s - 1] for t in times))
-    window = (-g0, g1)
-    t0, t1 = list(base.player_times), list(base.player_times)
-    t0[s - 1], t1[s - 1] = window
+    base = np.array(start_times(mu))
+    times = np.tile(base - base[s - 1], (3, 1))
+    times[1:, s - 1] = -g0, g1
+    times.flags.writeable = False
     return Perturbation(
         sender=s,
         eps=eps,
-        gamma0=g0,
-        gamma1=g1,
-        window=window,
+        window=(-g0, g1),
         mu=mu,
         mu0=mu0,
         mu1=mu1,
-        base_protocol=base,
-        protocol0=BuzzersProtocol(tuple(t0)),
-        protocol1=BuzzersProtocol(tuple(t1)),
+        times=times,
     )
 
 
@@ -269,13 +271,12 @@ def _concavity_integrand(pert: Perturbation):
     """
     live = pert.mu.vector > 0.0  # the tilts keep every zero mass at zero
     layout = _layout((pert.mu.bits[live] == 0).astype(float))
-    times = np.array([p.player_times for p in (pert.base_protocol, pert.protocol0, pert.protocol1)])
     log_w = np.log(np.array([m.vector[live] for m in (pert.mu, pert.mu0, pert.mu1)]))
     sign = np.repeat([-1.0, 1.0], pert.mu.k + 1)  # the defects, then their bounds
 
     def f(ts: np.ndarray) -> np.ndarray:
         rows = np.repeat(np.arange(3), len(ts))
-        out = _entropy_densities(times[rows], layout, log_w[rows], np.tile(ts, 3))
+        out = _entropy_densities(pert.times[rows], layout, log_w[rows], np.tile(ts, 3))
         return out[: len(ts)] + sign * 0.5 * (out[len(ts) : 2 * len(ts)] + out[2 * len(ts) :])
 
     return f
@@ -291,10 +292,8 @@ def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> fl
     """
     edges = np.array(pert.window)
     zeros = (pert.mu.bits == 0).astype(float)
-    protocols = (pert.base_protocol, pert.protocol0, pert.protocol1)
-    times = np.array([p.player_times for p in protocols])
     # survival[p, e, x] of input x under protocol p at window edge e
-    survival = np.exp(-(np.maximum(edges[:, None] - times[:, None, :], 0.0) @ zeros.T))
+    survival = np.exp(-(np.maximum(edges[:, None] - pert.times[:, None, :], 0.0) @ zeros.T))
     masses = np.array([pert.mu.vector, pert.mu0.vector, pert.mu1.vector])
     window = masses * (survival[:, 0] - survival[:, 1])
     worst = float(np.max(np.abs(window[0] - 0.5 * (window[1] + window[2]))))

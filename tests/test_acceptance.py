@@ -326,8 +326,8 @@ def test_criterion_10_merge_invariance():
         merged = merge_tail_players(mu, keep)
         pert = perturb(mu, s, eps)
         # eligibility: the window must end before the folded players start
-        t_next = sorted(pert.base_protocol.player_times)[keep]
-        assert pert.gamma1 <= t_next
+        t_next = sorted(pert.times[0])[keep]
+        assert pert.window[1] <= t_next
         a = window_deficits(pert)
         b = window_deficits(perturb(merged, s, eps))
         worst = max(worst, abs(a.external - b.external))

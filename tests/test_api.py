@@ -23,7 +23,6 @@ UNREACHED = {
     "InputDistribution.__setattr__": "dunder: raises on mutation",
     "InputDistribution.__repr__": "dunder",
     "InputDistribution.__eq__": "dunder",
-    "InputDistribution.__hash__": "dunder",
 }
 
 

@@ -306,9 +306,8 @@ class TestGatedKernel:
         eps = 0.05
         mu = c.measure(eps)
         pert = concavity.perturb(mu, 3, eps)
-        ts = np.linspace(-pert.gamma0 - 0.1, pert.gamma1 + 2.0, 30)
-        runs = [protocol_rows(m, p.player_times) for p, m in (
-            (pert.base_protocol, mu), (pert.protocol0, pert.mu0), (pert.protocol1, pert.mu1))]
+        ts = np.linspace(pert.window[0] - 0.1, pert.window[1] + 2.0, 30)
+        runs = [protocol_rows(m, t) for t, m in zip(pert.times, (mu, pert.mu0, pert.mu1))]
         rows = np.repeat(np.arange(3), len(ts))
         times = np.array([r[0] for r in runs])[rows]
         log_w = np.array([r[2] for r in runs])[rows]

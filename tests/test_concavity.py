@@ -29,7 +29,7 @@ from icand.errors import (
     ToleranceError,
 )
 from icand.measures import InputDistribution, binary_entropy, canonical_labels, entropy
-from icand.quadrature import integrate
+from icand.quadrature import integrate, integrate_segments
 from kernel_oracle import buzz_densities, entropy_densities
 from merge_oracle import merge_tail_players
 
@@ -183,16 +183,15 @@ def per_label_same_average(pert):
 
         return survival(lo) - survival(hi)
 
-    lo = pert.base_protocol.player_times[pert.sender - 1] - pert.gamma0
-    hi = pert.base_protocol.player_times[pert.sender - 1] + pert.gamma1
+    lo, hi = pert.window
     worst = 0.0
     for lab, m, m0, m1 in zip(
         pert.mu.labels, pert.mu.vector, pert.mu0.vector, pert.mu1.vector
     ):
-        lhs = m * window_probability(pert.base_protocol.player_times, lab, lo, hi)
+        lhs = m * window_probability(pert.times[0], lab, lo, hi)
         rhs = 0.5 * (
-            m0 * window_probability(pert.protocol0.player_times, lab, lo, hi)
-            + m1 * window_probability(pert.protocol1.player_times, lab, lo, hi)
+            m0 * window_probability(pert.times[1], lab, lo, hi)
+            + m1 * window_probability(pert.times[2], lab, lo, hi)
         )
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -308,7 +307,7 @@ class TestPerturbation:
         pert = perturb(mu, 1, 0.0)
         assert pert.mu0.statistical_distance(mu) < 1e-14
         assert pert.mu1.statistical_distance(mu) < 1e-14
-        assert pert.gamma0 == 0.0 and pert.gamma1 == 0.0
+        assert pert.window == (0.0, 0.0)
 
     def test_average_recovers_measure(self):
         mu = InputDistribution(3, {"000": 0.4, "100": 0.15, "010": 0.15, "001": 0.3})
@@ -317,12 +316,23 @@ class TestPerturbation:
         np.testing.assert_allclose(avg, mu.vector, atol=1e-12)
 
     def test_shifted_start_times(self):
-        c = CanonicalMeasure(k=3, s=2, beta=0.1)
-        eps = 0.02
-        pert = perturb(c.measure(eps), 2, eps)
-        assert pert.protocol0.player_times[1] == pytest.approx(-pert.gamma0)
-        assert pert.protocol1.player_times[1] == pytest.approx(pert.gamma1)
-        assert pert.protocol0.player_times[0] == pert.base_protocol.player_times[0]
+        # one read-only (3, k) array: the base protocol and the two tilts,
+        # which differ only in the sender's column, 0, -gamma0 and gamma1
+        measures = [CanonicalMeasure(k=3, s=2, beta=0.1).measure(0.02), staggered_instance(),
+                    *random_measures(seed=5, count=3)]
+        for mu in measures:
+            for s in range(1, mu.k + 1):
+                pert = perturb(mu, s, 0.02)
+                times = pert.times
+                assert times.shape == (3, mu.k) and not times.flags.writeable
+                with pytest.raises(ValueError):
+                    times[0, 0] = 1.0
+                others = np.arange(mu.k) != s - 1
+                assert np.array_equal(times[1:, others], times[[0, 0]][:, others])
+                g0, g1 = gamma0_of(mu.beta(s), 0.02), gamma1_of(mu.beta(s), 0.02)
+                assert times[:, s - 1].tolist() == [0.0, -g0, g1]
+                assert pert.window == (-g0, g1)
+                assert pert == perturb(mu, s, 0.02) and hash(pert) == hash(perturb(mu, s, 0.02))
 
     def test_all_ones_mass_is_refused(self):
         # the one check a cell makes for window deficits and outside checks
@@ -345,10 +355,10 @@ class TestPerturbation:
                 assert pert.mu1.vector.tobytes() == mu1.vector.tobytes()
 
 
-def mixtures(protocol, mu, ts):
-    """f(t, m) = sum_x V[t, m, x] from the oracle's density builder."""
+def mixtures(times, mu, ts):
+    """f(t, m) = sum_x V[t, m, x] from the oracle's density builder, under
+    the start times ``times``."""
     bits = np.array([[int(c) for c in lab] for lab in mu.labels])
-    times = np.asarray(protocol.player_times)
     with np.errstate(divide="ignore"):
         log_w = np.log(mu.vector)
     return buzz_densities(times, (bits == 0).astype(float), log_w, ts).sum(axis=2)
@@ -362,10 +372,10 @@ class TestPerturbedDensities:
         mu = c.measure(eps)
         pert = perturb(mu, s, eps)
         forms = canonical_window_forms(c, eps)
-        ts = np.linspace(-pert.gamma0 + 1e-9, pert.gamma1 - 1e-9, 1000)
-        base = mixtures(pert.base_protocol, mu, ts)
-        f0 = mixtures(pert.protocol0, pert.mu0, ts)
-        f1 = mixtures(pert.protocol1, pert.mu1, ts)
+        ts = np.linspace(pert.window[0] + 1e-9, pert.window[1] - 1e-9, 1000)
+        base = mixtures(pert.times[0], mu, ts)
+        f0 = mixtures(pert.times[1], pert.mu0, ts)
+        f1 = mixtures(pert.times[2], pert.mu1, ts)
         for m in range(1, k + 1):
             np.testing.assert_allclose(f0[:, m - 1], forms.tilted0(m, ts), atol=1e-12)
             np.testing.assert_allclose(f1[:, m - 1], forms.tilted1(m, ts), atol=1e-12)
@@ -379,16 +389,16 @@ class TestPerturbedDensities:
         ts = np.linspace(-forms.gamma0 + 1e-9, forms.gamma1 - 1e-9, 100)
         assert np.all(forms.tilted1(2, ts) == 0.0)
         pert = perturb(c.measure(eps), 2, eps)
-        assert np.all(mixtures(pert.protocol1, pert.mu1, ts)[:, 1] == 0.0)
+        assert np.all(mixtures(pert.times[2], pert.mu1, ts)[:, 1] == 0.0)
 
     def test_zero_eps_all_equal(self):
         c = CanonicalMeasure(k=3, s=1, beta=0.12)
         mu = c.measure(0.0)
         pert = perturb(mu, 1, 0.0)
         ts = np.linspace(0.0, 3.0, 50)
-        base = mixtures(pert.base_protocol, mu, ts)
-        np.testing.assert_allclose(mixtures(pert.protocol0, pert.mu0, ts), base, atol=1e-14)
-        np.testing.assert_allclose(mixtures(pert.protocol1, pert.mu1, ts), base, atol=1e-14)
+        base = mixtures(pert.times[0], mu, ts)
+        np.testing.assert_allclose(mixtures(pert.times[1], pert.mu0, ts), base, atol=1e-14)
+        np.testing.assert_allclose(mixtures(pert.times[2], pert.mu1, ts), base, atol=1e-14)
 
 
 class TestDeficits:
@@ -541,7 +551,7 @@ class TestOutsideWindow:
         base = outside_window_checks(pert)
         assert base.left_ok and base.right_ok
         # the left check integrates from the earliest start to the window
-        shift = 2.0 * base.left_value / (pert.window[0] - min(pert.base_protocol.player_times))
+        shift = 2.0 * base.left_value / (pert.window[0] - pert.times[0].min())
         plain = concavity._concavity_integrand
 
         def shifted(pert):
@@ -624,10 +634,23 @@ class TestOnePassPerCell:
         pert = perturb(staggered_instance(gap=1.0), 2, 0.05)
         checks = outside_window_checks(pert)
         window_deficits(pert)
-        assert len(calls) == 1
-        assert list(pert.integrals()) == ["window", "right", "left", "gap"]
-        assert checks.left_value == float(pert.integrals()["left"][0][0])
-        assert checks.eps2_gap_value == float(pert.integrals()["gap"][0][0])
+        assert calls == [84]
+        parts = pert.integrals()
+        assert list(parts) == ["window", "right", "left", "gap"]
+        assert checks.left_value == float(parts["left"][0][0])
+        assert checks.eps2_gap_value == float(parts["gap"][0][0])
+        # the left part stops at the gap and adds its sums: bit for bit the
+        # left part integrated to the window, with the gap segment again
+        (lo, hi), (start, _, _) = pert.window, pert.gap
+        starts = set(pert.times.ravel().tolist())
+        spans = [(lo, hi), (hi, hi + concavity._RIGHT_WIDTH), (pert.times[0].min(), lo), (start, lo)]
+        groups = [[a, b, *(t for t in starts if a < t < b)] for a, b in spans]
+        sums = integrate_segments(concavity._concavity_integrand(pert), groups,
+                                  rtol=concavity._RTOL, atol=concavity._ATOL)
+        assert calls == [84, 105]
+        for name, (vals, err) in zip(parts, sums):
+            assert parts[name][0].tobytes() == (0.0 + vals / LN2).tobytes(), name
+            assert parts[name][1].tobytes() == (0.0 + err / LN2).tobytes(), name
 
     def test_window_mass_identity_is_checked_before_any_integral(self, monkeypatch):
         calls = counted_integrands(monkeypatch)
@@ -778,8 +801,7 @@ class TestRoundoffFloor:
         # the V-tensor kernel's defect, with the package's round-off bounds
         live = pert.mu.vector > 0.0
         bits = pert.mu.bits[live]
-        runs = [(p.player_times, np.log(m.vector[live])) for p, m in (
-            (pert.base_protocol, pert.mu), (pert.protocol0, pert.mu0), (pert.protocol1, pert.mu1))]
+        runs = [(t, np.log(m.vector[live])) for t, m in zip(pert.times, (pert.mu, pert.mu0, pert.mu1))]
 
         def g(ts):
             base, h0, h1 = (entropy_densities(t, bits, w, ts) for t, w in runs)

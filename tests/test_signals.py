@@ -24,6 +24,7 @@ from icand.signals import (
     Signal,
     _SegmentWalk,
     _binomial_half,
+    _walk,
     _skip_lengths,
     posterior,
     SimulationTrace,
@@ -609,10 +610,9 @@ class TestSimulation:
         # on the terminal label frequency and the mean step count within 4
         # sigma of the difference of two independent samples
         rng = np.random.default_rng(11)
-        walk = _SegmentWalk(MU_NO11, REVEALING, 0.25, 1e-4)  # one lam table for every trace
         terminals, lengths = [], []
         for _ in range(1000):
-            tr = simulate_signal(MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4, walk=walk)
+            tr = simulate_signal(MU_NO11, REVEALING, eps=0.25, rng=rng, snap_tol=1e-4)
             terminals.append(tr.terminal.mass("10") > 0.5)
             lengths.append(len(tr.bits))
         frac1 = np.mean(terminals)
@@ -846,17 +846,33 @@ class TestSimulation:
         "mu, sig, eps, snap_tol",
         [(MU_NO11, REVEALING, 0.05, 1e-3), (MU_K3, WEAK_K3, 0.1, 1e-4)],
     )
-    def test_traces_sharing_a_walk_equal_traces_with_their_own(self, mu, sig, eps, snap_tol):
-        # the walk's table is built on its first trace and read by the rest
-        walk = _SegmentWalk(mu, sig, eps, snap_tol)
-        shared_rng, own_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(3):
-            shared = simulate_signal(mu, sig, eps, shared_rng, snap_tol=snap_tol, walk=walk)
+    def test_traces_of_one_signal_share_one_cached_walk(self, monkeypatch, mu, sig, eps, snap_tol):
+        # the cached walk's table is built on the first trace and read by
+        # the rest; each trace equals one made from a cleared cache
+        builds = []
+        lam_table = _SegmentWalk.lam_table
+
+        def counted(walk):
+            builds.append(walk)
+            return lam_table(walk)
+
+        monkeypatch.setattr(_SegmentWalk, "lam_table", counted)
+        _walk.cache_clear()
+        rng = np.random.default_rng(3)
+        states, shared = [], []
+        for _ in range(20):
+            states.append(rng.bit_generator.state)
+            shared.append(simulate_signal(mu, sig, eps, rng, snap_tol=snap_tol))
+        assert len(builds) == 1
+        for state, trace in zip(states, shared):
+            _walk.cache_clear()
+            own_rng = np.random.default_rng()
+            own_rng.bit_generator.state = state
             own = simulate_signal(mu, sig, eps, own_rng, snap_tol=snap_tol)
-            assert shared.bits.size > 1
-            assert cli._dump(shared) == cli._dump(own)
-            assert shared_rng.bit_generator.state == own_rng.bit_generator.state
-        assert "_trace_table" in vars(walk)
+            assert trace.bits.size > 1
+            assert cli._dump(trace) == cli._dump(own)
+        assert own_rng.bit_generator.state == rng.bit_generator.state
+        assert len(builds) == 21
 
     @pytest.mark.parametrize("block", [1, 7, _BIT_BLOCK])
     @pytest.mark.parametrize(
@@ -916,15 +932,15 @@ class TestSimulation:
     def test_validation_rejects_bad_steps(self):
         walk = _SegmentWalk(MU_NO11, REVEALING, 0.2, 1e-3)
         path, lams, _, snapped = walk.trace(np.random.default_rng(0), 10**6)
-        alpha, lam = np.array(path[:-1]), np.array(lams)
+        alpha, lam = np.array(path), np.array(lams)
         assert snapped is not None
-        walk.validate_steps(alpha, lam)
+        walk.checked_steps(alpha, lam)
         too_big = lam.copy()
         too_big[len(lam) // 2] *= 1.5
         with pytest.raises(IcandError, match="weakness"):
-            walk.validate_steps(alpha, too_big)
+            walk.checked_steps(alpha, too_big)
         with pytest.raises(IcandError):
-            walk.validate_steps(alpha, np.where(np.arange(lam.size) == 3, np.nan, lam))
+            walk.checked_steps(alpha, np.where(np.arange(lam.size) == 3, np.nan, lam))
 
     @pytest.mark.parametrize(
         "kwargs",
