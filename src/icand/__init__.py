@@ -8,7 +8,7 @@ discrete-time protocol, and reproduces the set-disjointness constant by
 maximizing the two-party cost.
 """
 
-from .buzzers import BuzzersProtocol, closed_form_uniform, cost_under, information_cost
+from .buzzers import closed_form_uniform, cost_under, information_cost
 from .concavity import (
     CanonicalMeasure,
     outside_window_checks,
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BuzzersProtocol",
     "CanonicalMeasure",
     "IcandError",
     "InputDistribution",

@@ -18,11 +18,13 @@ window integrals and the discrete leaf sums), the last one in closed form
 also the whole cost on the player-symmetric line (``_symmetric_line``); one
 power series evaluates it for both (``_line_series``).
 
-All-ones mass is conditioned away and the cost scaled by its complement:
-start times depend only on ratios of basis masses, so the conditioned
-measure runs the same protocol.  A zero basis mass leaves its player's start
-time undefined; the limit of vanishing mass (the player starts first, holds
-0 and buzzes at once, revealing nothing) costs zero.
+``information_cost`` conditions all-ones mass away and scales the cost by
+its complement: start times depend only on ratios of basis masses, so the
+conditioned measure runs the same protocol.  ``cost_under`` costs given
+start times on the measure as it is, silent atom included.  A zero basis
+mass leaves its player's start time undefined; the limit of vanishing mass
+(the player starts first, holds 0 and buzzes at once, revealing nothing)
+costs zero.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 from .quadrature import integrate
 
 __all__ = [
-    "BuzzersProtocol",
     "ICReport",
     "start_times",
     "cost_under",
@@ -64,36 +65,15 @@ _ROUNDOFF = 32.0
 _RTOL, _ATOL = 1e-10, 1e-12
 
 
-def start_times(mu: InputDistribution) -> tuple[float, ...]:
-    """Player i's start time ``ln(m_i / m_min)`` at index i - 1, for a measure
-    with positive basis masses."""
+def start_times(mu: InputDistribution) -> np.ndarray:
+    """The protocol on ``mu``: player i's start time ``ln(m_i / m_min)`` at
+    index i - 1, for a measure with positive basis masses."""
     e = mu.vector[1 : mu.k + 1]
     if np.all(e <= ZERO_MASS):
         raise TrivialInstanceError("all basis masses vanish; no start times")
     if np.any(e <= ZERO_MASS):
         raise ZeroEMassError([i + 1 for i in np.flatnonzero(e <= ZERO_MASS)])
-    return tuple(np.log(e / e.min()).tolist())
-
-
-@dataclass(frozen=True)
-class BuzzersProtocol:
-    """A buzzers protocol is fully described by one start time per player."""
-
-    player_times: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.player_times) < 1 or not all(
-            np.isfinite(t) for t in self.player_times
-        ):
-            raise MalformedInputError("start times must be finite")
-
-    @property
-    def k(self) -> int:
-        return len(self.player_times)
-
-    @classmethod
-    def from_measure(cls, mu: InputDistribution) -> "BuzzersProtocol":
-        return cls(start_times(mu))
+    return np.log(e / e.min())
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +274,20 @@ def _cost_arrays(times: np.ndarray, bits: np.ndarray, masses: np.ndarray, *,
     return prior, float(cost[0]), cost[1:], float(bound / LN2)
 
 
-def cost_under(protocol: BuzzersProtocol, mu: InputDistribution) -> ICReport:
-    """Exact cost of running a fixed protocol on inputs drawn from ``mu``,
-    at ``information_cost``'s default tolerances.
+def cost_under(times: np.ndarray, mu: InputDistribution) -> ICReport:
+    """Exact cost of running the protocol with start times ``times`` (one
+    per player) on inputs drawn from ``mu``, at ``information_cost``'s
+    default tolerances.
 
     No reductions are applied: the silent atom (all-ones inputs) is costed
     exactly, and zero masses anywhere are fine because the protocol is given.
     This is the primitive behind the measure-continuity checks.
     """
-    if protocol.k != mu.k:
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise MalformedInputError("start times must be finite")
+    if times.shape != (mu.k,):
         raise MalformedInputError("protocol and measure disagree on k")
-    times = np.asarray(protocol.player_times, dtype=float)
     return ICReport.of(*_cost_arrays(times, mu.bits, mu.vector, rtol=_RTOL, atol=_ATOL))
 
 
@@ -313,23 +296,26 @@ def information_cost(
 ) -> ICReport:
     """Internal and external information cost of the buzzers protocol on ``mu``.
 
-    Mass on the all-ones input is conditioned away first and the cost scaled
-    by the remaining probability (the conditioned measure induces the same
-    protocol).  A vanishing basis mass gives the continuous limit, zero cost.
-    Concealed information is reported against the original measure's
-    entropies.
+    Mass ``c`` on the all-ones input is conditioned away first: with c > 0
+    the costs are (1 - c) times those of the conditioned measure ``mu'``,
+    which induces the same protocol.  That is not the protocol's own cost
+    on ``mu``, ``cost_under(start_times(mu), mu)``: the silence that reveals
+    the all-ones input is information too, and the two differ by
+    ``P(mu) - (1 - c) P(mu')``, with P the prior entropy H(X) for the
+    external cost and sum_i H(X|X_i) for the internal one.  A vanishing
+    basis mass gives the continuous limit, zero cost.  Concealed
+    information is reported against the original measure's entropies.
     """
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise MalformedInputError(f"tolerances rtol={rtol}, atol={atol} must be finite and >= 0")
     mu_r, c_ones = mu.without_all_ones()
     v = mu_r.vector
-    e = v[1 : mu.k + 1]
-    if np.any(e <= ZERO_MASS):
+    if np.any(v[1 : mu.k + 1] <= ZERO_MASS):
         return ICReport.of(_prior_entropies(mu.bits, mu.vector), 0.0, np.zeros(mu.k), 0.0)
     live = v > ZERO_MASS
     w = v[live]
     prior, ext, per, err = _cost_arrays(
-        np.log(e / e.min()), mu.bits[live], w / w.sum(), rtol=rtol, atol=atol
+        start_times(mu_r), mu.bits[live], w / w.sum(), rtol=rtol, atol=atol
     )
     if c_ones > 0.0:
         prior = _prior_entropies(mu.bits, mu.vector)

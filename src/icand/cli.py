@@ -15,12 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .buzzers import (
-    BuzzersProtocol,
-    closed_form_uniform,
-    cost_under,
-    information_cost,
-)
+from .buzzers import closed_form_uniform, cost_under, information_cost, start_times
 from .concavity import GridRow, verify_grid
 from .discretize import build, exact_ic
 from .errors import IcandError, MalformedInputError
@@ -294,9 +289,10 @@ def _cmd_simulate_signal(args) -> int:
 
 def _cmd_discretize(args) -> int:
     mu = _read_measure(args.measure)
+    deltas = _numbers(args.delta)
     reference = information_cost(mu)
     rows = []
-    for delta in _numbers(args.delta):
+    for delta in deltas:
         report = exact_ic(build(mu, delta, args.horizon))
         rows.append(
             {
@@ -352,9 +348,9 @@ def _cmd_continuity_check(args) -> int:
         w = min(1.0, args.delta_max * float(rng.uniform(0.2, 1.0)) / max(width, 1e-12))
         nu = InputDistribution._from_vector(k, (1.0 - w) * mu.vector + w * other.vector)
         delta = mu.statistical_distance(nu)
-        protocol = BuzzersProtocol.from_measure(mu)
-        cost_mu = cost_under(protocol, mu)
-        cost_nu = cost_under(protocol, nu)
+        times = start_times(mu)
+        cost_mu = cost_under(times, mu)
+        cost_nu = cost_under(times, nu)
         bound = 2.0 * k * delta + 2.0 * binary_entropy(min(2.0 * delta, 1.0))
         gap_int = abs(cost_mu.internal_bits - cost_nu.internal_bits)
         gap_ext = abs(cost_mu.external_bits - cost_nu.external_bits)

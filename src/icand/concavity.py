@@ -67,6 +67,7 @@ __all__ = [
     "GridRow",
 ]
 
+#: Largest window-mass residual ``check_same_average`` accepts.
 _SAME_AVERAGE_TOL = 1e-11
 
 #: Quadrature tolerances of every window integral.
@@ -241,7 +242,7 @@ def perturb(mu: InputDistribution, s: int, eps: float) -> Perturbation:
         for row in mu.vector * np.stack([1.0 + shift, 1.0 - shift])
     )
 
-    base = np.array(start_times(mu))
+    base = start_times(mu)
     times = np.tile(base - base[s - 1], (3, 1))
     times[1:, s - 1] = -g0, g1
     times.flags.writeable = False
@@ -282,11 +283,12 @@ def _concavity_integrand(pert: Perturbation):
     return f
 
 
-def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> float:
+def check_same_average(pert: Perturbation) -> float:
     """Per-input window mass equals the average of the tilted window masses.
 
     This identity is what cancels every linear phi-term in the window
-    integrals; it is asserted, not assumed.  Returns the worst residual.
+    integrals; it is asserted to within ``_SAME_AVERAGE_TOL``, not assumed.
+    Returns the worst residual.
     An input's window mass is its mass times the drop of its survival
     ``exp(-sum_{i: x_i = 0} (t - t_i)^+)`` across the window.
     """
@@ -297,9 +299,9 @@ def check_same_average(pert: Perturbation, tol: float = _SAME_AVERAGE_TOL) -> fl
     masses = np.array([pert.mu.vector, pert.mu0.vector, pert.mu1.vector])
     window = masses * (survival[:, 0] - survival[:, 1])
     worst = float(np.max(np.abs(window[0] - 0.5 * (window[1] + window[2]))))
-    if worst > tol:
+    if worst > _SAME_AVERAGE_TOL:
         raise ToleranceError(
-            f"window-mass average identity violated by {worst:.3e} (tol {tol})"
+            f"window-mass average identity violated by {worst:.3e} (tol {_SAME_AVERAGE_TOL})"
         )
     return worst
 

@@ -30,6 +30,9 @@ from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 
 __all__ = ["DiscreteProtocol", "build", "exact_ic"]
 
+#: Leaves (slot, buzzing player) a discrete protocol may have.
+_MAX_LEAVES = 5_000_000
+
 
 @dataclass(frozen=True)
 class DiscreteProtocol:
@@ -50,21 +53,16 @@ class DiscreteProtocol:
     silent_prob: np.ndarray
 
 
-def build(
-    mu: InputDistribution,
-    delta: float,
-    horizon: float,
-    *,
-    max_leaves: int = 5_000_000,
-) -> DiscreteProtocol:
+def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtocol:
     """Construct the discrete protocol (exact transcript distribution).
 
-    ``horizon`` must leave at least one time unit past the last start time.
-    The construction is exact; nothing is sampled.
+    ``horizon`` must leave at least one time unit past the last start time,
+    and the protocol may have at most ``_MAX_LEAVES`` leaves.  The
+    construction is exact; nothing is sampled.
     """
     if not 0.0 < delta < math.inf:
         raise MalformedInputError(f"slot length {delta} must be finite and > 0")
-    times = np.asarray(start_times(mu))
+    times = start_times(mu)
     if not times.max() + 1.0 <= horizon < math.inf:
         raise MalformedInputError(
             f"horizon {horizon} must be finite and at least {times.max() + 1.0}"
@@ -80,9 +78,9 @@ def build(
     # one leaf per (slot, active player); counted in floats, exact below
     # 2**53, before any cast and before anything is built
     n_leaves = float(np.maximum(n_slots - join_slot, 0.0).sum())
-    if not n_leaves <= max_leaves:
+    if not n_leaves <= _MAX_LEAVES:
         raise ResolutionError(
-            f"{n_leaves:.15g} transcript classes exceed the cap {max_leaves}; "
+            f"{n_leaves:.15g} transcript classes exceed the cap {_MAX_LEAVES}; "
             "increase delta or lower the horizon"
         )
     n_slots, join_slot, n_leaves = int(n_slots), join_slot.astype(int), int(n_leaves)

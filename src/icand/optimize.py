@@ -7,7 +7,10 @@ invariant under the player permutations that fix the face, which permute
 its free basis inputs ``e_i`` in any order, so the search runs on the
 symmetric line: mass ``a`` on all-zeros and ``(1 - a) / |F|`` on each free
 ``e_i`` (``a = 0`` when all-zeros is zeroed, ``a = 1`` when no ``e_i`` is
-free), with no all-ones mass, which only scales the cost by its complement.
+free), with no all-ones mass: ``information_cost`` conditions that mass
+away and scales the cost of the rest by its complement.  That is not the
+protocol's own cost on such a measure, ``cost_under(start_times(mu), mu)``,
+which also counts what its silence reveals (see ``information_cost``).
 
 On that line every start time is 0, and the cost and its derivative in
 ``a`` have a closed form (``buzzers._symmetric_line``).  A lattice scan at

@@ -55,14 +55,17 @@ _C_KRONROD, _C_GAUSS, _EPS = 12.5, 7.0, float(np.finfo(float).eps)
 #: 2 n values, however many panels a round has pending.
 _CALL_PANELS = 48
 
+#: Panels examined on one interval before ``integrate`` gives up.
+_MAX_PANELS = 4096
 
-def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
-              max_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``f`` over [a, b]; returns (component integrals, error bounds).
 
-    ``a`` and ``b`` are numbers, or equal-length arrays of endpoints; then
-    row j of both results belongs to [a[j], b[j]].  Every interval is
-    checked before ``f`` is first called, which takes the nodes of at most
+def integrate(f, a: np.ndarray, b: np.ndarray, *, rtol: float = 1e-10,
+              atol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``f`` over the intervals [a[j], b[j]]; returns (component
+    integrals, error bounds), row j of both for interval j.
+
+    ``a`` and ``b`` are equal-length 1-d arrays of endpoints.  Every interval
+    is checked before ``f`` is first called, which takes the nodes of at most
     ``_CALL_PANELS`` panels at a time.  ``f(t_array) -> (n_t, 2 n)``
     returns n components, then a bound r(t) on the round-off of each in
     units of eps (zeros for an integrand exact to rounding).
@@ -71,7 +74,7 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
     is within ``max(atol (hi - lo) / (b - a), rtol max |K21|)``, when it is
     narrower than 1e-14 (b - a), or when every disagreement is within its
     round-off floor (below); otherwise it is bisected.  More than
-    ``max_panels`` panels examined on one interval is an error.  An
+    ``_MAX_PANELS`` panels examined on one interval is an error.  An
     interval's integral sums the K21 sums of its accepted panels in
     descending ``lo`` (the order of a depth-first stack that pops the right
     half first), and its error bound their disagreements plus floors.  The
@@ -91,14 +94,13 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
     nothing.
     """
     a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    scalar = a_arr.ndim == b_arr.ndim == 0
-    a_arr, b_arr = (a_arr.reshape(1), b_arr.reshape(1)) if scalar else (a_arr, b_arr)
     if a_arr.ndim != 1 or a_arr.shape != b_arr.shape or not len(a_arr):
-        raise QuadratureError(f"endpoints must be numbers or equal-length 1-d arrays, "
+        raise QuadratureError(f"endpoints must be equal-length 1-d arrays, "
                               f"got shapes {np.shape(a)} and {np.shape(b)}")
-    for lo, hi in zip(a_arr.tolist(), b_arr.tolist()):
-        if not lo < hi:
-            raise QuadratureError(f"empty or inverted interval [{lo}, {hi}]")
+    ok = a_arr < b_arr
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise QuadratureError(f"empty or inverted interval [{a_arr[j]}, {b_arr[j]}]")
 
     m, width = len(a_arr), b_arr - a_arr
     # the pending panels: their interval, then their endpoints
@@ -110,10 +112,10 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
                 for i in range(0, len(lo), _CALL_PANELS)]
         kronrod, gauss = (np.concatenate(parts) for parts in zip(*sums))
         examined += np.bincount(owner, minlength=m)
-        if examined.max() > max_panels:
-            j = int(np.argmax(examined > max_panels))
-            p = np.flatnonzero(owner == j)[max_panels - examined[j]]  # < 0: from the round's end
-            raise QuadratureError(f"exceeded {max_panels} panels on [{a_arr[j]}, {b_arr[j]}]; "
+        if examined.max() > _MAX_PANELS:
+            j = int(np.argmax(examined > _MAX_PANELS))
+            p = np.flatnonzero(owner == j)[_MAX_PANELS - examined[j]]  # < 0: from the round's end
+            raise QuadratureError(f"exceeded {_MAX_PANELS} panels on [{a_arr[j]}, {b_arr[j]}]; "
                                   f"residual interval [{lo[p]}, {hi[p]}]")
         n = kronrod.shape[1] // 2
         vals = kronrod[:, :n]
@@ -135,7 +137,7 @@ def integrate(f, a, b, *, rtol: float = 1e-10, atol: float = 1e-13,
     total, err = np.zeros((m, n)), np.zeros((m, n))
     np.add.at(total, owner[order], vals[order])
     np.add.at(err, owner[order], errs[order])
-    return (total[0], err[0]) if scalar else (total, err)
+    return total, err
 
 
 def _panel_sums(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import icand.buzzers as buzzers
 import icand.concavity as concavity
 from icand.buzzers import (
-    BuzzersProtocol,
     closed_form_uniform,
     cost_under,
     information_cost,
@@ -49,18 +48,21 @@ def basis_measures(draw, k_min=2, k_max=4, with_ones=False):
 
 class TestStartTimes:
     def test_equal_masses(self):
-        assert start_times(InputDistribution.uniform_basis(3)) == (0.0, 0.0, 0.0)
+        # a protocol is its array of start times, one per player
+        times = start_times(InputDistribution.uniform_basis(3))
+        assert isinstance(times, np.ndarray) and times.dtype == float
+        assert times.tolist() == [0.0, 0.0, 0.0]
 
     def test_two_party_ratio(self):
         mu = InputDistribution.two_party(0.7, 0.2, 0.1, 0.0)
         # player 1 has the smaller basis mass (0.1 on label 10), so it leads
-        assert start_times(mu) == (0.0, pytest.approx(math.log(2.0), abs=1e-15))
+        assert start_times(mu).tolist() == [0.0, pytest.approx(math.log(2.0), abs=1e-15)]
 
     def test_three_party(self):
         mu = InputDistribution(
             3, {"000": 0.4, "100": 0.1, "010": 0.1, "001": 0.4}
         )
-        assert start_times(mu) == (0.0, 0.0, pytest.approx(math.log(4.0)))
+        assert start_times(mu).tolist() == [0.0, 0.0, pytest.approx(math.log(4.0))]
 
     def test_all_zero_masses(self):
         with pytest.raises(TrivialInstanceError):
@@ -72,18 +74,18 @@ class TestStartTimes:
         assert err.value.players == (1,)
 
 
-def per_input_densities(mu, ts, protocol=None):
-    """f_x(t, m) from the oracle's density builder (unit masses)."""
-    proto = protocol or BuzzersProtocol.from_measure(mu)
+def per_input_densities(mu, ts, times=None):
+    """f_x(t, m) from the oracle's density builder (unit masses), under the
+    measure's own protocol or the start times given."""
     bits = np.array([list(map(int, lab)) for lab in mu.labels])
-    times = np.asarray(proto.player_times)
+    times = start_times(mu) if times is None else times
     return buzz_densities(times, (bits == 0).astype(float), np.zeros(len(bits)), ts)
 
 
 def buzz_mass_per_input(mu):
     """sum_m int f_x(t, m) dt for every input, by quadrature up to 60 time
     units past the last start (the remaining tail is below e^-60)."""
-    times = BuzzersProtocol.from_measure(mu).player_times
+    times = start_times(mu)
     ((vals, _),) = integrate_segments(
         zero_bounds(lambda ts: per_input_densities(mu, ts).sum(axis=1)),
         [[*times, max(times) + 60.0]],
@@ -117,9 +119,8 @@ class TestDensity:
         np.testing.assert_allclose(weighted[:, 1, 0], 0.5 * np.exp(-ts), atol=1e-14)
 
     def test_gated_before_start(self):
-        proto = BuzzersProtocol((0.0, 1.0))
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
-        dens = per_input_densities(mu, np.array([0.5, 1.5]), proto)
+        dens = per_input_densities(mu, np.array([0.5, 1.5]), np.array([0.0, 1.0]))
         assert np.all(dens[0, 1] == 0.0)
         zeros = mu.labels.index("00")
         assert dens[1, 1, zeros] == pytest.approx(math.exp(-2.0), abs=1e-15)
@@ -224,7 +225,7 @@ def protocol_rows(mu, times=None):
     protocol, or under the start times given."""
     live = mu.vector > 0.0
     bits = mu.bits[live]
-    times = np.asarray(start_times(mu) if times is None else times, dtype=float)
+    times = start_times(mu) if times is None else times
     return times, bits, np.log(mu.vector[live])
 
 
@@ -275,7 +276,7 @@ class TestGatedKernel:
         # may be run on a measure with a zero basis mass; from t = 240 on the
         # densities run from normal through subnormal to zero
         mu = InputDistribution(3, {"000": 0.3, "010": 0.3, "001": 0.2, "111": 0.2})
-        times, bits, log_w = protocol_rows(mu, times=(0.0, 0.5, 1.25))
+        times, bits, log_w = protocol_rows(mu, times=np.array([0.0, 0.5, 1.25]))
         assert bits.tolist()[-1] == [1, 1, 1]
         ts = np.array([0.2, 0.9, 2.0, 240.0, 245.0, 360.0, 370.0, 800.0])
         assert kernel_gap(times, bits, log_w, ts) <= 1e-13
@@ -426,19 +427,17 @@ class TestInformationCost:
 class TestCostUnder:
     def test_matches_information_cost_without_reductions(self):
         mu = InputDistribution(3, {"000": 0.25, "100": 0.25, "010": 0.25, "001": 0.25})
-        proto = BuzzersProtocol.from_measure(mu)
-        a = cost_under(proto, mu)
+        a = cost_under(start_times(mu), mu)
         b = information_cost(mu)
         assert a.external_bits == pytest.approx(b.external_bits, abs=1e-11)
         assert a.internal_bits == pytest.approx(b.internal_bits, abs=1e-11)
 
     def test_shift_invariance(self):
         mu = InputDistribution.two_party(0.4, 0.3, 0.3, 0.0)
-        proto = BuzzersProtocol.from_measure(mu)
-        base = cost_under(proto, mu)
+        times = start_times(mu)
+        base = cost_under(times, mu)
         for offset in (-2.5, 1.0, 7.25):
-            moved = BuzzersProtocol(tuple(t + offset for t in proto.player_times))
-            shifted = cost_under(moved, mu)
+            shifted = cost_under(times + offset, mu)
             assert shifted.external_bits == pytest.approx(
                 base.external_bits, abs=1e-9
             )
@@ -447,18 +446,45 @@ class TestCostUnder:
             )
 
     def test_point_mass_under_any_protocol(self):
-        proto = BuzzersProtocol((0.0, 0.5))
         mu = InputDistribution(2, {"01": 1.0})
-        report = cost_under(proto, mu)
+        report = cost_under(np.array([0.0, 0.5]), mu)
         assert report.external_bits == pytest.approx(0.0, abs=1e-12)
         assert report.internal_bits == pytest.approx(0.0, abs=1e-12)
 
     def test_all_ones_atom_handled(self):
-        proto = BuzzersProtocol((0.0, 0.0))
         mu = InputDistribution.two_party(0.5, 0.0, 0.0, 0.5)
-        report = cost_under(proto, mu)
+        report = cost_under(np.zeros(2), mu)
         # the transcript (buzz vs eternal silence) reveals the input exactly
         assert report.external_bits == pytest.approx(1.0, abs=1e-10)
+
+    def test_rejects_a_protocol_that_does_not_fit(self):
+        mu = InputDistribution.uniform_basis(3)
+        with pytest.raises(MalformedInputError, match="protocol and measure disagree on k"):
+            cost_under(np.zeros(2), mu)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(MalformedInputError, match="start times must be finite"):
+                cost_under(np.array([0.0, bad, 0.0]), mu)
+
+    def test_own_protocol_with_all_ones_mass(self):
+        # information_cost is (1 - c) times the cost of mu' = mu without
+        # all-ones; the protocol's own cost on mu also counts what its silence
+        # reveals: cost_under(start_times(mu), mu)
+        #   = P(mu) - (1 - c) P(mu') + information_cost(mu),
+        # P the prior entropy H(X) (external) or sum_i H(X|X_i) (internal)
+        rng = np.random.default_rng(9)
+        for j in range(30):
+            k = (2, 3, 4, 6)[j % 4]
+            mu = InputDistribution._from_vector(k, rng.dirichlet(np.ones(k + 2)))
+            reduced, c = mu.without_all_ones()
+            assert c > 0.0
+            own, scaled = cost_under(start_times(mu), mu), information_cost(mu)
+            prior = _prior_entropies(mu.bits, mu.vector) / LN2
+            prior_r = _prior_entropies(reduced.bits, reduced.vector) / LN2
+            ext = prior[0] - (1.0 - c) * prior_r[0] + scaled.external_bits
+            internal = prior[1:].sum() - (1.0 - c) * prior_r[1:].sum() + scaled.internal_bits
+            bound = own.quadrature_error_estimate + scaled.quadrature_error_estimate
+            assert abs(own.external_bits - ext) <= bound, j
+            assert abs(own.internal_bits - internal) <= bound, j
 
     def test_measure_continuity_bound(self):
         # fixed protocol, nearby measures: cost moves at most
@@ -473,10 +499,10 @@ class TestCostUnder:
             mix = 0.1 * rng.uniform()
             nu = InputDistribution(k, dict(zip(labels, (1 - mix) * w + mix * other)))
             delta = mu.statistical_distance(nu)
-            proto = BuzzersProtocol.from_measure(mu)
+            times = start_times(mu)
             gap = abs(
-                cost_under(proto, mu).internal_bits
-                - cost_under(proto, nu).internal_bits
+                cost_under(times, mu).internal_bits
+                - cost_under(times, nu).internal_bits
             )
             bound = 2 * k * delta + 2 * binary_entropy(min(2 * delta, 1.0))
             assert gap <= bound
@@ -586,9 +612,9 @@ class TestGradedTail:
     def test_silent_atom_matches_mpmath(self):
         # cost_under keeps the all-ones input, whose silence reveals it
         mu = InputDistribution.two_party(0.25, 0.25, 0.25, 0.25)
-        proto = BuzzersProtocol((0.0, 0.0))
-        report = cost_under(proto, mu)
-        ext, internal = mp_costs(mu, proto.player_times)
+        times = np.zeros(2)
+        report = cost_under(times, mu)
+        ext, internal = mp_costs(mu, times)
         gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
         assert gap <= 1e-14
         assert report.quadrature_error_estimate >= gap
@@ -600,7 +626,7 @@ class TestGradedTail:
             ({"000": 0.3, "010": 0.3, "001": 0.4}, (0.0, 0.5, 1.25)),
         ):
             mu = InputDistribution(len(times), mass)
-            report = cost_under(BuzzersProtocol(times), mu)
+            report = cost_under(np.array(times), mu)
             ext, internal = mp_costs(mu, times)
             gap = max(abs(report.external_bits - ext), abs(report.internal_bits - internal))
             assert gap <= 1e-14
@@ -684,7 +710,7 @@ def graded_tail_cost(mu, rtol=1e-10, atol=1e-12):
     Gauss-Legendre panels; with one positive count the logarithms cancel and
     g = 1.
     """
-    times = np.asarray(start_times(mu))
+    times = start_times(mu)
     live = mu.vector > 0
     bits = np.array([list(map(int, lab)) for lab in mu.labels])[live]
     zeros, classes, log_w = (bits == 0).astype(float), player_classes(bits), np.log(mu.vector[live])
@@ -702,7 +728,7 @@ def graded_tail_cost(mu, rtol=1e-10, atol=1e-12):
         return conditional_entropies(buzz_densities(times, zeros, log_wv, times.max() - g * ln_v), classes)
 
     ((total, err),) = integrate_segments(zero_bounds(segment), [times], rtol=rtol, atol=atol)
-    vals, e = integrate(zero_bounds(tail), 0.0, 1.0, rtol=rtol, atol=atol)
+    (vals,), (e,) = integrate(zero_bounds(tail), np.array([0.0]), np.array([1.0]), rtol=rtol, atol=atol)
     prior = _prior_entropies(bits, mu.vector[live])
     cost = (prior - total - vals) / LN2
     roundoff = 32.0 * np.finfo(float).eps * prior.sum()

@@ -374,6 +374,16 @@ class TestDiscretize:
         assert error["type"] == "ResolutionError"
         assert error["message"].startswith(f"{count} transcript classes exceed the cap")
 
+    @pytest.mark.parametrize("delta", ["x", ""])
+    def test_bad_delta_list_fails_before_the_reference_cost(self, capsys, monkeypatch, no11_file, delta):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference cost was run before --delta was parsed")
+
+        monkeypatch.setattr(cli, "information_cost", refuse)
+        code, out, err = run(capsys, "discretize", "--measure", no11_file, "--delta", delta)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "MalformedInputError"
+
 
 class TestMaximize:
     def test_quick_run(self, capsys, tmp_path):
@@ -459,8 +469,8 @@ class TestContinuityCheck:
         # its gap lies at least one bound past it
         seen = []
 
-        def pushed(protocol, mu):
-            report = cost_under(protocol, mu)
+        def pushed(times, mu):
+            report = cost_under(times, mu)
             seen.append(mu)
             if len(seen) % 2 == 0:
                 delta = seen[-2].statistical_distance(mu)

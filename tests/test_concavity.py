@@ -437,7 +437,7 @@ class TestDeficits:
         assert check_same_average(pert) <= 1e-11
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01])
-    def test_same_average_matches_per_label_loop(self, eps):
+    def test_same_average_matches_per_label_loop(self, eps, monkeypatch):
         for mu in random_measures(seed=5):
             for s in range(1, mu.k + 1):
                 pert = perturb(mu, s, eps)
@@ -446,9 +446,11 @@ class TestDeficits:
                 )
                 # a violated identity: both give the same, much larger residual
                 broken = with_scaled_mu0(pert, 1.0 + 1e-6)
-                assert check_same_average(broken, tol=1.0) == pytest.approx(
-                    per_label_same_average(broken), rel=1e-6
-                )
+                with monkeypatch.context() as m:
+                    m.setattr(concavity, "_SAME_AVERAGE_TOL", 1.0)
+                    assert check_same_average(broken) == pytest.approx(
+                        per_label_same_average(broken), rel=1e-6
+                    )
 
     def test_scaled_tilt_is_caught(self):
         # mu0 scaled by 1 + 1e-9 breaks the identity by about 1e-9 times the
@@ -655,9 +657,9 @@ class TestOnePassPerCell:
     def test_window_mass_identity_is_checked_before_any_integral(self, monkeypatch):
         calls = counted_integrands(monkeypatch)
         pert = perturb(staggered_instance(gap=1.0), 2, 0.05)
+        monkeypatch.setattr(concavity, "_SAME_AVERAGE_TOL", -1.0)
         with pytest.raises(ToleranceError):
-            check_same_average(pert, tol=-1.0)
-        monkeypatch.setattr(concavity, "check_same_average", lambda pert: check_same_average(pert, tol=-1.0))
+            check_same_average(pert)
         with pytest.raises(ToleranceError):
             window_deficits(pert)
         assert calls == []
@@ -819,9 +821,10 @@ class TestRoundoffFloor:
             calls.append(len(ts))
             return g(ts)
 
-        vals, err = integrate(counted, lo, hi, rtol=concavity._RTOL, atol=concavity._ATOL)
+        vals, err = integrate(counted, np.array([lo]), np.array([hi]),
+                              rtol=concavity._RTOL, atol=concavity._ATOL)
         assert calls == [21]
-        assert abs(vals[0]) / LN2 <= 1e-12
+        assert abs(vals[0, 0]) / LN2 <= 1e-12
 
     def test_cell_passes_its_outside_checks(self):
         c = CanonicalMeasure(k=8, s=3, beta=0.05)

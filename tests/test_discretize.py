@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from icand import discretize
 from icand.buzzers import information_cost, start_times
 from icand.discretize import build, exact_ic
 from icand.errors import MalformedInputError, ResolutionError
@@ -61,15 +62,18 @@ class TestBuild:
         with pytest.raises(MalformedInputError):
             build(MU_E2, 0.0, 25.0)
 
-    def test_leaf_cap(self):
+    def test_leaf_cap(self, monkeypatch):
+        monkeypatch.setattr(discretize, "_MAX_LEAVES", 1000)
         with pytest.raises(ResolutionError):
-            build(MU_E2, 1e-4, 25.0, max_leaves=1000)
+            build(MU_E2, 1e-4, 25.0)
 
-    def test_leaf_count(self):
+    def test_leaf_count(self, monkeypatch):
         # 200 slots; players 1 and 2 join at slot 0, player 3 at slot 12
+        monkeypatch.setattr(discretize, "_MAX_LEAVES", 588)
         assert len(build(MU_K3, 0.125, 25.0).leaf_slot) == 200 + 200 + 188
-        with pytest.raises(ResolutionError, match="588 transcript classes"):
-            build(MU_K3, 0.125, 25.0, max_leaves=587)
+        monkeypatch.setattr(discretize, "_MAX_LEAVES", 587)
+        with pytest.raises(ResolutionError, match="588 transcript classes exceed the cap 587"):
+            build(MU_K3, 0.125, 25.0)
 
     def test_leaf_cap_checked_before_slots_are_built(self, monkeypatch):
         # 2.5e10 slots for two players: the cap must trip on the count alone

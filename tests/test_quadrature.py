@@ -20,15 +20,22 @@ from kernel_oracle import zero_bounds
 EPS = np.finfo(float).eps
 
 
+def integrate_one(f, a, b, **tol):
+    """``integrate`` over the one interval [a, b]: the row of each result."""
+    vals, err = integrate(f, np.array([a]), np.array([b]), **tol)
+    return vals[0], err[0]
+
+
 def test_error_bound_per_component():
     # panels are accepted on the worst component, but each component keeps
     # its own bound: a component a million times smaller gets a far smaller
     # bound instead of sharing the larger one
     f = zero_bounds(lambda t: np.stack([np.sqrt(t), 1e-6 * np.sqrt(t)], axis=1))
-    vals, err = integrate(f, 0.0, 1.0, rtol=1e-10, atol=1e-13)
-    np.testing.assert_allclose(vals, [2 / 3, 2e-6 / 3], rtol=1e-14)
-    assert err.shape == (2,)
-    assert 0.0 < err[1] <= 1e-5 * err[0]
+    vals, err = integrate(f, np.array([0.0]), np.array([1.0]), rtol=1e-10, atol=1e-13)
+    # one row per interval, also for one interval
+    assert vals.shape == err.shape == (1, 2)
+    np.testing.assert_allclose(vals[0], [2 / 3, 2e-6 / 3], rtol=1e-14)
+    assert 0.0 < err[0, 1] <= 1e-5 * err[0, 0]
 
 
 def test_segments_sorted_and_summed():
@@ -50,7 +57,7 @@ def test_segment_groups_from_one_pass():
         pts = sorted(bps)
         want, want_err = 0.0, 0.0
         for lo, hi in zip(pts[:-1], pts[1:]):
-            v, e = integrate(zero_bounds(lambda t: np.stack([np.ones_like(t), t], axis=1)), lo, hi)
+            v, e = integrate_one(zero_bounds(lambda t: np.stack([np.ones_like(t), t], axis=1)), lo, hi)
             want, want_err = want + v, want_err + e
         assert vals.tobytes() == want.tobytes() and err.tobytes() == want_err.tobytes()
 
@@ -67,7 +74,7 @@ def test_no_segment_calls_nothing(breakpoints):
 def test_empty_interval_is_rejected():
     # the package integrates only stretches of positive width
     with pytest.raises(QuadratureError):
-        integrate(lambda t: np.ones((len(t), 2)), 1.0, 1.0)
+        integrate_one(lambda t: np.ones((len(t), 2)), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +245,7 @@ class Counted:
 def test_bit_identical_to_per_panel_loop(f, a, b, tol):
     # zero round-off bounds accept no panel the tolerances would not
     counted = Counted(zero_bounds(f))
-    vals, err = integrate(counted, a, b, **tol)
+    vals, err = integrate_one(counted, a, b, **tol)
     ref_vals, ref_err, _, per_level = per_panel_integrate(zero_bounds(f), a, b, **tol)
     assert vals.tobytes() == ref_vals.tobytes()
     assert err.tobytes() == ref_err.tobytes()
@@ -323,7 +330,7 @@ def test_abscissas_per_call():
         sizes.append(len(t))
         return zero_bounds(kinked)(t)
 
-    integrate(f, 0.0, 1.0)
+    integrate_one(f, 0.0, 1.0)
     _, _, splits, per_level = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
     assert sizes[0] == 21 and all(n % 2 == 0 for n in per_level[1:])
     assert sizes == [21 * min(_CALL_PANELS, n - i) for n in per_level for i in range(0, n, _CALL_PANELS)]
@@ -332,11 +339,11 @@ def test_abscissas_per_call():
 
 def test_smooth_integrand_needs_no_split():
     counted = Counted(zero_bounds(smooth))
-    integrate(counted, 0.0, 1.0)
+    integrate_one(counted, 0.0, 1.0)
     assert counted.calls == 1
 
 
-def test_max_panels_error_matches_per_panel_loop():
+def test_max_panels_error_matches_per_panel_loop(monkeypatch):
     # both count the panels they examine and name the interval in the same
     # words; the breadth-first pass stops in the round that passes the limit
     # (1 + 2 + 2 + 2 + 2 = 9 panels before the sixth, of 4) and reports that
@@ -345,23 +352,26 @@ def test_max_panels_error_matches_per_panel_loop():
     assert per_level[:6] == [1, 2, 2, 2, 2, 4]
     with pytest.raises(QuadratureError) as ref:
         per_panel_integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 9)
     with pytest.raises(QuadratureError) as got:
-        integrate(zero_bounds(kinked), 0.0, 1.0, max_panels=9)
+        integrate_one(zero_bounds(kinked), 0.0, 1.0)
     assert str(ref.value) == "exceeded 9 panels on [0.0, 1.0]; residual interval [0.328125, 0.34375]"
     assert str(got.value) == "exceeded 9 panels on [0.0, 1.0]; residual interval [0.25, 0.28125]"
 
 
-def test_max_panels_is_per_interval():
+def test_max_panels_is_per_interval(monkeypatch):
     _, _, splits, _ = per_panel_integrate(zero_bounds(kinked), 0.0, 1.0)
     panels = 1 + 2 * splits
     a, b = np.array([0.0, 0.0, 0.5]), np.array([1.0, 1.0, 1.0])
     # three intervals examine over twice the limit between them, each within it
-    vals, _ = integrate(zero_bounds(kinked), a, b, max_panels=panels)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", panels)
+    vals, _ = integrate(zero_bounds(kinked), a, b)
     assert vals.shape == (3, 3)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", panels - 1)
     with pytest.raises(QuadratureError, match=f"exceeded {panels - 1} panels on \\[0.0, 1.0\\]"):
-        integrate(zero_bounds(kinked), a, b, max_panels=panels - 1)
+        integrate(zero_bounds(kinked), a, b)
     # the interval that needs few panels passes alone at that limit
-    integrate(zero_bounds(kinked), 0.5, 1.0, max_panels=panels - 1)
+    integrate_one(zero_bounds(kinked), 0.5, 1.0)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -371,6 +381,8 @@ def test_max_panels_is_per_interval():
     ([0.0, 1.0], [math.nan, 2.0]),
     ([0.0, 1.0], [1.0, 2.0, 3.0]),  # unequal lengths
     ([], []),
+    (0.0, 1.0),  # numbers, not arrays
+    ([[0.0]], [[1.0]]),
 ])
 def test_every_interval_is_checked_before_the_first_call(a, b):
     def f(t):
@@ -378,6 +390,17 @@ def test_every_interval_is_checked_before_the_first_call(a, b):
 
     with pytest.raises(QuadratureError):
         integrate(f, np.array(a), np.array(b))
+
+
+def test_the_first_bad_interval_is_named():
+    def f(t):
+        raise AssertionError("integrand called")
+
+    a, b = np.array([0.0, 2.0, 1.0, 5.0, 3.0]), np.array([1.0, 3.0, 0.5, 4.0, math.nan])
+    with pytest.raises(QuadratureError, match=r"^empty or inverted interval \[1\.0, 0\.5\]$"):
+        integrate(f, a, b)
+    with pytest.raises(QuadratureError, match=r"^empty or inverted interval \[3\.0, nan\]$"):
+        integrate(f, a[4:], b[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +417,7 @@ def against_old_rule(monkeypatch):
 
     def both(f, a, b, **tol):
         vals, err = integrate(f, a, b, **tol)
-        for lo, hi, v, e in zip(np.atleast_1d(a), np.atleast_1d(b),
-                                np.atleast_2d(vals), np.atleast_2d(err)):
+        for lo, hi, v, e in zip(a, b, vals, err):
             old, _, _, _ = per_panel_integrate(f, float(lo), float(hi), rule=OLD_GAUSS_LEGENDRE, **tol)
             seen.append((v, e, old))
         return vals, err
@@ -451,7 +473,7 @@ def test_roundoff_floor_accepts_noise_at_once():
     # a panel rule sum of |noise| <= 4 eps r stays within the floor; tolerances
     # far below the noise do not send the panel into bisection
     f = Counted(noisy_zero(4))
-    vals, err = integrate(f, 0.0, 5.0, rtol=1e-13, atol=1e-30)
+    vals, err = integrate_one(f, 0.0, 5.0, rtol=1e-13, atol=1e-30)
     assert f.calls == 1
     assert vals.shape == err.shape == (2,)
     assert np.all(np.abs(vals) <= err)
@@ -462,5 +484,5 @@ def test_roundoff_floor_accepts_noise_at_once():
 def test_noise_without_the_floor_exhausts_the_panels():
     f = noisy_zero(4)
     with pytest.raises(QuadratureError):
-        integrate(zero_bounds(lambda t: f(t)[:, :2]), 0.0, 5.0, rtol=1e-13, atol=1e-30)
+        integrate_one(zero_bounds(lambda t: f(t)[:, :2]), 0.0, 5.0, rtol=1e-13, atol=1e-30)
 
