@@ -13,7 +13,7 @@ from .concavity import (
     CanonicalMeasure,
     outside_window_checks,
     perturb,
-    taylor_coefficient,
+    taylor_coefficients,
     verify_grid,
     window_deficits,
 )
@@ -45,7 +45,7 @@ __all__ = [
     "perturb",
     "sample_terminal_posteriors",
     "simulate_signal",
-    "taylor_coefficient",
+    "taylor_coefficients",
     "verify_grid",
     "window_deficits",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .buzzers import closed_form_uniform, cost_under, information_cost, start_times
 from .concavity import GridRow, verify_grid
-from .discretize import build, exact_ic
+from .discretize import _schedule, build, exact_ic
 from .errors import IcandError, MalformedInputError
 from .measures import InputDistribution, _layout, binary_entropy
 from .optimize import SupportPattern, maximize_external, maximize_internal
@@ -290,6 +290,8 @@ def _cmd_simulate_signal(args) -> int:
 def _cmd_discretize(args) -> int:
     mu = _read_measure(args.measure)
     deltas = _numbers(args.delta)
+    for delta in deltas:  # every argument is checked before the reference cost
+        _schedule(mu, delta, args.horizon)
     reference = information_cost(mu)
     rows = []
     for delta in deltas:

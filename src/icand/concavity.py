@@ -27,7 +27,7 @@ depending on that mass; ``y = exp(gamma0)`` is the positive root of a
 quadratic, taken here in closed form, and a cell is built from the measure
 alone, its earlier block starting ``ln(y)`` before the sender.  The window
 deficits of the family obey cubic laws in ``eps`` whose coefficients are
-evaluated by :func:`taylor_coefficient`; the deficits themselves are always
+evaluated by :func:`taylor_coefficients`; the deficits themselves are always
 computed from exact densities and the cubic laws serve only as predictions
 to compare against.
 """
@@ -56,11 +56,10 @@ __all__ = [
     "ConcavityReport",
     "OutsideWindowChecks",
     "WindowDeficits",
-    "gamma0_of",
-    "gamma1_of",
+    "window_of",
     "perturb",
     "window_deficits",
-    "taylor_coefficient",
+    "taylor_coefficients",
     "outside_window_checks",
     "concavity_report",
     "verify_grid",
@@ -77,18 +76,13 @@ _RTOL, _ATOL = 1e-9, 1e-15
 _RIGHT_WIDTH = 5.0
 
 
-def gamma0_of(beta_s: float, eps: float) -> float:
-    """Left window edge: ln((1 + eps b) / (1 - eps (1-b))) for b = Pr[X_s=1]."""
-    if not 0.0 <= eps < 1.0 or 1.0 - eps * (1.0 - beta_s) <= 0.0:
+def window_of(beta_s: float, eps: float) -> tuple[float, float]:
+    """The window ``(-gamma0, gamma1)`` for ``b = Pr[X_s = 1]``:
+    gamma0 = ln((1 + eps b) / (1 - eps (1-b))), gamma1 = ln((1 + eps (1-b)) / (1 - eps b))."""
+    lo, hi = 1.0 - eps * (1.0 - beta_s), 1.0 - eps * beta_s
+    if not 0.0 <= eps < 1.0 or lo <= 0.0 or hi <= 0.0:
         raise MalformedInputError(f"eps={eps} out of range for beta_s={beta_s}")
-    return math.log((1.0 + eps * beta_s) / (1.0 - eps * (1.0 - beta_s)))
-
-
-def gamma1_of(beta_s: float, eps: float) -> float:
-    """Right window edge: ln((1 + eps (1-b)) / (1 - eps b))."""
-    if not 0.0 <= eps < 1.0 or 1.0 - eps * beta_s <= 0.0:
-        raise MalformedInputError(f"eps={eps} out of range for beta_s={beta_s}")
-    return math.log((1.0 + eps * (1.0 - beta_s)) / (1.0 - eps * beta_s))
+    return -math.log((1.0 + eps * beta_s) / lo), math.log((1.0 + eps * (1.0 - beta_s)) / hi)
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class CanonicalMeasure:
 
     def beta_s(self, eps: float) -> float:
         """The sender-block mass ``y beta``, where ``y = exp(gamma0)`` solves
-        ``gamma0 = gamma0_of(y beta, eps)``: the positive root of
+        ``gamma0 = -window_of(y beta, eps)[0]``: the positive root of
         ``eps beta y^2 + c y - 1 = 0`` with ``c = 1 - eps - eps beta``, as
         ``2 / (c + sqrt(c^2 + 4 eps beta))``, which cancels nothing."""
         if not 0.0 <= eps < 1.0:
@@ -231,8 +225,7 @@ def perturb(mu: InputDistribution, s: int, eps: float) -> Perturbation:
         raise MalformedInputError(f"sender {s} outside 1..{mu.k}")
     beta_s = mu.beta(s)
     zeta_s = 1.0 - beta_s
-    g0 = gamma0_of(beta_s, eps)
-    g1 = gamma1_of(beta_s, eps)
+    window = window_of(beta_s, eps)
 
     # the sender's zeros rows gain eps beta_s in mu0 and lose it in mu1, its
     # ones rows the reverse with eps zeta_s
@@ -244,12 +237,12 @@ def perturb(mu: InputDistribution, s: int, eps: float) -> Perturbation:
 
     base = start_times(mu)
     times = np.tile(base - base[s - 1], (3, 1))
-    times[1:, s - 1] = -g0, g1
+    times[1:, s - 1] = window
     times.flags.writeable = False
     return Perturbation(
         sender=s,
         eps=eps,
-        window=(-g0, g1),
+        window=window,
         mu=mu,
         mu0=mu0,
         mu1=mu1,
@@ -270,7 +263,7 @@ def _concavity_integrand(pert: Perturbation):
     stacked.  Values are in nats; integrals are divided by ln 2 at the
     reporting boundary.
     """
-    live = pert.mu.vector > 0.0  # the tilts keep every zero mass at zero
+    live = pert.mu.vector > ZERO_MASS  # the inputs information_cost keeps
     layout = _layout((pert.mu.bits[live] == 0).astype(float))
     log_w = np.log(np.array([m.vector[live] for m in (pert.mu, pert.mu0, pert.mu1)]))
     sign = np.repeat([-1.0, 1.0], pert.mu.k + 1)  # the defects, then their bounds
@@ -321,13 +314,13 @@ class WindowDeficits:
     quadrature_error: float
 
 
-def window_deficits(pert: Perturbation, *, with_outside: bool = False) -> WindowDeficits:
+def window_deficits(pert: Perturbation) -> WindowDeficits:
     """Integrate the cell's external and internal concavity defects over its
-    window, after checking the window-mass identity.  ``with_outside`` takes
-    the integrals :func:`outside_window_checks` reads in the same quadrature
-    pass (:meth:`Perturbation.integrals`)."""
+    window, after checking the window-mass identity.  The window integrals
+    come from whatever pass the cell already holds
+    (:meth:`Perturbation.integrals`), or from a window-only one."""
     residual = check_same_average(pert)
-    vals, err = pert.integrals(with_outside)["window"]
+    vals, err = pert.integrals(outside=False)["window"]
     return WindowDeficits(
         external=float(vals[0]),
         internal=float(vals[1:].sum()),
@@ -337,8 +330,8 @@ def window_deficits(pert: Perturbation, *, with_outside: bool = False) -> Window
     )
 
 
-def taylor_coefficient(k: int, s: int, beta: float, which: str) -> float:
-    """Leading cubic-law coefficient: deficit ~ coefficient * eps^3.
+def taylor_coefficients(k: int, s: int, beta: float) -> tuple[float, float]:
+    """Leading cubic-law coefficients (external, internal): deficit ~ c * eps^3.
 
     External: (k+5s-6)(1-2 beta) beta / (12 (1-beta) ln 2).  Internal for
     k = 2 equals the external value; for k >= 3 it is
@@ -349,12 +342,11 @@ def taylor_coefficient(k: int, s: int, beta: float, which: str) -> float:
         raise MalformedInputError(f"bad (k, s) = ({k}, {s})")
     if not 0.0 < beta < 1.0 / k:
         raise InvalidDistributionError(f"beta={beta} outside (0, 1/k)")
-    if which == "ext" or (which == "int" and k == 2):
-        return (k + 5 * s - 6) * (1 - 2 * beta) * beta / (12 * (1 - beta) * LN2)
-    if which == "int":
-        poly = (3 * k - 2) * beta**2 - 4 * (k - 1) * beta + (k - 1)
-        return (k + 5 * s - 6) * poly * beta / (12 * (1 - beta) * (1 - 2 * beta) * LN2)
-    raise MalformedInputError(f"which must be 'ext' or 'int', got {which!r}")
+    ext = (k + 5 * s - 6) * (1 - 2 * beta) * beta / (12 * (1 - beta) * LN2)
+    if k == 2:
+        return ext, ext
+    poly = (3 * k - 2) * beta**2 - 4 * (k - 1) * beta + (k - 1)
+    return ext, (k + 5 * s - 6) * poly * beta / (12 * (1 - beta) * (1 - 2 * beta) * LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +423,10 @@ def concavity_report(
     canonical: CanonicalMeasure, eps: float, *, with_outside: bool = True
 ) -> ConcavityReport:
     pert = perturb(canonical.measure(eps), canonical.s, eps)
-    deficits = window_deficits(pert, with_outside=with_outside)
-    te = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "ext") * eps**3
-    ti = taylor_coefficient(canonical.k, canonical.s, canonical.beta, "int") * eps**3
+    # the outside checks' pass holds the window too: one integrand per cell
     outside = outside_window_checks(pert) if with_outside else None
+    deficits = window_deficits(pert)
+    te, ti = (c * eps**3 for c in taylor_coefficients(canonical.k, canonical.s, canonical.beta))
     return ConcavityReport(
         ext_deficit=deficits.external,
         int_deficit=deficits.internal,

@@ -53,13 +53,11 @@ class DiscreteProtocol:
     silent_prob: np.ndarray
 
 
-def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtocol:
-    """Construct the discrete protocol (exact transcript distribution).
-
-    ``horizon`` must leave at least one time unit past the last start time,
-    and the protocol may have at most ``_MAX_LEAVES`` leaves.  The
-    construction is exact; nothing is sampled.
-    """
+def _schedule(mu: InputDistribution, delta: float, horizon: float) -> tuple[int, np.ndarray, int]:
+    """(slots, each player's join slot, leaves) of the protocol, after
+    checking its arguments: ``horizon`` must leave at least one time unit
+    past the last start time, and the protocol may have at most
+    ``_MAX_LEAVES`` leaves.  Nothing is allocated per leaf."""
     if not 0.0 < delta < math.inf:
         raise MalformedInputError(f"slot length {delta} must be finite and > 0")
     times = start_times(mu)
@@ -68,10 +66,6 @@ def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtoc
             f"horizon {horizon} must be finite and at least {times.max() + 1.0}"
         )
     n_slots = np.ceil(horizon / delta)  # inf if the quotient overflows
-
-    bits = mu.bits[mu.vector > ZERO_MASS]
-    zeros = (bits == 0).astype(float)  # (n_x, k)
-
     # slot r admits players whose start time is at most r * delta; start
     # times lie below the horizon, so these quotients overflow only with it
     join_slot = np.ceil(np.maximum(times, 0.0) / delta - 1e-12) if n_slots < math.inf else 0.0
@@ -83,7 +77,17 @@ def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtoc
             f"{n_leaves:.15g} transcript classes exceed the cap {_MAX_LEAVES}; "
             "increase delta or lower the horizon"
         )
-    n_slots, join_slot, n_leaves = int(n_slots), join_slot.astype(int), int(n_leaves)
+    return int(n_slots), join_slot.astype(int), int(n_leaves)
+
+
+def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtocol:
+    """Construct the discrete protocol (exact transcript distribution), once
+    :func:`_schedule` accepts its arguments.  The construction is exact;
+    nothing is sampled.
+    """
+    n_slots, join_slot, n_leaves = _schedule(mu, delta, horizon)
+    bits = mu.bits[mu.vector > ZERO_MASS]
+    zeros = (bits == 0).astype(float)  # (n_x, k)
 
     q = math.exp(-delta)
     log_q = -delta

@@ -194,14 +194,11 @@ class InputDistribution:
         return cls(k, {lab: 1.0 / k for lab in canonical_labels(k)[1 : k + 1]})
 
     @classmethod
-    def from_json(cls, text_or_obj) -> "InputDistribution":
-        if isinstance(text_or_obj, (str, bytes)):
-            try:
-                obj = json.loads(text_or_obj)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to read
-                raise MalformedInputError(f"bad measure JSON: {exc}") from exc
-        else:
-            obj = text_or_obj
+    def from_json(cls, text: str) -> "InputDistribution":
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+            raise MalformedInputError(f"bad measure JSON: {exc}") from exc
         if not isinstance(obj, dict) or "k" not in obj or "mass" not in obj:
             raise MalformedInputError('measure JSON needs fields "k" and "mass"')
         if not isinstance(obj["mass"], dict):

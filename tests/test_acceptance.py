@@ -31,7 +31,7 @@ from icand.concavity import (
     check_same_average,
     outside_window_checks,
     perturb,
-    taylor_coefficient,
+    taylor_coefficients,
     window_deficits,
 )
 from icand.discretize import build, exact_ic
@@ -128,7 +128,7 @@ def test_criterion_3_external_cubic_law(cubic_law_rows):
     min_deficit = math.inf
     converging = True
     for k, s, beta, per_eps in rows:
-        coeff = taylor_coefficient(k, s, beta, "ext")
+        coeff = taylor_coefficients(k, s, beta)[0]
         residuals = []
         for eps in GRID_EPS:
             deficit = per_eps[eps].external
@@ -151,9 +151,9 @@ def test_criterion_4_internal_cubic_law(cubic_law_rows):
     min_deficit = math.inf
     k2_matches_external = True
     for k, s, beta, per_eps in rows:
-        coeff = taylor_coefficient(k, s, beta, "int")
+        coeff = taylor_coefficients(k, s, beta)[1]
         if k == 2:
-            k2_matches_external &= coeff == taylor_coefficient(k, s, beta, "ext")
+            k2_matches_external &= coeff == taylor_coefficients(k, s, beta)[0]
         for eps in GRID_EPS:
             min_deficit = min(min_deficit, per_eps[eps].internal)
         eps = GRID_EPS[-1]

@@ -374,15 +374,34 @@ class TestDiscretize:
         assert error["type"] == "ResolutionError"
         assert error["message"].startswith(f"{count} transcript classes exceed the cap")
 
-    @pytest.mark.parametrize("delta", ["x", ""])
-    def test_bad_delta_list_fails_before_the_reference_cost(self, capsys, monkeypatch, no11_file, delta):
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            pytest.param(["--delta", "x"], 2, "MalformedInputError", id="x"),
+            pytest.param(["--delta", ""], 2, "MalformedInputError", id=""),
+            pytest.param(["--delta", "nan"], 2, "MalformedInputError", id="nan"),
+            pytest.param(["--delta", "inf"], 2, "MalformedInputError", id="inf"),
+            pytest.param(["--delta", "0"], 2, "MalformedInputError", id="0"),
+            pytest.param(["--delta", "-1"], 2, "MalformedInputError", id="-1"),
+            pytest.param(["--delta", "0.25,nan"], 2, "MalformedInputError", id="0.25,nan"),
+            pytest.param(["--delta", "0.25", "--horizon", "nan"], 2, "MalformedInputError",
+                         id="horizon nan"),
+            pytest.param(["--delta", "0.25", "--horizon", "0.5"], 2, "MalformedInputError",
+                         id="horizon 0.5"),
+            pytest.param(["--delta", "0.25,1e-9"], 4, "ResolutionError", id="leaf cap"),
+        ],
+    )
+    def test_bad_delta_list_fails_before_the_reference_cost(
+        self, capsys, monkeypatch, no11_file, argv, code, error
+    ):
+        # every slot length, the horizon and the leaf cap are checked first
         def refuse(*args, **kwargs):
-            raise AssertionError("the reference cost was run before --delta was parsed")
+            raise AssertionError("the reference cost was run before every argument was checked")
 
         monkeypatch.setattr(cli, "information_cost", refuse)
-        code, out, err = run(capsys, "discretize", "--measure", no11_file, "--delta", delta)
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["type"] == "MalformedInputError"
+        got, out, err = run(capsys, "discretize", "--measure", no11_file, *argv)
+        assert (got, out) == (code, "")
+        assert json.loads(err)["error"]["type"] == error
 
 
 class TestMaximize:

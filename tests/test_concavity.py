@@ -8,19 +8,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from icand import concavity
+from icand import buzzers, concavity
 from icand.buzzers import information_cost
 from icand.concavity import (
     CanonicalMeasure,
     check_same_average,
     concavity_report,
-    gamma0_of,
-    gamma1_of,
     outside_window_checks,
     perturb,
-    taylor_coefficient,
+    taylor_coefficients,
     verify_grid,
     window_deficits,
+    window_of,
 )
 from icand.errors import (
     AssumptionViolationError,
@@ -138,8 +137,8 @@ def canonical_window_forms(canonical: CanonicalMeasure, eps: float) -> WindowDen
         s=canonical.s,
         beta=canonical.beta,
         eps=eps,
-        gamma0=gamma0_of(canonical.beta_s(eps), eps),
-        gamma1=gamma1_of(canonical.beta_s(eps), eps),
+        gamma0=-window_of(canonical.beta_s(eps), eps)[0],
+        gamma1=window_of(canonical.beta_s(eps), eps)[1],
     )
 
 
@@ -206,18 +205,18 @@ def with_scaled_mu0(pert, factor):
 class TestGammas:
     def test_direct_formula(self):
         # ln(1.025 / 0.925) for beta_s = 0.25, eps = 0.1
-        assert gamma0_of(0.25, 0.1) == pytest.approx(
+        assert -window_of(0.25, 0.1)[0] == pytest.approx(
             math.log(1.025 / 0.925), abs=1e-15
         )
-        assert gamma0_of(0.25, 0.1) == pytest.approx(0.10265415406008316, abs=1e-14)
+        assert -window_of(0.25, 0.1)[0] == pytest.approx(0.10265415406008316, abs=1e-14)
 
     def test_zero_eps(self):
-        assert gamma0_of(0.3, 0.0) == 0.0
-        assert gamma1_of(0.3, 0.0) == 0.0
+        assert -window_of(0.3, 0.0)[0] == 0.0
+        assert window_of(0.3, 0.0)[1] == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(MalformedInputError):
-            gamma0_of(0.25, 1.5)
+            window_of(0.25, 1.5)
 
     def test_fixed_point_consistency(self):
         c = CanonicalMeasure(k=3, s=2, beta=0.1)
@@ -225,16 +224,16 @@ class TestGammas:
         g0 = math.log(c.beta_s(eps) / c.beta)
         mu = c.measure(eps)
         assert mu.e_mass(2) / mu.e_mass(1) == pytest.approx(math.exp(g0), rel=1e-12)
-        assert g0 == pytest.approx(gamma0_of(mu.beta(2), eps), abs=1e-14)
+        assert g0 == pytest.approx(-window_of(mu.beta(2), eps)[0], abs=1e-14)
 
     @pytest.mark.parametrize("k, beta, eps", [(2, 0.318, 2.5e-3), (2, 0.2, 0.2), (3, 0.1, 0.9)])
     def test_fixed_point_that_cycles_between_floats(self, k, beta, eps):
-        # inputs where iterating g -> gamma0_of(exp(g) beta, eps) alternates
+        # inputs where iterating g -> -window_of(exp(g) beta, eps)[0] alternates
         # between two floats; the root is the fixed point to round-off.
-        # gamma0_of is a log of a ratio near one, so its round-off is a few
+        # gamma0 is a log of a ratio near one, so its round-off is a few
         # ulps of one (times max(1, g)) however small g is
         beta_s = CanonicalMeasure(k=k, s=1, beta=beta).beta_s(eps)
-        g = gamma0_of(beta_s, eps)
+        g = -window_of(beta_s, eps)[0]
         gap = abs(math.log(beta_s / beta) - g)
         assert gap <= 4.0 * np.finfo(float).eps * max(1.0, g)
 
@@ -281,7 +280,7 @@ class TestGammas:
         for eps in (1e-2, 5e-3):
             g0o, g1o = canonical_gamma_pair(4, 3, 0.05, eps)
             assert math.log(c.beta_s(eps) / 0.05) == pytest.approx(g0o, abs=1e-15)
-            assert gamma1_of(c.beta_s(eps), eps) == pytest.approx(g1o, abs=1e-15)
+            assert window_of(c.beta_s(eps), eps)[1] == pytest.approx(g1o, abs=1e-15)
 
 
 class TestCanonicalMeasure:
@@ -329,9 +328,9 @@ class TestPerturbation:
                     times[0, 0] = 1.0
                 others = np.arange(mu.k) != s - 1
                 assert np.array_equal(times[1:, others], times[[0, 0]][:, others])
-                g0, g1 = gamma0_of(mu.beta(s), 0.02), gamma1_of(mu.beta(s), 0.02)
-                assert times[:, s - 1].tolist() == [0.0, -g0, g1]
-                assert pert.window == (-g0, g1)
+                window = window_of(mu.beta(s), 0.02)
+                assert times[:, s - 1].tolist() == [0.0, *window]
+                assert pert.window == window
                 assert pert == perturb(mu, s, 0.02) and hash(pert) == hash(perturb(mu, s, 0.02))
 
     def test_all_ones_mass_is_refused(self):
@@ -411,7 +410,7 @@ class TestDeficits:
     def test_cubic_law_external(self):
         # ratio within 5% of (k+5s-6)(1-2b)b / (12(1-b) ln 2)
         c = CanonicalMeasure(k=2, s=1, beta=0.25)
-        coeff = taylor_coefficient(2, 1, 0.25, "ext")
+        coeff = taylor_coefficients(2, 1, 0.25)[0]
         assert coeff == pytest.approx(0.0200365, abs=1e-6)
         eps = 1e-2
         deficit = concavity_report(c, eps, with_outside=False).ext_deficit
@@ -419,7 +418,7 @@ class TestDeficits:
 
     def test_cubic_law_internal_k3(self):
         c = CanonicalMeasure(k=3, s=2, beta=0.1)
-        coeff = taylor_coefficient(3, 2, 0.1, "int")
+        coeff = taylor_coefficients(3, 2, 0.1)[1]
         eps = 5e-3
         deficit = concavity_report(c, eps, with_outside=False).int_deficit
         assert deficit / eps**3 == pytest.approx(coeff, rel=0.05)
@@ -464,7 +463,7 @@ class TestDeficits:
     def test_richardson_residual_order(self):
         # residual of deficit/eps^3 should roughly halve per eps halving
         c = CanonicalMeasure(k=3, s=1, beta=0.1)
-        coeff = taylor_coefficient(3, 1, 0.1, "ext")
+        coeff = taylor_coefficients(3, 1, 0.1)[0]
         residuals = [
             abs(concavity_report(c, eps, with_outside=False).ext_deficit / eps**3 - coeff)
             for eps in (1e-2, 5e-3, 2.5e-3, 1.25e-3)
@@ -492,31 +491,29 @@ class TestDeficits:
 class TestTaylorCoefficient:
     def test_values(self):
         # (3+5-6)(0.6)(0.2) / (12 * 0.8 * ln 2)
-        assert taylor_coefficient(3, 1, 0.2, "ext") == pytest.approx(
+        assert taylor_coefficients(3, 1, 0.2)[0] == pytest.approx(
             2 * 0.6 * 0.2 / (12 * 0.8 * LN2), rel=1e-12
         )
-        assert taylor_coefficient(3, 1, 0.2, "ext") == pytest.approx(0.0360674, abs=1e-6)
+        assert taylor_coefficients(3, 1, 0.2)[0] == pytest.approx(0.0360674, abs=1e-6)
 
     def test_vanishes_with_beta(self):
-        assert taylor_coefficient(4, 2, 1e-9, "ext") < 1e-8
+        assert taylor_coefficients(4, 2, 1e-9)[0] < 1e-8
 
     def test_one_minus_two_beta_factor(self):
-        assert taylor_coefficient(2, 1, 0.499999, "ext") == pytest.approx(
+        assert taylor_coefficients(2, 1, 0.499999)[0] == pytest.approx(
             0.0, abs=1e-4
         )
 
     def test_internal_case_split(self):
-        assert taylor_coefficient(2, 2, 0.2, "int") == taylor_coefficient(
-            2, 2, 0.2, "ext"
-        )
+        assert taylor_coefficients(2, 2, 0.2)[1] == taylor_coefficients(2, 2, 0.2)[0]
         k, s, b = 4, 2, 0.1
         poly = (3 * k - 2) * b**2 - 4 * (k - 1) * b + (k - 1)
         expected = (k + 5 * s - 6) * poly * b / (12 * (1 - b) * (1 - 2 * b) * LN2)
-        assert taylor_coefficient(k, s, b, "int") == pytest.approx(expected, rel=1e-12)
+        assert taylor_coefficients(k, s, b)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_beta(self):
         with pytest.raises(InvalidDistributionError):
-            taylor_coefficient(3, 1, 0.4, "ext")
+            taylor_coefficients(3, 1, 0.4)
 
 
 def staggered_instance(gap=1.0, m=0.18):
@@ -605,8 +602,8 @@ class TestOnePassPerCell:
         calls = counted_integrands(monkeypatch)
         c = CanonicalMeasure(k=8, s=3, beta=0.05)
         pert = perturb(c.measure(0.005), 3, 0.005)
-        window_deficits(pert, with_outside=True)
         outside_window_checks(pert)
+        window_deficits(pert)
         assert calls == [63]
         assert list(pert.integrals()) == ["window", "right"]
 
@@ -630,6 +627,13 @@ class TestOnePassPerCell:
         rows = verify_grid([2, 3], [0.05], [1e-2], with_outside=False)
         assert len(calls) == sum(r.feasible for r in rows) == 5
         assert set(calls) == {42}
+
+    def test_grid_with_outside_integrates_each_cell_once(self, monkeypatch):
+        # the outside checks run first; the window deficits read their pass
+        calls = counted_integrands(monkeypatch)
+        rows = verify_grid([2, 3], [0.05], [1e-2], with_outside=True)
+        assert len(calls) == sum(r.feasible for r in rows) == 5
+        assert set(calls) == {63}
 
     def test_left_part_and_gap_join_the_pass(self, monkeypatch):
         calls = counted_integrands(monkeypatch)
@@ -725,6 +729,21 @@ class TestThreeCostIdentity:
             assert np.all(gaps <= tol), (pert.mu, pert.sender, pert.eps, gaps.max(), tol)
             cells += 1
         assert cells == {"corners": 16, "eps 0.999": 2, "random": 245, "wide": 2}[group]
+
+    def test_window_integrand_keeps_the_inputs_a_cost_keeps(self, monkeypatch):
+        # an all-zeros mass of 5e-16 is at most ZERO_MASS: the costs drop
+        # that input, and so must the window integrand
+        mu = InputDistribution(3, {"000": 5e-16, "100": 0.2, "010": 0.3, "001": 0.5 - 5e-16})
+        rows = {}
+        for module in (buzzers, concavity):
+            def recorded(times, layout, log_w, ts, plain=module._entropy_densities, name=module):
+                rows.setdefault(name, layout[0].tolist())
+                return plain(times, layout, log_w, ts)
+
+            monkeypatch.setattr(module, "_entropy_densities", recorded)
+        information_cost(mu)
+        window_deficits(perturb(mu, 2, 0.05))
+        assert rows[concavity] == rows[buzzers] == [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
 
 
 class TestMergeInvariance:
