@@ -292,7 +292,8 @@ def _cmd_discretize(args) -> int:
     deltas = _numbers(args.delta)
     for delta in deltas:  # every argument is checked before the reference cost
         _schedule(mu, delta, args.horizon)
-    reference = information_cost(mu)
+    # the protocol being discretized, all-ones silence included
+    reference = cost_under(start_times(mu), mu)
     rows = []
     for delta in deltas:
         report = exact_ic(build(mu, delta, args.horizon))

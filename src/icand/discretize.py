@@ -24,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buzzers import ICReport, _class_entropies, _layout, start_times
+from .buzzers import _KERNEL_BLOCK, ICReport, _class_entropies, _layout, start_times
 from .errors import MalformedInputError, ResolutionError
 from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 
 __all__ = ["DiscreteProtocol", "build", "exact_ic"]
 
-#: Leaves (slot, buzzing player) a discrete protocol may have.
+#: Leaves (slot, buzzing player) a discrete protocol may have.  A leaf sum
+#: at the cap peaks near its table and entropies, (2 + n_x + k + 1) * 8
+#: bytes a leaf, plus one kernel block: about 0.3 GB at k = 2, where one
+#: kernel call over every leaf took about 0.9 GB.
 _MAX_LEAVES = 5_000_000
 
 
@@ -95,6 +98,7 @@ def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtoc
 
     # phases of constant active set; within one, survivals are geometric
     boundaries = sorted({0, n_slots, *[int(j) for j in join_slot if 0 <= j < n_slots]})
+    rows = max(1, _KERNEL_BLOCK // len(bits))  # slots per survival block
     leaf_slot = np.empty(n_leaves, dtype=np.int64)
     leaf_player = np.empty(n_leaves, dtype=np.int64)
     leaf_prob = np.empty((n_leaves, len(bits)))
@@ -105,19 +109,25 @@ def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtoc
         active = [i for i in range(mu.k) if join_slot[i] <= b0]
         n_active = zeros[:, active].sum(axis=1)  # zero-players active, per x
         length = b1 - b0
-        r_off = np.arange(length)
-        # survival entering slot b0 + r_off
-        surv = np.exp(log_surv[None, :] + r_off[:, None] * log_q * n_active[None, :])
+        # player m's leaves fill rows pos + j * length + (0 .. length - 1),
+        # for its index j among the active players; its factor is the chance
+        # that the players before it in the slot stay silent and it fires
+        factors = []
         prefix = np.zeros(len(bits))
-        for m in active:
+        for j, m in enumerate(active):
             fires = (bits[:, m] == 0).astype(float)
-            probs = surv * (np.exp(log_q * prefix) * fires * p)[None, :]
-            sl = slice(pos, pos + length)
-            leaf_slot[sl] = b0 + r_off
-            leaf_player[sl] = m + 1
-            leaf_prob[sl] = probs
-            pos += length
+            factors.append(np.exp(log_q * prefix) * fires * p)
+            leaf_player[pos + j * length : pos + (j + 1) * length] = m + 1
             prefix += fires
+        for r0 in range(0, length, rows):
+            r_off = np.arange(r0, min(r0 + rows, length))
+            # survival entering slot b0 + r_off, shared by the phase's players
+            surv = np.exp(log_surv[None, :] + r_off[:, None] * log_q * n_active[None, :])
+            for j, factor in enumerate(factors):
+                block = slice(pos + j * length + r0, pos + j * length + r0 + len(r_off))
+                leaf_slot[block] = b0 + r_off
+                np.multiply(surv, factor, out=leaf_prob[block])
+        pos += len(active) * length
         log_surv += length * log_q * n_active
     silent = np.exp(log_surv)
 
@@ -142,7 +152,13 @@ def exact_ic(proto: DiscreteProtocol) -> ICReport:
     """
     live = proto.mu.vector > ZERO_MASS
     bits, w = proto.mu.bits[live], proto.mu.vector[live]
-    leaves, _ = _class_entropies(proto.leaf_prob * w, _layout((bits == 0).astype(float))[1])
+    classes = _layout((bits == 0).astype(float))[1]
+    # the kernel's temporaries stay within one block of about _KERNEL_BLOCK
+    # densities; only the entropies of every leaf are kept, for one sum
+    rows = max(1, _KERNEL_BLOCK // len(w))
+    leaves = np.empty((len(proto.leaf_prob), classes.shape[1]))
+    for r0 in range(0, len(leaves), rows):
+        leaves[r0 : r0 + rows] = _class_entropies(proto.leaf_prob[r0 : r0 + rows] * w, classes)[0]
     prior = _prior_entropies(bits, w)
     cost = (prior - leaves.sum(axis=0)) / LN2
     return ICReport.of(prior, cost[0], cost[1:], 0.0)

@@ -358,6 +358,23 @@ class TestDiscretize:
         gaps = [float(line.split(",")[5]) for line in lines[1:]]
         assert gaps[1] < gaps[0]
 
+    def test_gaps_shrink_with_all_ones_mass(self, capsys, tmp_path):
+        # the reference is the protocol's own cost, which keeps the silence
+        # that reveals 11; against information_cost the gaps stay at h(0.25)
+        path = tmp_path / "with11.json"
+        path.write_text(json.dumps(
+            {"k": 2, "mass": {"00": 0.2, "01": 0.3, "10": 0.25, "11": 0.25}}
+        ))
+        code, out, _ = run(
+            capsys, "discretize", "--measure", str(path),
+            "--delta", "0.1,0.00625", "--format", "json",
+        )
+        assert code == 0
+        first, last = json.loads(out)["rows"]
+        for gap in ("external_gap", "internal_gap"):
+            assert last[gap] <= first[gap] / 10
+        assert last["external_gap"] < 1e-4
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, count",
@@ -398,7 +415,7 @@ class TestDiscretize:
         def refuse(*args, **kwargs):
             raise AssertionError("the reference cost was run before every argument was checked")
 
-        monkeypatch.setattr(cli, "information_cost", refuse)
+        monkeypatch.setattr(cli, "cost_under", refuse)
         got, out, err = run(capsys, "discretize", "--measure", no11_file, *argv)
         assert (got, out) == (code, "")
         assert json.loads(err)["error"]["type"] == error

@@ -1,13 +1,15 @@
 """Finite-round discrete oracle: exactness, zero error, convergence."""
 
 import math
+import tracemalloc
 
+import discretize_oracle
 import numpy as np
 import pytest
 
 from icand import discretize
 from icand.buzzers import information_cost, start_times
-from icand.discretize import build, exact_ic
+from icand.discretize import _schedule, build, exact_ic
 from icand.errors import MalformedInputError, ResolutionError
 from icand.measures import ZERO_MASS, InputDistribution
 
@@ -184,3 +186,79 @@ class TestExactIC:
         assert report.external_bits == pytest.approx(
             reference.external_bits, abs=5e-5
         )
+
+
+def block_rows(mu):
+    """Leaf rows per kernel block, and slots per survival block, on ``mu``."""
+    return max(1, discretize._KERNEL_BLOCK // len(support(mu)))
+
+
+def exact_multiple(mu, delta):
+    """The shortest horizon at which ``mu``'s protocol has a positive whole
+    number of kernel blocks of leaves, with its slot count a multiple of
+    ``delta`` so that the horizon is exact."""
+    rows = block_rows(mu)
+    n = math.ceil((start_times(mu).max() + 1.0) / delta)
+    while _schedule(mu, delta, n * delta)[2] % rows:
+        n += 1
+    return n * delta
+
+
+def assert_matches_oracle(mu, delta, horizon):
+    proto = build(mu, delta, horizon)
+    oracle = discretize_oracle.build(mu, delta, horizon)
+    for field in ("leaf_slot", "leaf_player", "leaf_prob", "silent_prob"):
+        got, want = getattr(proto, field), getattr(oracle, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert np.array_equal(got, want), field
+    assert exact_ic(proto) == discretize_oracle.exact_ic(oracle)
+    return len(proto.leaf_slot)
+
+
+class TestBlocks:
+    """Blocked ``build`` and ``exact_ic`` against the one-call oracle, bit
+    for bit: the arithmetic per element and the final sum are the same."""
+
+    MEASURES = [MU_NO11, MU_K3, MU_WITH11, MU_E2]
+    IDS = ["no11", "k3", "with11", "e2"]
+
+    @pytest.mark.parametrize("mu", MEASURES, ids=IDS)
+    def test_fewer_leaves_than_one_block(self, mu):
+        assert assert_matches_oracle(mu, 0.05, 25.0) < block_rows(mu)
+
+    @pytest.mark.parametrize("mu", MEASURES, ids=IDS)
+    def test_exact_multiple_of_a_block(self, mu):
+        n_leaves = assert_matches_oracle(mu, 2.0**-7, exact_multiple(mu, 2.0**-7))
+        assert n_leaves >= block_rows(mu) and n_leaves % block_rows(mu) == 0
+
+    @pytest.mark.parametrize("mu", MEASURES, ids=IDS)
+    def test_several_blocks_and_a_remainder(self, mu):
+        n_leaves = assert_matches_oracle(mu, 2.0**-9, 25.0)
+        assert n_leaves > 2 * block_rows(mu) and n_leaves % block_rows(mu)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("mu", MEASURES, ids=IDS)
+    def test_tiny_blocks(self, monkeypatch, mu, block):
+        monkeypatch.setattr(discretize, "_KERNEL_BLOCK", block)
+        for delta in (0.125, 0.05):
+            assert_matches_oracle(mu, delta, 25.0)
+        assert_matches_oracle(mu, 0.125, exact_multiple(mu, 0.125))
+
+    def test_working_set_is_the_table_and_one_block(self):
+        # 204,800 leaves: a (2 + n_x) * 8-byte table row and (k + 1) * 8
+        # bytes of entropies each; the blocks' temporaries stay under 2 MiB
+        slack = 2 * 2**20
+        tracemalloc.start()
+        try:
+            proto = build(MU_NO11, 2.0**-12, 25.0)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            exact_ic(proto)
+            exact_ic_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_leaves, n_x = proto.leaf_prob.shape
+        table = n_leaves * (2 + n_x) * 8
+        entropies = n_leaves * (MU_NO11.k + 1) * 8
+        assert build_peak <= table + slack
+        assert exact_ic_peak <= table + entropies + slack
