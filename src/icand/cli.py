@@ -8,7 +8,9 @@ for a fixed seed: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 
@@ -121,16 +123,13 @@ def _write_steps(trace: SimulationTrace, out: list[str], newline: str) -> None:
 
 def _csv(rows: list[dict], columns: list[str]) -> str:
     """CSV text: a header, then one line per row with floats through repr,
-    everything else through str and a missing column as ""."""
-
-    def cell(row: dict, col: str) -> str:
-        if col not in row:
-            return ""
-        value = row[col]
-        return repr(value) if isinstance(value, float) else str(value)
-
-    lines = [",".join(columns)] + [",".join(cell(r, c) for c in columns) for r in rows]
-    return "\n".join(lines) + "\n"
+    a missing column as "" and other keys ignored; a field that holds a
+    comma or a double quote is quoted."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, columns, restval="", extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _numbers(spec: str, kind=float) -> list:
@@ -215,16 +214,11 @@ _GRID_COLUMNS = [
 
 def _cmd_verify_concavity(args) -> int:
     k_values = _player_counts(args.k)
-    senders = _numbers(args.s, int) if args.s else None
-    for s in senders or ():
-        # a sender above a k is a skipped row of the grid, not a bad input
-        if s < 1:
-            raise MalformedInputError(f"need senders >= 1, got s={s}")
     grid = verify_grid(
         k_values,
         _numbers(args.beta),
         _numbers(args.eps),
-        senders=senders,
+        senders=_numbers(args.s, int) if args.s else None,
         with_outside=args.outside,
     )
     rows = [_grid_row(row) for row in grid]
@@ -321,9 +315,6 @@ def _cmd_maximize(args) -> int:
         pattern, args.budget, grid_step=args.grid_step, coord_tol=args.tol
     )
     _emit(_dump(result), args.output)
-    if args.trace_csv:
-        rows = [{"evaluations": n, "best_value_bits": v} for n, v in result.trace]
-        _emit(_csv(rows, ["evaluations", "best_value_bits"]), args.trace_csv)
     return 0
 
 
@@ -435,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=4000)
     p.add_argument("--grid-step", type=float, default=0.02, dest="grid_step")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--trace-csv", dest="trace_csv")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_maximize)
 

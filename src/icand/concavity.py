@@ -462,10 +462,21 @@ def verify_grid(
 ) -> list[GridRow]:
     """Evaluate the concavity reports over a parameter grid.
 
-    Infeasible combinations (a sender above k, beta outside (1e-15, 1/k), or
-    negative all-zeros mass at the requested weakness) are reported as
-    skipped rows rather than silently dropped.
+    Infeasible combinations (a sender above k, a finite beta outside
+    (1e-15, 1/k), or negative all-zeros mass at the requested weakness) are
+    reported as skipped rows rather than silently dropped.  A sender below
+    1, a beta that is not finite and an eps outside [0, 1) (NaN included)
+    are malformed inputs, refused before the first cell is built.
     """
+    for s in senders or ():
+        if s < 1:
+            raise MalformedInputError(f"need senders >= 1, got s={s}")
+    for beta in beta_values:
+        if not math.isfinite(beta):
+            raise MalformedInputError(f"beta={beta} is not finite")
+    for eps in eps_values:
+        if not 0.0 <= eps < 1.0:
+            raise MalformedInputError(f"eps={eps} outside [0, 1)")
     rows = []
     for k in k_values:
         for s in senders if senders is not None else range(1, k + 1):

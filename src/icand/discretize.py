@@ -31,9 +31,10 @@ from .measures import LN2, ZERO_MASS, InputDistribution, _prior_entropies
 __all__ = ["DiscreteProtocol", "build", "exact_ic"]
 
 #: Leaves (slot, buzzing player) a discrete protocol may have.  A leaf sum
-#: at the cap peaks near its table and entropies, (2 + n_x + k + 1) * 8
-#: bytes a leaf, plus one kernel block: about 0.3 GB at k = 2, where one
-#: kernel call over every leaf took about 0.9 GB.
+#: at the cap peaks near its table, 4 + 2 + 8 * n_x bytes a leaf (an int32
+#: slot, an int16 player and n_x probabilities), and its entropies,
+#: (k + 1) * 8 bytes a leaf, plus one kernel block: about 0.27 GB at k = 2
+#: on three inputs, where one kernel call over every leaf took about 0.9 GB.
 _MAX_LEAVES = 5_000_000
 
 
@@ -99,8 +100,9 @@ def build(mu: InputDistribution, delta: float, horizon: float) -> DiscreteProtoc
     # phases of constant active set; within one, survivals are geometric
     boundaries = sorted({0, n_slots, *[int(j) for j in join_slot if 0 <= j < n_slots]})
     rows = max(1, _KERNEL_BLOCK // len(bits))  # slots per survival block
-    leaf_slot = np.empty(n_leaves, dtype=np.int64)
-    leaf_player = np.empty(n_leaves, dtype=np.int64)
+    # slots stay below the leaf count, players at most MAX_K
+    leaf_slot = np.empty(n_leaves, dtype=np.int32)
+    leaf_player = np.empty(n_leaves, dtype=np.int16)
     leaf_prob = np.empty((n_leaves, len(bits)))
     log_surv = np.zeros(len(bits))  # log Pr[silent through slots < r | x]
     pos = 0

@@ -92,7 +92,6 @@ class OptResult:
     value_error_bits: float  # closed-form round-off + |slope| * final bracket width
     evaluations: int
     status: str
-    trace: tuple[tuple[int, float], ...]  # (evaluation count, best so far)
 
 
 def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: float,
@@ -118,7 +117,6 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
         return InputDistribution(k, mass)
 
     evals, pick = 0, ("external", "internal").index(objective)
-    trace: list[tuple[int, float]] = []
     flat = len(basis) < k  # a vanishing basis mass: zero cost everywhere
 
     def line(a: float) -> tuple[float, float, float, float]:
@@ -126,8 +124,6 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
         nonlocal evals
         evals += 1
         values, slopes, err = ((0.0, 0.0), (0.0, 0.0), 0.0) if flat else _symmetric_line(k, a)
-        if not trace or values[pick] > trace[-1][1]:
-            trace.append((evals, values[pick]))
         return a, values[pick], slopes[pick], err
 
     def cost(mu: InputDistribution) -> tuple[float, float]:
@@ -173,7 +169,6 @@ def _maximize(pattern: SupportPattern, objective: str, budget: int, grid_step: f
         value_error_bits=err + abs(slope) * width if width > 0.0 else err,
         evaluations=evals,
         status=status,
-        trace=tuple(trace),
     )
 
 

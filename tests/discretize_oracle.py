@@ -27,8 +27,8 @@ def build(mu, delta, horizon):
     p = 1.0 - q
 
     boundaries = sorted({0, n_slots, *[int(j) for j in join_slot if 0 <= j < n_slots]})
-    leaf_slot = np.empty(n_leaves, dtype=np.int64)
-    leaf_player = np.empty(n_leaves, dtype=np.int64)
+    leaf_slot = np.empty(n_leaves, dtype=np.int32)
+    leaf_player = np.empty(n_leaves, dtype=np.int16)
     leaf_prob = np.empty((n_leaves, len(bits)))
     log_surv = np.zeros(len(bits))
     pos = 0

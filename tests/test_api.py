@@ -83,7 +83,7 @@ def _cli_runs(tmp: Path) -> list[list[str]]:
         ["discretize", "--measure", str(no11), "--delta", "0.25", "--format", "json",
          *out("discretize.json")],
         ["maximize", "--zero", "11", "--budget", "40", "--grid-step", "0.25",
-         "--trace-csv", str(tmp / "trace.csv"), *out("maximize.json")],
+         *out("maximize.json")],
         ["maximize", "--zero", "00,10,11", "--objective", "external", *out("point.json")],
         ["continuity-check", "--pairs", "2", "--format", "csv",
          *out("continuity.csv")],

@@ -218,6 +218,23 @@ class TestVerifyConcavity:
         ]
         assert all(r["ext_deficit"] == "" for r in rows if r["feasible"] == "0")
 
+    def test_skipped_rows_parse_as_csv(self, capsys):
+        # all three kinds of skip: an infeasible all-zeros mass, a beta
+        # outside (1e-15, 1/k) and a sender above k
+        grid = ["verify-concavity", "--k", "3", "--s", "1,4", "--beta", "0.05,0.33,0.4",
+                "--eps", "0.01,0.5"]
+        code, out, _ = run(capsys, *grid)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 12
+        assert all(None not in r for r in rows)
+        code, out, _ = run(capsys, *grid, "--format", "json")
+        assert code == 0
+        reasons = [r["skip_reason"] for r in json.loads(out)]
+        assert [r["skip_reason"] for r in rows] == reasons
+        kinds = ("canonical family infeasible", "outside (1e-15, 1/k)", "sender 4 outside")
+        assert all(any(kind in reason for reason in reasons) for kind in kinds)
+
     @pytest.mark.parametrize("k, s", [("2", "0"), ("1", "5")])
     def test_sender_below_one_or_k_below_two_exit_2(self, capsys, k, s):
         code, out, err = run(capsys, "verify-concavity", "--k", k, "--s", s,
@@ -422,21 +439,18 @@ class TestDiscretize:
 
 
 class TestMaximize:
-    def test_quick_run(self, capsys, tmp_path):
-        trace_path = tmp_path / "trace.csv"
+    def test_quick_run(self, capsys):
         code, out, _ = run(
             capsys,
             "maximize",
             "--zero", "11",
             "--budget", "400",
             "--grid-step", "0.1",
-            "--trace-csv", str(trace_path),
         )
         assert code == 0
         result = json.loads(out)
         assert result["value_bits"] == pytest.approx(0.4827, abs=2e-3)
         assert result["value_error_bits"] < 1e-9
-        assert trace_path.read_text().startswith("evaluations,best_value_bits")
 
     @pytest.mark.parametrize(
         "face, same_as",
@@ -555,6 +569,10 @@ class TestContinuityCheck:
          "--traces", "10", "--seed", "-1"],
         ["continuity-check", "--seed", "-5"],
         ["discretize", "--measure", "NO11", "--delta", "inf"],
+        ["verify-concavity", "--k", "2", "--beta", "nan", "--eps", "0.01"],
+        ["verify-concavity", "--k", "2", "--beta", "0.05,inf", "--eps", "0.01"],
+        ["verify-concavity", "--k", "2", "--beta", "0.05", "--eps", "0.01,nan"],
+        ["verify-concavity", "--k", "2", "--beta", "0.05", "--eps", "1.5"],
     ],
 )
 def test_malformed_number_exit_2(capsys, no11_file, argv):
@@ -649,6 +667,25 @@ def test_every_sender_is_checked_before_any_cost(capsys, monkeypatch, senders):
                          "--beta", "0.05", "--eps", "1e-2", "--outside")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "MalformedInputError"
+
+
+@pytest.mark.parametrize("beta, eps", [("0.05,nan", "0.01"), ("0.05", "0.01,nan")])
+def test_non_finite_beta_or_bad_eps_is_refused_before_any_cell(capsys, monkeypatch, beta, eps):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was built before every beta and eps was checked")
+
+    monkeypatch.setattr(concavity, "concavity_report", refuse)
+    code, out, err = run(capsys, "verify-concavity", "--k", "2", "--beta", beta, "--eps", eps)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "MalformedInputError"
+
+
+def test_csv_quotes_a_field_with_a_comma_and_a_quote():
+    rows = [{"a": 'x, "y"', "b": 0.1}, {"a": -0.0, "c": "ignored"}]
+    text = cli._csv(rows, ["a", "b"])
+    assert text == 'a,b\n"x, ""y""",0.1\n-0.0,\n'
+    assert list(csv.DictReader(text.splitlines())) == [
+        {"a": 'x, "y"', "b": "0.1"}, {"a": "-0.0", "b": ""}]
 
 
 def _json_runs(tmp):

@@ -245,7 +245,7 @@ class TestBlocks:
         assert_matches_oracle(mu, 0.125, exact_multiple(mu, 0.125))
 
     def test_working_set_is_the_table_and_one_block(self):
-        # 204,800 leaves: a (2 + n_x) * 8-byte table row and (k + 1) * 8
+        # 204,800 leaves: a 4 + 2 + n_x * 8-byte table row and (k + 1) * 8
         # bytes of entropies each; the blocks' temporaries stay under 2 MiB
         slack = 2 * 2**20
         tracemalloc.start()
@@ -257,8 +257,8 @@ class TestBlocks:
             exact_ic_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_leaves, n_x = proto.leaf_prob.shape
-        table = n_leaves * (2 + n_x) * 8
+        n_leaves = len(proto.leaf_prob)
+        table = proto.leaf_slot.nbytes + proto.leaf_player.nbytes + proto.leaf_prob.nbytes
         entropies = n_leaves * (MU_NO11.k + 1) * 8
         assert build_peak <= table + slack
         assert exact_ic_peak <= table + entropies + slack

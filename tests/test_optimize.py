@@ -62,9 +62,7 @@ class TestMaximize:
         pattern = SupportPattern.parse(2, "11")
         a = maximize_internal(pattern, budget=400, grid_step=0.1)
         b = maximize_internal(pattern, budget=400, grid_step=0.1)
-        assert a.value_bits == b.value_bits
-        assert a.argmax == b.argmax
-        assert a.trace == b.trace
+        assert a == b
 
     def test_value_stable_under_tighter_quadrature(self):
         pattern = SupportPattern.parse(2, "11")
@@ -84,14 +82,6 @@ class TestMaximize:
         pattern = SupportPattern.parse(2, "11")
         result = maximize_external(pattern, budget=900, grid_step=0.05)
         assert result.value_bits == pytest.approx(1.0, abs=1e-6)
-
-    def test_trace_monotone(self):
-        pattern = SupportPattern.parse(2, "11")
-        result = maximize_internal(pattern, budget=400, grid_step=0.1)
-        values = [v for _, v in result.trace]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        counts = [n for n, _ in result.trace]
-        assert all(b > a for a, b in zip(counts, counts[1:]))
 
 
 class TestSymmetricLine:
